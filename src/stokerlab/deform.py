@@ -20,12 +20,10 @@ from .config import DEFAULT, Tolerances
 from .errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence
 from .polyhedron import (
     EmbeddedPolyhedron,
-    convexity_margins,
+    FaceGeometry,
     dihedral_angles,
-    planarity_residuals,
     validate_angle_vector,
 )
-from .rigidity import angle_jacobian, constraint_jacobian
 
 
 @dataclass(frozen=True)
@@ -103,12 +101,8 @@ def _rotation_taking(u, v):
     return np.eye(3) + k + k @ k * ((1.0 - c) / (s * s))
 
 
-def _stacked_residual(poly, target, tol):
-    return np.concatenate([planarity_residuals(poly), dihedral_angles(poly, tol) - target])
-
-
-def _stacked_jacobian(poly, tol):
-    return np.vstack([constraint_jacobian(poly), angle_jacobian(poly, tol)])
+def _stacked_residual(geom: FaceGeometry, target):
+    return np.concatenate([geom.planarity_residuals(), geom.angles - target])
 
 
 def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = DeformOptions(),
@@ -132,9 +126,10 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     comb = poly.combinatorics
     target = validate_angle_vector(target, comb.edge_count)
     current = poly
-    residual = _stacked_residual(current, target, tol)
+    geom = FaceGeometry(current, tol)   # one evaluation per iterate, shared
+    residual = _stacked_residual(geom, target)
     history = [float(np.max(np.abs(residual)))]
-    n_planar = planarity_residuals(poly).size
+    n_planar = len(comb.planarity_pairs)
     planar_history = [float(np.max(np.abs(residual[:n_planar]), initial=0.0))]
 
     iterations = 0
@@ -143,7 +138,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             raise NoConvergence(
                 f"residual {history[-1]:.3e} after {iterations} iterations"
             )
-        jac = _stacked_jacobian(current, tol)
+        jac = np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()])
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=tol.rank_svd)
         damping = opts.step_damping
         while damping * np.max(np.abs(step)) > opts.trust_radius:
@@ -154,24 +149,26 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
         if np.max(np.linalg.norm(new_pos, axis=1)) >= 1.0 - tol.ball:
             raise BallExit("a vertex left the unit ball")
         candidate = current.with_positions(new_pos)
-        margins = convexity_margins(candidate)
+        geom = FaceGeometry(candidate, tol)
+        margins = geom.convexity_margins()
         if margins.size and margins.min() <= 0.0:
             raise ConvexityLost(
                 f"convexity margin {margins.min():.3e} crossed zero"
             )
         current = candidate
-        residual = _stacked_residual(current, target, tol)
+        residual = _stacked_residual(geom, target)
         history.append(float(np.max(np.abs(residual))))
         planar_history.append(float(np.max(np.abs(residual[:n_planar]), initial=0.0)))
         iterations += 1
 
-    final = gauge_fix(current, tol)
+    # Dihedral angles are isometry invariants, so the converged iterate's
+    # angles are those of its gauge-fixed image up to rounding.
     return DeformResult(
-        final=final,
+        final=gauge_fix(current, tol),
         iterations_used=iterations,
         residual_history=history,
         planarity_history=planar_history,
-        achieved_angles=dihedral_angles(final, tol),
+        achieved_angles=geom.angles,
         gauge="vertex0 at origin, vertex1 on +x, vertex2 in upper xy half-plane",
     )
 

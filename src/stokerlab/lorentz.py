@@ -39,10 +39,13 @@ _I2 = np.eye(2, dtype=complex)
 
 
 def minkowski_inner(u, v):
-    """Signature (+,+,+,-) inner product of two 4-vectors."""
+    """Signature (+,+,+,-) inner product of two 4-vectors (a float), or of
+    matching rows of two (..., 4) arrays."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return float(u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3])
+    out = (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+           - u[..., 3] * v[..., 3])
+    return float(out) if out.ndim == 0 else out
 
 
 def causal_character(v, tol: Tolerances = DEFAULT):
@@ -71,22 +74,6 @@ def klein_project(v):
     """Project a hyperboloid point back to Klein coordinates: (x1,x2,x3)/x4."""
     v = np.asarray(v, dtype=float)
     return v[:3] / v[3]
-
-
-def klein_lift_jacobian(p):
-    """Derivative of ``klein_lift`` with respect to the Klein coordinates.
-
-    Returns a 4x3 array whose column c is d(lift)/dp_c.
-    """
-    p = np.asarray(p, dtype=float)
-    n2 = float(p @ p)
-    s = np.sqrt(1.0 - n2)
-    lift = np.array([p[0], p[1], p[2], 1.0]) / s
-    jac = np.zeros((4, 3))
-    for c in range(3):
-        jac[c, c] = 1.0 / s
-        jac[:, c] += lift * (p[c] / s ** 2)
-    return jac
 
 
 def hyperbolic_distance(p, q, tol: Tolerances = DEFAULT):

@@ -12,10 +12,13 @@ by 3x3 determinants in the vertex coordinates:
 
 Faces are stored counterclockwise as seen from outside, so the cross product
 of the first two anchor edges points outward; the convexity determinant
-below is oriented to make interior vertices positive.
+below is oriented to make interior vertices positive.  ``FaceGeometry``
+evaluates all of it, with closed-form plane normals, angles and Jacobians,
+in batches over index arrays cached on the combinatorial type.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BallBoundary,
     ConvexityViolation,
+    DegenerateFace,
     InvalidCombinatorics,
     PlanarityViolation,
 )
@@ -118,6 +122,33 @@ class CombinatorialType:
     def vertex_valence(self, v):
         return len(self.vertex_star(v)[0])
 
+    # Index arrays of the batched face-plane kernel (``FaceGeometry``),
+    # built on first use because an invalid type may lack some of them.
+
+    @cached_property
+    def face_anchors(self):
+        """(F, 3) first three stored vertices of every face."""
+        return np.array([f[:3] for f in self.faces], dtype=np.intp).reshape(-1, 3)
+
+    @cached_property
+    def edge_face_pairs(self):
+        """(E, 2) the faces of ``edge_faces`` for every edge, in edge order."""
+        return np.array([self.edge_faces(e) for e in self.edges], dtype=np.intp).reshape(-1, 2)
+
+    @cached_property
+    def planarity_pairs(self):
+        """(P, 2) (face, vertex) rows: every face vertex beyond the anchors."""
+        return np.array([(fi, v) for fi, f in enumerate(self.faces) for v in f[3:]],
+                        dtype=np.intp).reshape(-1, 2)
+
+    @cached_property
+    def convexity_pairs(self):
+        """(C, 2) (face, vertex) rows: every vertex not on the face, face-major."""
+        incident = np.zeros((self.face_count, self.vertex_count), dtype=bool)
+        for fi, f in enumerate(self.faces):
+            incident[fi, list(f)] = True
+        return np.argwhere(~incident)
+
 
 def _cyclic_pairs(face):
     for i, a in enumerate(face):
@@ -209,19 +240,147 @@ class EmbeddedPolyhedron:
         return EmbeddedPolyhedron(self.combinatorics, positions)
 
 
-def _anchor_frame(positions, face):
-    a1, a2, a3 = face[0], face[1], face[2]
-    base = positions[a1]
-    return base, positions[a2] - base, positions[a3] - base
+def _dot3(x, y):
+    """Row-wise dot product of two (..., 3) arrays, summed in a fixed order."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def planarity_residual_index(comb: CombinatorialType):
-    """(face index, vertex) pairs indexing the planarity residual vector."""
-    idx = []
-    for fi, f in enumerate(comb.faces):
-        for v in f[3:]:
-            idx.append((fi, v))
-    return idx
+def _scatter(vertex_count, vertices, blocks):
+    """Dense rows from per-vertex gradient blocks.
+
+    ``vertices`` (R, k) and ``blocks`` (R, k, 3) give, for row r, the
+    gradient block of each of its k vertices; blocks of a vertex repeated in
+    a row are summed.  Returns the (R, 3 * vertex_count) matrix.
+    """
+    rows = vertices.shape[0]
+    width = 3 * vertex_count
+    cols = 3 * vertices[..., None] + np.arange(3)
+    flat = (np.arange(rows)[:, None, None] * width + cols).ravel()
+    return np.bincount(flat, weights=blocks.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def _unit_normals(anchors, tol: Tolerances):
+    """Unit Minkowski normals of face planes and the norms they were scaled by.
+
+    ``anchors`` (k, 3, 3) holds each face's first three stored vertices
+    p1, p2, p3.  With a = (p2 - p1) x (p3 - p1) the plane is a . x = b for
+    b = a . p1, so n = (a, b) is Minkowski-orthogonal to every (x, 1) on it.
+    Counterclockwise storage makes a point outward, hence n points away from
+    the interior.  Raises ``BallBoundary`` for an anchor outside the ball and
+    ``DegenerateFace`` when the anchors' (p, 1) span less than
+    ``tol.rank_rel`` of their Hadamard bound or n is not spacelike.
+    """
+    cross = np.cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
+    radii2 = _dot3(anchors, anchors)
+    if radii2.size and radii2.max() >= (1.0 - tol.ball) ** 2:
+        raise BallBoundary(
+            f"point with |p| = {np.sqrt(radii2.max()):.17g} is not strictly inside the ball"
+        )
+    b = _dot3(cross, anchors[:, 0])
+    aa = _dot3(cross, cross)
+    span = aa + b * b            # squared volume spanned by the three (p_i, 1)
+    if np.any(span <= tol.rank_rel ** 2 * np.prod(1.0 + radii2, axis=1)):
+        raise DegenerateFace("three points do not span a plane")
+    q = aa - b * b
+    if np.any(q <= tol.rank_rel * span):
+        raise DegenerateFace("normal direction is not spacelike")
+    root = np.sqrt(q)
+    return np.column_stack([cross, b]) / root[:, None], root
+
+
+def angles_between(normals_a, normals_b):
+    """Interior dihedral angles pi - arccos(<n, n'>) for rows of away-from-
+    interior unit normals of the two faces at each edge."""
+    return np.pi - np.arccos(np.clip(lorentz.minkowski_inner(normals_a, normals_b), -1.0, 1.0))
+
+
+def face_normals(poly: EmbeddedPolyhedron, faces, tol: Tolerances = DEFAULT):
+    """Away-from-interior unit normals (k x 4) of the listed faces only."""
+    return _unit_normals(poly.positions[poly.combinatorics.face_anchors[list(faces)]], tol)[0]
+
+
+class FaceGeometry:
+    """All face-plane quantities of one embedding, evaluated in batches.
+
+    Built once per vertex configuration and driven by the index arrays
+    cached on the combinatorial type.  Planarity and convexity are the
+    anchored determinants (u x w) . (x - p1) with u, w the anchor edges;
+    normals, angles and both Jacobians are closed-form (see
+    ``_unit_normals`` and ``angle_jacobian``).  Normals are computed on
+    first use, so the determinants never raise.
+    """
+
+    def __init__(self, poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
+        self.combinatorics = poly.combinatorics
+        self.positions = poly.positions
+        self.tol = tol
+        self.anchors = self.positions[self.combinatorics.face_anchors]
+        p1 = self.anchors[:, 0]
+        self.cross = np.cross(self.anchors[:, 1] - p1, self.anchors[:, 2] - p1)
+
+    def _determinants(self, pairs):
+        f, v = pairs[:, 0], pairs[:, 1]
+        return _dot3(self.cross[f], self.positions[v] - self.anchors[f, 0])
+
+    def planarity_residuals(self):
+        return self._determinants(self.combinatorics.planarity_pairs)
+
+    def convexity_margins(self):
+        return -self._determinants(self.combinatorics.convexity_pairs)
+
+    @cached_property
+    def _normals(self):
+        return _unit_normals(self.anchors, self.tol)
+
+    @property
+    def normals(self):
+        """(F, 4) unit normals pointing away from the interior."""
+        return self._normals[0]
+
+    @cached_property
+    def angles(self):
+        """Interior dihedral angle of every edge, in lexicographic edge order."""
+        pairs = self.combinatorics.edge_face_pairs
+        return angles_between(self.normals[pairs[:, 0]], self.normals[pairs[:, 1]])
+
+    def constraint_jacobian(self):
+        """Gradient of det(u, w, x): d/du = w x x, d/dw = x x u, d/dx = u x w,
+        and the first anchor gets minus their sum."""
+        comb = self.combinatorics
+        pairs = comb.planarity_pairs
+        f = pairs[:, 0]
+        p = self.anchors[f]
+        u = p[:, 1] - p[:, 0]
+        w = p[:, 2] - p[:, 0]
+        x = self.positions[pairs[:, 1]] - p[:, 0]
+        gu, gw, gx = np.cross(w, x), np.cross(x, u), self.cross[f]
+        blocks = np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
+        vertices = np.column_stack([comb.face_anchors[f], pairs[:, 1]])
+        return _scatter(comb.vertex_count, vertices, blocks)
+
+    def angle_jacobian(self):
+        """Chain rule through the unnormalized normals n = (a, b).
+
+        With N = n / sqrt(q) and c = <N_f, N_g>, d theta = dc / sqrt(1 - c^2)
+        and dc = <dn_f, m_f> + <dn_g, m_g> for m_f = (N_g - c N_f) / sqrt(q_f).
+        For a fixed m = (m_s, m_t), <n, m> = a . m_s - b m_t has gradient
+        (p2 - p3) x m_s - m_t (p2 x p3) in p1, and cyclically in p2, p3.
+        """
+        comb = self.combinatorics
+        normals, root = self._normals
+        faces = comb.edge_face_pairs                       # (E, 2)
+        nf, ng = normals[faces[:, 0]], normals[faces[:, 1]]
+        c = lorentz.minkowski_inner(nf, ng)[:, None]
+        scale = 1.0 / np.sqrt(np.maximum(1.0 - c * c, 1e-300))
+        m = np.stack([(ng - c * nf) * (scale / root[faces[:, 0], None]),
+                      (nf - c * ng) * (scale / root[faces[:, 1], None])], axis=1)
+        p = self.anchors[faces]                            # (E, 2, 3, 3)
+        after = np.roll(p, -1, axis=2)
+        later = np.roll(p, -2, axis=2)
+        blocks = (np.cross(after - later, m[:, :, None, :3])
+                  - m[:, :, None, 3:] * np.cross(after, later))
+        vertices = comb.face_anchors[faces].reshape(len(faces), 6)
+        return _scatter(comb.vertex_count, vertices, blocks.reshape(len(faces), 6, 3))
 
 
 def planarity_residuals(poly: EmbeddedPolyhedron):
@@ -231,23 +390,7 @@ def planarity_residuals(poly: EmbeddedPolyhedron):
     anchors a1, a2, a3 the first three vertices of f in stored order; it
     vanishes exactly when the face is planar.
     """
-    pos = poly.positions
-    out = []
-    for fi, v in planarity_residual_index(poly.combinatorics):
-        base, u, w = _anchor_frame(pos, poly.combinatorics.faces[fi])
-        out.append(float(np.linalg.det(np.column_stack([u, w, pos[v] - base]))))
-    return np.array(out)
-
-
-def convexity_margin_index(comb: CombinatorialType):
-    """(face index, vertex) pairs indexing the convexity margin vector."""
-    idx = []
-    for fi, f in enumerate(comb.faces):
-        members = set(f)
-        for v in range(comb.vertex_count):
-            if v not in members:
-                idx.append((fi, v))
-    return idx
+    return FaceGeometry(poly).planarity_residuals()
 
 
 def convexity_margins(poly: EmbeddedPolyhedron):
@@ -259,21 +402,16 @@ def convexity_margins(poly: EmbeddedPolyhedron):
     entries positive means a strictly convex embedding; the minimum entry is
     the convexity margin.
     """
-    pos = poly.positions
-    out = []
-    for fi, v in convexity_margin_index(poly.combinatorics):
-        base, u, w = _anchor_frame(pos, poly.combinatorics.faces[fi])
-        out.append(float(np.linalg.det(np.column_stack([w, u, pos[v] - base]))))
-    return np.array(out)
+    return FaceGeometry(poly).convexity_margins()
 
 
 def interior_point(poly: EmbeddedPolyhedron):
     """Euclidean centroid of the vertices; must be interior to all faces."""
     centroid = poly.positions.mean(axis=0)
-    for fi, f in enumerate(poly.combinatorics.faces):
-        base, u, w = _anchor_frame(poly.positions, f)
-        if np.linalg.det(np.column_stack([w, u, centroid - base])) <= 0:
-            raise ConvexityViolation(f"centroid is not interior to face {fi}")
+    geom = FaceGeometry(poly)
+    sides = _dot3(geom.cross, centroid - geom.anchors[:, 0])
+    if np.any(sides >= 0):
+        raise ConvexityViolation(f"centroid is not interior to face {int(np.argmax(sides >= 0))}")
     return centroid
 
 
@@ -334,22 +472,13 @@ def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> E
 
 
 def face_planes(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
-    """Interior-oriented hyperbolic plane of every face (anchored on the
+    """Away-from-interior hyperbolic plane of every face (anchored on the
     first three stored vertices).
 
-    The vertex centroid orients the planes; degenerate anchor triples raise
-    ``DegenerateFace`` and a centroid sitting on a face plane raises
-    ``AmbiguousOrientation``.
+    The counterclockwise face orientation fixes the side, so no interior
+    witness is needed; degenerate anchor triples raise ``DegenerateFace``.
     """
-    witness = poly.positions.mean(axis=0)
-    planes = []
-    for f in poly.combinatorics.faces:
-        planes.append(
-            lorentz.plane_through(
-                poly.positions[f[0]], poly.positions[f[1]], poly.positions[f[2]], witness, tol
-            )
-        )
-    return planes
+    return [lorentz.Plane(n) for n in FaceGeometry(poly, tol).normals]
 
 
 def dihedral_angles(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -358,14 +487,7 @@ def dihedral_angles(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     For an edge between faces with away-from-interior unit normals n, n' the
     angle is pi - arccos(<n, n'>); convex embeddings give values in (0, pi).
     """
-    planes = face_planes(poly, tol)
-    comb = poly.combinatorics
-    angles = np.empty(comb.edge_count)
-    for k, e in enumerate(comb.edges):
-        fa, fb = comb.edge_faces(e)
-        c = lorentz.minkowski_inner(planes[fa].normal, planes[fb].normal)
-        angles[k] = np.pi - np.arccos(np.clip(c, -1.0, 1.0))
-    return angles
+    return FaceGeometry(poly, tol).angles
 
 
 def validate_angle_vector(angles, edge_count):

@@ -20,7 +20,7 @@ import numpy as np
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import EigenFailure, IndexRange, InvalidCombinatorics
-from .polyhedron import EmbeddedPolyhedron, dihedral_angles, face_planes
+from .polyhedron import EmbeddedPolyhedron, FaceGeometry, angles_between, face_normals
 from .rigidity import numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
@@ -334,11 +334,9 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
     elliptic isometry about the edge geodesic rotating by twice the dihedral
     angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
     """
-    comb = poly.combinatorics
     edge = (min(edge), max(edge))
-    planes = face_planes(poly, tol)
-    fa, fb = comb.edge_faces(edge)
-    iso = lorentz.reflect(planes[fa]) @ lorentz.reflect(planes[fb])
+    na, nb = face_normals(poly, poly.combinatorics.edge_faces(edge), tol)
+    iso = lorentz.reflect(lorentz.Plane(na)) @ lorentz.reflect(lorentz.Plane(nb))
     return iso, lorentz.sl2c_lift(iso, tol)
 
 
@@ -386,19 +384,13 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     d = len(star_edges)
     if d < 3:
         raise InvalidCombinatorics(f"vertex {vertex} has valence {d} < 3")
-    planes = face_planes(poly, tol)
-    angles = dihedral_angles(poly, tol)
+    normals = face_normals(poly, star_faces, tol)
     move = lorentz.translation_to_origin(poly.positions[vertex], tol)
     move_inv = lorentz.J @ move.T @ lorentz.J
-    reflections = {fi: lorentz.reflect(planes[fi]) for fi in star_faces}
-    meridians_so31 = []
-    cone = np.empty(d)
-    for k in range(d):
-        before = star_faces[(k - 1) % d]
-        after = star_faces[k]
-        m = reflections[before] @ reflections[after]
-        meridians_so31.append(move @ m @ move_inv)
-        cone[k] = 2.0 * angles[comb.edge_index[star_edges[k]]]
+    reflections = [lorentz.reflect(lorentz.Plane(n)) for n in normals]
+    # edge k lies between star faces k - 1 and k
+    meridians_so31 = [move @ (reflections[k - 1] @ reflections[k]) @ move_inv for k in range(d)]
+    cone = 2.0 * angles_between(np.roll(normals, 1, axis=0), normals)
     lifts = [lorentz.sl2c_lift(m, tol) for m in meridians_so31]
     return LinkRepresentation(vertex, tuple(star_edges), lifts, meridians_so31, cone)
 
@@ -440,9 +432,8 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     """
     comb = poly.combinatorics
     nv = comb.vertex_count
-    planes = face_planes(poly, tol)
-    angles = dihedral_angles(poly, tol)
-    reflections = [lorentz.reflect(pl) for pl in planes]
+    geom = FaceGeometry(poly, tol)
+    reflections = [lorentz.reflect(lorentz.Plane(n)) for n in geom.normals]
 
     slot_matrix = {}
     star_order = {}
@@ -514,7 +505,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
             _, e = key
             twist = lorentz.rotation_about_edge(
                 poly.positions[e[0]], poly.positions[e[1]],
-                angles[comb.edge_index[e]], tol,
+                geom.angles[comb.edge_index[e]], tol,
             )
             images.append(lorentz.sl2c_lift(twist, tol))
 

@@ -11,17 +11,12 @@ relative singular-value threshold.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, subspace_angles
+from scipy.linalg import subspace_angles
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, RankDeficiency, StokerlabError
-from .polyhedron import (
-    EmbeddedPolyhedron,
-    convexity_margin_index,
-    interior_point,
-    planarity_residual_index,
-)
+from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 
 
 def numerical_rank(singular_values, rel_threshold):
@@ -45,82 +40,8 @@ def constraint_jacobian(poly: EmbeddedPolyhedron):
     """Derivative of every planarity determinant w.r.t. all vertex coordinates.
 
     Shape (sum_f (d_f - 3)) x 3|V|; rows are independent for convex input.
-    Uses the gradient of det(u, w, x): d/du = w x x, d/dw = x x u, d/dx = u x w.
     """
-    comb = poly.combinatorics
-    pos = poly.positions
-    index = planarity_residual_index(comb)
-    jac = np.zeros((len(index), 3 * comb.vertex_count))
-    for row, (fi, v) in enumerate(index):
-        f = comb.faces[fi]
-        a1, a2, a3 = f[0], f[1], f[2]
-        u = pos[a2] - pos[a1]
-        w = pos[a3] - pos[a1]
-        x = pos[v] - pos[a1]
-        gu = np.cross(w, x)
-        gw = np.cross(x, u)
-        gx = np.cross(u, w)
-        jac[row, 3 * a2:3 * a2 + 3] += gu
-        jac[row, 3 * a3:3 * a3 + 3] += gw
-        jac[row, 3 * v:3 * v + 3] += gx
-        jac[row, 3 * a1:3 * a1 + 3] -= gu + gw + gx
-    return jac
-
-
-def convexity_jacobian(poly: EmbeddedPolyhedron):
-    """Same assembly for the convexity determinants (used by the solver to
-    monitor margins; not part of the constraint system)."""
-    comb = poly.combinatorics
-    pos = poly.positions
-    index = convexity_margin_index(comb)
-    jac = np.zeros((len(index), 3 * comb.vertex_count))
-    for row, (fi, v) in enumerate(index):
-        f = comb.faces[fi]
-        a1, a2, a3 = f[0], f[1], f[2]
-        u = pos[a3] - pos[a1]
-        w = pos[a2] - pos[a1]
-        x = pos[v] - pos[a1]
-        gu = np.cross(w, x)
-        gw = np.cross(x, u)
-        gx = np.cross(u, w)
-        jac[row, 3 * a3:3 * a3 + 3] += gu
-        jac[row, 3 * a2:3 * a2 + 3] += gw
-        jac[row, 3 * v:3 * v + 3] += gx
-        jac[row, 3 * a1:3 * a1 + 3] -= gu + gw + gx
-    return jac
-
-
-def _plane_normal_with_jacobian(pos, face, witness, tol: Tolerances):
-    """Oriented unit normal of a face plane and its derivative w.r.t. the
-    three anchor vertices.
-
-    Returns (n, {vertex: 3x4 array}) where row c of the 3x4 block is
-    dn/d(anchor coordinate c).  The normal solves <n, lift(a_i)> = 0 with
-    <n, n> = 1; differentiating gives a well-posed 4x4 linear system since
-    the anchors plus the normal span R^{3,1}.
-    """
-    anchors = face[:3]
-    lifts = [lorentz.klein_lift(pos[a], tol) for a in anchors]
-    m = np.stack(lifts) @ lorentz.J
-    _, sing, vh = np.linalg.svd(m)
-    n = vh[3]
-    q = lorentz.minkowski_inner(n, n)
-    n = n / np.sqrt(q)
-    if lorentz.minkowski_inner(n, lorentz.klein_lift(witness, tol)) > 0:
-        n = -n
-    system = np.vstack([m, (lorentz.J @ n)[None, :]])
-    lu = lu_factor(system)
-    grads = {}
-    jn = lorentz.J @ n
-    for k, a in enumerate(anchors):
-        dlift = lorentz.klein_lift_jacobian(pos[a])  # 4x3
-        block = np.zeros((3, 4))
-        for c in range(3):
-            rhs = np.zeros(4)
-            rhs[k] = -float(dlift[:, c] @ jn)
-            block[c] = lu_solve(lu, rhs)
-        grads[a] = block
-    return n, grads
+    return FaceGeometry(poly).constraint_jacobian()
 
 
 def angle_jacobian(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -131,26 +52,7 @@ def angle_jacobian(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     the planarity tangent space this is the differential of the angle map on
     the constraint manifold.
     """
-    comb = poly.combinatorics
-    pos = poly.positions
-    witness = interior_point(poly)
-    normals = []
-    grads = []
-    for f in comb.faces:
-        n, g = _plane_normal_with_jacobian(pos, f, witness, tol)
-        normals.append(n)
-        grads.append(g)
-    jac = np.zeros((comb.edge_count, 3 * comb.vertex_count))
-    for k, e in enumerate(comb.edges):
-        fa, fb = comb.edge_faces(e)
-        na, nb = normals[fa], normals[fb]
-        c = lorentz.minkowski_inner(na, nb)
-        scale = 1.0 / np.sqrt(max(1.0 - c * c, 1e-300))
-        for v, block in grads[fa].items():
-            jac[k, 3 * v:3 * v + 3] += scale * (block @ (lorentz.J @ nb))
-        for v, block in grads[fb].items():
-            jac[k, 3 * v:3 * v + 3] += scale * (block @ (lorentz.J @ na))
-    return jac
+    return FaceGeometry(poly, tol).angle_jacobian()
 
 
 def tangent_space(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -159,11 +61,8 @@ def tangent_space(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     Raises ``DimensionMismatch`` when the numerical nullity differs from the
     predicted |E| + 6.
     """
-    comb = poly.combinatorics
-    basis = nullspace(
-        constraint_jacobian(poly).reshape(-1, 3 * comb.vertex_count), tol.rank_svd
-    )
-    expected = comb.edge_count + 6
+    basis = nullspace(constraint_jacobian(poly), tol.rank_svd)
+    expected = poly.combinatorics.edge_count + 6
     if basis.shape[1] != expected:
         raise DimensionMismatch(
             f"constraint nullity {basis.shape[1]} != |E| + 6 = {expected}"

@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz
 from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron
@@ -79,3 +80,69 @@ def finite_difference_jacobian(func, x0, step=1e-6):
         dx[c] = step
         jac[:, c] = (np.asarray(func(x0 + dx)) - np.asarray(func(x0 - dx))) / (2 * step)
     return jac
+
+
+HULL_RADIUS = 0.5        # Klein radius of the outermost random-polytope vertex
+MIN_EXTERIOR = 3e-3      # least angle between adjacent hull facet normals
+
+
+def _spread_sphere_points(rng, n, steps=200):
+    """Seeded points on the unit sphere, spread by Coulomb repulsion."""
+    pts = rng.normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    step = 0.1 * np.sqrt(4.0 * np.pi / n)
+    for _ in range(steps):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.linalg.norm(diff, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        force = (diff / dist[:, :, None] ** 3).sum(axis=1)
+        force -= (force * pts).sum(axis=1)[:, None] * pts
+        pts += step * force / np.linalg.norm(force, axis=1).max()
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return pts
+
+
+def _spread_hull(rng, n):
+    """Hull of spread sphere points with no nearly flat edge.
+
+    A point set whose adjacent facet normals meet at less than
+    ``MIN_EXTERIOR`` is drawn again, since its dihedral angles near pi are
+    ill-conditioned.  The facet normals come from scipy, not the library.
+    """
+    while True:
+        pts = _spread_sphere_points(rng, n)
+        hull = ConvexHull(pts)
+        normals = hull.equations[:, :3]
+        cosines = np.einsum("fi,fki->fk", normals, normals[hull.neighbors])
+        if np.arccos(np.clip(cosines.max(), -1.0, 1.0)) >= MIN_EXTERIOR:
+            return pts, hull
+
+
+def random_simplicial_hull(seed, n):
+    """Seeded simplicial polytope: the hull of n spread sphere points, faces
+    counterclockwise from outside, scaled into the Klein ball."""
+    pts, hull = _spread_hull(np.random.default_rng(seed), n)
+    faces = []
+    for (a, b, c), eq in zip(hull.simplices, hull.equations):
+        if np.cross(pts[b] - pts[a], pts[c] - pts[a]) @ eq[:3] < 0:
+            b, c = c, b
+        faces.append([int(a), int(b), int(c)])
+    return EmbeddedPolyhedron(CombinatorialType(n, faces), HULL_RADIUS * pts)
+
+
+def random_polar_dual(seed, n):
+    """Polar dual of a seeded n-point hull: a simple polytope with one face
+    per hull vertex, its vertices sorted counterclockwise around that
+    vertex's outward direction."""
+    pts, hull = _spread_hull(np.random.default_rng(seed), n)
+    verts = hull.equations[:, :3] / -hull.equations[:, 3:]
+    faces = []
+    for v in range(n):
+        ring = [k for k, simplex in enumerate(hull.simplices) if v in simplex]
+        e1 = np.cross(pts[v], [1.0, 0.0, 0.0] if abs(pts[v][0]) < 0.9 else [0.0, 1.0, 0.0])
+        e2 = np.cross(pts[v], e1)
+        offsets = verts[ring] - pts[v]
+        order = np.argsort(np.arctan2(offsets @ e2, offsets @ e1))
+        faces.append([ring[k] for k in order])
+    scale = HULL_RADIUS / np.linalg.norm(verts, axis=1).max()
+    return EmbeddedPolyhedron(CombinatorialType(len(verts), faces), scale * verts)

@@ -1,0 +1,122 @@
+"""Closed-form face-plane kernel against independent references on random
+simplicial hulls and their polar duals.
+
+References: ``lorentz.plane_through`` (SVD normal, witness orientation) with
+``lorentz.minkowski_inner`` for normals and angles, a loop of
+``np.linalg.det`` for the determinants, and central differences for both
+Jacobians.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import finite_difference_jacobian, random_polar_dual, random_simplicial_hull
+from stokerlab import lorentz
+from stokerlab.polyhedron import (
+    FaceGeometry,
+    convexity_margins,
+    dihedral_angles,
+    face_normals,
+    face_planes,
+    planarity_residuals,
+)
+from stokerlab.repvar import link_representation
+from stokerlab.rigidity import angle_jacobian, constraint_jacobian
+
+EPS = np.finfo(float).eps
+REFERENCE_TOL = 1e-13    # normals and angles against the SVD route
+FD_TOL = 1e-6            # same bound as the fixture oracles
+
+random_polyhedra = st.builds(
+    lambda seed, n, dual: (random_polar_dual if dual else random_simplicial_hull)(seed, n),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(10, 24),
+    st.booleans(),
+)
+examples = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+def reference_normals(poly):
+    witness = poly.positions.mean(axis=0)
+    return np.array([
+        lorentz.plane_through(*poly.positions[list(f[:3])], witness).normal
+        for f in poly.combinatorics.faces
+    ])
+
+
+def det_reference(poly, index, convex):
+    """Loop-of-det values and their rounding bounds 64 eps |u| |w| |x|."""
+    pos = poly.positions
+    values, bounds = [], []
+    for fi, v in index:
+        f = poly.combinatorics.faces[fi]
+        u, w, x = pos[f[1]] - pos[f[0]], pos[f[2]] - pos[f[0]], pos[v] - pos[f[0]]
+        cols = [w, u, x] if convex else [u, w, x]
+        values.append(np.linalg.det(np.column_stack(cols)))
+        bounds.append(64 * EPS * np.linalg.norm(u) * np.linalg.norm(w) * np.linalg.norm(x))
+    return np.array(values), np.array(bounds)
+
+
+@examples
+@given(random_polyhedra)
+def test_normals_match_plane_through(poly):
+    ref = reference_normals(poly)
+    assert np.max(np.abs(FaceGeometry(poly).normals - ref)) <= REFERENCE_TOL
+    planes = np.array([plane.normal for plane in face_planes(poly)])
+    assert np.max(np.abs(planes - ref)) <= REFERENCE_TOL
+
+
+@examples
+@given(random_polyhedra)
+def test_angles_match_minkowski_inner(poly):
+    ref = reference_normals(poly)
+    expected = np.array([
+        np.pi - np.arccos(np.clip(lorentz.minkowski_inner(ref[fa], ref[fb]), -1.0, 1.0))
+        for fa, fb in map(poly.combinatorics.edge_faces, poly.combinatorics.edges)
+    ])
+    assert np.max(np.abs(dihedral_angles(poly) - expected)) <= REFERENCE_TOL
+
+
+@examples
+@given(random_polyhedra)
+def test_determinants_match_det_loop(poly):
+    comb = poly.combinatorics
+    values, bounds = det_reference(poly, comb.planarity_pairs, convex=False)
+    assert np.all(np.abs(planarity_residuals(poly) - values) <= bounds)
+    values, bounds = det_reference(poly, comb.convexity_pairs, convex=True)
+    margins = convexity_margins(poly)
+    assert np.all(np.abs(margins - values) <= bounds)
+    assert margins.min() > 0
+
+
+@examples
+@given(random_polyhedra)
+def test_jacobians_match_finite_differences(poly):
+    flat = poly.positions.ravel()
+
+    def moved(x):
+        return poly.with_positions(x.reshape(-1, 3))
+
+    fd = finite_difference_jacobian(lambda x: dihedral_angles(moved(x)), flat)
+    assert np.max(np.abs(angle_jacobian(poly) - fd)) < FD_TOL
+    analytic = constraint_jacobian(poly)
+    fd = finite_difference_jacobian(lambda x: planarity_residuals(moved(x)), flat)
+    assert analytic.shape == fd.shape
+    if analytic.size:
+        assert np.max(np.abs(analytic - fd)) < FD_TOL
+
+
+@examples
+@given(random_polyhedra)
+def test_face_subsets_match_full_evaluation(poly):
+    """Holonomy evaluates only the faces it needs; the rows must be the
+    same numbers the full evaluation gives."""
+    comb = poly.combinatorics
+    geom = FaceGeometry(poly)
+    for v in (0, comb.vertex_count - 1):
+        star_edges, star_faces = comb.vertex_star(v)
+        assert np.array_equal(face_normals(poly, star_faces), geom.normals[list(star_faces)])
+        link = link_representation(poly, v)
+        edges = [comb.edge_index[e] for e in star_edges]
+        assert np.array_equal(link.cone_angles, 2.0 * geom.angles[edges])

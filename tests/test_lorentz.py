@@ -64,17 +64,6 @@ class TestKleinLift:
             p = rng.uniform(-0.55, 0.55, 3)
             assert np.max(np.abs(lorentz.klein_project(lorentz.klein_lift(p)) - p)) < 1e-13
 
-    def test_lift_jacobian_matches_differences(self):
-        rng = np.random.default_rng(3)
-        p = rng.uniform(-0.4, 0.4, 3)
-        jac = lorentz.klein_lift_jacobian(p)
-        h = 1e-6
-        for c in range(3):
-            dp = np.zeros(3)
-            dp[c] = h
-            fd = (lorentz.klein_lift(p + dp) - lorentz.klein_lift(p - dp)) / (2 * h)
-            assert np.max(np.abs(jac[:, c] - fd)) < 1e-8
-
 
 class TestHyperbolicDistance:
     def test_coincident(self):

@@ -7,12 +7,10 @@ from stokerlab.errors import BallBoundary, ConvexityViolation, PlanarityViolatio
 from stokerlab.polyhedron import (
     CombinatorialType,
     EmbeddedPolyhedron,
-    convexity_margin_index,
     convexity_margins,
     dihedral_angles,
     embed_euclidean,
     interior_point,
-    planarity_residual_index,
     planarity_residuals,
     validate_combinatorics,
     validate_embedding,
@@ -86,7 +84,7 @@ class TestPlanarity:
         pos[moved] += delta * normal / doubled_area
         perturbed = EmbeddedPolyhedron(comb, pos)
         residuals = planarity_residuals(perturbed)
-        index = planarity_residual_index(comb)
+        index = comb.planarity_pairs
         for k, (f, v) in enumerate(index):
             if (f, v) == (fi, moved):
                 assert residuals[k] == pytest.approx(delta * doubled_area, abs=1e-10)
@@ -125,7 +123,7 @@ class TestConvexity:
         pos[7, 0] = pos[0, 0] - 0.02  # past the wall, y and z unchanged
         pushed = EmbeddedPolyhedron(comb, pos)
         margins = convexity_margins(pushed)
-        for k, (f, v) in enumerate(convexity_margin_index(comb)):
+        for k, (f, v) in enumerate(comb.convexity_pairs):
             if (f, v) == (crossing_face, 7):
                 assert margins[k] < 0
             else:
@@ -266,7 +264,7 @@ class TestInteriorPoint:
         )
         margins = convexity_margins(probe)
         extra = [
-            m for m, (f, v) in zip(margins, convexity_margin_index(probe.combinatorics))
+            m for m, (f, v) in zip(margins, probe.combinatorics.convexity_pairs)
             if v == comb.vertex_count
         ]
         assert len(extra) == comb.face_count
