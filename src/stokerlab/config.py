@@ -23,6 +23,10 @@ class Tolerances:
     relator: float = 1e-8         # group-relation residual (up to overall sign)
     trace_identity: float = 1e-9  # meridian trace vs dihedral angle agreement
     irreducible: float = 1e-8     # projective residual separating reducible reps
+    central: float = 1e-10        # Frobenius distance to +-I below which an image is central
+    eigen_residual: float = 1e-6  # relative eigenpair residual of a trusted eigenvector
+    degenerate: float = 1e-12     # norm below which an eigenvector or its image is zero
+    meridian_copy: float = 1e-9   # entrywise defect of an edge's two inverse meridian copies
     frame: float = 1e-10          # collinearity threshold for gauge frames
     witness: float = 1e-12        # witness-on-plane detection
 

@@ -364,5 +364,12 @@ def sl2c_lift(mat, tol: Tolerances = DEFAULT):
 
 
 def sl2_inverse(m):
-    """Inverse of a determinant-one 2x2 matrix via the adjugate."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    """Inverse of a determinant-one 2x2 matrix, or of every matrix in a stack
+    (the last two axes), via the adjugate."""
+    m = np.asarray(m, dtype=complex)
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out

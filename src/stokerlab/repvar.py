@@ -10,7 +10,11 @@ traceless matrices obeying the twisted additivity rule
 
 computed here as real-linear algebra: cocycles are nullspaces of the relator
 conditions, coboundaries the image of the conjugation map, and trace
-differentials the pairing u, w |-> tr(u(w) rho(w)).
+differentials the pairing u, w |-> tr(u(w) rho(w)).  All three matrices are
+assembled from the Fox derivatives of their words evaluated at rho (R. H. Fox,
+Free differential calculus I, Ann. Math. 1953): by twisted additivity
+u(word) = sum of sign * Ad(P) u(g) over the letters, with one conjugator P
+per letter (see ``_fox_calculus``).
 """
 
 from dataclasses import dataclass, field
@@ -56,17 +60,13 @@ def matrix_from_coords(coords, algebra="sl2"):
 
 
 def coords_from_matrix(m, algebra="sl2"):
+    """Real coordinates over the algebra's basis of a traceless 2x2 matrix,
+    or of every matrix in a stack (the last two axes)."""
+    m = np.asarray(m)
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0]
     if algebra == "sl2":
-        return np.array([m[0, 0].real, m[0, 0].imag, m[0, 1].real,
-                         m[0, 1].imag, m[1, 0].real, m[1, 0].imag])
-    return np.array([0.5 * (m[0, 1] + m[1, 0]).imag,
-                     0.5 * (m[0, 1] - m[1, 0]).real,
-                     m[0, 0].imag])
-
-
-def flatten_traceless(m):
-    """Six real coordinates of a traceless complex 2x2 matrix."""
-    return coords_from_matrix(m, "sl2")
+        return np.stack([a.real, a.imag, b.real, b.imag, c.real, c.imag], axis=-1)
+    return np.stack([0.5 * (b + c).imag, 0.5 * (b - c).real, a.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class Presentation:
 
     generator_count: int
     relators: tuple = ()
-    sign_strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "relators",
@@ -183,8 +182,6 @@ def representation_report(rep: Representation, pres: Presentation,
         plus = float(np.linalg.norm(w - _I2))
         minus = float(np.linalg.norm(w + _I2))
         sign, residual = (1, plus) if plus <= minus else (-1, minus)
-        if pres.sign_strict:
-            sign, residual = 1, plus
         relator_data.append((sign, residual))
     return float(det_defect), relator_data
 
@@ -195,18 +192,71 @@ def cocycle_from_vector(vec, generator_count, algebra="sl2"):
     return Cocycle([matrix_from_coords(row, algebra) for row in vec])
 
 
-def _relator_condition_matrix(rep: Representation, pres: Presentation, algebra):
-    n = rep.generator_count
-    dim = len(algebra_basis(algebra))
-    rows = 6 * len(pres.relators)
-    mat = np.zeros((rows, n * dim))
-    for col in range(n * dim):
-        e = np.zeros(n * dim)
-        e[col] = 1.0
-        u = cocycle_from_vector(e, n, algebra)
-        for ri, r in enumerate(pres.relators):
-            mat[6 * ri:6 * ri + 6, col] = flatten_traceless(cocycle_extend(u, rep, r))
-    return mat
+def _fox_calculus(rep: Representation, words):
+    """Fox derivatives of several words at rho, walking each word once.
+
+    Returns, per letter of every word, the word's index, the generator index,
+    a sign and the conjugator P such that u(word) = sum sign * Ad(P) u(g) for
+    every cocycle u: a letter g has P the prefix before it and sign +1, a
+    letter g^-1 has P = prefix g^-1 (the prefix through it) and sign -1.
+    Also returns rho(word) for every word.  Bad letters raise ``IndexRange``.
+    """
+    word_index, generators, signs, conjugators, values = [], [], [], [], []
+    for wi, word in enumerate(words):
+        prefix = _I2
+        for letter in word:
+            step = _image(rep, letter)
+            if letter < 0:
+                prefix = prefix @ step
+            conjugators.append(prefix)
+            if letter > 0:
+                prefix = prefix @ step
+            word_index.append(wi)
+            generators.append(abs(letter) - 1)
+            signs.append(1.0 if letter > 0 else -1.0)
+        values.append(prefix)
+    return (np.array(word_index, dtype=int), np.array(generators, dtype=int),
+            np.array(signs), np.array(conjugators, dtype=complex), np.array(values))
+
+
+def _conjugated_basis(conjugators, algebra):
+    """P B_j P^-1 for every conjugator P and basis element B_j, in one
+    batched product: shape (conjugators, basis, 2, 2)."""
+    p = np.asarray(conjugators, dtype=complex).reshape(-1, 1, 2, 2)
+    basis = np.array(algebra_basis(algebra))
+    return p @ basis @ lorentz.sl2_inverse(p)
+
+
+def _relator_matrix(rep: Representation, pres: Presentation, algebra):
+    """Linearized relator conditions: six sl(2,C) rows per relator, one column
+    per generator and basis element.  Each letter's 6 x dim block
+    sign * Ad(P) is scattered into its generator's columns."""
+    word, gen, sign, conj, _ = _fox_calculus(rep, pres.relators)
+    blocks = coords_from_matrix(_conjugated_basis(conj, algebra), "sl2")
+    dim = blocks.shape[1]
+    mat = np.zeros((len(pres.relators), rep.generator_count, dim, 6))
+    np.add.at(mat, (word, gen), sign[:, None, None] * blocks)
+    return mat.transpose(0, 3, 1, 2).reshape(6 * len(pres.relators), -1)
+
+
+def _trace_matrix(rep: Representation, loops, algebra):
+    """Trace differentials as a complex matrix: one row per loop w, one column
+    per generator and basis element, entries summing
+    sign * tr(P B_j P^-1 rho(w)) over the letters of w."""
+    word, gen, sign, conj, values = _fox_calculus(rep, loops)
+    conjugated = _conjugated_basis(conj, algebra)
+    traces = np.einsum("kjab,kba->kj", conjugated, values[word])
+    mat = np.zeros((len(loops), rep.generator_count, conjugated.shape[1]), dtype=complex)
+    np.add.at(mat, (word, gen), sign[:, None] * traces)
+    return mat.reshape(len(loops), -1)
+
+
+def _coboundary_matrix(rep: Representation, algebra):
+    """Coboundaries of the basis elements as columns, in algebra coordinates:
+    the blocks I - Ad(rho(g)) stacked over the generators."""
+    blocks = coords_from_matrix(_conjugated_basis(rep.images, algebra), algebra)
+    dim = blocks.shape[1]
+    return (np.eye(dim) - blocks.transpose(0, 2, 1)).reshape(-1, dim)
 
 
 def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
@@ -221,7 +271,7 @@ def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
     dim = len(algebra_basis(algebra))
     if not pres.relators:
         return np.eye(n * dim)
-    return nullspace(_relator_condition_matrix(rep, pres, algebra), tol.rank_svd)
+    return nullspace(_relator_matrix(rep, pres, algebra), tol.rank_svd)
 
 
 def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAULT):
@@ -230,30 +280,28 @@ def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAU
     The real dimension equals the algebra dimension (6 over SL(2,C)) exactly
     when the representation is irreducible.
     """
-    basis = algebra_basis(algebra)
-    n = rep.generator_count
-    cols = []
-    for b in basis:
-        cob = coboundary(b, rep)
-        cols.append(np.concatenate([coords_from_matrix(v, algebra) for v in cob.values]))
-    mat = np.column_stack(cols) if cols else np.zeros((n * len(basis), 0))
-    u, sing, _ = np.linalg.svd(mat, full_matrices=False)
+    u, sing, _ = np.linalg.svd(_coboundary_matrix(rep, algebra), full_matrices=False)
     rank = numerical_rank(sing, tol.rank_svd)
     return u[:, :rank]
+
+
+def _cohomology(rep: Representation, pres: Presentation, algebra, tol: Tolerances):
+    """Orthonormal bases (columns) of Z^1, B^1 and a complement of B^1 in Z^1."""
+    z = cocycle_space(rep, pres, algebra, tol)
+    b = coboundary_space(rep, algebra, tol)
+    if b.shape[1] == 0:
+        return z, b, z
+    reduced = z - b @ (b.T @ z)
+    u, sing, _ = np.linalg.svd(reduced, full_matrices=False)
+    rank = numerical_rank(sing, tol.rank_svd)
+    return z, b, u[:, :rank]
 
 
 def cohomology_basis(rep: Representation, pres: Presentation, algebra="sl2",
                      tol: Tolerances = DEFAULT):
     """Orthonormal basis of a complement of the coboundaries inside the
     cocycles; its width is the first-cohomology real dimension."""
-    z = cocycle_space(rep, pres, algebra, tol)
-    b = coboundary_space(rep, algebra, tol)
-    if b.shape[1] == 0:
-        return z
-    reduced = z - b @ (b.T @ z)
-    u, sing, _ = np.linalg.svd(reduced, full_matrices=False)
-    rank = numerical_rank(sing, tol.rank_svd)
-    return u[:, :rank]
+    return _cohomology(rep, pres, algebra, tol)[2]
 
 
 def trace_differential(rep: Representation, u: Cocycle, word):
@@ -289,22 +337,10 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     if not loops:
         raise ValueError("need at least one loop")
     algebra = "su2" if restrict_to_unitary else "sl2"
-    z = cocycle_space(rep, pres, algebra, tol)
-    b = coboundary_space(rep, algebra, tol)
-    h = cohomology_basis(rep, pres, algebra, tol)
-    rows = []
-    for w in loops:
-        re_row = np.zeros(h.shape[1])
-        im_row = np.zeros(h.shape[1])
-        for j in range(h.shape[1]):
-            u = cocycle_from_vector(h[:, j], rep.generator_count, algebra)
-            t = trace_differential(rep, u, w)
-            re_row[j] = t.real
-            im_row[j] = t.imag
-        rows.append(re_row)
-        if not restrict_to_unitary:
-            rows.append(im_row)
-    mat = np.vstack(rows)
+    z, b, h = _cohomology(rep, pres, algebra, tol)
+    traces = _trace_matrix(rep, loops, algebra)
+    parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
+    mat = np.stack(parts, axis=1).reshape(-1, traces.shape[1]) @ h
     sing = np.linalg.svd(mat, compute_uv=False)
     rank = numerical_rank(sing, tol.rank_svd)
     if 0 < rank < len(sing) and sing[rank] > 0:
@@ -447,7 +483,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     for e in comb.edges:
         a, b = e
         mismatch = np.max(np.abs(slot_matrix[(a, e)] @ slot_matrix[(b, e)] - np.eye(4)))
-        if mismatch > 1e-9:
+        if mismatch > tol.meridian_copy:
             raise InvalidCombinatorics(
                 f"meridian copies of edge {e} are not inverse (defect {mismatch:.3e})"
             )
@@ -559,7 +595,7 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     """
     probe = None
     for m in rep.images:
-        if min(np.linalg.norm(m - _I2), np.linalg.norm(m + _I2)) > 1e-10:
+        if min(np.linalg.norm(m - _I2), np.linalg.norm(m + _I2)) > tol.central:
             probe = m
             break
     if probe is None:
@@ -572,14 +608,15 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     for i in range(2):
         xi = eigvecs[:, i]
         norm = np.linalg.norm(xi)
-        if norm < 1e-12 or np.linalg.norm(probe @ xi - eigvals[i] * xi) > 1e-6 * norm:
+        if (norm < tol.degenerate
+                or np.linalg.norm(probe @ xi - eigvals[i] * xi) > tol.eigen_residual * norm):
             raise EigenFailure("unreliable eigenvector for a borderline generator")
         xi = xi / norm
         worst = 0.0
         for m in rep.images:
             mxi = m @ xi
             denom = np.linalg.norm(mxi)
-            if denom < 1e-12:
+            if denom < tol.degenerate:
                 raise EigenFailure("generator image nearly singular")
             wedge = abs(mxi[0] * xi[1] - mxi[1] * xi[0]) / denom
             worst = max(worst, float(wedge))

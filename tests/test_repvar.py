@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import corner_tetrahedron
+from helpers import corner_tetrahedron, random_polar_dual, random_simplicial_hull
 from stokerlab import fixtures
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
@@ -309,6 +309,16 @@ class TestIrreducibility:
         assert report.irreducible
 
 
+SURFACE_CASES = {
+    "cube": lambda: fixtures.cube(0.3),
+    "triangular_prism": lambda: fixtures.triangular_prism(0.3),
+    "hull10": lambda: random_simplicial_hull(3, 10),
+    "hull16": lambda: random_simplicial_hull(17, 16),
+    "dual10": lambda: random_polar_dual(3, 10),
+    "dual12": lambda: random_polar_dual(17, 12),
+}
+
+
 class TestSurfaceGroupFixture:
     def test_genus_three_counts(self):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))
@@ -347,3 +357,11 @@ class TestSurfaceGroupFixture:
             tr = np.trace(evaluate_word(fx.representation, word))
             assert abs(tr.imag) < 1e-10
             assert abs(tr.real) == pytest.approx(2.0 * abs(np.cos(angles[k])), abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
+    def test_surface_dimension_and_meridian_rank(self, name):
+        poly = SURFACE_CASES[name]()
+        fx = surface_group_fixture(poly)
+        report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
+        assert report.h1_dim == 12 * fx.genus - 12
+        assert report.rank == 2 * poly.combinatorics.edge_count
