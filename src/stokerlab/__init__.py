@@ -30,6 +30,7 @@ from .polyhedron import (
 from .repvar import (
     Cocycle,
     LinkRepresentation,
+    PolyhedronHolonomy,
     Presentation,
     Representation,
     cocycle_extend,
@@ -41,6 +42,7 @@ from .repvar import (
     irreducibility_check,
     link_representation,
     meridian_holonomy,
+    polyhedron_holonomy,
     surface_group_fixture,
     trace_differential,
     trace_rank,

@@ -197,29 +197,30 @@ def cmd_holonomy(args, tol: Tolerances, config):
     comb = poly.combinatorics
     report = _base_report("holonomy", [args.path], config)
     angles = polyhedron.dihedral_angles(poly, tol)
-    edge_rows = []
-    worst_trace = 0.0
-    for k, e in enumerate(comb.edges):
-        _, lift = repvar.meridian_holonomy(poly, e, tol)
-        defect = abs(abs(np.trace(lift).real) - 2.0 * abs(np.cos(angles[k])))
-        worst_trace = max(worst_trace, float(defect))
-        edge_rows.append({
+    holonomy = repvar.polyhedron_holonomy(poly, tol)
+    traces = np.trace(holonomy.meridians, axis1=1, axis2=2)
+    trace_abs = np.hypot(traces.real, traces.imag)
+    defects = np.abs(np.abs(traces.real) - 2.0 * np.abs(np.cos(angles)))
+    worst_trace = float(np.max(defects, initial=0.0))
+    edge_rows = [
+        {
             "edge": list(e),
             "angle": float(angles[k]),
-            "lift_trace_abs": float(abs(np.trace(lift))),
-            "trace_identity_defect": float(defect),
-        })
+            "lift_trace_abs": float(trace_abs[k]),
+            "trace_identity_defect": float(defects[k]),
+        }
+        for k, e in enumerate(comb.edges)
+    ]
     vertex_rows = []
     worst_relation = 0.0
     all_irreducible = True
-    for v in range(comb.vertex_count):
-        link = repvar.link_representation(poly, v, tol)
+    for link in holonomy.links:
         residual = link.relation_residual()
         worst_relation = max(worst_relation, residual)
         irr = repvar.irreducibility_check(link.representation(), tol)
         all_irreducible = all_irreducible and irr.irreducible
         vertex_rows.append({
-            "vertex": v,
+            "vertex": link.vertex,
             "valence": len(link.edges),
             "relation_residual": residual,
             "irreducible": irr.irreducible,

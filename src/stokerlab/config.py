@@ -28,6 +28,10 @@ class Tolerances:
     degenerate: float = 1e-12     # norm below which an eigenvector or its image is zero
     meridian_copy: float = 1e-9   # entrywise defect of an edge's two inverse meridian copies
     frame: float = 1e-10          # collinearity threshold for gauge frames
+    frame_axis: float = 1e-8      # squared norm below which a projected axis is skipped in a rotation frame
+    branch_tie: float = 1e-12     # |part| at or below which an SL(2,C) lift's sign test ties
+    branch_entry: float = 1e-8    # modulus above which a lift entry can break a sign tie
+    damping_floor: float = 1e-12  # smallest trust-radius damping factor before giving up
     witness: float = 1e-12        # witness-on-plane detection
 
     def scaled(self, factor: float) -> "Tolerances":

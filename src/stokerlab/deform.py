@@ -143,7 +143,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
         damping = opts.step_damping
         while damping * np.max(np.abs(step)) > opts.trust_radius:
             damping *= 0.5
-            if damping < 1e-12:
+            if damping < tol.damping_floor:
                 raise NoConvergence("trust-radius damping underflow")
         new_pos = current.positions + damping * step.reshape(-1, 3)
         if np.max(np.linalg.norm(new_pos, axis=1)) >= 1.0 - tol.ball:

@@ -56,18 +56,29 @@ def causal_character(v, tol: Tolerances = DEFAULT):
     return "timelike" if q < 0 else "spacelike"
 
 
+def _row_dot(a, b):
+    """Dot products of matching last-axis rows of two arrays.
+
+    Each row pair goes through the same BLAS dot as ``a_row @ b_row``, so a
+    stack rounds exactly like its rows taken one at a time.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def klein_lift(p, tol: Tolerances = DEFAULT):
-    """Lift a Klein point to the unit future hyperboloid.
+    """Lift a Klein point (3,), or a stack (..., 3), to the unit future hyperboloid.
 
     Returns (p, 1)/sqrt(1 - |p|^2), which satisfies <v,v> = -1 and v4 > 0.
-    Raises ``BallBoundary`` if |p| >= 1 - tol.ball.
+    Raises ``BallBoundary`` if some |p| >= 1 - tol.ball.
     """
     p = np.asarray(p, dtype=float)
-    n2 = float(p @ p)
-    if n2 >= (1.0 - tol.ball) ** 2:
-        raise BallBoundary(f"point with |p| = {np.sqrt(n2):.17g} is not strictly inside the ball")
-    s = np.sqrt(1.0 - n2)
-    return np.array([p[0] / s, p[1] / s, p[2] / s, 1.0 / s])
+    n2 = _row_dot(p, p)
+    if np.any(n2 >= (1.0 - tol.ball) ** 2):
+        raise BallBoundary(
+            f"point with |p| = {np.sqrt(np.max(n2)):.17g} is not strictly inside the ball"
+        )
+    s = np.sqrt(1.0 - n2)[..., None]
+    return np.concatenate([p / s, 1.0 / s], axis=-1)
 
 
 def klein_project(v):
@@ -134,55 +145,60 @@ def plane_through(p1, p2, p3, interior_witness, tol: Tolerances = DEFAULT):
 
 
 def reflect(plane: Plane):
-    """Lorentz reflection x -> x - 2<x,n>n in the given plane."""
+    """Lorentz reflection x -> x - 2<x,n>n in the given plane.
+
+    A plane whose normal is a stack (..., 4) gives the stack (..., 4, 4) of
+    reflections.
+    """
     n = plane.normal
-    return np.eye(4) - 2.0 * np.outer(n, J @ n)
+    return np.eye(4) - 2.0 * (n[..., :, None] * (n @ J)[..., None, :])
 
 
 def isometry_defect(mat):
-    """Max-norm violation of L^T J L = J."""
+    """Max-norm violation of L^T J L = J: a float for one matrix, an array
+    with one entry per matrix for a stack (..., 4, 4)."""
     mat = np.asarray(mat, dtype=float)
-    return float(np.max(np.abs(mat.T @ J @ mat - J)))
+    out = np.max(np.abs(np.swapaxes(mat, -1, -2) @ J @ mat - J), axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def is_isometry(mat, tol: Tolerances = DEFAULT):
-    """Whether ``mat`` is a future-preserving Lorentz matrix with det 1."""
+    """Whether ``mat``, or every matrix of a stack (..., 4, 4), is a
+    future-preserving Lorentz matrix with det 1."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (4, 4):
+    if mat.ndim < 2 or mat.shape[-2:] != (4, 4):
         return False
-    if isometry_defect(mat) >= tol.iso:
-        return False
-    if abs(np.linalg.det(mat) - 1.0) >= 100 * tol.iso:
-        return False
-    return mat[3, 3] > 0
+    return bool(np.all((isometry_defect(mat) < tol.iso)
+                       & (np.abs(np.linalg.det(mat) - 1.0) < 100 * tol.iso)
+                       & (mat[..., 3, 3] > 0)))
 
 
 def apply_isometry(mat, points, tol: Tolerances = DEFAULT):
     """Apply a Lorentz matrix to one Klein point or an (n,3) array of them."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    lifted = np.stack([klein_lift(p, tol) for p in pts])
-    moved = lifted @ np.asarray(mat, dtype=float).T
+    moved = klein_lift(np.atleast_2d(pts), tol) @ np.asarray(mat, dtype=float).T
     out = moved[:, :3] / moved[:, 3:4]
-    return out[0] if single else out
+    return out[0] if pts.ndim == 1 else out
 
 
 def pure_boost(v):
-    """The unique symmetric Lorentz boost sending e4 to the unit timelike v."""
+    """The unique symmetric Lorentz boost sending e4 to the unit timelike v,
+    or the stack (..., 4, 4) of them for a stack (..., 4) of vectors."""
     v = np.asarray(v, dtype=float)
-    spatial = v[:3]
-    gamma = v[3]
-    out = np.eye(4)
-    out[:3, :3] += np.outer(spatial, spatial) / (1.0 + gamma)
-    out[:3, 3] = spatial
-    out[3, :3] = spatial
-    out[3, 3] = gamma
+    spatial = v[..., :3]
+    gamma = v[..., 3]
+    out = np.empty(v.shape + (4,))
+    out[..., :3, :3] = np.eye(3) + (spatial[..., :, None] * spatial[..., None, :]
+                                    / (1.0 + gamma)[..., None, None])
+    out[..., :3, 3] = spatial
+    out[..., 3, :3] = spatial
+    out[..., 3, 3] = gamma
     return out
 
 
 def translation_to_origin(p, tol: Tolerances = DEFAULT):
-    """Hyperbolic translation (pure boost) carrying the Klein point p to 0."""
+    """Hyperbolic translation (pure boost) carrying the Klein point p to 0,
+    or the stack of them for a stack (..., 3) of points."""
     b = pure_boost(klein_lift(p, tol))
     return J @ b @ J
 
@@ -199,7 +215,7 @@ def rotation_about_edge(a, b, theta, tol: Tolerances = DEFAULT):
     bv = klein_lift(b, tol)
     u = bv + minkowski_inner(bv, av) * av
     u = u / np.sqrt(minkowski_inner(u, u))
-    frame = _complete_frame(av, u)
+    frame = _complete_frame(av, u, tol)
     c, s = np.cos(theta), np.sin(theta)
     block = np.eye(4)
     block[0, 0] = c
@@ -210,8 +226,12 @@ def rotation_about_edge(a, b, theta, tol: Tolerances = DEFAULT):
     return frame @ block @ frame_inv
 
 
-def _complete_frame(timelike, tangent):
-    """Columns [E1, E2, tangent, timelike] forming a Lorentz-orthonormal frame."""
+def _complete_frame(timelike, tangent, tol: Tolerances = DEFAULT):
+    """Columns [E1, E2, tangent, timelike] forming a Lorentz-orthonormal frame.
+
+    Coordinate axes are projected off the given pair in turn; one whose
+    remainder has squared norm at most ``tol.frame_axis`` is skipped.
+    """
     basis = [timelike, tangent]
     spacelike = []
     for k in range(4):
@@ -221,7 +241,7 @@ def _complete_frame(timelike, tangent):
         for e in spacelike:
             w = w - minkowski_inner(w, e) * e
         q = minkowski_inner(w, w)
-        if q > 1e-8:
+        if q > tol.frame_axis:
             spacelike.append(w / np.sqrt(q))
         if len(spacelike) == 2:
             break
@@ -255,15 +275,14 @@ def so31_basis():
 # the corresponding Lorentz transformation.
 
 
+# Rows: the Hermitian forms of e1, e2, e3, e4, flattened row-major.
+_HERMITIAN_BASIS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]])
+
+
 def hermitian_from_vec(x):
+    """Hermitian form of a 4-vector, or the (..., 2, 2) stack for (..., 4)."""
     x = np.asarray(x, dtype=float)
-    return np.array(
-        [
-            [x[3] + x[2], x[0] - 1j * x[1]],
-            [x[0] + 1j * x[1], x[3] - x[2]],
-        ],
-        dtype=complex,
-    )
+    return (x @ _HERMITIAN_BASIS).reshape(x.shape[:-1] + (2, 2))
 
 
 def vec_from_hermitian(h):
@@ -288,79 +307,89 @@ def sl2c_to_so31(s):
     return np.column_stack(cols)
 
 
+# Off-diagonal combinations q_i -+ q_j of a row-major 3x3 rotation that
+# give the quaternion components w x, w y, w z, x y, x z, y z (times 4).
+_PAIR_FIRST = [7, 2, 3, 1, 2, 5]
+_PAIR_SECOND = [5, 6, 1, 3, 6, 7]
+_PAIR_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+# Per branch (the component taken from a square root), where w, x, y, z come
+# from among (root, wx, wy, wz, xy, xz, yz).
+_QUAT_SOURCE = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+# Rows I, -i s1, -i s2, -i s3 (Pauli matrices), flattened row-major.
+_SU2_BASIS = np.array([
+    [1, 0, 0, 1], [0, -1j, -1j, 0], [0, -1, 1, 0], [-1j, 0, 0, 1j],
+])
+
+
 def _su2_from_rotation(q):
-    """SU(2) element covering a 3x3 rotation matrix, via its quaternion."""
-    t = q[0, 0] + q[1, 1] + q[2, 2]
-    if t > 0:
-        r = np.sqrt(1.0 + t)
-        s = 0.5 / r
-        w = 0.5 * r
-        x = (q[2, 1] - q[1, 2]) * s
-        y = (q[0, 2] - q[2, 0]) * s
-        z = (q[1, 0] - q[0, 1]) * s
-    elif q[0, 0] >= q[1, 1] and q[0, 0] >= q[2, 2]:
-        r = np.sqrt(1.0 + q[0, 0] - q[1, 1] - q[2, 2])
-        s = 0.5 / r
-        x = 0.5 * r
-        w = (q[2, 1] - q[1, 2]) * s
-        y = (q[0, 1] + q[1, 0]) * s
-        z = (q[0, 2] + q[2, 0]) * s
-    elif q[1, 1] >= q[2, 2]:
-        r = np.sqrt(1.0 - q[0, 0] + q[1, 1] - q[2, 2])
-        s = 0.5 / r
-        y = 0.5 * r
-        w = (q[0, 2] - q[2, 0]) * s
-        x = (q[0, 1] + q[1, 0]) * s
-        z = (q[1, 2] + q[2, 1]) * s
-    else:
-        r = np.sqrt(1.0 - q[0, 0] - q[1, 1] + q[2, 2])
-        s = 0.5 / r
-        z = 0.5 * r
-        w = (q[1, 0] - q[0, 1]) * s
-        x = (q[0, 2] + q[2, 0]) * s
-        y = (q[1, 2] + q[2, 1]) * s
+    """SU(2) element covering a 3x3 rotation matrix, via its quaternion, for
+    one matrix or a stack (..., 3, 3).
+
+    Per matrix, the quaternion component (w, x, y, z) taken from a square
+    root r is w when tr q > 0, otherwise the one of x, y, z with the largest
+    diagonal entry (ties to the earlier).  The other three are sums or
+    differences of off-diagonal pairs times 0.5 / r.
+    """
+    q = np.asarray(q, dtype=float)
+    flat = q.reshape(-1, 9)
+    diag = flat[:, [0, 4, 8]]
+    d0, d1, d2 = diag.T
+    t = d0 + d1 + d2
+    branch = np.where(t > 0, 0, 1 + np.argmax(diag, axis=1))
+    r = np.sqrt(np.choose(branch, (1.0 + t, 1.0 + d0 - d1 - d2, 1.0 - d0 + d1 - d2,
+                                   1.0 - d0 - d1 + d2)))
+    pairs = (flat[:, _PAIR_FIRST] + _PAIR_SIGN * flat[:, _PAIR_SECOND]) * (0.5 / r)[:, None]
+    values = np.column_stack([0.5 * r, pairs])
+    quat = values[np.arange(len(flat))[:, None], _QUAT_SOURCE[branch]]
     # w I - i(x s1 + y s2 + z s3) covers the right-handed rotation (w; x,y,z).
-    return np.array(
-        [
-            [w - 1j * z, -y - 1j * x],
-            [y - 1j * x, w + 1j * z],
-        ],
-        dtype=complex,
-    )
+    return (quat @ _SU2_BASIS).reshape(q.shape[:-2] + (2, 2))
 
 
-def _canonical_sign(s):
-    """Pick the branch: nonnegative real trace, with deterministic tie-breaks."""
-    t = np.trace(s)
-    if abs(t.real) > 1e-12:
-        return s if t.real > 0 else -s
-    if abs(t.imag) > 1e-12:
-        return s if t.imag > 0 else -s
-    for entry in s.flat:
-        if abs(entry) > 1e-8:
-            if abs(entry.real) > 1e-12:
-                return s if entry.real > 0 else -s
-            return s if entry.imag >= 0 else -s
-    return s
+def _canonical_sign(s, tol: Tolerances = DEFAULT):
+    """Pick the branch of each matrix in a stack (..., 2, 2), independently:
+    nonnegative real trace, with deterministic tie-breaks.
+
+    A trace whose real part is within ``tol.branch_tie`` of zero is decided
+    by its imaginary part, and when that ties too, by the first entry (row
+    major) of modulus above ``tol.branch_entry``: its real part, or its
+    imaginary part when the real part ties.  Moduli are ``np.hypot`` of the
+    parts, as Python's ``abs`` computes them.
+    """
+    tie = tol.branch_tie
+    t = s[..., 0, 0] + s[..., 1, 1]
+    keep = t.real > 0
+    tied = np.abs(t.real) <= tie
+    if np.any(tied):
+        flat = s.reshape(-1, 4)
+        large = np.hypot(flat.real, flat.imag) > tol.branch_entry
+        lead = flat[np.arange(len(flat)), np.argmax(large, axis=1)].reshape(t.shape)
+        by_entry = np.where(np.abs(lead.real) > tie, lead.real > 0, lead.imag >= 0)
+        by_entry |= ~np.any(large, axis=1).reshape(t.shape)
+        keep = np.where(tied, np.where(np.abs(t.imag) > tie, t.imag > 0, by_entry), keep)
+    return np.where(keep[..., None, None], s, -s)
 
 
 def sl2c_lift(mat, tol: Tolerances = DEFAULT):
-    """One branch of the SL(2,C) lift of a Lorentz isometry.
+    """One branch of the SL(2,C) lift of a Lorentz isometry, or of every
+    matrix in a stack (..., 4, 4); the result has shape (..., 2, 2).
 
     The decomposition L = (boost) * (rotation about e4) is lifted factor by
     factor: the boost to the positive-definite Hermitian square root, the
     rotation through its quaternion.  The sign is then fixed by
-    ``_canonical_sign``; the other branch is the negative.
+    ``_canonical_sign``; the other branch is the negative.  Every matrix is
+    lifted as it would be alone, and ``LiftFailure`` is raised if any one of
+    them fails the isometry invariants.
     """
     mat = np.asarray(mat, dtype=float)
     if not is_isometry(mat, tol):
         raise LiftFailure("matrix violates the Lorentz isometry invariants")
-    v = mat[:, 3]
+    v = mat[..., :, 3]
     xv = hermitian_from_vec(v)
-    boost_lift = (xv + _I2) / np.sqrt(2.0 + xv.trace().real)
+    root = np.sqrt(2.0 + (xv[..., 0, 0] + xv[..., 1, 1]).real)
+    boost_lift = (xv + _I2) / root[..., None, None]
     rot = (J @ pure_boost(v) @ J) @ mat
-    rot_lift = _su2_from_rotation(rot[:3, :3])
-    return _canonical_sign(boost_lift @ rot_lift)
+    rot_lift = _su2_from_rotation(rot[..., :3, :3])
+    return _canonical_sign(boost_lift @ rot_lift, tol)
 
 
 def sl2_inverse(m):

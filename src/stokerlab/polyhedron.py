@@ -245,6 +245,16 @@ def _dot3(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
+def _cross(x, y):
+    """Row-wise cross product of broadcastable (..., 3) arrays: the products
+    and differences of ``np.cross``, without its per-call overhead."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
+    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
+    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    return out
+
+
 def _scatter(vertex_count, vertices, blocks):
     """Dense rows from per-vertex gradient blocks.
 
@@ -270,7 +280,7 @@ def _unit_normals(anchors, tol: Tolerances):
     ``DegenerateFace`` when the anchors' (p, 1) span less than
     ``tol.rank_rel`` of their Hadamard bound or n is not spacelike.
     """
-    cross = np.cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
+    cross = _cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
     radii2 = _dot3(anchors, anchors)
     if radii2.size and radii2.max() >= (1.0 - tol.ball) ** 2:
         raise BallBoundary(
@@ -316,7 +326,7 @@ class FaceGeometry:
         self.tol = tol
         self.anchors = self.positions[self.combinatorics.face_anchors]
         p1 = self.anchors[:, 0]
-        self.cross = np.cross(self.anchors[:, 1] - p1, self.anchors[:, 2] - p1)
+        self.cross = _cross(self.anchors[:, 1] - p1, self.anchors[:, 2] - p1)
 
     def _determinants(self, pairs):
         f, v = pairs[:, 0], pairs[:, 1]
@@ -353,7 +363,7 @@ class FaceGeometry:
         u = p[:, 1] - p[:, 0]
         w = p[:, 2] - p[:, 0]
         x = self.positions[pairs[:, 1]] - p[:, 0]
-        gu, gw, gx = np.cross(w, x), np.cross(x, u), self.cross[f]
+        gu, gw, gx = _cross(w, x), _cross(x, u), self.cross[f]
         blocks = np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
         vertices = np.column_stack([comb.face_anchors[f], pairs[:, 1]])
         return _scatter(comb.vertex_count, vertices, blocks)
@@ -377,8 +387,8 @@ class FaceGeometry:
         p = self.anchors[faces]                            # (E, 2, 3, 3)
         after = np.roll(p, -1, axis=2)
         later = np.roll(p, -2, axis=2)
-        blocks = (np.cross(after - later, m[:, :, None, :3])
-                  - m[:, :, None, 3:] * np.cross(after, later))
+        blocks = (_cross(after - later, m[:, :, None, :3])
+                  - m[:, :, None, 3:] * _cross(after, later))
         vertices = comb.face_anchors[faces].reshape(len(faces), 6)
         return _scatter(comb.vertex_count, vertices, blocks.reshape(len(faces), 6, 3))
 

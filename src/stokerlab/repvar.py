@@ -24,7 +24,7 @@ import numpy as np
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import EigenFailure, IndexRange, InvalidCombinatorics
-from .polyhedron import EmbeddedPolyhedron, FaceGeometry, angles_between, face_normals
+from .polyhedron import EmbeddedPolyhedron, angles_between, face_normals
 from .rigidity import numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
@@ -363,17 +363,42 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
 # --- geometric holonomy ----------------------------------------------------
 
 
-def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
-    """Meridian isometry of an edge and its SL(2,C) lift.
+def _star_slots(comb, vertices):
+    """Star slots of the given vertices, vertex by vertex in star order.
 
-    The product of the reflections in the two adjacent face planes is an
-    elliptic isometry about the edge geodesic rotating by twice the dihedral
-    angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
+    Returns lists: the slot offsets of the vertices (slots of
+    ``vertices[i]`` are ``offsets[i]:offsets[i + 1]``), the position in
+    ``vertices`` of every slot's vertex, the slot edges, and the face pairs
+    (face before, face after): edge k of a star lies between star faces
+    k - 1 and k.  Raises ``InvalidCombinatorics`` for a valence below 3.
     """
-    edge = (min(edge), max(edge))
-    na, nb = face_normals(poly, poly.combinatorics.edge_faces(edge), tol)
-    iso = lorentz.reflect(lorentz.Plane(na)) @ lorentz.reflect(lorentz.Plane(nb))
-    return iso, lorentz.sl2c_lift(iso, tol)
+    offsets, owners, edges, pairs = [0], [], [], []
+    for i, v in enumerate(vertices):
+        star_edges, star_faces = comb.vertex_star(v)
+        d = len(star_edges)
+        if d < 3:
+            raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
+        offsets.append(offsets[-1] + d)
+        owners += [i] * d
+        edges += star_edges
+        pairs += [(star_faces[k - 1], star_faces[k]) for k in range(d)]
+    return offsets, owners, edges, pairs
+
+
+def _meridian_products(poly: EmbeddedPolyhedron, pairs, tol: Tolerances):
+    """Meridians R_f R_g of (k, 2) face pairs (f, g) in the global frame, and
+    the unit normals of both faces of every pair, shape (k, 2, 4).
+
+    One reflection table covers the distinct faces of the pairs, so a few
+    meridians cost only their own face planes.  The product of the
+    reflections in two adjacent face planes is an elliptic isometry about
+    their common edge rotating by twice the dihedral angle.
+    """
+    faces, inverse = np.unique(pairs, return_inverse=True)
+    inverse = inverse.reshape(pairs.shape)
+    normals = face_normals(poly, faces, tol)
+    reflections = lorentz.reflect(lorentz.Plane(normals))
+    return reflections[inverse[:, 0]] @ reflections[inverse[:, 1]], normals[inverse]
 
 
 @dataclass
@@ -406,6 +431,49 @@ class LinkRepresentation:
         return float(min(np.linalg.norm(prod - _I2), np.linalg.norm(prod + _I2)))
 
 
+def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
+    """Meridians of the given edges and of every star slot of the given
+    vertices, all lifted to SL(2,C) in one ``sl2c_lift`` call.
+
+    Edge meridians stay in the global frame.  The meridians of a vertex's
+    star, ordered along the star walk so their cyclic product telescopes to
+    the identity, are conjugated by the translation taking the vertex to the
+    origin, so their lifts lie in SU(2).  Returns the edge isometries
+    (k, 4, 4), their lifts (k, 2, 2) and one ``LinkRepresentation`` per
+    vertex.
+    """
+    comb = poly.combinatorics
+    vertices = list(vertices)
+    offsets, owner, slot_edges, slot_pairs = _star_slots(comb, vertices)
+    edge_pairs = [comb.edge_faces(e) for e in edges]
+    pairs = np.array(edge_pairs + slot_pairs, dtype=np.intp).reshape(-1, 2)
+    products, normals = _meridian_products(poly, pairs, tol)
+    n = len(edge_pairs)
+    move = lorentz.translation_to_origin(poly.positions[vertices], tol)
+    move_inv = lorentz.J @ np.swapaxes(move, -1, -2) @ lorentz.J
+    link_so31 = move[owner] @ products[n:] @ move_inv[owner]
+    lifts = lorentz.sl2c_lift(np.concatenate([products[:n], link_so31]), tol)
+    link_lifts = lifts[n:]
+    cone = 2.0 * angles_between(normals[n:, 0], normals[n:, 1])
+    links = [
+        LinkRepresentation(v, tuple(slot_edges[a:b]), list(link_lifts[a:b]),
+                           list(link_so31[a:b]), cone[a:b])
+        for v, a, b in zip(vertices, offsets, offsets[1:])
+    ]
+    return products[:n], lifts[:n], links
+
+
+def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
+    """Meridian isometry of an edge and its SL(2,C) lift.
+
+    The product of the reflections in the two adjacent face planes is an
+    elliptic isometry about the edge geodesic rotating by twice the dihedral
+    angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
+    """
+    isometries, lifts, _ = _holonomy(poly, [(min(edge), max(edge))], [], tol)
+    return isometries[0], lifts[0]
+
+
 def link_representation(poly: EmbeddedPolyhedron, vertex,
                         tol: Tolerances = DEFAULT) -> LinkRepresentation:
     """Meridian holonomy around every edge at a vertex, in star order.
@@ -415,20 +483,30 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     telescopes to the identity; everything is conjugated by the translation
     taking the vertex to the origin so the lifts live in SU(2).
     """
+    return _holonomy(poly, [], [vertex], tol)[2][0]
+
+
+@dataclass
+class PolyhedronHolonomy:
+    """Holonomy of a whole polyhedron, computed in one batch.
+
+    ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
+    meridians in lexicographic edge order, in the global frame, and their
+    SL(2,C) lifts, equal to ``meridian_holonomy`` edge by edge.  ``links``
+    holds every vertex's ``LinkRepresentation``, equal to
+    ``link_representation`` vertex by vertex.
+    """
+
+    meridians_so31: np.ndarray
+    meridians: np.ndarray
+    links: list
+
+
+def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
+    """Edge meridians and vertex links of a whole polyhedron: one reflection
+    table, one batch of meridian products and one ``sl2c_lift`` call."""
     comb = poly.combinatorics
-    star_edges, star_faces = comb.vertex_star(vertex)
-    d = len(star_edges)
-    if d < 3:
-        raise InvalidCombinatorics(f"vertex {vertex} has valence {d} < 3")
-    normals = face_normals(poly, star_faces, tol)
-    move = lorentz.translation_to_origin(poly.positions[vertex], tol)
-    move_inv = lorentz.J @ move.T @ lorentz.J
-    reflections = [lorentz.reflect(lorentz.Plane(n)) for n in normals]
-    # edge k lies between star faces k - 1 and k
-    meridians_so31 = [move @ (reflections[k - 1] @ reflections[k]) @ move_inv for k in range(d)]
-    cone = 2.0 * angles_between(np.roll(normals, 1, axis=0), normals)
-    lifts = [lorentz.sl2c_lift(m, tol) for m in meridians_so31]
-    return LinkRepresentation(vertex, tuple(star_edges), lifts, meridians_so31, cone)
+    return PolyhedronHolonomy(*_holonomy(poly, comb.edges, range(comb.vertex_count), tol))
 
 
 # --- boundary-surface fixture ----------------------------------------------
@@ -468,25 +546,22 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     """
     comb = poly.combinatorics
     nv = comb.vertex_count
-    geom = FaceGeometry(poly, tol)
-    reflections = [lorentz.reflect(lorentz.Plane(n)) for n in geom.normals]
-
-    slot_matrix = {}
-    star_order = {}
-    for v in range(nv):
-        star_edges, star_faces = comb.vertex_star(v)
-        star_order[v] = star_edges
-        for k, e in enumerate(star_edges):
-            before = star_faces[(k - 1) % len(star_faces)]
-            after = star_faces[k]
-            slot_matrix[(v, e)] = reflections[before] @ reflections[after]
-    for e in comb.edges:
-        a, b = e
-        mismatch = np.max(np.abs(slot_matrix[(a, e)] @ slot_matrix[(b, e)] - np.eye(4)))
-        if mismatch > tol.meridian_copy:
+    offsets, _, slot_edges, slot_pairs = _star_slots(comb, range(nv))
+    slot_matrices, normals = _meridian_products(poly, np.array(slot_pairs, dtype=np.intp), tol)
+    slot_row = {(v, e): k for v in range(nv)
+                for k, e in enumerate(slot_edges[offsets[v]:offsets[v + 1]], offsets[v])}
+    copies = np.array([(slot_row[(e[0], e)], slot_row[(e[1], e)]) for e in comb.edges],
+                      dtype=np.intp).reshape(-1, 2)
+    mismatch = np.max(np.abs(slot_matrices[copies[:, 0]] @ slot_matrices[copies[:, 1]]
+                             - np.eye(4)), axis=(1, 2))
+    for e, defect in zip(comb.edges, mismatch):
+        if defect > tol.meridian_copy:
             raise InvalidCombinatorics(
-                f"meridian copies of edge {e} are not inverse (defect {mismatch:.3e})"
+                f"meridian copies of edge {e} are not inverse (defect {defect:.3e})"
             )
+    # The slot of an edge at its smaller end pairs the faces of ``edge_faces``,
+    # so its cone angle is the dihedral angle.
+    angles = angles_between(normals[copies[:, 0], 0], normals[copies[:, 0], 1])
 
     # spanning tree of the edge graph, rooted at vertex 0
     parent_edge = {}
@@ -532,22 +607,19 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
         other = e[0] if e[1] == v else e[1]
         return -gen_index[("slot", other, e)]
 
-    images = []
-    for key in generators:
-        if key[0] == "slot":
-            _, v, e = key
-            images.append(lorentz.sl2c_lift(slot_matrix[(v, e)], tol))
-        else:
-            _, e = key
-            twist = lorentz.rotation_about_edge(
-                poly.positions[e[0]], poly.positions[e[1]],
-                geom.angles[comb.edge_index[e]], tol,
-            )
-            images.append(lorentz.sl2c_lift(twist, tol))
+    # Generators list every slot before the first twist, so the images are
+    # the slot matrices followed by the twists, lifted together.
+    twists = [
+        lorentz.rotation_about_edge(poly.positions[e[0]], poly.positions[e[1]],
+                                    angles[comb.edge_index[e]], tol)
+        for e in cross_edges
+    ]
+    slots = slot_matrices[[slot_row[key[1:]] for key in generators if key[0] == "slot"]]
+    images = lorentz.sl2c_lift(np.concatenate([slots, np.reshape(twists, (-1, 4, 4))]), tol)
 
     relators = []
     for v in range(nv):
-        relators.append(tuple(slot_letter(v, e) for e in star_order[v]))
+        relators.append(tuple(slot_letter(v, e) for e in slot_edges[offsets[v]:offsets[v + 1]]))
     for e in cross_edges:
         t = gen_index[("twist", e)]
         relators.append((t, slot_letter(e[0], e), -t, slot_letter(e[1], e)))
@@ -569,12 +641,24 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
 
     return SurfaceGroupFixture(
         presentation=Presentation(len(generators), tuple(relators)),
-        representation=Representation(images),
+        representation=Representation(list(images)),
         meridian_words=meridian_words,
         generator_names=names,
         genus=genus,
         euler_characteristic=euler,
     )
+
+
+def _norms(x):
+    """Euclidean norms over the last axis of a complex stack, each summed as
+    ``np.linalg.norm`` sums one vector: real parts, then imaginary parts."""
+    return np.sqrt(lorentz._row_dot(x.real, x.real) + lorentz._row_dot(x.imag, x.imag))
+
+
+def _complex_product(a, b):
+    """Real and imaginary parts of a * b by the schoolbook formula, which
+    rounds like a product of two complex scalars."""
+    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
 
 
 @dataclass
@@ -593,14 +677,14 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     Raises ``EigenFailure`` when the eigenvector extraction is too inaccurate
     to trust near the threshold.
     """
-    probe = None
-    for m in rep.images:
-        if min(np.linalg.norm(m - _I2), np.linalg.norm(m + _I2)) > tol.central:
-            probe = m
-            break
-    if probe is None:
+    images = np.array(rep.images).reshape(-1, 2, 2)
+    distance = np.minimum(_norms((images - _I2).reshape(-1, 4)),
+                          _norms((images + _I2).reshape(-1, 4)))
+    noncentral = np.flatnonzero(distance > tol.central)
+    if noncentral.size == 0:
         # central representation: every line is invariant
         return IrreducibilityReport(False, 0.0, np.array([1.0, 0.0], dtype=complex))
+    probe = images[noncentral[0]]
 
     eigvals, eigvecs = np.linalg.eig(probe)
     best_residual = np.inf
@@ -612,14 +696,15 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
                 or np.linalg.norm(probe @ xi - eigvals[i] * xi) > tol.eigen_residual * norm):
             raise EigenFailure("unreliable eigenvector for a borderline generator")
         xi = xi / norm
-        worst = 0.0
-        for m in rep.images:
-            mxi = m @ xi
-            denom = np.linalg.norm(mxi)
-            if denom < tol.degenerate:
-                raise EigenFailure("generator image nearly singular")
-            wedge = abs(mxi[0] * xi[1] - mxi[1] * xi[0]) / denom
-            worst = max(worst, float(wedge))
+        mxi = images @ xi
+        denom = _norms(mxi)
+        if np.any(denom < tol.degenerate):
+            raise EigenFailure("generator image nearly singular")
+        # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar complex
+        # products and modulus
+        p_re, p_im = _complex_product(mxi[:, 0], xi[1])
+        q_re, q_im = _complex_product(mxi[:, 1], xi[0])
+        worst = float(np.max(np.hypot(p_re - q_re, p_im - q_im) / denom))
         if worst < best_residual:
             best_residual = worst
             best_vec = xi

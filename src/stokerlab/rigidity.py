@@ -77,14 +77,11 @@ def isometry_directions(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     projection of exp(t A_j) applied to the lifted vertex.  Raises
     ``RankDeficiency`` if the columns do not have rank 6.
     """
-    pos = poly.positions
-    nv = pos.shape[0]
-    cols = np.zeros((3 * nv, 6))
-    lifts = [lorentz.klein_lift(p, tol) for p in pos]
-    for j, gen in enumerate(lorentz.so31_basis()):
-        for i, x in enumerate(lifts):
-            ydot = gen @ x
-            cols[3 * i:3 * i + 3, j] = ydot[:3] / x[3] - (x[:3] / x[3]) * (ydot[3] / x[3])
+    x = lorentz.klein_lift(poly.positions, tol)              # (V, 4)
+    ydot = x @ np.swapaxes(lorentz.so31_basis(), -1, -2)      # (6, V, 4): A_j x_i
+    w = x[:, 3:]
+    velocity = ydot[..., :3] / w - (x[:, :3] / w) * (ydot[..., 3:] / w)
+    cols = np.ascontiguousarray(np.moveaxis(velocity, 0, -1).reshape(-1, 6))
     sing = np.linalg.svd(cols, compute_uv=False)
     if numerical_rank(sing, tol.rank_svd) < 6:
         raise RankDeficiency("isometry directions do not span six dimensions")

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite, independent of the library paths they check."""
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.spatial import ConvexHull
@@ -146,3 +147,14 @@ def random_polar_dual(seed, n):
         faces.append([ring[k] for k in order])
     scale = HULL_RADIUS / np.linalg.norm(verts, axis=1).max()
     return EmbeddedPolyhedron(CombinatorialType(len(verts), faces), scale * verts)
+
+
+def random_polyhedra(max_points):
+    """Hypothesis strategy: a seeded simplicial hull of 10 to ``max_points``
+    spread sphere points, or the polar dual of one."""
+    return st.builds(
+        lambda seed, n, dual: (random_polar_dual if dual else random_simplicial_hull)(seed, n),
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(10, max_points),
+        st.booleans(),
+    )

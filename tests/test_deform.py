@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_isometry
 from stokerlab import fixtures, lorentz
+from stokerlab.config import Tolerances
 from stokerlab.deform import DeformOptions, continuation_path, gauge_fix, realize_angles
 from stokerlab.errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence
 from stokerlab.polyhedron import dihedral_angles, planarity_residuals
@@ -112,6 +113,15 @@ class TestRealizeAngles:
         target = perturb_angles(poly, rng, amplitude=5e-3)
         with pytest.raises(NoConvergence):
             realize_angles(poly, target, DeformOptions(max_iterations=1))
+
+    def test_damping_floor_reads_the_tolerance(self):
+        poly = fixtures.cube(0.3)
+        target = perturb_angles(poly, np.random.default_rng(19), amplitude=5e-3)
+        opts = DeformOptions(max_iterations=1, trust_radius=1e-6)
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            realize_angles(poly, target, opts)
+        with pytest.raises(NoConvergence, match="damping underflow"):
+            realize_angles(poly, target, opts, Tolerances(damping_floor=1e-3))
 
     def test_rejects_out_of_range_target(self):
         poly = fixtures.cube(0.3)

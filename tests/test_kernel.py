@@ -9,9 +9,8 @@ Jacobians.
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import finite_difference_jacobian, random_polar_dual, random_simplicial_hull
+from helpers import finite_difference_jacobian, random_polyhedra
 from stokerlab import lorentz
 from stokerlab.polyhedron import (
     FaceGeometry,
@@ -28,12 +27,6 @@ EPS = np.finfo(float).eps
 REFERENCE_TOL = 1e-13    # normals and angles against the SVD route
 FD_TOL = 1e-6            # same bound as the fixture oracles
 
-random_polyhedra = st.builds(
-    lambda seed, n, dual: (random_polar_dual if dual else random_simplicial_hull)(seed, n),
-    st.integers(0, 2 ** 32 - 1),
-    st.integers(10, 24),
-    st.booleans(),
-)
 examples = settings(max_examples=20, deadline=None, derandomize=True)
 
 
@@ -59,7 +52,7 @@ def det_reference(poly, index, convex):
 
 
 @examples
-@given(random_polyhedra)
+@given(random_polyhedra(24))
 def test_normals_match_plane_through(poly):
     ref = reference_normals(poly)
     assert np.max(np.abs(FaceGeometry(poly).normals - ref)) <= REFERENCE_TOL
@@ -68,7 +61,7 @@ def test_normals_match_plane_through(poly):
 
 
 @examples
-@given(random_polyhedra)
+@given(random_polyhedra(24))
 def test_angles_match_minkowski_inner(poly):
     ref = reference_normals(poly)
     expected = np.array([
@@ -79,7 +72,7 @@ def test_angles_match_minkowski_inner(poly):
 
 
 @examples
-@given(random_polyhedra)
+@given(random_polyhedra(24))
 def test_determinants_match_det_loop(poly):
     comb = poly.combinatorics
     values, bounds = det_reference(poly, comb.planarity_pairs, convex=False)
@@ -91,7 +84,7 @@ def test_determinants_match_det_loop(poly):
 
 
 @examples
-@given(random_polyhedra)
+@given(random_polyhedra(24))
 def test_jacobians_match_finite_differences(poly):
     flat = poly.positions.ravel()
 
@@ -108,7 +101,7 @@ def test_jacobians_match_finite_differences(poly):
 
 
 @examples
-@given(random_polyhedra)
+@given(random_polyhedra(24))
 def test_face_subsets_match_full_evaluation(poly):
     """Holonomy evaluates only the faces it needs; the rows must be the
     same numbers the full evaluation gives."""

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import random_isometry, segment_length
 from stokerlab import lorentz
+from stokerlab.config import DEFAULT
 from stokerlab.errors import (
     AmbiguousOrientation,
     BallBoundary,
@@ -269,3 +272,141 @@ class TestIsometryProducts:
         assert lorentz.hyperbolic_distance(moved[0], moved[1]) == pytest.approx(
             lorentz.hyperbolic_distance(p, q), abs=1e-12
         )
+
+
+# --- stacks of isometries ---------------------------------------------------
+
+AXES = np.eye(3)
+
+
+def rotation(axis, angle):
+    """Rotation about a unit 3-vector, as a Lorentz matrix fixing e4."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    out = np.eye(4)
+    out[:3, :3] = expm(angle * k)
+    return out
+
+
+def boost(rapidities):
+    return expm(sum(c * g for c, g in zip(rapidities, lorentz.so31_basis()[3:])))
+
+
+def isometry_stack(seed, size):
+    """Boosted rotations whose rotation parts cover the four quaternion
+    branches (trace > 0, then the largest diagonal entry on x, y or z), exact
+    half-turns about the axes and about random geodesics (zero lift trace,
+    so the sign falls to the entry tie-breaks), and random isometries."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for k in range(size):
+        kind = k % 6
+        if kind < 4:
+            if kind == 0:
+                axis, angle = rng.normal(size=3), rng.uniform(0.0, 2.0)
+            else:
+                axis, angle = AXES[kind - 1] + 0.3 * rng.normal(size=3), rng.uniform(2.2, np.pi)
+            axis /= np.linalg.norm(axis)
+            mats.append(boost(rng.uniform(-0.8, 0.8, 3)) @ rotation(axis, angle))
+        elif kind == 4:
+            half_turns = [np.diag(d) for d in ([1.0, -1, -1, 1], [-1.0, 1, -1, 1], [-1.0, -1, 1, 1])]
+            a, b = rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3)
+            half_turns.append(lorentz.rotation_about_edge(a, b, np.pi))
+            mats.append(half_turns[rng.integers(4)])
+        else:
+            mats.append(random_isometry(rng, 0.8))
+    return np.array(mats)
+
+
+def branch_of(mat):
+    """Quaternion branch taken for the rotation part of an isometry."""
+    rot = (lorentz.J @ lorentz.pure_boost(mat[:, 3]) @ lorentz.J) @ mat
+    d = np.diag(rot)[:3]
+    if d.sum() > 0:
+        return 0
+    return 1 + int(np.argmax(d))
+
+
+stacks = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestSl2cLiftStacks:
+    def test_fixture_covers_every_branch_and_tie(self):
+        mats = isometry_stack(0, 60)
+        assert {branch_of(m) for m in mats} == {0, 1, 2, 3}
+        traces = np.trace(lorentz.sl2c_lift(mats), axis1=1, axis2=2)
+        assert np.sum(np.abs(traces.real) <= DEFAULT.branch_tie) >= 5
+
+    @stacks
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 13))
+    def test_stack_equals_matrices_one_at_a_time(self, seed, size):
+        mats = isometry_stack(seed, size)
+        lifts = lorentz.sl2c_lift(mats)
+        assert lifts.shape == (size, 2, 2)
+        for mat, lift in zip(mats, lifts):
+            single = lorentz.sl2c_lift(mat)
+            assert single.shape == (2, 2)
+            assert np.array_equal(single, lift)
+
+    @stacks
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_lifts_cover_their_matrices(self, seed):
+        mats = isometry_stack(seed, 12)
+        lifts = lorentz.sl2c_lift(mats)
+        for mat, lift in zip(mats, lifts):
+            assert abs(np.linalg.det(lift) - 1.0) < 1e-10
+            assert np.max(np.abs(lorentz.sl2c_to_so31(lift) - mat)) < 1e-10
+            tr = np.trace(lift)
+            if abs(tr.real) > DEFAULT.branch_tie:
+                assert tr.real > 0
+
+    @stacks
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 11), st.sampled_from(["form", "det", "time"]))
+    def test_one_bad_matrix_fails_the_stack(self, seed, index, defect):
+        mats = isometry_stack(seed, 12)
+        if defect == "form":
+            mats[index, 0, 1] += 1e-6
+        elif defect == "det":
+            mats[index] = mats[index] @ np.diag([-1.0, 1.0, 1.0, 1.0])
+        else:
+            mats[index] = -mats[index]
+        with pytest.raises(LiftFailure):
+            lorentz.sl2c_lift(mats)
+
+    def test_empty_stack(self):
+        assert lorentz.sl2c_lift(np.zeros((0, 4, 4))).shape == (0, 2, 2)
+
+    def test_imaginary_trace_decides_a_real_tie(self):
+        # a half-turn composed with a boost along its axis: trace 1.5i, while
+        # the leading entry alone would pick the other sign
+        s = np.diag([-0.5j, 2j])
+        for sign in (1, -1):
+            lift = lorentz.sl2c_lift(lorentz.sl2c_to_so31(sign * s))
+            assert np.max(np.abs(lift - s)) < 1e-12
+
+    def test_sign_tie_reads_the_tolerance(self):
+        # trace -2e-10: negative by default, a tie once branch_tie exceeds it,
+        # and then the leading entry's imaginary part keeps the sign
+        s = np.array([[-1e-10 + 1j, 0.0], [0.0, -1e-10 - 1j]])
+        assert np.array_equal(lorentz._canonical_sign(s), -s)
+        assert np.array_equal(lorentz._canonical_sign(s, DEFAULT.scaled(1e3)), s)
+
+
+class TestStackedPrimitives:
+    def test_match_single_evaluations(self):
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-0.5, 0.5, (7, 3))
+        lifts = lorentz.klein_lift(points)
+        normals = rng.normal(size=(7, 4))
+        for k, p in enumerate(points):
+            assert np.array_equal(lifts[k], lorentz.klein_lift(p))
+            assert np.array_equal(lorentz.pure_boost(lifts)[k], lorentz.pure_boost(lifts[k]))
+            assert np.array_equal(lorentz.translation_to_origin(points)[k],
+                                  lorentz.translation_to_origin(p))
+            assert np.array_equal(lorentz.hermitian_from_vec(lifts)[k],
+                                  lorentz.hermitian_from_vec(lifts[k]))
+            assert np.array_equal(lorentz.reflect(lorentz.Plane(normals))[k],
+                                  lorentz.reflect(lorentz.Plane(normals[k])))
+
+    def test_stack_boundary_rejected(self):
+        with pytest.raises(BallBoundary):
+            lorentz.klein_lift([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0]])

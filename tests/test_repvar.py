@@ -2,10 +2,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import corner_tetrahedron, random_polar_dual, random_simplicial_hull
+from helpers import (
+    corner_tetrahedron,
+    random_polar_dual,
+    random_polyhedra,
+    random_simplicial_hull,
+)
 from stokerlab import fixtures
+from stokerlab.config import DEFAULT
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
     Cocycle,
@@ -22,6 +30,7 @@ from stokerlab.repvar import (
     link_representation,
     matrix_from_coords,
     meridian_holonomy,
+    polyhedron_holonomy,
     representation_report,
     surface_group_fixture,
     trace_differential,
@@ -365,3 +374,80 @@ class TestSurfaceGroupFixture:
         report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
         assert report.h1_dim == 12 * fx.genus - 12
         assert report.rank == 2 * poly.combinatorics.edge_count
+
+
+def assert_links_equal(batched, single):
+    assert batched.vertex == single.vertex
+    assert batched.edges == single.edges
+    assert np.array_equal(batched.cone_angles, single.cone_angles)
+    for name in ("meridians", "meridians_so31"):
+        a, b = getattr(batched, name), getattr(single, name)
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestPolyhedronHolonomy:
+    def check(self, poly):
+        comb = poly.combinatorics
+        hol = polyhedron_holonomy(poly)
+        assert hol.meridians_so31.shape == (comb.edge_count, 4, 4)
+        assert hol.meridians.shape == (comb.edge_count, 2, 2)
+        for k, e in enumerate(comb.edges):
+            iso, lift = meridian_holonomy(poly, e)
+            assert np.array_equal(hol.meridians_so31[k], iso)
+            assert np.array_equal(hol.meridians[k], lift)
+        assert [link.vertex for link in hol.links] == list(range(comb.vertex_count))
+        for v, link in enumerate(hol.links):
+            assert_links_equal(link, link_representation(poly, v))
+        traces = np.abs(np.trace(hol.meridians, axis1=1, axis2=2))
+        defect = np.abs(traces - 2.0 * np.abs(np.cos(dihedral_angles(poly))))
+        assert np.max(defect) < DEFAULT.trace_identity
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures(self, name):
+        self.check(fixtures.STANDARD[name](0.3))
+
+    def test_right_angles(self):
+        self.check(corner_tetrahedron())
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_random_hulls_and_duals(self, poly):
+        self.check(poly)
+
+
+class TestIrreducibilityReference:
+    """The batched check against the per-image loop it replaced."""
+
+    @staticmethod
+    def reference(rep):
+        probe = next((m for m in rep.images
+                      if min(np.linalg.norm(m - I2), np.linalg.norm(m + I2)) > DEFAULT.central),
+                     None)
+        if probe is None:
+            return False, 0.0
+        eigvals, eigvecs = np.linalg.eig(probe)
+        best = np.inf
+        for i in range(2):
+            xi = eigvecs[:, i] / np.linalg.norm(eigvecs[:, i])
+            worst = 0.0
+            for m in rep.images:
+                mxi = m @ xi
+                worst = max(worst, float(abs(mxi[0] * xi[1] - mxi[1] * xi[0]) / np.linalg.norm(mxi)))
+            best = min(best, worst)
+        return best >= DEFAULT.irreducible, best
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+    def test_matches_loop(self, seed, n, diagonal):
+        rng = np.random.default_rng(seed)
+        rep = random_representation(rng, n)
+        if diagonal:
+            rep = Representation([np.diag(np.diag(m)) / np.sqrt(np.prod(np.diag(m)))
+                                  for m in rep.images])
+        report = irreducibility_check(rep)
+        assert (report.irreducible, report.residual) == self.reference(rep)
+
+    def test_central(self):
+        report = irreducibility_check(Representation([I2, -I2]))
+        assert not report.irreducible and report.residual == 0.0

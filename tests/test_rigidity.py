@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from helpers import finite_difference_jacobian, random_isometry
+from helpers import (
+    finite_difference_jacobian,
+    random_isometry,
+    random_polar_dual,
+    random_simplicial_hull,
+)
 from stokerlab import fixtures, lorentz
-from stokerlab.errors import DimensionMismatch
+from stokerlab.errors import DimensionMismatch, RankDeficiency
 from stokerlab.polyhedron import EmbeddedPolyhedron, dihedral_angles, planarity_residuals
 from stokerlab.rigidity import (
     angle_jacobian,
@@ -117,6 +123,29 @@ class TestIsometryDirections:
         if constraints.size:
             assert np.max(np.abs(constraints @ cols)) < 1e-9
         assert np.max(np.abs(angle_jacobian(poly) @ cols)) < 1e-8
+
+    @pytest.mark.parametrize("poly", [
+        fixtures.cube(0.3), random_simplicial_hull(3, 12), random_polar_dual(5, 10),
+    ], ids=["cube", "hull12", "dual10"])
+    def test_columns_match_finite_differences(self, poly):
+        cols = isometry_directions(poly)
+        lifts = np.array([lorentz.klein_lift(p) for p in poly.positions])
+
+        def moved(gen, t):
+            y = lifts @ expm(t * gen).T
+            return (y[:, :3] / y[:, 3:]).ravel()
+
+        step = 1e-6
+        for j, gen in enumerate(lorentz.so31_basis()):
+            fd = (moved(gen, step) - moved(gen, -step)) / (2 * step)
+            assert np.max(np.abs(cols[:, j] - fd)) < 1e-6
+
+    def test_collinear_vertices_are_rank_deficient(self):
+        # every rotation about the common line fixes all four vertices
+        tetra = fixtures.tetrahedron(0.3)
+        line = np.outer(np.linspace(-0.3, 0.3, 4), [1.0, 2.0, 2.0]) / 3.0
+        with pytest.raises(RankDeficiency):
+            isometry_directions(tetra.with_positions(line))
 
 
 class TestRigidityReport:
