@@ -12,6 +12,7 @@ enters only through the explicit ``--seed`` flag (NumPy PCG64).
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -91,7 +92,7 @@ def cmd_validate(args, tol: Tolerances, config):
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _load_valid_polyhedron(path, tol):
+def _load_valid_polyhedron(path):
     poly = formats.load_polyhedron(path)
     comb_report = polyhedron.validate_combinatorics(poly.combinatorics)
     if not comb_report.valid:
@@ -100,7 +101,7 @@ def _load_valid_polyhedron(path, tol):
 
 
 def cmd_angles(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+    poly = _load_valid_polyhedron(args.path)
     report = _base_report("angles", [args.path], config)
     angles = polyhedron.dihedral_angles(poly, tol)
     report["results"]["edges"] = [list(e) for e in poly.combinatorics.edges]
@@ -112,7 +113,7 @@ def cmd_angles(args, tol: Tolerances, config):
 
 
 def cmd_rigidity(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+    poly = _load_valid_polyhedron(args.path)
     report = _base_report("rigidity", [args.path], config)
     rep = rigidity.rigidity_report(poly, tol)
     lead, trail = rep.spectral_gap
@@ -138,7 +139,7 @@ def cmd_rigidity(args, tol: Tolerances, config):
 
 
 def cmd_deform(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+    poly = _load_valid_polyhedron(args.path)
     comb = poly.combinatorics
     paths = [args.path] + ([args.target] if args.target else [])
     report = _base_report("deform", paths, config)
@@ -153,10 +154,14 @@ def cmd_deform(args, tol: Tolerances, config):
     except ValueError as exc:
         raise ParseError(f"infeasible target angles: {exc}") from exc
 
-    opts = deform.DeformOptions(continuation_steps=args.steps)
+    opts = deform.DeformOptions()
     report["results"]["target"] = [float(a) for a in target]
     try:
         results = deform.continuation_path(poly, target, args.steps, opts, tol)
+    except np.linalg.LinAlgError:       # a ValueError, but a failed solve, not bad input
+        raise
+    except ValueError as exc:           # continuation_path rejects --steps below 1
+        raise ParseError(str(exc)) from exc
     except (NoConvergence, ConvexityLost, BallExit) as exc:
         report["results"]["error"] = type(exc).__name__
         report["results"]["failed_waypoint"] = exc.waypoint
@@ -193,7 +198,7 @@ def cmd_deform(args, tol: Tolerances, config):
 
 
 def cmd_holonomy(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+    poly = _load_valid_polyhedron(args.path)
     comb = poly.combinatorics
     report = _base_report("holonomy", [args.path], config)
     angles = polyhedron.dihedral_angles(poly, tol)
@@ -248,7 +253,7 @@ def cmd_tracerank(args, tol: Tolerances, config):
         except ValueError:
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
         paths.append(poly_path)
-        poly = _load_valid_polyhedron(poly_path, tol)
+        poly = _load_valid_polyhedron(poly_path)
         link = repvar.link_representation(poly, vertex, tol)
         rep = link.representation()
         d = len(link.edges)
@@ -300,6 +305,7 @@ def cmd_tracerank(args, tol: Tolerances, config):
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stokerlab",

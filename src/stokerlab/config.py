@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 class Tolerances:
     ball: float = 1e-9            # margin keeping Klein points off the unit sphere
     light: float = 1e-10          # |<v,v>| below this counts as lightlike
-    norm: float = 1e-10           # unit-normal normalization slack
     iso: float = 1e-10            # Lorentz-invariance defect allowed for isometries
     axis: float = 1e-8            # minimum geodesic length of a rotation axis
     rank_rel: float = 1e-10       # relative SVD cutoff for plane construction

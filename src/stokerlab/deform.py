@@ -30,17 +30,13 @@ from .polyhedron import (
 class DeformOptions:
     max_iterations: int = 50
     residual_tol: float = 1e-11
-    step_damping: float = 1.0      # initial fraction of the Gauss-Newton step
-    continuation_steps: int = 1
     trust_radius: float = 0.1      # sup-norm bound on a vertex-coordinate step
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.continuation_steps < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
         if self.residual_tol < 1e-14:
             raise ValueError("residual_tol must be at least 1e-14")
-        if not 0.0 < self.step_damping <= 1.0:
-            raise ValueError("step_damping must lie in (0, 1]")
         if self.trust_radius <= 0.0:
             raise ValueError("trust_radius must be positive")
 
@@ -115,7 +111,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     target : per-edge angles in (0, pi), in lexicographic edge order; must be
         close enough to the current angles for local convergence (use
         :func:`continuation_path` for larger moves)
-    opts : iteration budget, residual tolerance, damping and trust radius
+    opts : iteration budget, residual tolerance and trust radius
 
     Returns a ``DeformResult`` whose ``final`` embedding is gauge-fixed and
     achieves the target within ``opts.residual_tol`` in sup norm.  Raises
@@ -140,7 +136,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             )
         jac = np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()])
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=tol.rank_svd)
-        damping = opts.step_damping
+        damping = 1.0
         while damping * np.max(np.abs(step)) > opts.trust_radius:
             damping *= 0.5
             if damping < tol.damping_floor:
@@ -173,19 +169,19 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     )
 
 
-def continuation_path(poly: EmbeddedPolyhedron, target, n_steps=None,
+def continuation_path(poly: EmbeddedPolyhedron, target, n_steps=1,
                       opts: DeformOptions = DeformOptions(),
                       tol: Tolerances = DEFAULT):
     """Chain ``realize_angles`` along a straight segment in angle space.
 
     Interpolates linearly from the current angles to ``target`` in
-    ``n_steps`` waypoints (defaults to ``opts.continuation_steps``), seeding
-    each solve with the previous result.  Returns the list of per-waypoint
-    results.  Solver errors are re-raised with ``waypoint`` set to the
-    failing index and ``results`` holding the completed prefix.
+    ``n_steps`` waypoints, seeding each solve with the previous result.
+    Returns the list of per-waypoint results.  Raises ``ValueError`` when
+    ``n_steps`` is below 1.  Solver errors are re-raised with ``waypoint``
+    set to the failing index and ``results`` holding the completed prefix.
     """
-    if n_steps is None:
-        n_steps = opts.continuation_steps
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     comb = poly.combinatorics
     target = validate_angle_vector(target, comb.edge_count)
     start = dihedral_angles(poly, tol)

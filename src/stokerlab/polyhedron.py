@@ -122,6 +122,28 @@ class CombinatorialType:
     def vertex_valence(self, v):
         return len(self.vertex_star(v)[0])
 
+    @cached_property
+    def edge_graph(self):
+        """The one walk of the edge graph: sorted neighbours per vertex and
+        the breadth-first parent of every vertex from vertex 0, visiting
+        neighbours in sorted order.  Edges with an end outside 0..n-1 are
+        skipped, so the walk never raises on an invalid type."""
+        n = self.vertex_count
+        adjacent = [set() for _ in range(n)]
+        for a, b in self.edges:
+            if 0 <= a and b < n:            # a <= b in a stored edge
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+        neighbours = tuple(tuple(sorted(s)) for s in adjacent)
+        parent = np.full(n, -1, dtype=np.intp)
+        order = [0] if n else []
+        for u in order:                     # grows while it is walked
+            for w in neighbours[u]:
+                if w and parent[w] < 0:
+                    parent[w] = u
+                    order.append(w)
+        return EdgeGraph(neighbours, parent)
+
     # Index arrays of the batched face-plane kernel (``FaceGeometry``),
     # built on first use because an invalid type may lack some of them.
 
@@ -153,6 +175,23 @@ class CombinatorialType:
 def _cyclic_pairs(face):
     for i, a in enumerate(face):
         yield a, face[(i + 1) % len(face)]
+
+
+@dataclass(frozen=True)
+class EdgeGraph:
+    """Adjacency and breadth-first spanning tree of an edge graph.
+
+    ``neighbours[v]`` is the sorted tuple of v's neighbours; ``parent[v]``
+    is v's parent in the breadth-first tree from vertex 0, and -1 at vertex
+    0 and at every vertex the walk did not reach.
+    """
+
+    neighbours: tuple
+    parent: np.ndarray
+
+    @property
+    def connected(self):
+        return int(np.count_nonzero(self.parent >= 0)) == len(self.parent) - 1
 
 
 @dataclass
@@ -204,22 +243,12 @@ def validate_combinatorics(comb: CombinatorialType) -> CombinatoricsReport:
     if euler != 2:
         issues.append(f"Euler characteristic {euler} != 2")
 
-    adjacency = {v: set() for v in range(n)}
-    for a, b in comb.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    for v in range(n):
-        if len(adjacency[v]) < 3:
-            issues.append(f"vertex {v} has valence {len(adjacency[v])} < 3")
+    graph = comb.edge_graph
+    for v, neighbours in enumerate(graph.neighbours):
+        if len(neighbours) < 3:
+            issues.append(f"vertex {v} has valence {len(neighbours)} < 3")
     if n and not issues:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
+        if not graph.connected:
             issues.append("edge graph is not connected")
         for v in range(n):
             try:

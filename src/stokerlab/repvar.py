@@ -543,16 +543,23 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     so no conjugation bookkeeping is needed; the construction is validated by
     the Euler characteristic of the presentation and exact inverse matching
     of the two copies of every meridian.
+
+    Generators are kept as one (E, 2) array of signed letters, one per edge
+    end.  The spanning tree is the breadth-first tree of
+    ``CombinatorialType.edge_graph``: a tree edge keeps the slot at its parent
+    end and its child end reads the inverse letter; a cross edge keeps both
+    slots and gets a twist.  Slot generators are numbered in edge order, then
+    the twists.
     """
     comb = poly.combinatorics
-    nv = comb.vertex_count
-    offsets, _, slot_edges, slot_pairs = _star_slots(comb, range(nv))
+    offsets, owner, slot_edges, slot_pairs = _star_slots(comb, range(comb.vertex_count))
     slot_matrices, normals = _meridian_products(poly, np.array(slot_pairs, dtype=np.intp), tol)
-    slot_row = {(v, e): k for v in range(nv)
-                for k, e in enumerate(slot_edges[offsets[v]:offsets[v + 1]], offsets[v])}
-    copies = np.array([(slot_row[(e[0], e)], slot_row[(e[1], e)]) for e in comb.edges],
-                      dtype=np.intp).reshape(-1, 2)
-    mismatch = np.max(np.abs(slot_matrices[copies[:, 0]] @ slot_matrices[copies[:, 1]]
+    ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
+    slot_edge = np.array([comb.edge_index[e] for e in slot_edges], dtype=np.intp)
+    slot_end = (np.array(owner, dtype=np.intp) == ends[slot_edge, 1]).astype(np.intp)
+    rows = np.empty_like(ends)              # slot row of every edge end
+    rows[slot_edge, slot_end] = np.arange(len(slot_edges))
+    mismatch = np.max(np.abs(slot_matrices[rows[:, 0]] @ slot_matrices[rows[:, 1]]
                              - np.eye(4)), axis=(1, 2))
     for e, defect in zip(comb.edges, mismatch):
         if defect > tol.meridian_copy:
@@ -561,88 +568,46 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
             )
     # The slot of an edge at its smaller end pairs the faces of ``edge_faces``,
     # so its cone angle is the dihedral angle.
-    angles = angles_between(normals[copies[:, 0], 0], normals[copies[:, 0], 1])
+    angles = angles_between(normals[rows[:, 0], 0], normals[rows[:, 0], 1])
 
-    # spanning tree of the edge graph, rooted at vertex 0
-    parent_edge = {}
-    seen = {0}
-    queue = [0]
-    adjacency = {v: [] for v in range(nv)}
-    for a, b in comb.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    while queue:
-        u = queue.pop(0)
-        for w in sorted(adjacency[u]):
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = (u, (min(u, w), max(u, w)))
-                queue.append(w)
-    tree_edges = {e for _, e in parent_edge.values()}
-    cross_edges = [e for e in comb.edges if e not in tree_edges]
-
-    generators = []      # ("slot", v, e) or ("twist", e)
-    names = []
-    gen_index = {}
-
-    def add_generator(key, name):
-        generators.append(key)
-        names.append(name)
-        gen_index[key] = len(generators)
-
-    for e in comb.edges:
-        a, b = e
-        if e in tree_edges:
-            parent = a if parent_edge.get(b, (None, None))[1] == e and parent_edge[b][0] == a else b
-            add_generator(("slot", parent, e), f"m{a}_{b}")
-        else:
-            add_generator(("slot", a, e), f"m{a}_{b}a")
-            add_generator(("slot", b, e), f"m{a}_{b}b")
-    for e in cross_edges:
-        add_generator(("twist", e), f"t{e[0]}_{e[1]}")
-
-    def slot_letter(v, e):
-        if ("slot", v, e) in gen_index:
-            return gen_index[("slot", v, e)]
-        other = e[0] if e[1] == v else e[1]
-        return -gen_index[("slot", other, e)]
-
-    # Generators list every slot before the first twist, so the images are
-    # the slot matrices followed by the twists, lifted together.
+    parent = comb.edge_graph.parent
+    child_first = parent[ends[:, 0]] == ends[:, 1]
+    tree = child_first | (parent[ends[:, 1]] == ends[:, 0])
+    width = np.where(tree, 1, 2)            # slot generators per edge
+    first = np.cumsum(width) - width + 1
+    # tree edge: g at the parent end, g^-1 at the child end; cross edge: g, g + 1
+    letters = np.column_stack([np.where(child_first, -first, first), first + 1])
+    letters[tree, 1] = -letters[tree, 0]
+    cross = np.flatnonzero(~tree)
     twists = [
-        lorentz.rotation_about_edge(poly.positions[e[0]], poly.positions[e[1]],
-                                    angles[comb.edge_index[e]], tol)
-        for e in cross_edges
+        lorentz.rotation_about_edge(poly.positions[a], poly.positions[b], angles[k], tol)
+        for k, (a, b) in zip(cross, ends[cross])
     ]
-    slots = slot_matrices[[slot_row[key[1:]] for key in generators if key[0] == "slot"]]
+    # Read row by row, the positive letters are 1, 2, ..., so their slot
+    # rows list the slot generators in order; the twist generators follow.
+    slots = slot_matrices[rows[letters > 0]]
     images = lorentz.sl2c_lift(np.concatenate([slots, np.reshape(twists, (-1, 4, 4))]), tol)
 
-    relators = []
-    for v in range(nv):
-        relators.append(tuple(slot_letter(v, e) for e in slot_edges[offsets[v]:offsets[v + 1]]))
-    for e in cross_edges:
-        t = gen_index[("twist", e)]
-        relators.append((t, slot_letter(e[0], e), -t, slot_letter(e[1], e)))
+    slot_letters = letters[slot_edge, slot_end]
+    twist = int(width.sum()) + 1 + np.arange(len(cross))
+    relators = [slot_letters[a:b] for a, b in zip(offsets, offsets[1:])]
+    relators += [(t, a, -t, b) for t, (a, b) in zip(twist, letters[cross])]
+    names = [f"m{a}_{b}{end}" for (a, b), t in zip(comb.edges, tree)
+             for end in (("",) if t else ("a", "b"))]
+    names += [f"t{a}_{b}" for a, b in ends[cross]]
 
-    genus = comb.edge_count - nv + 1
-    euler = 1 - len(generators) + len(relators)
+    genus = comb.edge_count - comb.vertex_count + 1
+    euler = 1 - len(names) + len(relators)
     if euler != 2 - 2 * genus:
         raise InvalidCombinatorics(
             f"presentation Euler characteristic {euler} != {2 - 2 * genus}"
         )
 
-    meridian_words = {}
-    for e in comb.edges:
-        if e in tree_edges:
-            key = next(k for k in gen_index if k[0] == "slot" and k[2] == e)
-        else:
-            key = ("slot", e[0], e)
-        meridian_words[e] = (gen_index[key],)
-
     return SurfaceGroupFixture(
-        presentation=Presentation(len(generators), tuple(relators)),
+        presentation=Presentation(len(names), relators),
         representation=Representation(list(images)),
-        meridian_words=meridian_words,
+        # an edge's meridian is its first slot generator
+        meridian_words={e: (int(m),) for e, m in zip(comb.edges, np.abs(letters[:, 0]))},
         generator_names=names,
         genus=genus,
         euler_characteristic=euler,

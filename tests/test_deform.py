@@ -141,6 +141,17 @@ class TestContinuationPath:
         assert len(path) == 1
         assert np.max(np.abs(path[0].final.positions - direct.final.positions)) < 1e-12
 
+    def test_default_is_one_waypoint(self):
+        poly = fixtures.cube(0.3)
+        target = perturb_angles(poly, np.random.default_rng(4), 1e-4)
+        assert len(continuation_path(poly, target)) == 1
+
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    def test_rejects_fewer_than_one_step(self, n_steps):
+        poly = fixtures.tetrahedron(0.3)
+        with pytest.raises(ValueError, match="n_steps"):
+            continuation_path(poly, dihedral_angles(poly), n_steps=n_steps)
+
     def test_waypoints_stay_certified(self):
         poly = fixtures.tetrahedron(0.3)
         base = dihedral_angles(poly)

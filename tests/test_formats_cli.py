@@ -119,6 +119,38 @@ class TestCliValidate:
         assert code == 2
 
 
+class TestCliOutOfRangeFace:
+    """A face index past the vertex list is a reported issue, not a crash."""
+
+    @pytest.fixture(params=[7, -1])
+    def bad(self, request, tmp_path):
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        assert data["faces"][2] == [0, 3, 1]
+        data["faces"][2] = [0, 3, request.param]
+        return request.param, write(tmp_path, "bad.json", json.dumps(data))
+
+    def test_validate_lists_the_issue(self, bad, capsys):
+        index, path = bad
+        code, out = run_cli(capsys, ["validate", path])
+        assert code == 1
+        report = json.loads(out)
+        issue = f"face 2 references vertex {index} outside 0..3"
+        assert issue in report["results"]["combinatorics_issues"]
+        assert report["verdicts"][0]["name"] == "combinatorics_valid"
+        assert report["verdicts"][0]["pass"] is False
+        assert "embedding" not in report["results"]
+
+    @pytest.mark.parametrize("command", ["angles", "holonomy"])
+    def test_geometry_commands_report_parse_error(self, command, bad, capsys):
+        index, path = bad
+        code, out = run_cli(capsys, [command, path])
+        assert code == 2
+        report = json.loads(out)
+        assert report["command"] == command
+        assert report["error"] == "ParseError"
+        assert f"face 2 references vertex {index} outside 0..3" in report["message"]
+
+
 class TestCliAngles:
     def test_cube_angles_equal(self, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.cube(0.3))
@@ -199,6 +231,23 @@ class TestCliDeform:
         code, out = run_cli(capsys, ["deform", path, "--target", target_path])
         assert code == 2
         assert json.loads(out)["error"] == "ParseError"
+
+    def test_three_continuation_steps(self, tmp_path, capsys):
+        path = write_poly(tmp_path, fixtures.cube(0.3))
+        code, out = run_cli(capsys, ["deform", path, "--perturb", "1e-4", "--steps", "3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["steps"] == 3
+        assert len(report["results"]["iterations"]) == 3
+        assert len(report["results"]["residual_history"]) == 3
+
+    def test_zero_steps_is_bad_input(self, tmp_path, capsys):
+        path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
+        code, out = run_cli(capsys, ["deform", path, "--perturb", "1e-4", "--steps", "0"])
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "ParseError"
+        assert "n_steps must be at least 1" in report["message"]
 
     def test_emitted_polyhedron_round_trips(self, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))

@@ -40,6 +40,30 @@ class TestCombinatorics:
         assert not report.valid
         assert any("directed edge" in issue for issue in report.issues)
 
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_out_of_range_index_reported(self, bad):
+        # the tetrahedron with its third face [0, 3, 1] pointing past vertex 3
+        comb = CombinatorialType(4, [[1, 3, 2], [0, 2, 3], [0, 3, bad], [0, 1, 2]])
+        report = validate_combinatorics(comb)
+        assert not report.valid
+        assert f"face 2 references vertex {bad} outside 0..3" in report.issues
+        assert all(0 <= w < 4 for ws in comb.edge_graph.neighbours for w in ws)
+
+    def test_edge_graph_walk(self):
+        graph = fixtures.cube().combinatorics.edge_graph
+        assert graph.neighbours == ((1, 2, 4), (0, 3, 5), (0, 3, 6), (1, 2, 7),
+                                    (0, 5, 6), (1, 4, 7), (2, 4, 7), (3, 5, 6))
+        # breadth first from 0, neighbours in sorted order: 1, 2, 4, then 3, 5, 6, 7
+        assert graph.parent.tolist() == [-1, 0, 0, 1, 0, 1, 2, 3]
+        assert graph.connected
+
+    def test_disconnected_edge_graph(self):
+        faces = [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]]
+        comb = CombinatorialType(8, faces + [[v + 4 for v in f] for f in faces])
+        graph = comb.edge_graph
+        assert not graph.connected
+        assert graph.parent.tolist() == [-1, 0, 0, 0, -1, -1, -1, -1]
+
     def test_all_fixture_stars_close(self):
         for build in fixtures.STANDARD.values():
             comb = build().combinatorics

@@ -1,3 +1,4 @@
+import pathlib
 from functools import reduce
 
 import numpy as np
@@ -12,7 +13,7 @@ from helpers import (
     random_polyhedra,
     random_simplicial_hull,
 )
-from stokerlab import fixtures
+from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
@@ -318,6 +319,9 @@ class TestIrreducibility:
         assert report.irreducible
 
 
+DEMO_PRESENTATION = (pathlib.Path(__file__).parent.parent
+                     / "demos" / "output" / "k4_surface_presentation.txt")
+
 SURFACE_CASES = {
     "cube": lambda: fixtures.cube(0.3),
     "triangular_prism": lambda: fixtures.triangular_prism(0.3),
@@ -366,6 +370,25 @@ class TestSurfaceGroupFixture:
             tr = np.trace(evaluate_word(fx.representation, word))
             assert abs(tr.imag) < 1e-10
             assert abs(tr.real) == pytest.approx(2.0 * abs(np.cos(angles[k])), abs=1e-9)
+
+    def test_tetrahedron_presentation_matches_tracked_demo_output(self):
+        fx = surface_group_fixture(fixtures.tetrahedron(0.3))
+        text = formats.dump_presentation(fx.presentation, fx.meridian_loops())
+        assert text.encode() == DEMO_PRESENTATION.read_bytes()
+
+    def test_cube_generator_order(self):
+        # BFS tree from vertex 0: 0-1, 0-2, 0-4, 1-3, 1-5, 2-6, 3-7
+        fx = surface_group_fixture(fixtures.cube(0.3))
+        assert fx.generator_names == [
+            "m0_1", "m0_2", "m0_4", "m1_3", "m1_5", "m2_3a", "m2_3b", "m2_6", "m3_7",
+            "m4_5a", "m4_5b", "m4_6a", "m4_6b", "m5_7a", "m5_7b", "m6_7a", "m6_7b",
+            "t2_3", "t4_5", "t4_6", "t5_7", "t6_7",
+        ]
+        assert fx.meridian_words == {
+            (0, 1): (1,), (0, 2): (2,), (0, 4): (3,), (1, 3): (4,), (1, 5): (5,),
+            (2, 3): (6,), (2, 6): (8,), (3, 7): (9,), (4, 5): (10,), (4, 6): (12,),
+            (5, 7): (14,), (6, 7): (16,),
+        }
 
     @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
     def test_surface_dimension_and_meridian_rank(self, name):
