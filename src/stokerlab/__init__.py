@@ -22,7 +22,6 @@ from .polyhedron import (
     convexity_margins,
     dihedral_angles,
     embed_euclidean,
-    interior_point,
     planarity_residuals,
     validate_combinatorics,
     validate_embedding,

@@ -5,10 +5,11 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 (floats at 17 significant digits, fixed key order) in which each numeric
 verdict carries the tolerance it was judged against.
 
-Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input,
-3 no convergence, 4 convexity lost, 5 ball exit.  The environment variable
-``STOKERLAB_TOL_SCALE`` multiplies every tolerance (default 1); randomness
-enters only through the explicit ``--seed`` flag (NumPy PCG64).
+Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
+(non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
+exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
+tolerance (default 1); randomness enters only through the explicit
+``--seed`` flag (NumPy PCG64).
 """
 
 import argparse
@@ -83,11 +84,11 @@ def cmd_validate(args, tol: Tolerances, config):
             "min_convexity_margin": emb.min_convexity_margin,
             "issues": emb.issues,
         }
-        ok = _verdict(report, "embedding_planar", emb.max_planarity_residual <= tol.planar,
+        ok = _verdict(report, "embedding_planar", emb.planar,
                       tol.planar, emb.max_planarity_residual) and ok
-        ok = _verdict(report, "embedding_convex", emb.min_convexity_margin > tol.convex,
+        ok = _verdict(report, "embedding_convex", emb.convex,
                       tol.convex, emb.min_convexity_margin) and ok
-        ok = _verdict(report, "embedding_in_ball", emb.max_radius < 1.0 - tol.ball,
+        ok = _verdict(report, "embedding_in_ball", emb.in_ball,
                       tol.ball, emb.max_radius) and ok
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 

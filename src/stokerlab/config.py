@@ -14,7 +14,7 @@ class Tolerances:
     light: float = 1e-10          # |<v,v>| below this counts as lightlike
     iso: float = 1e-10            # Lorentz-invariance defect allowed for isometries
     axis: float = 1e-8            # minimum geodesic length of a rotation axis
-    rank_rel: float = 1e-10       # relative SVD cutoff for plane construction
+    rank_rel: float = 1e-10       # relative span cutoff for plane construction
     planar: float = 1e-9          # absolute bound on planarity determinants
     convex: float = 1e-10         # strict positivity margin for convexity determinants
     rank_svd: float = 1e-9        # relative SVD cutoff for rank/kernel decisions
@@ -31,7 +31,6 @@ class Tolerances:
     branch_tie: float = 1e-12     # |part| at or below which an SL(2,C) lift's sign test ties
     branch_entry: float = 1e-8    # modulus above which a lift entry can break a sign tie
     damping_floor: float = 1e-12  # smallest trust-radius damping factor before giving up
-    witness: float = 1e-12        # witness-on-plane detection
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by ``factor``."""

@@ -117,7 +117,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     achieves the target within ``opts.residual_tol`` in sup norm.  Raises
     ``NoConvergence``, ``ConvexityLost`` or ``BallExit``; the first suggests
     more continuation steps, the second that the target leaves the convex
-    cell.
+    cell.  Raises ``ValueError`` when the starting residual is not finite.
     """
     comb = poly.combinatorics
     target = validate_angle_vector(target, comb.edge_count)
@@ -125,6 +125,8 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     geom = FaceGeometry(current, tol)   # one evaluation per iterate, shared
     residual = _stacked_residual(geom, target)
     history = [float(np.max(np.abs(residual)))]
+    if not np.isfinite(history[0]):
+        raise ValueError(f"initial residual {history[0]} is not finite")
     n_planar = len(comb.planarity_pairs)
     planar_history = [float(np.max(np.abs(residual[:n_planar]), initial=0.0))]
 

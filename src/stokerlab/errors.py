@@ -13,10 +13,6 @@ class DegenerateFace(StokerlabError):
     """Three points fail to determine a hyperbolic plane."""
 
 
-class AmbiguousOrientation(StokerlabError):
-    """The orientation witness lies on the plane it should orient."""
-
-
 class DegenerateAxis(StokerlabError):
     """Rotation axis endpoints are too close to define a geodesic."""
 

@@ -85,6 +85,8 @@ def load_polyhedron(path) -> EmbeddedPolyhedron:
         faces = [[int(i) for i in f] for f in data["faces"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed vertices or faces: {exc}") from exc
+    if not np.all(np.isfinite(vertices)):
+        raise ParseError(f"{path}: vertex coordinates must be finite")
     comb = CombinatorialType(len(vertices), faces)
     return EmbeddedPolyhedron(comb, vertices)
 
@@ -108,6 +110,8 @@ def load_angles(path, edge_count=None):
         angles = np.asarray(data, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed angle list: {exc}") from exc
+    if not np.all(np.isfinite(angles)):
+        raise ParseError(f"{path}: angles must be finite")
     if edge_count is not None and angles.size != edge_count:
         raise ParseError(f"{path}: expected {edge_count} angles, found {angles.size}")
     return angles
@@ -165,6 +169,8 @@ def load_matrices(path) -> Representation:
     try:
         for raw in data["matrices"]:
             arr = np.asarray(raw, dtype=float).reshape(2, 2, 2)
+            if not np.all(np.isfinite(arr)):
+                raise ParseError(f"{path}: matrix entries must be finite")
             mats.append(arr[..., 0] + 1j * arr[..., 1])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed matrix entries: {exc}") from exc

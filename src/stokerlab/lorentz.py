@@ -9,9 +9,11 @@ SL(2,C) lifts use the Hermitian-matrix model of R^{3,1}.
 
 Conventions
 -----------
-* Planes are stored by a unit spacelike Minkowski normal oriented so the
-  designated interior side pairs negatively with it, i.e. the normal points
-  away from the interior.
+* Planes are stored by a unit spacelike Minkowski normal.  A plane through
+  three points is oriented by their order: the normal points to the side
+  from which p1 -> p2 -> p3 runs counterclockwise, so a face stored
+  counterclockwise from outside gets a normal pointing away from the
+  interior, which pairs negatively with it.
 * ``sl2c_lift`` fixes its branch so the lifted trace has nonnegative real
   part whenever possible; for an elliptic isometry with rotation angle
   theta in [0, pi] this gives trace 2*cos(theta/2).  Callers comparing
@@ -24,13 +26,7 @@ All operations are pure functions on immutable values.
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    AmbiguousOrientation,
-    BallBoundary,
-    DegenerateAxis,
-    DegenerateFace,
-    LiftFailure,
-)
+from .errors import BallBoundary, DegenerateAxis, DegenerateFace, LiftFailure
 
 # Minkowski bilinear form, (+,+,+,-).
 J = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -65,18 +61,39 @@ def _row_dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _dot3(x, y):
+    """Row-wise dot product of two (..., 3) arrays, summed in a fixed order."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _cross(x, y):
+    """Row-wise cross product of broadcastable (..., 3) arrays: the products
+    and differences of ``np.cross``, without its per-call overhead."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
+    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
+    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    return out
+
+
+def _require_in_ball(radii2, tol: Tolerances):
+    """Raise ``BallBoundary`` unless every squared Klein radius is below
+    (1 - tol.ball)^2.  A NaN radius fails."""
+    if not np.all(radii2 < (1.0 - tol.ball) ** 2):
+        raise BallBoundary(
+            f"point with |p| = {np.sqrt(np.max(radii2)):.17g} is not strictly inside the ball"
+        )
+
+
 def klein_lift(p, tol: Tolerances = DEFAULT):
     """Lift a Klein point (3,), or a stack (..., 3), to the unit future hyperboloid.
 
     Returns (p, 1)/sqrt(1 - |p|^2), which satisfies <v,v> = -1 and v4 > 0.
-    Raises ``BallBoundary`` if some |p| >= 1 - tol.ball.
+    Raises ``BallBoundary`` unless every |p| < 1 - tol.ball.
     """
     p = np.asarray(p, dtype=float)
     n2 = _row_dot(p, p)
-    if np.any(n2 >= (1.0 - tol.ball) ** 2):
-        raise BallBoundary(
-            f"point with |p| = {np.sqrt(np.max(n2)):.17g} is not strictly inside the ball"
-        )
+    _require_in_ball(n2, tol)
     s = np.sqrt(1.0 - n2)[..., None]
     return np.concatenate([p / s, 1.0 / s], axis=-1)
 
@@ -118,30 +135,43 @@ class Plane:
         return f"Plane(normal={self.normal!r})"
 
 
-def plane_through(p1, p2, p3, interior_witness, tol: Tolerances = DEFAULT):
-    """Hyperbolic plane through three Klein points, oriented by a witness.
+def _unit_normals(anchors, tol: Tolerances):
+    """Unit Minkowski normals of planes through point triples, and the norms
+    they were scaled by: the library's one plane construction.
 
-    The returned normal n satisfies <n, lift(p_i)> = 0 and
-    <n, lift(interior_witness)> < 0.  Raises ``DegenerateFace`` when the
-    three lifts are linearly dependent and ``AmbiguousOrientation`` when the
-    witness lies on the plane.
+    ``anchors`` (k, 3, 3) holds triples p1, p2, p3.  With
+    a = (p2 - p1) x (p3 - p1) the plane is a . x = b for b = a . p1, so
+    n = (a, b) is Minkowski-orthogonal to every (x, 1) on it and points to
+    the side from which p1 -> p2 -> p3 runs counterclockwise.  Raises
+    ``BallBoundary`` for a point outside the ball and ``DegenerateFace`` when
+    the triple's (p, 1) span less than ``tol.rank_rel`` of their Hadamard
+    bound or n is not spacelike.
     """
-    lifts = np.stack([klein_lift(p1, tol), klein_lift(p2, tol), klein_lift(p3, tol)])
-    m = lifts @ J
-    _, sing, vh = np.linalg.svd(m)
-    if sing[2] <= tol.rank_rel * sing[0]:
+    cross = _cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
+    radii2 = _dot3(anchors, anchors)
+    _require_in_ball(radii2, tol)
+    b = _dot3(cross, anchors[:, 0])
+    aa = _dot3(cross, cross)
+    span = aa + b * b            # squared volume spanned by the three (p_i, 1)
+    if np.any(span <= tol.rank_rel ** 2 * np.prod(1.0 + radii2, axis=1)):
         raise DegenerateFace("three points do not span a plane")
-    n = vh[3]
-    q = minkowski_inner(n, n)
-    if q <= tol.rank_rel:
+    q = aa - b * b
+    if np.any(q <= tol.rank_rel * span):
         raise DegenerateFace("normal direction is not spacelike")
-    n = n / np.sqrt(q)
-    w = minkowski_inner(n, klein_lift(interior_witness, tol))
-    if abs(w) <= tol.witness:
-        raise AmbiguousOrientation("interior witness lies on the plane")
-    if w > 0:
-        n = -n
-    return Plane(n)
+    root = np.sqrt(q)
+    return np.column_stack([cross, b]) / root[:, None], root
+
+
+def plane_through(p1, p2, p3, tol: Tolerances = DEFAULT):
+    """Hyperbolic plane through three Klein points, oriented by their order.
+
+    The one-triple case of ``_unit_normals``: the normal n satisfies
+    <n, lift(p_i)> = 0 and points to the side from which p1 -> p2 -> p3 runs
+    counterclockwise.  Raises ``BallBoundary`` or ``DegenerateFace`` as
+    ``_unit_normals`` does.
+    """
+    anchors = np.array([p1, p2, p3], dtype=float)[None]
+    return Plane(_unit_normals(anchors, tol)[0][0])
 
 
 def reflect(plane: Plane):

@@ -27,10 +27,10 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BallBoundary,
     ConvexityViolation,
-    DegenerateFace,
     InvalidCombinatorics,
     PlanarityViolation,
 )
+from .lorentz import _cross, _dot3, _unit_normals
 
 
 class CombinatorialType:
@@ -269,21 +269,6 @@ class EmbeddedPolyhedron:
         return EmbeddedPolyhedron(self.combinatorics, positions)
 
 
-def _dot3(x, y):
-    """Row-wise dot product of two (..., 3) arrays, summed in a fixed order."""
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-
-
-def _cross(x, y):
-    """Row-wise cross product of broadcastable (..., 3) arrays: the products
-    and differences of ``np.cross``, without its per-call overhead."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
-    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
-    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
-    return out
-
-
 def _scatter(vertex_count, vertices, blocks):
     """Dense rows from per-vertex gradient blocks.
 
@@ -296,35 +281,6 @@ def _scatter(vertex_count, vertices, blocks):
     cols = 3 * vertices[..., None] + np.arange(3)
     flat = (np.arange(rows)[:, None, None] * width + cols).ravel()
     return np.bincount(flat, weights=blocks.ravel(), minlength=rows * width).reshape(rows, width)
-
-
-def _unit_normals(anchors, tol: Tolerances):
-    """Unit Minkowski normals of face planes and the norms they were scaled by.
-
-    ``anchors`` (k, 3, 3) holds each face's first three stored vertices
-    p1, p2, p3.  With a = (p2 - p1) x (p3 - p1) the plane is a . x = b for
-    b = a . p1, so n = (a, b) is Minkowski-orthogonal to every (x, 1) on it.
-    Counterclockwise storage makes a point outward, hence n points away from
-    the interior.  Raises ``BallBoundary`` for an anchor outside the ball and
-    ``DegenerateFace`` when the anchors' (p, 1) span less than
-    ``tol.rank_rel`` of their Hadamard bound or n is not spacelike.
-    """
-    cross = _cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
-    radii2 = _dot3(anchors, anchors)
-    if radii2.size and radii2.max() >= (1.0 - tol.ball) ** 2:
-        raise BallBoundary(
-            f"point with |p| = {np.sqrt(radii2.max()):.17g} is not strictly inside the ball"
-        )
-    b = _dot3(cross, anchors[:, 0])
-    aa = _dot3(cross, cross)
-    span = aa + b * b            # squared volume spanned by the three (p_i, 1)
-    if np.any(span <= tol.rank_rel ** 2 * np.prod(1.0 + radii2, axis=1)):
-        raise DegenerateFace("three points do not span a plane")
-    q = aa - b * b
-    if np.any(q <= tol.rank_rel * span):
-        raise DegenerateFace("normal direction is not spacelike")
-    root = np.sqrt(q)
-    return np.column_stack([cross, b]) / root[:, None], root
 
 
 def angles_between(normals_a, normals_b):
@@ -345,8 +301,8 @@ class FaceGeometry:
     cached on the combinatorial type.  Planarity and convexity are the
     anchored determinants (u x w) . (x - p1) with u, w the anchor edges;
     normals, angles and both Jacobians are closed-form (see
-    ``_unit_normals`` and ``angle_jacobian``).  Normals are computed on
-    first use, so the determinants never raise.
+    ``lorentz._unit_normals`` and ``angle_jacobian``).  Normals are computed
+    on first use, so the determinants never raise.
     """
 
     def __init__(self, poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -444,47 +400,43 @@ def convexity_margins(poly: EmbeddedPolyhedron):
     return FaceGeometry(poly).convexity_margins()
 
 
-def interior_point(poly: EmbeddedPolyhedron):
-    """Euclidean centroid of the vertices; must be interior to all faces."""
-    centroid = poly.positions.mean(axis=0)
-    geom = FaceGeometry(poly)
-    sides = _dot3(geom.cross, centroid - geom.anchors[:, 0])
-    if np.any(sides >= 0):
-        raise ConvexityViolation(f"centroid is not interior to face {int(np.argmax(sides >= 0))}")
-    return centroid
-
-
 def embed_euclidean(comb: CombinatorialType, euclidean_positions, scale=1.0,
                     tol: Tolerances = DEFAULT) -> EmbeddedPolyhedron:
     """Scale a Euclidean realization into the ball and validate it.
 
     Klein planes are Euclidean planes, so planarity and convexity of the
     scaled coordinates transfer verbatim to the hyperbolic polyhedron.
+    Raises the error of the first ``validate_embedding`` check that fails:
+    ``BallBoundary``, ``PlanarityViolation`` or ``ConvexityViolation``, with
+    its issue as the message.
     """
     report = validate_combinatorics(comb)
     if not report.valid:
         raise InvalidCombinatorics("; ".join(report.issues))
-    positions = scale * np.asarray(euclidean_positions, dtype=float)
-    poly = EmbeddedPolyhedron(comb, positions)
-    radii = np.linalg.norm(positions, axis=1)
-    if radii.size and radii.max() >= 1.0 - tol.ball:
-        raise BallBoundary(f"scaled vertex radius {radii.max():.17g} reaches the unit sphere")
-    residuals = planarity_residuals(poly)
-    if residuals.size and np.max(np.abs(residuals)) > tol.planar:
-        raise PlanarityViolation(f"max planarity residual {np.max(np.abs(residuals)):.3e}")
-    margins = convexity_margins(poly)
-    if margins.size and margins.min() <= tol.convex:
-        raise ConvexityViolation(f"minimum convexity margin {margins.min():.3e}")
+    poly = EmbeddedPolyhedron(comb, scale * np.asarray(euclidean_positions, dtype=float))
+    emb = validate_embedding(poly, tol)
+    if not emb.valid:
+        error = (BallBoundary if not emb.in_ball else
+                 PlanarityViolation if not emb.planar else ConvexityViolation)
+        raise error(emb.issues[0])
     return poly
 
 
 @dataclass
 class EmbeddingReport:
-    """Embedding diagnostics: ball containment, planarity, convexity."""
+    """Embedding diagnostics: ball containment, planarity, convexity.
+
+    ``in_ball``, ``planar`` and ``convex`` are the three verdicts; a NaN
+    value fails its check.  ``issues`` holds one line per failed check, in
+    that order, and is empty when the embedding is valid.
+    """
 
     max_radius: float
     max_planarity_residual: float
     min_convexity_margin: float
+    in_ball: bool
+    planar: bool
+    convex: bool
     issues: list = field(default_factory=list)
 
     @property
@@ -493,29 +445,40 @@ class EmbeddingReport:
 
 
 def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> EmbeddingReport:
-    """Non-raising version of the embedding invariants."""
-    radii = np.linalg.norm(poly.positions, axis=1)
-    max_radius = float(radii.max()) if radii.size else 0.0
-    residuals = planarity_residuals(poly)
-    max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-    margins = convexity_margins(poly)
-    min_margin = float(margins.min()) if margins.size else np.inf
+    """Non-raising judge of the embedding invariants, the library's only one.
+
+    Each check is written as the condition that passes, so a NaN value
+    fails it; the invalid-value warnings of non-finite input are silenced
+    for that reason.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        geom = FaceGeometry(poly, tol)
+        radii = np.linalg.norm(poly.positions, axis=1)
+        max_radius = float(radii.max()) if radii.size else 0.0
+        residuals = geom.planarity_residuals()
+        max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
+        margins = geom.convexity_margins()
+        min_margin = float(margins.min()) if margins.size else np.inf
+    in_ball = max_radius < 1.0 - tol.ball
+    planar = max_res <= tol.planar
+    convex = min_margin > tol.convex
     issues = []
-    if max_radius >= 1.0 - tol.ball:
+    if not in_ball:
         issues.append(f"vertex radius {max_radius:.17g} reaches the unit sphere")
-    if max_res > tol.planar:
+    if not planar:
         issues.append(f"max planarity residual {max_res:.3e} exceeds {tol.planar:.1e}")
-    if min_margin <= tol.convex:
+    if not convex:
         issues.append(f"minimum convexity margin {min_margin:.3e} is not positive")
-    return EmbeddingReport(max_radius, max_res, min_margin, issues)
+    return EmbeddingReport(max_radius, max_res, min_margin, in_ball, planar, convex, issues)
 
 
 def face_planes(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     """Away-from-interior hyperbolic plane of every face (anchored on the
     first three stored vertices).
 
-    The counterclockwise face orientation fixes the side, so no interior
-    witness is needed; degenerate anchor triples raise ``DegenerateFace``.
+    The counterclockwise face orientation fixes the side, as in
+    ``lorentz.plane_through``; degenerate anchor triples raise
+    ``DegenerateFace``.
     """
     return [lorentz.Plane(n) for n in FaceGeometry(poly, tol).normals]
 
@@ -530,10 +493,11 @@ def dihedral_angles(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
 
 
 def validate_angle_vector(angles, edge_count):
-    """Check a target angle vector: right length, every entry in (0, pi)."""
+    """Check a target angle vector: right length, every entry in (0, pi).
+    NaN and infinite entries are rejected."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (edge_count,):
         raise ValueError(f"expected {edge_count} angles, got shape {angles.shape}")
-    if np.any(angles <= 0.0) or np.any(angles >= np.pi):
+    if not np.all((angles > 0.0) & (angles < np.pi)):
         raise ValueError("angle entries must lie strictly between 0 and pi")
     return angles

@@ -16,6 +16,26 @@ def random_isometry(rng, scale=0.5):
     return expm(sum(c * g for c, g in zip(coeffs, gens)))
 
 
+def svd_plane_normal(p1, p2, p3, witness):
+    """Unit normal of the plane through three Klein points, oriented away
+    from an interior witness.
+
+    The reference for the library's closed-form plane kernel: the normal is
+    the null vector of the three lifts by SVD, and its sign comes from the
+    witness, not from the order of the points.
+    """
+    lifts = np.stack([lorentz.klein_lift(p1), lorentz.klein_lift(p2), lorentz.klein_lift(p3)])
+    _, sing, vh = np.linalg.svd(lifts @ lorentz.J)
+    assert sing[2] > 1e-10 * sing[0], "three points do not span a plane"
+    n = vh[3]
+    q = lorentz.minkowski_inner(n, n)
+    assert q > 1e-10, "normal direction is not spacelike"
+    n = n / np.sqrt(q)
+    w = lorentz.minkowski_inner(n, lorentz.klein_lift(witness))
+    assert abs(w) > 1e-12, "witness lies on the plane"
+    return -n if w > 0 else n
+
+
 def klein_metric_inner(x, u, v):
     """Riemannian metric of the ball model in which chords are geodesics."""
     r2 = float(x @ x)

@@ -6,7 +6,12 @@ from stokerlab import fixtures, lorentz
 from stokerlab.config import Tolerances
 from stokerlab.deform import DeformOptions, continuation_path, gauge_fix, realize_angles
 from stokerlab.errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence
-from stokerlab.polyhedron import dihedral_angles, planarity_residuals
+from stokerlab.polyhedron import (
+    CombinatorialType,
+    EmbeddedPolyhedron,
+    dihedral_angles,
+    planarity_residuals,
+)
 from stokerlab.rigidity import rigidity_report
 
 
@@ -129,6 +134,26 @@ class TestRealizeAngles:
         target[0] = np.pi
         with pytest.raises(ValueError):
             realize_angles(poly, target)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_target(self, value):
+        poly = fixtures.cube(0.3)
+        target = dihedral_angles(poly)
+        target[3] = value
+        with pytest.raises(ValueError, match="strictly between 0 and pi"):
+            realize_angles(poly, target)
+
+    def test_non_finite_start_raises(self):
+        # vertex 7 anchors no face here, so the angles stay finite and only
+        # the planarity residuals of its faces turn NaN
+        faces = [[5, 4, 6, 7], [0, 1, 3, 2], [6, 2, 3, 7],
+                 [0, 4, 5, 1], [3, 1, 5, 7], [0, 2, 6, 4]]
+        poly = EmbeddedPolyhedron(CombinatorialType(8, faces), fixtures.cube(0.3).positions)
+        target = dihedral_angles(poly)
+        pos = poly.positions.copy()
+        pos[7, 0] = np.nan
+        with pytest.raises(ValueError, match="initial residual nan is not finite"):
+            realize_angles(poly.with_positions(pos), target)
 
 
 class TestContinuationPath:

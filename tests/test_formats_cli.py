@@ -51,6 +51,20 @@ class TestPolyhedronFormat:
         with pytest.raises(ParseError):
             formats.load_polyhedron(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, literal):
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        data["vertices"][0][0] = "x"
+        path = write(tmp_path, "bad.json", json.dumps(data).replace('"x"', literal))
+        with pytest.raises(ParseError, match="vertex coordinates must be finite"):
+            formats.load_polyhedron(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_angle_rejected(self, tmp_path, literal):
+        path = write(tmp_path, "angles.json", f'{{"angles": [1.0, {literal}, 2.0]}}')
+        with pytest.raises(ParseError, match="angles must be finite"):
+            formats.load_angles(path)
+
 
 class TestPresentationFormat:
     def test_round_trip(self, tmp_path):
@@ -149,6 +163,60 @@ class TestCliOutOfRangeFace:
         assert report["command"] == command
         assert report["error"] == "ParseError"
         assert f"face 2 references vertex {index} outside 0..3" in report["message"]
+
+
+class TestCliNonFiniteInput:
+    """NaN and infinite numbers are invalid input: exit 2 with the
+    ``ParseError`` report, never a traceback or a judged report."""
+
+    COMMANDS = [["validate"], ["angles"], ["rigidity"], ["holonomy"],
+                ["deform", "--perturb", "1e-4"]]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_non_finite_vertex(self, command, value, tmp_path, capsys):
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        data["vertices"][1][2] = value
+        path = write(tmp_path, "bad.json", json.dumps(data))
+        code = cli.main([command[0], path] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["command"] == command[0]
+        assert report["error"] == "ParseError"
+        assert "vertex coordinates must be finite" in report["message"]
+        assert captured.err == ""
+
+    def test_nan_target_angle(self, tmp_path, capsys):
+        poly = fixtures.cube(0.3)
+        path = write_poly(tmp_path, poly)
+        target = dihedral_angles(poly)
+        target[5] = np.nan
+        target_path = write(tmp_path, "target.json",
+                            json.dumps({"angles": [float(a) for a in target]}))
+        code = cli.main(["deform", path, "--target", target_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert "angles must be finite" in report["message"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_matrix_entry(self, value, tmp_path, capsys):
+        fx = surface_group_fixture(fixtures.tetrahedron(0.3))
+        pres_path = write(tmp_path, "pres.txt",
+                          formats.dump_presentation(fx.presentation, fx.meridian_loops()))
+        data = json.loads(formats.dump_matrices(fx.representation))
+        data["matrices"][2][1][0][1] = value
+        mats_path = write(tmp_path, "mats.json", json.dumps(data))
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert "matrix entries must be finite" in report["message"]
+        assert captured.err == ""
 
 
 class TestCliAngles:

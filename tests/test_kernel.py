@@ -1,8 +1,8 @@
 """Closed-form face-plane kernel against independent references on random
 simplicial hulls and their polar duals.
 
-References: ``lorentz.plane_through`` (SVD normal, witness orientation) with
-``lorentz.minkowski_inner`` for normals and angles, a loop of
+References: ``helpers.svd_plane_normal`` (SVD normal, witness orientation)
+with ``lorentz.minkowski_inner`` for normals and angles, a loop of
 ``np.linalg.det`` for the determinants, and central differences for both
 Jacobians.
 """
@@ -10,7 +10,7 @@ Jacobians.
 import numpy as np
 from hypothesis import given, settings
 
-from helpers import finite_difference_jacobian, random_polyhedra
+from helpers import finite_difference_jacobian, random_polyhedra, svd_plane_normal
 from stokerlab import lorentz
 from stokerlab.polyhedron import (
     FaceGeometry,
@@ -33,7 +33,7 @@ examples = settings(max_examples=20, deadline=None, derandomize=True)
 def reference_normals(poly):
     witness = poly.positions.mean(axis=0)
     return np.array([
-        lorentz.plane_through(*poly.positions[list(f[:3])], witness).normal
+        svd_plane_normal(*poly.positions[list(f[:3])], witness)
         for f in poly.combinatorics.faces
     ])
 
@@ -58,6 +58,9 @@ def test_normals_match_plane_through(poly):
     assert np.max(np.abs(FaceGeometry(poly).normals - ref)) <= REFERENCE_TOL
     planes = np.array([plane.normal for plane in face_planes(poly)])
     assert np.max(np.abs(planes - ref)) <= REFERENCE_TOL
+    through = np.array([lorentz.plane_through(*poly.positions[list(f[:3])]).normal
+                        for f in poly.combinatorics.faces])
+    assert np.max(np.abs(through - ref)) <= REFERENCE_TOL
 
 
 @examples

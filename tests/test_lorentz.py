@@ -7,13 +7,7 @@ from scipy.linalg import expm
 from helpers import random_isometry, segment_length
 from stokerlab import lorentz
 from stokerlab.config import DEFAULT
-from stokerlab.errors import (
-    AmbiguousOrientation,
-    BallBoundary,
-    DegenerateAxis,
-    DegenerateFace,
-    LiftFailure,
-)
+from stokerlab.errors import BallBoundary, DegenerateAxis, DegenerateFace, LiftFailure
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -61,6 +55,13 @@ class TestKleinLift:
         with pytest.raises(BallBoundary):
             lorentz.klein_lift([0.9999999999, 0.0, 0.0])
 
+    def test_nan_rejected(self):
+        p = np.array([0.1, np.nan, 0.0])
+        with pytest.raises(BallBoundary):
+            lorentz.klein_lift(p)
+        with pytest.raises(BallBoundary):
+            lorentz.plane_through(p, np.array([0.2, 0.0, 0.0]), np.array([0.0, 0.0, 0.3]))
+
     def test_project_inverts_lift(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -96,46 +97,50 @@ class TestHyperbolicDistance:
 
 
 class TestPlaneThrough:
-    def test_coordinate_plane_oriented_by_witness(self):
+    def test_coordinate_plane_oriented_by_point_order(self):
+        # counterclockwise seen from above, so the normal points up
         pts = [np.array([0.2, 0.0, 0.0]), np.array([0.0, 0.3, 0.0]), np.array([-0.1, -0.2, 0.0])]
-        plane = lorentz.plane_through(*pts, interior_witness=np.array([0.0, 0.0, 0.5]))
-        assert np.allclose(np.abs(plane.normal), [0.0, 0.0, 1.0, 0.0], atol=1e-14)
-        # witness above the plane, so the normal points down
-        assert plane.normal[2] < 0
+        plane = lorentz.plane_through(*pts)
+        assert np.allclose(plane.normal, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
+        assert plane.side(np.array([0.0, 0.0, 0.5])) > 0
+        flipped = lorentz.plane_through(pts[0], pts[2], pts[1])
+        assert np.array_equal(flipped.normal, -plane.normal)
 
     def test_collinear_points_rejected(self):
         pts = [np.array([0.1, 0.0, 0.0]), np.array([0.2, 0.0, 0.0]), np.array([0.3, 0.0, 0.0])]
         with pytest.raises(DegenerateFace):
-            lorentz.plane_through(*pts, interior_witness=np.array([0.0, 0.3, 0.0]))
-
-    def test_witness_on_plane_rejected(self):
-        pts = [np.array([0.2, 0.0, 0.0]), np.array([0.0, 0.3, 0.0]), np.array([-0.1, -0.2, 0.0])]
-        with pytest.raises(AmbiguousOrientation):
-            lorentz.plane_through(*pts, interior_witness=np.array([0.4, 0.4, 0.0]))
+            lorentz.plane_through(*pts)
 
     def test_contains_its_points(self):
         rng = np.random.default_rng(5)
+        checked = 0
         for _ in range(10):
             pts = [rng.uniform(-0.5, 0.5, 3) for _ in range(3)]
-            witness = rng.uniform(-0.5, 0.5, 3)
             try:
-                plane = lorentz.plane_through(*pts, interior_witness=witness)
-            except (DegenerateFace, AmbiguousOrientation):
+                plane = lorentz.plane_through(*pts)
+            except DegenerateFace:
                 continue
             assert abs(lorentz.minkowski_inner(plane.normal, plane.normal) - 1.0) < 1e-12
             for p in pts:
                 assert abs(lorentz.minkowski_inner(plane.normal, lorentz.klein_lift(p))) < 1e-12
-            assert plane.side(witness) < 0
+            # seen from a point on the normal's side, p1 -> p2 -> p3 turns
+            # counterclockwise: the triple product with that point is positive
+            probe = rng.uniform(-0.5, 0.5, 3)
+            side = plane.side(probe)
+            if abs(side) > 1e-9:
+                u, w, x = pts[1] - pts[0], pts[2] - pts[0], probe - pts[0]
+                assert np.sign(np.linalg.det(np.column_stack([u, w, x]))) == np.sign(side)
+                checked += 1
+        assert checked >= 8
 
 
 class TestReflect:
     def _random_plane(self, rng):
         while True:
             pts = [rng.uniform(-0.5, 0.5, 3) for _ in range(3)]
-            witness = rng.uniform(-0.5, 0.5, 3)
             try:
-                return lorentz.plane_through(*pts, interior_witness=witness)
-            except (DegenerateFace, AmbiguousOrientation):
+                return lorentz.plane_through(*pts)
+            except DegenerateFace:
                 continue
 
     def test_coordinate_plane(self):

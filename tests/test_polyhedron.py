@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import corner_tetrahedron, intrinsic_dihedral_angle, random_isometry
-from stokerlab import fixtures, lorentz
+from stokerlab import cli, fixtures, formats, lorentz
 from stokerlab.errors import BallBoundary, ConvexityViolation, PlanarityViolation
 from stokerlab.polyhedron import (
     CombinatorialType,
@@ -10,13 +12,63 @@ from stokerlab.polyhedron import (
     convexity_margins,
     dihedral_angles,
     embed_euclidean,
-    interior_point,
     planarity_residuals,
     validate_combinatorics,
     validate_embedding,
 )
 
 EUCLIDEAN_TETRA_ANGLE = np.arccos(1.0 / 3.0)
+CUBE_CORNERS = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+                        dtype=float)
+# cyclic rotations of the cube's faces keep them counterclockwise but make
+# vertex 7 a non-anchor everywhere, so no face plane moves with it
+CYCLED_CUBE_FACES = [
+    [5, 4, 6, 7],
+    [0, 1, 3, 2],
+    [6, 2, 3, 7],
+    [0, 4, 5, 1],
+    [3, 1, 5, 7],
+    [0, 2, 6, 4],
+]
+
+
+def cube_outside_ball():
+    return EmbeddedPolyhedron(fixtures.cube().combinatorics, CUBE_CORNERS)
+
+
+def cube_nonplanar_quad():
+    verts = 0.3 * CUBE_CORNERS
+    verts[7] += np.array([0.05, 0.0, 0.0])
+    return EmbeddedPolyhedron(fixtures.cube().combinatorics, verts)
+
+
+def pyramid_apex_below_base():
+    poly = fixtures.square_pyramid(0.3)
+    pos = poly.positions.copy()
+    pos[4] = np.array([0.0, 0.0, pos[0][2] - 0.01])
+    return poly.with_positions(pos)
+
+
+def mirrored_tetrahedron():
+    poly = fixtures.tetrahedron(0.3)
+    return poly.with_positions(-poly.positions)
+
+
+def cube_vertex_past_wall():
+    """Vertex 7 moved past the x = -s wall (face 1), y and z unchanged."""
+    pos = fixtures.cube(0.3).positions.copy()
+    pos[7, 0] = pos[0, 0] - 0.02
+    return EmbeddedPolyhedron(CombinatorialType(8, CYCLED_CUBE_FACES), pos)
+
+
+# each failing embedding with the error of its first failing check
+FAILING_EMBEDDINGS = {
+    "cube_outside_ball": (cube_outside_ball, BallBoundary),
+    "cube_nonplanar_quad": (cube_nonplanar_quad, PlanarityViolation),
+    "pyramid_apex_below_base": (pyramid_apex_below_base, ConvexityViolation),
+    "mirrored_tetrahedron": (mirrored_tetrahedron, ConvexityViolation),
+    "cube_vertex_past_wall": (cube_vertex_past_wall, PlanarityViolation),
+}
 
 
 class TestCombinatorics:
@@ -123,30 +175,14 @@ class TestConvexity:
         assert margins.min() > 0
 
     def test_reflection_flips_all_margins(self):
-        poly = fixtures.tetrahedron(0.3)
-        mirrored = poly.with_positions(-poly.positions)
-        assert convexity_margins(mirrored).max() < 0
+        assert convexity_margins(mirrored_tetrahedron()).max() < 0
 
     def test_vertex_pulled_past_opposite_face_plane(self):
-        # cyclic rotations keep faces counterclockwise but make vertex 7 a
-        # non-anchor everywhere, so no face plane moves with it
-        faces = [
-            [5, 4, 6, 7],
-            [0, 1, 3, 2],
-            [6, 2, 3, 7],
-            [0, 4, 5, 1],
-            [3, 1, 5, 7],
-            [0, 2, 6, 4],
-        ]
-        seed = fixtures.cube(0.3)
-        comb = CombinatorialType(8, faces)
-        poly = EmbeddedPolyhedron(comb, seed.positions)
+        comb = CombinatorialType(8, CYCLED_CUBE_FACES)
+        poly = EmbeddedPolyhedron(comb, fixtures.cube(0.3).positions)
         assert convexity_margins(poly).min() > 0
         crossing_face = 1  # the x = -s wall, which does not contain vertex 7
-        pos = poly.positions.copy()
-        pos[7, 0] = pos[0, 0] - 0.02  # past the wall, y and z unchanged
-        pushed = EmbeddedPolyhedron(comb, pos)
-        margins = convexity_margins(pushed)
+        margins = convexity_margins(cube_vertex_past_wall())
         for k, (f, v) in enumerate(comb.convexity_pairs):
             if (f, v) == (crossing_face, 7):
                 assert margins[k] < 0
@@ -163,28 +199,73 @@ class TestEmbedEuclidean:
 
     def test_cube_scales(self):
         comb = fixtures.cube().combinatorics
-        verts = 0.5 * np.array(
-            [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float
-        )
+        verts = 0.5 * CUBE_CORNERS
         assert validate_embedding(embed_euclidean(comb, verts, 0.4)).valid
         with pytest.raises(BallBoundary):
             embed_euclidean(comb, verts, 2.0)
 
     def test_nonplanar_quad_rejected(self):
-        comb = fixtures.cube().combinatorics
-        verts = 0.3 * np.array(
-            [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float
-        )
-        verts[7] += np.array([0.05, 0.0, 0.0])
+        poly = cube_nonplanar_quad()
         with pytest.raises(PlanarityViolation):
-            embed_euclidean(comb, verts, 1.0)
+            embed_euclidean(poly.combinatorics, poly.positions, 1.0)
 
     def test_nonconvex_rejected(self):
-        poly = fixtures.square_pyramid(0.3)
-        pos = poly.positions.copy()
-        pos[4] = np.array([0.0, 0.0, pos[0][2] - 0.01])
+        poly = pyramid_apex_below_base()
         with pytest.raises(ConvexityViolation):
-            embed_euclidean(poly.combinatorics, pos, 1.0)
+            embed_euclidean(poly.combinatorics, poly.positions, 1.0)
+
+
+class TestEmbeddingJudge:
+    """``validate_embedding`` decides ball, planarity and convexity; the
+    other paths read its report."""
+
+    @pytest.mark.parametrize("name", sorted(FAILING_EMBEDDINGS))
+    def test_embed_raises_the_first_failing_check(self, name):
+        build, error = FAILING_EMBEDDINGS[name]
+        poly = build()
+        report = validate_embedding(poly)
+        with pytest.raises(error) as info:
+            embed_euclidean(poly.combinatorics, poly.positions)
+        assert str(info.value) == report.issues[0]
+
+    @pytest.mark.parametrize("name", sorted(FAILING_EMBEDDINGS))
+    def test_cli_verdicts_read_the_report(self, name, tmp_path, capsys):
+        poly = FAILING_EMBEDDINGS[name][0]()
+        path = tmp_path / "poly.json"
+        path.write_text(formats.dump_polyhedron(poly))
+        report = validate_embedding(formats.load_polyhedron(str(path)))
+        assert not report.valid
+        assert cli.main(["validate", str(path)]) == 1
+        verdicts = {v["name"]: v["pass"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert verdicts == {
+            "combinatorics_valid": True,
+            "embedding_planar": report.planar,
+            "embedding_convex": report.convex,
+            "embedding_in_ball": report.in_ball,
+        }
+
+    @pytest.mark.parametrize("vertex", [0, 7])
+    def test_nan_fails_every_check(self, vertex):
+        # vertex 0 anchors three faces, vertex 7 none
+        pos = fixtures.cube(0.3).positions.copy()
+        pos[vertex, 1] = np.nan
+        poly = EmbeddedPolyhedron(CombinatorialType(8, CYCLED_CUBE_FACES), pos)
+        report = validate_embedding(poly)
+        assert not (report.in_ball or report.planar or report.convex)
+        assert len(report.issues) == 3 and not report.valid
+        with pytest.raises(BallBoundary):
+            embed_euclidean(poly.combinatorics, pos)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("vertex", [0, 7])
+    def test_infinite_coordinate_fails(self, vertex, value):
+        pos = fixtures.cube(0.3).positions.copy()
+        pos[vertex, 2] = value
+        poly = EmbeddedPolyhedron(CombinatorialType(8, CYCLED_CUBE_FACES), pos)
+        report = validate_embedding(poly)
+        assert not report.valid and not report.in_ball
+        with pytest.raises(BallBoundary):
+            embed_euclidean(poly.combinatorics, pos)
 
 
 class TestDihedralAngles:
@@ -270,35 +351,6 @@ class TestRelabelingInvariance:
             np.sort(np.abs(planarity_residuals(relabeled))),
             atol=1e-14,
         )
-
-
-class TestInteriorPoint:
-    def test_symmetric_fixtures_give_origin(self):
-        assert np.max(np.abs(interior_point(fixtures.tetrahedron(0.3)))) < 1e-15
-        assert np.max(np.abs(interior_point(fixtures.cube(0.3)))) < 1e-15
-
-    def test_translated_polyhedron(self):
-        poly = fixtures.tetrahedron(0.2)
-        moved = poly.with_positions(poly.positions + np.array([0.15, -0.1, 0.05]))
-        centroid = interior_point(moved)
-        comb = moved.combinatorics
-        probe = EmbeddedPolyhedron(
-            CombinatorialType(comb.vertex_count + 1, comb.faces),
-            np.vstack([moved.positions, centroid]),
-        )
-        margins = convexity_margins(probe)
-        extra = [
-            m for m, (f, v) in zip(margins, probe.combinatorics.convexity_pairs)
-            if v == comb.vertex_count
-        ]
-        assert len(extra) == comb.face_count
-        assert min(extra) > 0
-
-    def test_degenerate_raises(self):
-        poly = fixtures.tetrahedron(0.3)
-        flat = poly.with_positions(poly.positions * np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(ConvexityViolation):
-            interior_point(flat)
 
 
 class TestTriangulatedEmbeddings:
