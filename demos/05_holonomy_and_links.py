@@ -10,7 +10,12 @@ import numpy as np
 
 from stokerlab import fixtures
 from stokerlab.polyhedron import dihedral_angles
-from stokerlab.repvar import irreducibility_check, link_representation, meridian_holonomy
+from stokerlab.repvar import (
+    irreducibility_check,
+    link_representation,
+    meridian_holonomy,
+    representation_report,
+)
 
 poly = fixtures.tetrahedron(0.3)
 comb = poly.combinatorics
@@ -29,8 +34,10 @@ for k, e in enumerate(comb.edges):
 print("\nvertex   valence   relation residual   irreducible")
 for v in range(comb.vertex_count):
     link = link_representation(poly, v)
-    irr = irreducibility_check(link.representation())
-    print(f"{v:6}   {len(link.edges):7}   {link.relation_residual():.3e}   "
+    rep = link.representation()
+    _, [(_, residual)] = representation_report(rep, link.presentation)
+    irr = irreducibility_check(rep)
+    print(f"{v:6}   {len(link.edges):7}   {residual:.3e}   "
           f"{irr.irreducible}")
 
 # Cone angles of the double stay below a full turn exactly because the

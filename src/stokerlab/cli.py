@@ -221,9 +221,10 @@ def cmd_holonomy(args, tol: Tolerances, config):
     worst_relation = 0.0
     all_irreducible = True
     for link in holonomy.links:
-        residual = link.relation_residual()
+        rep = link.representation()
+        _, [(_, residual)] = repvar.representation_report(rep, link.presentation)
         worst_relation = max(worst_relation, residual)
-        irr = repvar.irreducibility_check(link.representation(), tol)
+        irr = repvar.irreducibility_check(rep, tol)
         all_irreducible = all_irreducible and irr.irreducible
         vertex_rows.append({
             "vertex": link.vertex,
@@ -276,7 +277,7 @@ def cmd_tracerank(args, tol: Tolerances, config):
                 f"matrix file has {rep.generator_count}"
             )
     report = _base_report("tracerank", paths, config)
-    det_defect, relator_data = repvar.representation_report(rep, pres, tol)
+    det_defect, relator_data = repvar.representation_report(rep, pres)
     if not loops:
         loops = [(g,) for g in range(1, pres.generator_count + 1)]
     rank_report = repvar.trace_rank(rep, pres, loops, args.unitary, tol)

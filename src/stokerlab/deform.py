@@ -55,46 +55,26 @@ def gauge_fix(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> EmbeddedPo
     """Canonical representative of the orientation-preserving isometry orbit.
 
     Moves vertex 0 to the origin by a hyperbolic translation, then rotates
-    vertex 1 onto the positive x-axis and vertex 2 into the open upper half
-    of the xy-plane.  Raises ``DegenerateFrame`` when the first three
-    vertices are collinear.
+    by the orthonormal frame e1 = p1 / |p1|, e2 = the normalized part of p2
+    orthogonal to e1, e1 x e2 (p1, p2 the moved vertices 1 and 2), which
+    puts vertex 1 on the positive x-axis and vertex 2 in the open upper half
+    of the xy-plane.  Raises ``DegenerateFrame`` when the first two vertices
+    coincide or the first three are collinear.
     """
     pos = lorentz.apply_isometry(
         lorentz.translation_to_origin(poly.positions[0], tol), poly.positions, tol
     )
-    y1 = pos[1]
-    r1 = np.linalg.norm(y1)
+    p1, p2 = pos[1], pos[2]
+    r1 = np.linalg.norm(p1)
     if r1 < tol.frame:
         raise DegenerateFrame("first two vertices coincide")
-    rot1 = _rotation_taking(y1 / r1, np.array([1.0, 0.0, 0.0]))
-    pos = pos @ rot1.T
-    y2 = pos[2]
-    rho = np.hypot(y2[1], y2[2])
+    e1 = p1 / r1
+    w = p2 - (p2 @ e1) * e1
+    rho = np.linalg.norm(w)
     if rho < tol.frame:
         raise DegenerateFrame("first three vertices are collinear")
-    phi = np.arctan2(y2[2], y2[1])
-    c, s = np.cos(-phi), np.sin(-phi)
-    rot2 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    return poly.with_positions(pos @ rot2.T)
-
-
-def _rotation_taking(u, v):
-    """Rotation matrix carrying unit vector u to unit vector v (Rodrigues)."""
-    axis = np.cross(u, v)
-    s = np.linalg.norm(axis)
-    c = float(u @ v)
-    if s < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        # u = -v: rotate by pi about any axis orthogonal to v
-        helper = np.array([0.0, 0.0, 1.0]) if abs(v[2]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        axis = np.cross(v, helper)
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    k = np.array(
-        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-    )
-    return np.eye(3) + k + k @ k * ((1.0 - c) / (s * s))
+    e2 = w / rho
+    return poly.with_positions(pos @ np.array([e1, e2, np.cross(e1, e2)]).T)
 
 
 def _stacked_residual(geom: FaceGeometry, target):

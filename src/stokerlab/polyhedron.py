@@ -289,11 +289,6 @@ def angles_between(normals_a, normals_b):
     return np.pi - np.arccos(np.clip(lorentz.minkowski_inner(normals_a, normals_b), -1.0, 1.0))
 
 
-def face_normals(poly: EmbeddedPolyhedron, faces, tol: Tolerances = DEFAULT):
-    """Away-from-interior unit normals (k x 4) of the listed faces only."""
-    return _unit_normals(poly.positions[poly.combinatorics.face_anchors[list(faces)]], tol)[0]
-
-
 class FaceGeometry:
     """All face-plane quantities of one embedding, evaluated in batches.
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import EigenFailure, IndexRange, InvalidCombinatorics
-from .polyhedron import EmbeddedPolyhedron, angles_between, face_normals
+from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 from .rigidity import numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
@@ -166,16 +166,15 @@ def coboundary(v, rep: Representation) -> Cocycle:
     return Cocycle([v - m @ v @ lorentz.sl2_inverse(m) for m in rep.images])
 
 
-def representation_report(rep: Representation, pres: Presentation,
-                          tol: Tolerances = DEFAULT):
+def representation_report(rep: Representation, pres: Presentation):
     """Determinant defects and signed relator residuals.
 
     Returns (max |det - 1|, [(sign, residual)] per relator) where residual is
     the Frobenius distance of the relator value to sign * identity.
     """
-    det_defect = max(
-        (abs(np.linalg.det(m) - 1.0) for m in rep.images), default=0.0
-    )
+    # one batched det; hypot rounds like the scalar complex modulus
+    defects = np.linalg.det(np.array(rep.images).reshape(-1, 2, 2)) - 1.0
+    det_defect = np.hypot(defects.real, defects.imag).max(initial=0.0)
     relator_data = []
     for r in pres.relators:
         w = evaluate_word(rep, r)
@@ -277,8 +276,10 @@ def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
 def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAULT):
     """Orthonormal basis (columns) of the conjugation-induced deformations.
 
-    The real dimension equals the algebra dimension (6 over SL(2,C)) exactly
-    when the representation is irreducible.
+    The real dimension is the algebra dimension minus that of the centralizer
+    of the images.  Irreducible representations reach the full 6 over
+    SL(2,C), and so do some reducible ones: two upper-triangular images
+    with a trivial common centralizer share an eigenline and still give 6.
     """
     u, sing, _ = np.linalg.svd(_coboundary_matrix(rep, algebra), full_matrices=False)
     rank = numerical_rank(sing, tol.rank_svd)
@@ -368,9 +369,10 @@ def _star_slots(comb, vertices):
 
     Returns lists: the slot offsets of the vertices (slots of
     ``vertices[i]`` are ``offsets[i]:offsets[i + 1]``), the position in
-    ``vertices`` of every slot's vertex, the slot edges, and the face pairs
-    (face before, face after): edge k of a star lies between star faces
-    k - 1 and k.  Raises ``InvalidCombinatorics`` for a valence below 3.
+    ``vertices`` of every slot's vertex, the edge index of every slot, and
+    the face pairs (face before, face after): edge k of a star lies between
+    star faces k - 1 and k.  Raises ``InvalidCombinatorics`` for a valence
+    below 3.
     """
     offsets, owners, edges, pairs = [0], [], [], []
     for i, v in enumerate(vertices):
@@ -380,25 +382,21 @@ def _star_slots(comb, vertices):
             raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
         offsets.append(offsets[-1] + d)
         owners += [i] * d
-        edges += star_edges
+        edges += [comb.edge_index[e] for e in star_edges]
         pairs += [(star_faces[k - 1], star_faces[k]) for k in range(d)]
     return offsets, owners, edges, pairs
 
 
-def _meridian_products(poly: EmbeddedPolyhedron, pairs, tol: Tolerances):
-    """Meridians R_f R_g of (k, 2) face pairs (f, g) in the global frame, and
-    the unit normals of both faces of every pair, shape (k, 2, 4).
+def _meridian_products(geom: FaceGeometry, pairs):
+    """Meridians R_f R_g of (k, 2) face pairs (f, g) in the global frame,
+    from one reflection table over the faces of ``geom``.
 
-    One reflection table covers the distinct faces of the pairs, so a few
-    meridians cost only their own face planes.  The product of the
-    reflections in two adjacent face planes is an elliptic isometry about
-    their common edge rotating by twice the dihedral angle.
+    The product of the reflections in two adjacent face planes is an
+    elliptic isometry about their common edge rotating by twice the dihedral
+    angle.
     """
-    faces, inverse = np.unique(pairs, return_inverse=True)
-    inverse = inverse.reshape(pairs.shape)
-    normals = face_normals(poly, faces, tol)
-    reflections = lorentz.reflect(lorentz.Plane(normals))
-    return reflections[inverse[:, 0]] @ reflections[inverse[:, 1]], normals[inverse]
+    reflections = lorentz.reflect(lorentz.Plane(geom.normals))
+    return reflections[pairs[:, 0]] @ reflections[pairs[:, 1]]
 
 
 @dataclass
@@ -423,13 +421,6 @@ class LinkRepresentation:
     def representation(self) -> Representation:
         return Representation(list(self.meridians))
 
-    def relation_residual(self):
-        """Frobenius distance of the cyclic lift product to the nearer of +I, -I."""
-        prod = _I2
-        for m in self.meridians:
-            prod = prod @ m
-        return float(min(np.linalg.norm(prod - _I2), np.linalg.norm(prod + _I2)))
-
 
 def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
     """Meridians of the given edges and of every star slot of the given
@@ -438,26 +429,27 @@ def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
     Edge meridians stay in the global frame.  The meridians of a vertex's
     star, ordered along the star walk so their cyclic product telescopes to
     the identity, are conjugated by the translation taking the vertex to the
-    origin, so their lifts lie in SU(2).  Returns the edge isometries
-    (k, 4, 4), their lifts (k, 2, 2) and one ``LinkRepresentation`` per
-    vertex.
+    origin, so their lifts lie in SU(2).  A link's cone angles are twice the
+    dihedral angles of its edges.  Returns the edge isometries (k, 4, 4),
+    their lifts (k, 2, 2) and one ``LinkRepresentation`` per vertex.
     """
     comb = poly.combinatorics
+    geom = FaceGeometry(poly, tol)
     vertices = list(vertices)
     offsets, owner, slot_edges, slot_pairs = _star_slots(comb, vertices)
     edge_pairs = [comb.edge_faces(e) for e in edges]
     pairs = np.array(edge_pairs + slot_pairs, dtype=np.intp).reshape(-1, 2)
-    products, normals = _meridian_products(poly, pairs, tol)
+    products = _meridian_products(geom, pairs)
     n = len(edge_pairs)
     move = lorentz.translation_to_origin(poly.positions[vertices], tol)
     move_inv = lorentz.J @ np.swapaxes(move, -1, -2) @ lorentz.J
     link_so31 = move[owner] @ products[n:] @ move_inv[owner]
     lifts = lorentz.sl2c_lift(np.concatenate([products[:n], link_so31]), tol)
     link_lifts = lifts[n:]
-    cone = 2.0 * angles_between(normals[n:, 0], normals[n:, 1])
+    cone = 2.0 * geom.angles[slot_edges]
     links = [
-        LinkRepresentation(v, tuple(slot_edges[a:b]), list(link_lifts[a:b]),
-                           list(link_so31[a:b]), cone[a:b])
+        LinkRepresentation(v, tuple(comb.edges[k] for k in slot_edges[a:b]),
+                           list(link_lifts[a:b]), list(link_so31[a:b]), cone[a:b])
         for v, a, b in zip(vertices, offsets, offsets[1:])
     ]
     return products[:n], lifts[:n], links
@@ -552,13 +544,13 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     the twists.
     """
     comb = poly.combinatorics
+    geom = FaceGeometry(poly, tol)
     offsets, owner, slot_edges, slot_pairs = _star_slots(comb, range(comb.vertex_count))
-    slot_matrices, normals = _meridian_products(poly, np.array(slot_pairs, dtype=np.intp), tol)
+    slot_matrices = _meridian_products(geom, np.array(slot_pairs, dtype=np.intp))
     ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
-    slot_edge = np.array([comb.edge_index[e] for e in slot_edges], dtype=np.intp)
-    slot_end = (np.array(owner, dtype=np.intp) == ends[slot_edge, 1]).astype(np.intp)
+    slot_end = (np.array(owner, dtype=np.intp) == ends[slot_edges, 1]).astype(np.intp)
     rows = np.empty_like(ends)              # slot row of every edge end
-    rows[slot_edge, slot_end] = np.arange(len(slot_edges))
+    rows[slot_edges, slot_end] = np.arange(len(slot_edges))
     mismatch = np.max(np.abs(slot_matrices[rows[:, 0]] @ slot_matrices[rows[:, 1]]
                              - np.eye(4)), axis=(1, 2))
     for e, defect in zip(comb.edges, mismatch):
@@ -566,9 +558,6 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
             raise InvalidCombinatorics(
                 f"meridian copies of edge {e} are not inverse (defect {defect:.3e})"
             )
-    # The slot of an edge at its smaller end pairs the faces of ``edge_faces``,
-    # so its cone angle is the dihedral angle.
-    angles = angles_between(normals[rows[:, 0], 0], normals[rows[:, 0], 1])
 
     parent = comb.edge_graph.parent
     child_first = parent[ends[:, 0]] == ends[:, 1]
@@ -580,7 +569,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     letters[tree, 1] = -letters[tree, 0]
     cross = np.flatnonzero(~tree)
     twists = [
-        lorentz.rotation_about_edge(poly.positions[a], poly.positions[b], angles[k], tol)
+        lorentz.rotation_about_edge(poly.positions[a], poly.positions[b], geom.angles[k], tol)
         for k, (a, b) in zip(cross, ends[cross])
     ]
     # Read row by row, the positive letters are 1, 2, ..., so their slot
@@ -588,7 +577,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     slots = slot_matrices[rows[letters > 0]]
     images = lorentz.sl2c_lift(np.concatenate([slots, np.reshape(twists, (-1, 4, 4))]), tol)
 
-    slot_letters = letters[slot_edge, slot_end]
+    slot_letters = letters[slot_edges, slot_end]
     twist = int(width.sum()) + 1 + np.arange(len(cross))
     relators = [slot_letters[a:b] for a, b in zip(offsets, offsets[1:])]
     relators += [(t, a, -t, b) for t, (a, b) in zip(twist, letters[cross])]

@@ -154,8 +154,6 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
     else:
         residual = np.inf
 
-    if tangent.shape[1] != edge_count + 6:
-        notes.append("tangent dimension mismatch")
     if rank != edge_count:
         notes.append(f"angle rank {rank} != |E| = {edge_count}")
     if kernel_dim != 6:

@@ -30,6 +30,7 @@ from stokerlab.repvar import (
     link_representation,
     matrix_from_coords,
     meridian_holonomy,
+    representation_report,
     surface_group_fixture,
     trace_differential,
     trace_rank,
@@ -134,7 +135,8 @@ def test_criterion_3_holonomy_identities():
                 failures.append(f"{name} edge {e}: trace defect {defect:.3e}")
         for v in range(comb.vertex_count):
             link = link_representation(poly, v)
-            residual = link.relation_residual()
+            _, [(_, residual)] = representation_report(link.representation(),
+                                                       link.presentation)
             if not residual < 1e-8:
                 failures.append(f"{name} vertex {v}: relation residual {residual:.3e}")
             if not irreducibility_check(link.representation()).irreducible:

@@ -9,6 +9,7 @@ from stokerlab.errors import BallExit, ConvexityLost, DegenerateFrame, NoConverg
 from stokerlab.polyhedron import (
     CombinatorialType,
     EmbeddedPolyhedron,
+    convexity_margins,
     dihedral_angles,
     planarity_residuals,
 )
@@ -45,6 +46,22 @@ class TestGaugeFix:
     def test_preserves_angles(self):
         poly = fixtures.cube(0.35)
         assert np.max(np.abs(dihedral_angles(gauge_fix(poly)) - dihedral_angles(poly))) < 1e-10
+
+    def test_vertex_one_on_negative_axis(self):
+        """Vertex 1 on the negative x-axis needs a half turn; the frame
+        handles it like any other direction and keeps the orientation."""
+        fixed = gauge_fix(fixtures.cube(0.3))
+        half_turn = fixed.with_positions(fixed.positions * np.array([-1.0, -1.0, 1.0]))
+        again = gauge_fix(half_turn)
+        assert np.max(np.abs(again.positions - fixed.positions)) < 1e-15
+        assert convexity_margins(again).min() > 0.0
+
+    def test_coincident_frame_rejected(self):
+        poly = fixtures.tetrahedron(0.3)
+        pos = poly.positions.copy()
+        pos[1] = pos[0]
+        with pytest.raises(DegenerateFrame, match="coincide"):
+            gauge_fix(poly.with_positions(pos))
 
     def test_collinear_frame_rejected(self):
         poly = fixtures.tetrahedron(0.3)

@@ -268,7 +268,9 @@ class TestLinkRepresentation:
         poly = fixtures.STANDARD[name](0.3)
         for v in range(poly.combinatorics.vertex_count):
             link = link_representation(poly, v)
-            assert link.relation_residual() < 1e-10
+            _, [(_, residual)] = representation_report(link.representation(),
+                                                       link.presentation)
+            assert residual < 1e-10
 
     def test_square_pyramid_apex_symmetry(self):
         link = link_representation(fixtures.square_pyramid(0.3), 4)
@@ -317,6 +319,13 @@ class TestIrreducibility:
         b = lorentz.sl2c_lift(lorentz.rotation_about_edge([0.1, 0.0, 0.0], [0.1, 0.4, 0.0], 0.7))
         report = irreducibility_check(Representation([a, b]))
         assert report.irreducible
+
+    def test_reducible_with_full_coboundary_dimension(self):
+        """A shared eigenline but a trivial centralizer: reducible, yet the
+        coboundaries span all 6 dimensions of sl(2,C)."""
+        rep = Representation([np.array([[2.0, 1.0], [0.0, 0.5]]), np.diag([3.0, 1.0 / 3.0])])
+        assert not irreducibility_check(rep).irreducible
+        assert coboundary_space(rep).shape[1] == 6
 
 
 DEMO_PRESENTATION = (pathlib.Path(__file__).parent.parent
@@ -370,6 +379,20 @@ class TestSurfaceGroupFixture:
             tr = np.trace(evaluate_word(fx.representation, word))
             assert abs(tr.imag) < 1e-10
             assert abs(tr.real) == pytest.approx(2.0 * abs(np.cos(angles[k])), abs=1e-9)
+
+    def test_twists_rotate_by_dihedral_angles(self):
+        """A twist is the rotation about its cross edge by the edge's
+        dihedral angle, so its lift has |tr| = 2|cos(angle / 2)|."""
+        poly = SURFACE_CASES["hull16"]()
+        fx = surface_group_fixture(poly)
+        angles = dihedral_angles(poly)
+        comb = poly.combinatorics
+        twists = [(k, name) for k, name in enumerate(fx.generator_names) if name[0] == "t"]
+        assert twists
+        for k, name in twists:
+            edge = tuple(int(v) for v in name[1:].split("_"))
+            expected = 2.0 * abs(np.cos(angles[comb.edge_index[edge]] / 2.0))
+            assert abs(np.trace(fx.representation.images[k])) == pytest.approx(expected, abs=1e-12)
 
     def test_tetrahedron_presentation_matches_tracked_demo_output(self):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))
