@@ -28,6 +28,7 @@ from .polyhedron import (
 )
 from .repvar import (
     Cocycle,
+    LinkCertificate,
     LinkRepresentation,
     PolyhedronHolonomy,
     Presentation,
@@ -39,6 +40,7 @@ from .repvar import (
     cohomology_basis,
     evaluate_word,
     irreducibility_check,
+    link_certificate,
     link_representation,
     meridian_holonomy,
     polyhedron_holonomy,

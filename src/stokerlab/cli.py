@@ -6,8 +6,9 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 verdict carries the tolerance it was judged against.
 
 Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
-(non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
-exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
+(non-finite numbers included, and for ``angles`` and ``holonomy`` an
+embedding that ``validate`` fails), 3 no convergence, 4 convexity lost, 5
+ball exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
 tolerance (default 1); randomness enters only through the explicit
 ``--seed`` flag (NumPy PCG64).
 """
@@ -101,10 +102,20 @@ def _load_valid_polyhedron(path):
     return poly
 
 
+def _require_embedding(poly, path, tol: Tolerances):
+    """Reject an embedding that ``validate_embedding`` fails, with its first
+    issue.  Callers evaluate the face kernel first, so a degenerate face
+    still raises the kernel's own error."""
+    emb = polyhedron.validate_embedding(poly, tol)
+    if not emb.valid:
+        raise ParseError(f"{path}: invalid embedding: {emb.issues[0]}")
+
+
 def cmd_angles(args, tol: Tolerances, config):
     poly = _load_valid_polyhedron(args.path)
     report = _base_report("angles", [args.path], config)
     angles = polyhedron.dihedral_angles(poly, tol)
+    _require_embedding(poly, args.path, tol)
     report["results"]["edges"] = [list(e) for e in poly.combinatorics.edges]
     report["results"]["angles"] = [float(a) for a in angles]
     ok = _verdict(report, "angles_in_range",
@@ -202,8 +213,9 @@ def cmd_holonomy(args, tol: Tolerances, config):
     poly = _load_valid_polyhedron(args.path)
     comb = poly.combinatorics
     report = _base_report("holonomy", [args.path], config)
-    angles = polyhedron.dihedral_angles(poly, tol)
     holonomy = repvar.polyhedron_holonomy(poly, tol)
+    _require_embedding(poly, args.path, tol)
+    angles = holonomy.angles
     traces = np.trace(holonomy.meridians, axis1=1, axis2=2)
     trace_abs = np.hypot(traces.real, traces.imag)
     defects = np.abs(np.abs(traces.real) - 2.0 * np.abs(np.cos(angles)))
@@ -217,22 +229,21 @@ def cmd_holonomy(args, tol: Tolerances, config):
         }
         for k, e in enumerate(comb.edges)
     ]
-    vertex_rows = []
-    worst_relation = 0.0
-    all_irreducible = True
-    for link in holonomy.links:
-        rep = link.representation()
-        _, [(_, residual)] = repvar.representation_report(rep, link.presentation)
-        worst_relation = max(worst_relation, residual)
-        irr = repvar.irreducibility_check(rep, tol)
-        all_irreducible = all_irreducible and irr.irreducible
-        vertex_rows.append({
+    links = repvar.link_certificate(holonomy, tol)
+    vertex_rows = [
+        {
             "vertex": link.vertex,
             "valence": len(link.edges),
-            "relation_residual": residual,
-            "irreducible": irr.irreducible,
-            "irreducibility_residual": irr.residual,
-        })
+            "relation_residual": float(relation),
+            "irreducible": bool(irreducible),
+            "irreducibility_residual": float(residual),
+        }
+        for link, relation, irreducible, residual in zip(
+            holonomy.links, links.relation_residuals, links.irreducible,
+            links.irreducibility_residuals)
+    ]
+    worst_relation = float(np.max(links.relation_residuals, initial=0.0))
+    all_irreducible = bool(np.all(links.irreducible))
     report["results"]["edges"] = edge_rows
     report["results"]["vertices"] = vertex_rows
     ok = _verdict(report, "trace_identities", worst_trace < tol.trace_identity,

@@ -97,8 +97,18 @@ class CombinatorialType:
             self._stars[v] = self._walk_star(v)
         return self._stars[v]
 
+    @cached_property
+    def vertex_faces(self):
+        """Faces containing each vertex, in increasing face order, keyed by
+        every vertex that some face lists (in range or not)."""
+        incident = {}
+        for fi, f in enumerate(self.faces):
+            for v in dict.fromkeys(f):
+                incident.setdefault(v, []).append(fi)
+        return incident
+
     def _walk_star(self, v):
-        incident = [fi for fi, f in enumerate(self.faces) if v in f]
+        incident = self.vertex_faces.get(v, ())
         if not incident:
             raise InvalidCombinatorics(f"vertex {v} belongs to no face")
         start = min(incident)

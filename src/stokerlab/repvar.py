@@ -422,7 +422,28 @@ class LinkRepresentation:
         return Representation(list(self.meridians))
 
 
-def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
+@dataclass
+class PolyhedronHolonomy:
+    """Edge meridians and vertex links of a polyhedron, computed in one batch.
+
+    ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
+    meridians in the global frame and their SL(2,C) lifts, equal to
+    ``meridian_holonomy`` edge by edge.  ``links`` holds a
+    ``LinkRepresentation`` per vertex, equal to ``link_representation``
+    vertex by vertex; ``link_meridians`` stacks their lifts, link i at rows
+    ``link_offsets[i]:link_offsets[i + 1]``.  ``angles`` are the dihedral
+    angles of every edge of the face kernel the reflections came from.
+    """
+
+    meridians_so31: np.ndarray
+    meridians: np.ndarray
+    links: list
+    link_meridians: np.ndarray
+    link_offsets: np.ndarray
+    angles: np.ndarray
+
+
+def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances) -> PolyhedronHolonomy:
     """Meridians of the given edges and of every star slot of the given
     vertices, all lifted to SL(2,C) in one ``sl2c_lift`` call.
 
@@ -430,8 +451,7 @@ def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
     star, ordered along the star walk so their cyclic product telescopes to
     the identity, are conjugated by the translation taking the vertex to the
     origin, so their lifts lie in SU(2).  A link's cone angles are twice the
-    dihedral angles of its edges.  Returns the edge isometries (k, 4, 4),
-    their lifts (k, 2, 2) and one ``LinkRepresentation`` per vertex.
+    dihedral angles of its edges.
     """
     comb = poly.combinatorics
     geom = FaceGeometry(poly, tol)
@@ -452,7 +472,8 @@ def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances):
                            list(link_lifts[a:b]), list(link_so31[a:b]), cone[a:b])
         for v, a, b in zip(vertices, offsets, offsets[1:])
     ]
-    return products[:n], lifts[:n], links
+    return PolyhedronHolonomy(products[:n], lifts[:n], links, link_lifts,
+                              np.array(offsets, dtype=np.intp), geom.angles)
 
 
 def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
@@ -462,8 +483,8 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
     elliptic isometry about the edge geodesic rotating by twice the dihedral
     angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
     """
-    isometries, lifts, _ = _holonomy(poly, [(min(edge), max(edge))], [], tol)
-    return isometries[0], lifts[0]
+    holonomy = _holonomy(poly, [(min(edge), max(edge))], [], tol)
+    return holonomy.meridians_so31[0], holonomy.meridians[0]
 
 
 def link_representation(poly: EmbeddedPolyhedron, vertex,
@@ -475,30 +496,36 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     telescopes to the identity; everything is conjugated by the translation
     taking the vertex to the origin so the lifts live in SU(2).
     """
-    return _holonomy(poly, [], [vertex], tol)[2][0]
-
-
-@dataclass
-class PolyhedronHolonomy:
-    """Holonomy of a whole polyhedron, computed in one batch.
-
-    ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
-    meridians in lexicographic edge order, in the global frame, and their
-    SL(2,C) lifts, equal to ``meridian_holonomy`` edge by edge.  ``links``
-    holds every vertex's ``LinkRepresentation``, equal to
-    ``link_representation`` vertex by vertex.
-    """
-
-    meridians_so31: np.ndarray
-    meridians: np.ndarray
-    links: list
+    return _holonomy(poly, [], [vertex], tol).links[0]
 
 
 def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
-    """Edge meridians and vertex links of a whole polyhedron: one reflection
-    table, one batch of meridian products and one ``sl2c_lift`` call."""
+    """Edge meridians in lexicographic edge order and every vertex link of a
+    whole polyhedron: one reflection table, one batch of meridian products
+    and one ``sl2c_lift`` call."""
     comb = poly.combinatorics
-    return PolyhedronHolonomy(*_holonomy(poly, comb.edges, range(comb.vertex_count), tol))
+    return _holonomy(poly, comb.edges, range(comb.vertex_count), tol)
+
+
+@dataclass
+class LinkCertificate:
+    """Cyclic relation and irreducibility of every vertex link, in vertex
+    order.  Link by link, ``relation_residuals`` equal the relator residual
+    of ``representation_report``, and ``irreducible`` and
+    ``irreducibility_residuals`` the fields of ``irreducibility_check``."""
+
+    relation_residuals: np.ndarray
+    irreducible: np.ndarray
+    irreducibility_residuals: np.ndarray
+
+
+def link_certificate(holonomy: PolyhedronHolonomy, tol: Tolerances = DEFAULT) -> LinkCertificate:
+    """Check every vertex link of a polyhedron in one batched pass: the
+    meridians around each vertex multiply to +-I, and each link is
+    irreducible.  Raises ``EigenFailure`` as ``irreducibility_check`` does."""
+    images, offsets = holonomy.link_meridians, holonomy.link_offsets
+    irreducible, residuals, _ = _irreducibility(images, offsets, tol)
+    return LinkCertificate(_cyclic_relation_residuals(images, offsets), irreducible, residuals)
 
 
 # --- boundary-surface fixture ----------------------------------------------
@@ -622,6 +649,87 @@ class IrreducibilityReport:
     witness: np.ndarray = None
 
 
+def _ragged(offsets):
+    """Group sizes and the group of every row of a ragged stack whose group
+    g holds rows ``offsets[g]:offsets[g + 1]``."""
+    sizes = np.diff(offsets)
+    return sizes, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _cyclic_relation_residuals(images, offsets):
+    """Frobenius distance to the nearer of +-I of every group's ordered
+    product g_1 ... g_d (the relator of ``Presentation.punctured_sphere``),
+    rounded as ``representation_report`` rounds it: one left-to-right
+    product over slot position k, each group multiplied while k is below its
+    size."""
+    sizes, owner = _ragged(offsets)
+    padded = np.zeros((len(sizes), sizes.max(initial=0), 2, 2), dtype=complex)
+    padded[owner, np.arange(len(owner)) - offsets[owner]] = images
+    product = np.broadcast_to(_I2, padded.shape[:1] + (2, 2))
+    for k in range(padded.shape[1]):
+        product = np.where((k < sizes)[:, None, None], product @ padded[:, k], product)
+    plus = _norms((product - _I2).reshape(-1, 4))
+    minus = _norms((product + _I2).reshape(-1, 4))
+    return np.where(plus <= minus, plus, minus)
+
+
+def _irreducibility(images, offsets, tol: Tolerances):
+    """Irreducibility of every group of a ragged stack of generator images
+    (group g at rows ``offsets[g]:offsets[g + 1]``), in one pass.
+
+    A group is reducible exactly when all its images share a projective
+    eigenvector.  The eigenvectors of each group's first non-central image
+    (one stacked ``eig``) are scanned: the residual of an eigenvector is its
+    worst normalized wedge against the images, and the group keeps the
+    smaller of the two.  Returns per group the verdict, that residual and
+    its eigenvector; a central group, where every line is invariant, gets
+    residual 0 and witness (1, 0).  Raises ``EigenFailure`` when an
+    eigenvector is too inaccurate to trust near the threshold.
+    """
+    images = np.asarray(images, dtype=complex).reshape(-1, 2, 2)
+    n = len(images)
+    sizes, owner = _ragged(offsets)
+    distance = np.minimum(_norms((images - _I2).reshape(-1, 4)),
+                          _norms((images + _I2).reshape(-1, 4)))
+    # row of every group's first non-central image; n marks a central group
+    rows = np.append(np.where(distance > tol.central, np.arange(n), n), n)
+    first = np.where(sizes > 0, np.minimum.reduceat(rows, offsets[:-1]), n)
+    probed = first < n
+    residual = np.zeros(len(sizes))
+    witness = np.zeros((len(sizes), 2), dtype=complex)
+    witness[:, 0] = 1.0
+    if probed.any():
+        probes = images[first[probed]]
+        slots = np.flatnonzero(probed[owner])       # the rows of probed groups
+        group = (np.cumsum(probed) - 1)[owner[slots]]
+        starts = np.cumsum(sizes[probed]) - sizes[probed]
+        eigvals, eigvecs = np.linalg.eig(probes)
+        best = np.full(len(probes), np.inf)
+        best_vec = eigvecs[:, :, 0]
+        for i in range(2):
+            xi = eigvecs[:, :, i]
+            norm = _norms(xi)
+            error = _norms((probes @ xi[..., None])[..., 0] - eigvals[:, i, None] * xi)
+            if np.any((norm < tol.degenerate) | (error > tol.eigen_residual * norm)):
+                raise EigenFailure("unreliable eigenvector for a borderline generator")
+            xi = xi / norm[:, None]
+            mxi = (images[slots] @ xi[group][..., None])[..., 0]
+            denom = _norms(mxi)
+            if np.any(denom < tol.degenerate):
+                raise EigenFailure("generator image nearly singular")
+            # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar
+            # complex products and modulus
+            p_re, p_im = _complex_product(mxi[:, 0], xi[group, 1])
+            q_re, q_im = _complex_product(mxi[:, 1], xi[group, 0])
+            worst = np.maximum.reduceat(np.hypot(p_re - q_re, p_im - q_im) / denom, starts)
+            better = worst < best
+            best = np.where(better, worst, best)
+            best_vec = np.where(better[:, None], xi, best_vec)
+        residual[probed] = best
+        witness[probed] = best_vec
+    return ~(residual < tol.irreducible), residual, witness
+
+
 def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> IrreducibilityReport:
     """Decide whether all generator images share a projective eigenvector.
 
@@ -629,42 +737,13 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     representation is reducible exactly when one of them is (projectively)
     fixed by every generator, measured by the normalized wedge residual.
     Raises ``EigenFailure`` when the eigenvector extraction is too inaccurate
-    to trust near the threshold.
+    to trust near the threshold.  The one-group case of the batched check
+    that ``link_certificate`` runs over every vertex link.
     """
     images = np.array(rep.images).reshape(-1, 2, 2)
-    distance = np.minimum(_norms((images - _I2).reshape(-1, 4)),
-                          _norms((images + _I2).reshape(-1, 4)))
-    noncentral = np.flatnonzero(distance > tol.central)
-    if noncentral.size == 0:
-        # central representation: every line is invariant
-        return IrreducibilityReport(False, 0.0, np.array([1.0, 0.0], dtype=complex))
-    probe = images[noncentral[0]]
-
-    eigvals, eigvecs = np.linalg.eig(probe)
-    best_residual = np.inf
-    best_vec = None
-    for i in range(2):
-        xi = eigvecs[:, i]
-        norm = np.linalg.norm(xi)
-        if (norm < tol.degenerate
-                or np.linalg.norm(probe @ xi - eigvals[i] * xi) > tol.eigen_residual * norm):
-            raise EigenFailure("unreliable eigenvector for a borderline generator")
-        xi = xi / norm
-        mxi = images @ xi
-        denom = _norms(mxi)
-        if np.any(denom < tol.degenerate):
-            raise EigenFailure("generator image nearly singular")
-        # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar complex
-        # products and modulus
-        p_re, p_im = _complex_product(mxi[:, 0], xi[1])
-        q_re, q_im = _complex_product(mxi[:, 1], xi[0])
-        worst = float(np.max(np.hypot(p_re - q_re, p_im - q_im) / denom))
-        if worst < best_residual:
-            best_residual = worst
-            best_vec = xi
-    reducible = best_residual < tol.irreducible
+    irreducible, residual, witness = _irreducibility(images, np.array([0, len(images)]), tol)
     return IrreducibilityReport(
-        irreducible=not reducible,
-        residual=best_residual,
-        witness=best_vec if reducible else None,
+        irreducible=bool(irreducible[0]),
+        residual=float(residual[0]),
+        witness=None if irreducible[0] else witness[0],
     )

@@ -5,7 +5,12 @@ import pytest
 
 from helpers import corner_tetrahedron, intrinsic_dihedral_angle, random_isometry
 from stokerlab import cli, fixtures, formats, lorentz
-from stokerlab.errors import BallBoundary, ConvexityViolation, PlanarityViolation
+from stokerlab.errors import (
+    BallBoundary,
+    ConvexityViolation,
+    InvalidCombinatorics,
+    PlanarityViolation,
+)
 from stokerlab.polyhedron import (
     CombinatorialType,
     EmbeddedPolyhedron,
@@ -128,6 +133,19 @@ class TestCombinatorics:
                     fb = set(comb.faces[faces[k]])
                     assert set(e) <= fa and set(e) <= fb
 
+    def test_vertex_faces_match_a_scan(self):
+        """The cached incidence lists the faces of a vertex in increasing
+        order, as a scan of every face does; a vertex no face lists, in
+        range or not, has no star."""
+        for build in fixtures.STANDARD.values():
+            comb = build().combinatorics
+            for v in range(comb.vertex_count):
+                assert comb.vertex_faces[v] == [fi for fi, f in enumerate(comb.faces) if v in f]
+        comb = CombinatorialType(5, fixtures.tetrahedron().combinatorics.faces)
+        for v in (-1, 4, 9):
+            with pytest.raises(InvalidCombinatorics, match=f"vertex {v} belongs to no face"):
+                comb.vertex_star(v)
+
     def test_residual_count_identity(self):
         for build in fixtures.STANDARD.values():
             poly = build()
@@ -243,6 +261,45 @@ class TestEmbeddingJudge:
             "embedding_convex": report.convex,
             "embedding_in_ball": report.in_ball,
         }
+
+    @pytest.mark.parametrize("command", ["angles", "holonomy"])
+    @pytest.mark.parametrize("name", sorted(FAILING_EMBEDDINGS))
+    def test_geometry_commands_reject_the_embedding(self, name, command, tmp_path, capsys):
+        """``angles`` and ``holonomy`` give the exit-2 ``ParseError`` report
+        with the judge's first issue; an error of the face kernel itself (a
+        vertex outside the ball) comes first and keeps exit 1."""
+        poly, error = FAILING_EMBEDDINGS[name][0](), FAILING_EMBEDDINGS[name][1]
+        path = tmp_path / "poly.json"
+        path.write_text(formats.dump_polyhedron(poly))
+        issue = validate_embedding(formats.load_polyhedron(str(path))).issues[0]
+        code = cli.main([command, str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["command"] == command
+        if error is BallBoundary:
+            assert (code, report["error"]) == (1, "BallBoundary")
+        else:
+            assert (code, report["error"]) == (2, "ParseError")
+            assert report["message"] == f"{path}: invalid embedding: {issue}"
+
+    @pytest.mark.parametrize("command", ["angles", "holonomy"])
+    def test_scaled_cube_vertex_rejected(self, command, tmp_path, capsys):
+        """Vertex 7 of ``cube(0.3)`` pulled in by 0.2 bends three faces:
+        ``validate`` fails planarity, and so must the geometry commands."""
+        poly = fixtures.cube(0.3)
+        pos = poly.positions.copy()
+        pos[7] *= 0.2
+        path = tmp_path / "poly.json"
+        path.write_text(formats.dump_polyhedron(poly.with_positions(pos)))
+        assert cli.main(["validate", str(path)]) == 1
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert "invalid embedding: max planarity residual" in report["message"]
 
     @pytest.mark.parametrize("vertex", [0, 7])
     def test_nan_fails_every_check(self, vertex):

@@ -15,8 +15,11 @@ from helpers import (
 )
 from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
+from stokerlab.errors import EigenFailure
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
+    _cyclic_relation_residuals,
+    _irreducibility,
     Cocycle,
     Presentation,
     Representation,
@@ -28,6 +31,7 @@ from stokerlab.repvar import (
     cohomology_basis,
     evaluate_word,
     irreducibility_check,
+    link_certificate,
     link_representation,
     matrix_from_coords,
     meridian_holonomy,
@@ -460,6 +464,94 @@ class TestPolyhedronHolonomy:
     @given(random_polyhedra(20))
     def test_random_hulls_and_duals(self, poly):
         self.check(poly)
+
+
+def assert_group_results(images, offsets, reports):
+    """One batched call over the groups gives each group's own
+    ``irreducibility_check`` report, witness included."""
+    irreducible, residual, witness = _irreducibility(images, offsets, DEFAULT)
+    for g, report in enumerate(reports):
+        assert irreducible[g] == report.irreducible
+        assert residual[g] == report.residual
+        if report.witness is not None:
+            assert np.array_equal(witness[g], report.witness)
+
+
+class TestLinkCertificate:
+    """The batched link checks against the per-link calls."""
+
+    def check(self, poly):
+        hol = polyhedron_holonomy(poly)
+        cert = link_certificate(hol)
+        assert np.array_equal(hol.angles, dihedral_angles(poly))
+        assert len(cert.relation_residuals) == poly.combinatorics.vertex_count
+        for v, link in enumerate(hol.links):
+            rep = link.representation()
+            _, [(_, residual)] = representation_report(rep, link.presentation)
+            report = irreducibility_check(rep)
+            assert cert.relation_residuals[v] == residual
+            assert cert.irreducible[v] == report.irreducible
+            assert cert.irreducibility_residuals[v] == report.residual
+        assert cert.irreducible.all()
+        assert np.max(cert.relation_residuals) < DEFAULT.relator
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures(self, name):
+        self.check(fixtures.STANDARD[name](0.3))
+
+    def test_right_angles(self):
+        self.check(corner_tetrahedron())
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_random_hulls_and_duals(self, poly):
+        self.check(poly)
+
+    def test_central_reducible_and_irreducible_groups(self):
+        central = [I2, -I2]
+        diagonal = [np.diag([2.0 + 0j, 0.5]), np.diag([3.0 + 0j, 1.0 / 3.0])]
+        link = list(link_representation(fixtures.cube(0.3), 5).meridians)
+        groups = [central, diagonal, link, diagonal[::-1]]
+        reports = [irreducibility_check(Representation(g)) for g in groups]
+        assert [r.irreducible for r in reports] == [False, False, True, False]
+        assert np.array_equal(reports[0].witness, [1.0, 0.0])
+        images = np.array(sum(groups, []))
+        offsets = np.cumsum([0] + [len(g) for g in groups])
+        assert_group_results(images, offsets, reports)
+        relations = _cyclic_relation_residuals(images, offsets)
+        for g, images in enumerate(groups):
+            rep = Representation(images)
+            _, [(_, residual)] = representation_report(
+                rep, Presentation.punctured_sphere(len(images)))
+            assert relations[g] == residual
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_random_ragged_groups(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        groups = [random_representation(rng, n).images for n in sizes]
+        groups[0] = [np.triu(m) / np.sqrt(m[0, 0] * m[1, 1]) for m in groups[0]]
+        offsets = np.cumsum([0] + sizes)
+        images = np.array(sum(groups, []), dtype=complex).reshape(-1, 2, 2)
+        assert_group_results(images, offsets,
+                             [irreducibility_check(Representation(g)) for g in groups])
+
+    def test_unreliable_probe_raises(self):
+        """A diagonalizable matrix sheared into entries near 1e18, where
+        ``eig`` cannot return eigenvectors to the trusted residual."""
+        shear = np.array([[1.0, 1e6], [1e6, 1.0 + 1e12]], dtype=complex)
+        probe = shear @ np.array([[2.0, 1.0], [0.0, 0.5]]) @ lorentz.sl2_inverse(shear)
+        rep = Representation([probe, np.array([[0.0, 1j], [1j, 0.0]])])
+        with pytest.raises(EigenFailure, match="unreliable eigenvector"):
+            irreducibility_check(rep)
+        good = list(link_representation(fixtures.tetrahedron(0.3), 0).meridians)
+        with pytest.raises(EigenFailure, match="unreliable eigenvector"):
+            _irreducibility(np.array(good + rep.images), np.array([0, 3, 5]), DEFAULT)
+
+    def test_singular_image_raises(self):
+        rep = Representation([np.diag([2.0, 0.5]), np.zeros((2, 2))])
+        with pytest.raises(EigenFailure, match="nearly singular"):
+            irreducibility_check(rep)
 
 
 class TestIrreducibilityReference:
