@@ -33,14 +33,22 @@ print("a point above pairs positively:", plane.side([0.0, 0.0, 0.4]) > 0)
 flipped = lorentz.plane_through([0.3, 0.0, 0.0], [-0.2, -0.2, 0.0], [0.0, 0.3, 0.0])
 print("reversed order flips the normal:", flipped.normal)
 
-# The reflection in that plane is a Lorentz involution, and the product of
-# two reflections along intersecting planes is an elliptic rotation.
+# The reflection in that plane is a Lorentz involution.
 refl = lorentz.reflect(plane)
 print("reflection squared deviates from identity by",
       np.max(np.abs(refl @ refl - np.eye(4))))
 
-rot = lorentz.rotation_about_edge(origin, [0.0, 0.0, 0.5], np.pi / 3)
+# The product of the reflections in two planes through a geodesic is the
+# elliptic rotation about it by twice the angle between the planes.  The
+# planes through the z axis containing (1, 0, 0) and (cos t, sin t, 0) meet
+# at angle t, so t = pi/6 gives the rotation by pi/3.
+top = [0.0, 0.0, 0.5]
+xz = lorentz.plane_through(origin, top, [0.3, 0.0, 0.0])
+t = np.pi / 6
+tilted = lorentz.plane_through(origin, top, [0.3 * np.cos(t), 0.3 * np.sin(t), 0.0])
+rot = lorentz.reflect(tilted) @ lorentz.reflect(xz)
 print("rotation trace (should be 2 + 2cos(pi/3) = 3):", np.trace(rot))
+print("it fixes the axis point (0, 0, 0.5):", lorentz.apply_isometry(rot, top))
 
 # Every isometry lifts to SL(2,C), two-valued; the chosen branch has
 # nonnegative real trace, and an elliptic with rotation angle t has lift
@@ -48,8 +56,11 @@ print("rotation trace (should be 2 + 2cos(pi/3) = 3):", np.trace(rot))
 s = lorentz.sl2c_lift(rot)
 print("SL(2,C) lift trace:", np.trace(s), "expected", 2 * np.cos(np.pi / 6))
 
-# The lift respects composition up to the double-cover sign.
-rot2 = lorentz.rotation_about_edge([0.1, 0.2, 0.0], [0.0, 0.0, 0.3], 1.0)
+# The lift respects composition up to the double-cover sign; here with a
+# rotation about the geodesic through (0.1, 0.2, 0) and (0, 0, 0.3).
+a, b = [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]
+rot2 = (lorentz.reflect(lorentz.plane_through(a, b, [0.4, 0.0, 0.0]))
+        @ lorentz.reflect(lorentz.plane_through(a, b, [0.0, 0.4, 0.2])))
 lhs = lorentz.sl2c_lift(rot @ rot2)
 rhs = lorentz.sl2c_lift(rot) @ lorentz.sl2c_lift(rot2)
 print("composition defect (up to sign):",

@@ -6,8 +6,9 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 verdict carries the tolerance it was judged against.
 
 Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
-(non-finite numbers included, and for ``angles`` and ``holonomy`` an
-embedding that ``validate`` fails), 3 no convergence, 4 convexity lost, 5
+(non-finite numbers included, and for ``angles``, ``holonomy``,
+``deform`` and ``tracerank --fixture-vertex`` an embedding that
+``validate`` fails), 3 no convergence, 4 convexity lost, 5
 ball exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
 tolerance (default 1); randomness enters only through the explicit
 ``--seed`` flag (NumPy PCG64).
@@ -156,6 +157,7 @@ def cmd_deform(args, tol: Tolerances, config):
     paths = [args.path] + ([args.target] if args.target else [])
     report = _base_report("deform", paths, config)
     current = polyhedron.dihedral_angles(poly, tol)
+    _require_embedding(poly, args.path, tol)
     if args.target:
         target = formats.load_angles(args.target, comb.edge_count)
     else:
@@ -267,7 +269,11 @@ def cmd_tracerank(args, tol: Tolerances, config):
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
         paths.append(poly_path)
         poly = _load_valid_polyhedron(poly_path)
+        n = poly.combinatorics.vertex_count
+        if not 0 <= vertex < n:
+            raise ParseError(f"{poly_path}: vertex {vertex} outside 0..{n - 1}")
         link = repvar.link_representation(poly, vertex, tol)
+        _require_embedding(poly, poly_path, tol)
         rep = link.representation()
         d = len(link.edges)
         expected = {

@@ -13,7 +13,6 @@ class Tolerances:
     ball: float = 1e-9            # margin keeping Klein points off the unit sphere
     light: float = 1e-10          # |<v,v>| below this counts as lightlike
     iso: float = 1e-10            # Lorentz-invariance defect allowed for isometries
-    axis: float = 1e-8            # minimum geodesic length of a rotation axis
     rank_rel: float = 1e-10       # relative span cutoff for plane construction
     planar: float = 1e-9          # absolute bound on planarity determinants
     convex: float = 1e-10         # strict positivity margin for convexity determinants
@@ -27,7 +26,6 @@ class Tolerances:
     degenerate: float = 1e-12     # norm below which an eigenvector or its image is zero
     meridian_copy: float = 1e-9   # entrywise defect of an edge's two inverse meridian copies
     frame: float = 1e-10          # collinearity threshold for gauge frames
-    frame_axis: float = 1e-8      # squared norm below which a projected axis is skipped in a rotation frame
     branch_tie: float = 1e-12     # |part| at or below which an SL(2,C) lift's sign test ties
     branch_entry: float = 1e-8    # modulus above which a lift entry can break a sign tie
     damping_floor: float = 1e-12  # smallest trust-radius damping factor before giving up

@@ -13,10 +13,6 @@ class DegenerateFace(StokerlabError):
     """Three points fail to determine a hyperbolic plane."""
 
 
-class DegenerateAxis(StokerlabError):
-    """Rotation axis endpoints are too close to define a geodesic."""
-
-
 class LiftFailure(StokerlabError):
     """Input matrix violates the Lorentz isometry invariants."""
 

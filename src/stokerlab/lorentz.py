@@ -26,7 +26,7 @@ All operations are pure functions on immutable values.
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import BallBoundary, DegenerateAxis, DegenerateFace, LiftFailure
+from .errors import BallBoundary, DegenerateFace, LiftFailure
 
 # Minkowski bilinear form, (+,+,+,-).
 J = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -231,51 +231,6 @@ def translation_to_origin(p, tol: Tolerances = DEFAULT):
     or the stack of them for a stack (..., 3) of points."""
     b = pure_boost(klein_lift(p, tol))
     return J @ b @ J
-
-
-def rotation_about_edge(a, b, theta, tol: Tolerances = DEFAULT):
-    """Elliptic isometry fixing the geodesic through Klein points a, b.
-
-    Rotates by ``theta`` around the axis; the 4x4 trace is 2 + 2cos(theta).
-    Raises ``DegenerateAxis`` when a and b are too close to span a geodesic.
-    """
-    if hyperbolic_distance(a, b, tol) < tol.axis:
-        raise DegenerateAxis("axis endpoints nearly coincide")
-    av = klein_lift(a, tol)
-    bv = klein_lift(b, tol)
-    u = bv + minkowski_inner(bv, av) * av
-    u = u / np.sqrt(minkowski_inner(u, u))
-    frame = _complete_frame(av, u, tol)
-    c, s = np.cos(theta), np.sin(theta)
-    block = np.eye(4)
-    block[0, 0] = c
-    block[0, 1] = -s
-    block[1, 0] = s
-    block[1, 1] = c
-    frame_inv = J @ frame.T @ J
-    return frame @ block @ frame_inv
-
-
-def _complete_frame(timelike, tangent, tol: Tolerances = DEFAULT):
-    """Columns [E1, E2, tangent, timelike] forming a Lorentz-orthonormal frame.
-
-    Coordinate axes are projected off the given pair in turn; one whose
-    remainder has squared norm at most ``tol.frame_axis`` is skipped.
-    """
-    basis = [timelike, tangent]
-    spacelike = []
-    for k in range(4):
-        w = np.zeros(4)
-        w[k] = 1.0
-        w = w + minkowski_inner(w, timelike) * timelike - minkowski_inner(w, tangent) * tangent
-        for e in spacelike:
-            w = w - minkowski_inner(w, e) * e
-        q = minkowski_inner(w, w)
-        if q > tol.frame_axis:
-            spacelike.append(w / np.sqrt(q))
-        if len(spacelike) == 2:
-            break
-    return np.column_stack([spacelike[0], spacelike[1], basis[1], basis[0]])
 
 
 def so31_basis():

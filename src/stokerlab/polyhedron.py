@@ -19,6 +19,7 @@ in batches over index arrays cached on the combinatorial type.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -49,20 +50,13 @@ class CombinatorialType:
     def __init__(self, vertex_count, faces):
         self.vertex_count = int(vertex_count)
         self.faces = tuple(tuple(int(v) for v in f) for f in faces)
-        self.edges = self._collect_edges()
-        self.edge_index = {e: k for k, e in enumerate(self.edges)}
         self._directed = {}
         for fi, f in enumerate(self.faces):
             for a, b in _cyclic_pairs(f):
                 self._directed.setdefault((a, b), fi)
+        self.edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in self._directed}))
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
         self._stars = None
-
-    def _collect_edges(self):
-        seen = set()
-        for f in self.faces:
-            for a, b in _cyclic_pairs(f):
-                seen.add((min(a, b), max(a, b)))
-        return tuple(sorted(seen))
 
     @property
     def edge_count(self):
@@ -176,9 +170,10 @@ class CombinatorialType:
     @cached_property
     def convexity_pairs(self):
         """(C, 2) (face, vertex) rows: every vertex not on the face, face-major."""
+        sizes = [len(f) for f in self.faces]
         incident = np.zeros((self.face_count, self.vertex_count), dtype=bool)
-        for fi, f in enumerate(self.faces):
-            incident[fi, list(f)] = True
+        incident[np.repeat(np.arange(self.face_count), sizes),
+                 np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = True
         return np.argwhere(~incident)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
-from .errors import EigenFailure, IndexRange, InvalidCombinatorics
+from .errors import ConvexityViolation, EigenFailure, IndexRange, InvalidCombinatorics
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 from .rigidity import numerical_rank, nullspace
 
@@ -387,15 +387,16 @@ def _star_slots(comb, vertices):
     return offsets, owners, edges, pairs
 
 
-def _meridian_products(geom: FaceGeometry, pairs):
-    """Meridians R_f R_g of (k, 2) face pairs (f, g) in the global frame,
-    from one reflection table over the faces of ``geom``.
+def _reflection_products(normals, pairs):
+    """Products R_a R_b of (k, 2) index pairs (a, b) into one reflection
+    table over the planes of the (n, 4) unit ``normals``, in the global frame.
 
-    The product of the reflections in two adjacent face planes is an
-    elliptic isometry about their common edge rotating by twice the dihedral
-    angle.
+    The product of the reflections in two planes through a geodesic is the
+    rotation about it by twice the angle between them (Ratcliffe,
+    *Foundations of Hyperbolic Manifolds*, section 6.5).  For adjacent face
+    planes this is the edge meridian, rotating by twice the dihedral angle.
     """
-    reflections = lorentz.reflect(lorentz.Plane(geom.normals))
+    reflections = lorentz.reflect(lorentz.Plane(normals))
     return reflections[pairs[:, 0]] @ reflections[pairs[:, 1]]
 
 
@@ -459,7 +460,7 @@ def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances) -> Pol
     offsets, owner, slot_edges, slot_pairs = _star_slots(comb, vertices)
     edge_pairs = [comb.edge_faces(e) for e in edges]
     pairs = np.array(edge_pairs + slot_pairs, dtype=np.intp).reshape(-1, 2)
-    products = _meridian_products(geom, pairs)
+    products = _reflection_products(geom.normals, pairs)
     n = len(edge_pairs)
     move = lorentz.translation_to_origin(poly.positions[vertices], tol)
     move_inv = lorentz.J @ np.swapaxes(move, -1, -2) @ lorentz.J
@@ -558,10 +559,11 @@ class SurfaceGroupFixture:
 def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> SurfaceGroupFixture:
     """Build the boundary-surface representation for an embedded polyhedron.
 
-    All meridians are taken in one global frame as two-reflection products,
-    so no conjugation bookkeeping is needed; the construction is validated by
-    the Euler characteristic of the presentation and exact inverse matching
-    of the two copies of every meridian.
+    All meridians and twists are taken in one global frame as products of
+    two reflections from one table, so no conjugation bookkeeping is needed;
+    the construction is validated by the Euler characteristic of the
+    presentation and exact inverse matching of the two copies of every
+    meridian.  Raises ``ConvexityViolation`` for a flat cross edge.
 
     Generators are kept as one (E, 2) array of signed letters, one per edge
     end.  The spanning tree is the breadth-first tree of
@@ -573,12 +575,28 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     comb = poly.combinatorics
     geom = FaceGeometry(poly, tol)
     offsets, owner, slot_edges, slot_pairs = _star_slots(comb, range(comb.vertex_count))
-    slot_matrices = _meridian_products(geom, np.array(slot_pairs, dtype=np.intp))
     ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
+    parent = comb.edge_graph.parent
+    child_first = parent[ends[:, 0]] == ends[:, 1]
+    tree = child_first | (parent[ends[:, 1]] == ends[:, 0])
+    cross = np.flatnonzero(~tree)
+    # A cross edge's twist is R_f R_m, with m the plane through the edge
+    # halfway between its faces f and g: the rotation about the edge by its
+    # dihedral angle.  Its reflection joins the face reflection table.
+    f, g = comb.edge_face_pairs[cross].T
+    halfway = geom.normals[f] - geom.normals[g]
+    square = lorentz.minkowski_inner(halfway, halfway)
+    if not np.all(square > 0):          # the faces share a plane
+        raise ConvexityViolation(f"edge {comb.edges[cross[np.argmin(square > 0)]]} is flat")
+    halfway /= np.sqrt(square)[:, None]
+    pairs = np.concatenate([np.reshape(slot_pairs, (-1, 2)),
+                            np.column_stack([f, comb.face_count + np.arange(len(cross))])])
+    products = _reflection_products(np.concatenate([geom.normals, halfway]), pairs)
+
     slot_end = (np.array(owner, dtype=np.intp) == ends[slot_edges, 1]).astype(np.intp)
     rows = np.empty_like(ends)              # slot row of every edge end
     rows[slot_edges, slot_end] = np.arange(len(slot_edges))
-    mismatch = np.max(np.abs(slot_matrices[rows[:, 0]] @ slot_matrices[rows[:, 1]]
+    mismatch = np.max(np.abs(products[rows[:, 0]] @ products[rows[:, 1]]
                              - np.eye(4)), axis=(1, 2))
     for e, defect in zip(comb.edges, mismatch):
         if defect > tol.meridian_copy:
@@ -586,23 +604,15 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
                 f"meridian copies of edge {e} are not inverse (defect {defect:.3e})"
             )
 
-    parent = comb.edge_graph.parent
-    child_first = parent[ends[:, 0]] == ends[:, 1]
-    tree = child_first | (parent[ends[:, 1]] == ends[:, 0])
     width = np.where(tree, 1, 2)            # slot generators per edge
     first = np.cumsum(width) - width + 1
     # tree edge: g at the parent end, g^-1 at the child end; cross edge: g, g + 1
     letters = np.column_stack([np.where(child_first, -first, first), first + 1])
     letters[tree, 1] = -letters[tree, 0]
-    cross = np.flatnonzero(~tree)
-    twists = [
-        lorentz.rotation_about_edge(poly.positions[a], poly.positions[b], geom.angles[k], tol)
-        for k, (a, b) in zip(cross, ends[cross])
-    ]
     # Read row by row, the positive letters are 1, 2, ..., so their slot
     # rows list the slot generators in order; the twist generators follow.
-    slots = slot_matrices[rows[letters > 0]]
-    images = lorentz.sl2c_lift(np.concatenate([slots, np.reshape(twists, (-1, 4, 4))]), tol)
+    generator_rows = np.concatenate([rows[letters > 0], len(slot_edges) + np.arange(len(cross))])
+    images = lorentz.sl2c_lift(products[generator_rows], tol)
 
     slot_letters = letters[slot_edges, slot_end]
     twist = int(width.sum()) + 1 + np.arange(len(cross))

@@ -7,13 +7,29 @@ from scipy.linalg import expm
 from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz
-from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron
+from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron, embed_euclidean
 
 
 def random_isometry(rng, scale=0.5):
     gens = lorentz.so31_basis()
     coeffs = rng.uniform(-scale, scale, 6)
     return expm(sum(c * g for c, g in zip(coeffs, gens)))
+
+
+def rotation(axis, angle):
+    """Rotation about a unit 3-vector, as a Lorentz matrix fixing e4."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    out = np.eye(4)
+    out[:3, :3] = expm(angle * k)
+    return out
+
+
+def elliptic(p, axis, angle):
+    """Rotation by ``angle`` about a geodesic through the Klein point p: the
+    coordinate rotation about the unit 3-vector ``axis`` conjugated by the
+    pure boost taking the origin to p."""
+    move = lorentz.pure_boost(lorentz.klein_lift(p))
+    return move @ rotation(axis, angle) @ lorentz.J @ move @ lorentz.J
 
 
 def svd_plane_normal(p1, p2, p3, witness):
@@ -89,6 +105,17 @@ def corner_tetrahedron(leg=0.4):
     )
     faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
     return EmbeddedPolyhedron(CombinatorialType(4, faces), positions)
+
+
+def capped_cube(height):
+    """Cube of scale 0.3 whose top face is replaced by a pyramid of the
+    given height: the four edges at the apex are nearly flat, with
+    pi - angle of order ``height``.  |V|, |E|, |F| = 9, 16, 9."""
+    corners = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+    faces = [[4, 6, 7, 5], [0, 1, 3, 2], [2, 3, 7, 6], [0, 4, 5, 1], [0, 2, 6, 4],
+             [1, 5, 8], [5, 7, 8], [7, 3, 8], [3, 1, 8]]
+    verts = np.array(corners + [[0.0, 0.0, 1.0 + height]])
+    return embed_euclidean(CombinatorialType(9, faces), verts, 0.3 / np.sqrt(3.0))
 
 
 def finite_difference_jacobian(func, x0, step=1e-6):

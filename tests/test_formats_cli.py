@@ -371,6 +371,19 @@ class TestCliTraceRank:
         assert report["results"]["trace_rank"]["rank"] == 4
         assert report["results"]["expected"] == {"valence": 4, "h1_dim": 6, "rank": 4}
 
+    @pytest.mark.parametrize("vertex", [8, 9, -1])
+    def test_fixture_vertex_out_of_range(self, vertex, tmp_path, capsys):
+        poly_path = write_poly(tmp_path, fixtures.cube(0.3))
+        pres_path = write(tmp_path, "pres.txt",
+                          formats.dump_presentation(Presentation.punctured_sphere(3)))
+        code = cli.main(["tracerank", pres_path, "--fixture-vertex", f"{poly_path}:{vertex}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert report["message"] == f"{poly_path}: vertex {vertex} outside 0..7"
+
     def test_surface_fixture_via_matrix_file(self, tmp_path, capsys):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))
         pres_path = write(tmp_path, "pres.txt",

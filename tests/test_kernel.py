@@ -3,15 +3,16 @@ simplicial hulls and their polar duals.
 
 References: ``helpers.svd_plane_normal`` (SVD normal, witness orientation)
 with ``lorentz.minkowski_inner`` for normals and angles, a loop of
-``np.linalg.det`` for the determinants, and central differences for both
-Jacobians.
+``np.linalg.det`` for the determinants, central differences for both
+Jacobians, and a per-face incidence loop for the convexity index array.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from helpers import finite_difference_jacobian, random_polyhedra, svd_plane_normal
-from stokerlab import lorentz
+from helpers import capped_cube, finite_difference_jacobian, random_polyhedra, svd_plane_normal
+from stokerlab import fixtures, lorentz
 from stokerlab.polyhedron import (
     FaceGeometry,
     convexity_margins,
@@ -50,6 +51,15 @@ def det_reference(poly, index, convex):
     return np.array(values), np.array(bounds)
 
 
+def convexity_pairs_reference(comb):
+    """(face, vertex) rows of every vertex off each face, face-major, from
+    one incidence row per face."""
+    incident = np.zeros((comb.face_count, comb.vertex_count), dtype=bool)
+    for fi, f in enumerate(comb.faces):
+        incident[fi, list(f)] = True
+    return np.argwhere(~incident)
+
+
 @examples
 @given(random_polyhedra(24))
 def test_normals_match_plane_through(poly):
@@ -71,6 +81,23 @@ def test_angles_match_minkowski_inner(poly):
         for fa, fb in map(poly.combinatorics.edge_faces, poly.combinatorics.edges)
     ])
     assert np.max(np.abs(dihedral_angles(poly) - expected)) <= REFERENCE_TOL
+
+
+FIXTURES = {**{name: build(0.3) for name, build in fixtures.STANDARD.items()},
+            "square_pyramid": fixtures.square_pyramid(0.3), "capped_cube": capped_cube(1e-3)}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_convexity_pairs_match_face_loop(name):
+    comb = FIXTURES[name].combinatorics
+    assert np.array_equal(comb.convexity_pairs, convexity_pairs_reference(comb))
+
+
+@examples
+@given(random_polyhedra(24))
+def test_convexity_pairs_match_face_loop(poly):
+    comb = poly.combinatorics
+    assert np.array_equal(comb.convexity_pairs, convexity_pairs_reference(comb))
 
 
 @examples

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_isometry, segment_length
+from helpers import elliptic, random_isometry, rotation, segment_length
 from stokerlab import lorentz
 from stokerlab.config import DEFAULT
-from stokerlab.errors import BallBoundary, DegenerateAxis, DegenerateFace, LiftFailure
+from stokerlab.errors import BallBoundary, DegenerateFace, LiftFailure
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -160,47 +160,6 @@ class TestReflect:
             assert lorentz.isometry_defect(r) < 1e-12
 
 
-class TestRotationAboutEdge:
-    def test_zero_angle_is_identity(self):
-        r = lorentz.rotation_about_edge([0.1, 0.0, 0.0], [0.0, 0.2, 0.1], 0.0)
-        assert np.max(np.abs(r - np.eye(4))) < 1e-13
-
-    def test_canonical_z_axis(self):
-        r = lorentz.rotation_about_edge([0.0, 0.0, 0.0], [0.0, 0.0, 0.5], np.pi / 2)
-        expected = np.eye(4)
-        expected[0, 0] = 0.0
-        expected[0, 1] = -1.0
-        expected[1, 0] = 1.0
-        expected[1, 1] = 0.0
-        assert np.max(np.abs(r - expected)) < 1e-13
-
-    def test_fixes_axis_and_trace(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            a = rng.uniform(-0.4, 0.4, 3)
-            b = rng.uniform(-0.4, 0.4, 3)
-            theta = rng.uniform(0.1, 3.0)
-            r = lorentz.rotation_about_edge(a, b, theta)
-            for p in (a, b):
-                lift = lorentz.klein_lift(p)
-                assert np.max(np.abs(r @ lift - lift)) < 1e-12
-            assert np.trace(r) == pytest.approx(2.0 + 2.0 * np.cos(theta), abs=1e-10)
-            assert lorentz.isometry_defect(r) < 1e-10
-
-    def test_same_axis_composition(self):
-        rng = np.random.default_rng(9)
-        a = rng.uniform(-0.4, 0.4, 3)
-        b = rng.uniform(-0.4, 0.4, 3)
-        t1, t2 = 0.7, 1.1
-        lhs = lorentz.rotation_about_edge(a, b, t1) @ lorentz.rotation_about_edge(a, b, t2)
-        rhs = lorentz.rotation_about_edge(a, b, t1 + t2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_degenerate_axis(self):
-        with pytest.raises(DegenerateAxis):
-            lorentz.rotation_about_edge([0.1, 0.1, 0.1], [0.1, 0.1, 0.1], 1.0)
-
-
 class TestSo31Basis:
     def test_lie_algebra_condition_exact(self):
         for gen in lorentz.so31_basis():
@@ -225,17 +184,28 @@ class TestSl2cLift:
 
     def test_half_turn_has_zero_trace(self):
         rng = np.random.default_rng(10)
-        a = rng.uniform(-0.3, 0.3, 3)
-        b = rng.uniform(-0.3, 0.3, 3)
-        s = lorentz.sl2c_lift(lorentz.rotation_about_edge(a, b, np.pi))
+        p = rng.uniform(-0.3, 0.3, 3)
+        axis = rng.normal(size=3)
+        s = lorentz.sl2c_lift(elliptic(p, axis / np.linalg.norm(axis), np.pi))
         assert abs(np.trace(s)) < 1e-10
 
     def test_elliptic_trace(self):
         rng = np.random.default_rng(11)
-        a = rng.uniform(-0.3, 0.3, 3)
-        b = rng.uniform(-0.3, 0.3, 3)
-        s = lorentz.sl2c_lift(lorentz.rotation_about_edge(a, b, 1.0))
+        p = rng.uniform(-0.3, 0.3, 3)
+        axis = rng.normal(size=3)
+        s = lorentz.sl2c_lift(elliptic(p, axis / np.linalg.norm(axis), 1.0))
         assert abs(np.trace(s)) == pytest.approx(2.0 * np.cos(0.5), abs=1e-10)
+
+    def test_two_reflection_product_trace(self):
+        """The product of the reflections in two planes through a geodesic
+        meeting at angle t is the rotation by 2t, with lift trace 2cos(t)."""
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            a, b, c, d = rng.uniform(-0.4, 0.4, (4, 3))
+            first, second = lorentz.plane_through(a, b, c), lorentz.plane_through(a, b, d)
+            t = np.arccos(abs(lorentz.minkowski_inner(first.normal, second.normal)))
+            s = lorentz.sl2c_lift(lorentz.reflect(first) @ lorentz.reflect(second))
+            assert abs(np.trace(s)) == pytest.approx(2.0 * np.cos(t), abs=1e-10)
 
     def test_covers_input(self):
         rng = np.random.default_rng(12)
@@ -284,14 +254,6 @@ class TestIsometryProducts:
 AXES = np.eye(3)
 
 
-def rotation(axis, angle):
-    """Rotation about a unit 3-vector, as a Lorentz matrix fixing e4."""
-    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-    out = np.eye(4)
-    out[:3, :3] = expm(angle * k)
-    return out
-
-
 def boost(rapidities):
     return expm(sum(c * g for c, g in zip(rapidities, lorentz.so31_basis()[3:])))
 
@@ -314,8 +276,8 @@ def isometry_stack(seed, size):
             mats.append(boost(rng.uniform(-0.8, 0.8, 3)) @ rotation(axis, angle))
         elif kind == 4:
             half_turns = [np.diag(d) for d in ([1.0, -1, -1, 1], [-1.0, 1, -1, 1], [-1.0, -1, 1, 1])]
-            a, b = rng.uniform(-0.3, 0.3, 3), rng.uniform(-0.3, 0.3, 3)
-            half_turns.append(lorentz.rotation_about_edge(a, b, np.pi))
+            p, axis = rng.uniform(-0.3, 0.3, 3), rng.normal(size=3)
+            half_turns.append(elliptic(p, axis / np.linalg.norm(axis), np.pi))
             mats.append(half_turns[rng.integers(4)])
         else:
             mats.append(random_isometry(rng, 0.8))

@@ -21,6 +21,7 @@ from stokerlab.polyhedron import (
     validate_combinatorics,
     validate_embedding,
 )
+from stokerlab.repvar import Presentation
 
 EUCLIDEAN_TETRA_ANGLE = np.arccos(1.0 / 3.0)
 CUBE_CORNERS = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
@@ -233,6 +234,22 @@ class TestEmbedEuclidean:
             embed_euclidean(poly.combinatorics, poly.positions, 1.0)
 
 
+GEOMETRY_COMMANDS = ["angles", "holonomy", "deform", "tracerank"]
+
+
+def geometry_argv(command, path, tmp_path):
+    """Arguments running ``command`` on the polyhedron file ``path``;
+    ``tracerank`` reads the link of the last vertex."""
+    if command == "deform":
+        return ["deform", str(path), "--perturb", "1e-4"]
+    if command == "tracerank":
+        pres = tmp_path / "pres.txt"
+        pres.write_text(formats.dump_presentation(Presentation.punctured_sphere(3)))
+        last = formats.load_polyhedron(str(path)).combinatorics.vertex_count - 1
+        return ["tracerank", str(pres), "--fixture-vertex", f"{path}:{last}"]
+    return [command, str(path)]
+
+
 class TestEmbeddingJudge:
     """``validate_embedding`` decides ball, planarity and convexity; the
     other paths read its report."""
@@ -262,17 +279,17 @@ class TestEmbeddingJudge:
             "embedding_in_ball": report.in_ball,
         }
 
-    @pytest.mark.parametrize("command", ["angles", "holonomy"])
+    @pytest.mark.parametrize("command", GEOMETRY_COMMANDS)
     @pytest.mark.parametrize("name", sorted(FAILING_EMBEDDINGS))
     def test_geometry_commands_reject_the_embedding(self, name, command, tmp_path, capsys):
-        """``angles`` and ``holonomy`` give the exit-2 ``ParseError`` report
-        with the judge's first issue; an error of the face kernel itself (a
+        """The geometry commands give the exit-2 ``ParseError`` report with
+        the judge's first issue; an error of the face kernel itself (a
         vertex outside the ball) comes first and keeps exit 1."""
         poly, error = FAILING_EMBEDDINGS[name][0](), FAILING_EMBEDDINGS[name][1]
         path = tmp_path / "poly.json"
         path.write_text(formats.dump_polyhedron(poly))
         issue = validate_embedding(formats.load_polyhedron(str(path))).issues[0]
-        code = cli.main([command, str(path)])
+        code = cli.main(geometry_argv(command, path, tmp_path))
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert captured.err == ""
@@ -283,7 +300,7 @@ class TestEmbeddingJudge:
             assert (code, report["error"]) == (2, "ParseError")
             assert report["message"] == f"{path}: invalid embedding: {issue}"
 
-    @pytest.mark.parametrize("command", ["angles", "holonomy"])
+    @pytest.mark.parametrize("command", GEOMETRY_COMMANDS)
     def test_scaled_cube_vertex_rejected(self, command, tmp_path, capsys):
         """Vertex 7 of ``cube(0.3)`` pulled in by 0.2 bends three faces:
         ``validate`` fails planarity, and so must the geometry commands."""
@@ -294,7 +311,7 @@ class TestEmbeddingJudge:
         path.write_text(formats.dump_polyhedron(poly.with_positions(pos)))
         assert cli.main(["validate", str(path)]) == 1
         capsys.readouterr()
-        assert cli.main([command, str(path)]) == 2
+        assert cli.main(geometry_argv(command, path, tmp_path)) == 2
         captured = capsys.readouterr()
         assert captured.err == ""
         report = json.loads(captured.out)

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
+    capped_cube,
     corner_tetrahedron,
+    elliptic,
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
 )
 from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
-from stokerlab.errors import EigenFailure
+from stokerlab.errors import ConvexityViolation, EigenFailure
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
     _cyclic_relation_residuals,
@@ -318,9 +320,8 @@ class TestIrreducibility:
         assert np.max(np.abs(np.abs(report.witness) - np.array([1.0, 0.0]))) < 1e-12
 
     def test_distinct_elliptic_axes_irreducible(self):
-        rng = np.random.default_rng(12)
-        a = lorentz.sl2c_lift(lorentz.rotation_about_edge([0.0, 0.0, 0.0], [0.0, 0.0, 0.4], 1.0))
-        b = lorentz.sl2c_lift(lorentz.rotation_about_edge([0.1, 0.0, 0.0], [0.1, 0.4, 0.0], 0.7))
+        a = lorentz.sl2c_lift(elliptic([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0))
+        b = lorentz.sl2c_lift(elliptic([0.1, 0.0, 0.0], [0.0, 1.0, 0.0], 0.7))
         report = irreducibility_check(Representation([a, b]))
         assert report.irreducible
 
@@ -343,6 +344,9 @@ SURFACE_CASES = {
     "dual10": lambda: random_polar_dual(3, 10),
     "dual12": lambda: random_polar_dual(17, 12),
 }
+# Near-flat edges: the four apex edges of a capped cube have pi - angle ~ height.
+SURFACE_CASES.update({f"capped_cube_{h:.0e}": (lambda h=h: capped_cube(h))
+                      for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)})
 
 
 class TestSurfaceGroupFixture:
@@ -416,6 +420,35 @@ class TestSurfaceGroupFixture:
             (2, 3): (6,), (2, 6): (8,), (3, 7): (9,), (4, 5): (10,), (4, 6): (12,),
             (5, 7): (14,), (6, 7): (16,),
         }
+
+    @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
+    def test_relators_hold_and_twists_fix_their_edges(self, name):
+        """Each twist is the rotation by the dihedral angle about its cross
+        edge, fixing both ends, so it commutes with the edge's meridian
+        copies."""
+        poly = SURFACE_CASES[name]()
+        fx = surface_group_fixture(poly)
+        _, relator_data = representation_report(fx.representation, fx.presentation)
+        assert max(residual for _, residual in relator_data) < DEFAULT.relator
+        angles = dihedral_angles(poly)
+        for image, generator in zip(fx.representation.images, fx.generator_names):
+            if generator[0] == "t":
+                edge = tuple(int(v) for v in generator[1:].split("_"))
+                twist = lorentz.sl2c_to_so31(image)
+                angle = angles[poly.combinatorics.edge_index[edge]]
+                assert np.trace(twist) == pytest.approx(2.0 + 2.0 * np.cos(angle), abs=1e-12)
+                for v in edge:
+                    lift = lorentz.klein_lift(poly.positions[v])
+                    assert np.max(np.abs(twist @ lift - lift)) < 1e-12
+
+    def test_flat_cross_edge_rejected(self):
+        """With the apex on the cube's top face its four edges are flat, and
+        no plane lies halfway between their faces."""
+        poly = capped_cube(1e-3)
+        pos = poly.positions.copy()
+        pos[8, 2] = pos[7, 2]
+        with pytest.raises(ConvexityViolation, match=r"edge \(\d, 8\) is flat"):
+            surface_group_fixture(poly.with_positions(pos))
 
     @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
     def test_surface_dimension_and_meridian_rank(self, name):
