@@ -118,6 +118,12 @@ def capped_cube(height):
     return embed_euclidean(CombinatorialType(9, faces), verts, 0.3 / np.sqrt(3.0))
 
 
+def min_norm_step(jac, rhs, rcond):
+    """Minimum-norm least-squares solution by the SVD pseudoinverse, with
+    singular values below ``rcond`` times the largest one treated as zero."""
+    return np.linalg.pinv(jac, rcond) @ rhs
+
+
 def finite_difference_jacobian(func, x0, step=1e-6):
     """Central differences of a vector function of a flat vector."""
     x0 = np.asarray(x0, dtype=float)

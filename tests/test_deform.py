@@ -1,19 +1,34 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_isometry
+from helpers import min_norm_step, random_isometry, random_polyhedra
 from stokerlab import fixtures, lorentz
-from stokerlab.config import Tolerances
-from stokerlab.deform import DeformOptions, continuation_path, gauge_fix, realize_angles
+from stokerlab.config import DEFAULT, Tolerances
+from stokerlab.deform import (
+    DeformOptions,
+    _gauss_newton_step,
+    _stacked_residual,
+    continuation_path,
+    gauge_fix,
+    realize_angles,
+)
 from stokerlab.errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence
 from stokerlab.polyhedron import (
     CombinatorialType,
     EmbeddedPolyhedron,
+    FaceGeometry,
     convexity_margins,
     dihedral_angles,
     planarity_residuals,
 )
-from stokerlab.rigidity import rigidity_report
+from stokerlab.rigidity import isometry_directions, rigidity_report
+
+EPS = np.finfo(float).eps
+
+examples = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 def perturb_angles(poly, rng, amplitude=1e-3):
@@ -224,3 +239,106 @@ class TestContinuationPath:
         assert len(info.value.results) == 2
         for result in info.value.results:
             assert np.max(np.abs(result.achieved_angles - dihedral_angles(result.final))) < 1e-10
+
+
+def first_step_system(poly, seed=0, amplitude=1e-3):
+    """Stacked Jacobian and right-hand side of the first Gauss-Newton step
+    towards a seeded target around the current angles."""
+    geom = FaceGeometry(poly)
+    rng = np.random.default_rng(seed)
+    target = geom.angles + amplitude * rng.uniform(-1.0, 1.0, geom.angles.size)
+    jac = np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()])
+    return jac, -_stacked_residual(geom, target)
+
+
+def relative_error(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
+
+
+def check_min_norm_step(poly):
+    """The step equals the pseudoinverse step and has no component along the
+    isometry directions, both within 100 eps cond(J), fixed before the solve."""
+    jac, rhs = first_step_system(poly)
+    bound = 100 * EPS * np.linalg.cond(jac)
+    step = _gauss_newton_step(jac, rhs, DEFAULT)
+    assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
+    iso, _ = np.linalg.qr(isometry_directions(poly))
+    assert np.linalg.norm(iso.T @ step) / np.linalg.norm(step) < bound
+
+
+class TestGaussNewtonStep:
+    @pytest.mark.parametrize("scale", [0.3, 0.02])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixture_steps_match_pseudoinverse(self, name, scale):
+        check_min_norm_step(fixtures.STANDARD[name](scale))
+
+    @examples
+    @given(random_polyhedra(24))
+    def test_random_steps_match_pseudoinverse(self, poly):
+        check_min_norm_step(poly)
+
+    def test_duplicated_row(self):
+        """A repeated equation with a consistent right-hand side costs one
+        rank and leaves the minimum-norm step unchanged."""
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        bound = 100 * EPS * np.linalg.cond(jac)
+        doubled = np.vstack([jac, jac[:1]])
+        step = _gauss_newton_step(doubled, np.append(rhs, rhs[0]), DEFAULT)
+        assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
+
+    def test_rank_cutoff_drops_a_tiny_singular_value(self):
+        """A singular value of 1e-12 sigma_max lies under the rank_svd cutoff,
+        so the step must ignore its direction as the pseudoinverse does.  The
+        two truncations differ by about the dropped value over the smallest
+        kept one, at most 1e-12 cond(J).  Without the cutoff, that direction
+        is amplified 1e12-fold."""
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        u, sing, vt = np.linalg.svd(jac, full_matrices=False)
+        bound = 10 * 1e-12 * sing[0] / sing[-1]
+        sing[-1] = 1e-12 * sing[0]
+        nearly_singular = (u * sing) @ vt
+        reference = min_norm_step(nearly_singular, rhs, DEFAULT.rank_svd)
+        step = _gauss_newton_step(nearly_singular, rhs, DEFAULT)
+        assert relative_error(step, reference) < bound
+        uncut, *_ = scipy.linalg.lstsq(nearly_singular, rhs, lapack_driver="gelsy")
+        assert relative_error(uncut, reference) > 1e6
+
+
+@examples
+@given(random_polyhedra(24), st.integers(0, 2 ** 32 - 1))
+def test_random_targets_round_trip(poly, seed):
+    """Criterion 2 on random hulls and duals: a seeded 1e-4 target is hit
+    with planar faces and a convex embedding, and solving back to the
+    original angles reproduces the gauge-fixed original."""
+    base = dihedral_angles(poly)
+    target = base + 1e-4 * np.random.default_rng(seed).uniform(-1.0, 1.0, base.size)
+    out = realize_angles(poly, target)
+    assert np.max(np.abs(out.achieved_angles - target)) < 1e-10
+    assert np.max(np.abs(planarity_residuals(out.final)), initial=0.0) < 1e-11
+    assert convexity_margins(out.final).min() > 0.0
+    back = realize_angles(out.final, base)
+    assert np.max(np.abs(back.final.positions - gauge_fix(poly).positions)) < 1e-8
+
+
+def test_robustness_grid_outcomes():
+    """The solver's outcome over 4 fixtures x scale {0.02, 0.3} x amplitude
+    {1e-4, 1e-3} x seeds 0-4.  At scale 0.02 most large cube and prism
+    targets fail; these counts characterize the solver as it stands and
+    change only with a deliberate change to it."""
+    outcomes = dict.fromkeys(["converged", "NoConvergence", "ConvexityLost", "BallExit"], 0)
+    iterations = 0
+    for build in fixtures.STANDARD.values():
+        for scale in (0.02, 0.3):
+            poly = build(scale)
+            base = dihedral_angles(poly)
+            for amplitude in (1e-4, 1e-3):
+                for seed in range(5):
+                    rng = np.random.default_rng(seed)
+                    target = base + amplitude * rng.uniform(-1.0, 1.0, base.size)
+                    try:
+                        iterations += realize_angles(poly, target).iterations_used
+                        outcomes["converged"] += 1
+                    except (NoConvergence, ConvexityLost, BallExit) as exc:
+                        outcomes[type(exc).__name__] += 1
+    assert outcomes == {"converged": 70, "NoConvergence": 1, "ConvexityLost": 9, "BallExit": 0}
+    assert iterations == 212
