@@ -6,9 +6,9 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 verdict carries the tolerance it was judged against.
 
 Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
-(non-finite numbers included, and for ``angles``, ``holonomy``,
-``deform`` and ``tracerank --fixture-vertex`` an embedding that
-``validate`` fails), 3 no convergence, 4 convexity lost, 5
+(non-finite numbers included, and for ``angles``, ``rigidity``,
+``holonomy``, ``deform`` and ``tracerank --fixture-vertex`` an embedding
+that ``validate`` fails), 3 no convergence, 4 convexity lost, 5
 ball exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
 tolerance (default 1); randomness enters only through the explicit
 ``--seed`` flag (NumPy PCG64).
@@ -129,6 +129,7 @@ def cmd_rigidity(args, tol: Tolerances, config):
     poly = _load_valid_polyhedron(args.path)
     report = _base_report("rigidity", [args.path], config)
     rep = rigidity.rigidity_report(poly, tol)
+    _require_embedding(poly, args.path, tol)
     lead, trail = rep.spectral_gap
     report["results"]["rigidity"] = {
         "edge_count": rep.edge_count,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 @dataclass(frozen=True)
 class Tolerances:
     ball: float = 1e-9            # margin keeping Klein points off the unit sphere
-    light: float = 1e-10          # |<v,v>| below this counts as lightlike
     iso: float = 1e-10            # Lorentz-invariance defect allowed for isometries
     rank_rel: float = 1e-10       # relative span cutoff for plane construction
     planar: float = 1e-9          # absolute bound on planarity determinants

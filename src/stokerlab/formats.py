@@ -8,8 +8,9 @@ indices, and optional ``loop`` lines marking trace loops.  Representations
 travel as ``{"matrices": [[[re, im], ...], ...]}`` with row-major 2x2
 entries.
 
-All floats are serialized with 17 significant digits so emit -> parse ->
-emit is a fixed point, and dictionaries keep insertion order, giving
+All floats are serialized with 17 significant digits, and integral ones
+with a decimal point, so emit -> parse -> emit is a fixed point and a JSON
+reader gets floats back; dictionaries keep insertion order, giving
 byte-identical reports for identical inputs.
 """
 
@@ -24,7 +25,10 @@ from .repvar import Presentation, Representation
 
 
 def format_float(x):
-    return format(float(x), ".17g")
+    """17 significant digits; text with no point, exponent, ``nan`` or
+    ``inf`` is an integral value and gets ``.0``."""
+    text = format(float(x), ".17g")
+    return text if any(c in text for c in ".ein") else text + ".0"
 
 
 def to_json(obj, indent=0):

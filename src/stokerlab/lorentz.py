@@ -44,14 +44,6 @@ def minkowski_inner(u, v):
     return float(out) if out.ndim == 0 else out
 
 
-def causal_character(v, tol: Tolerances = DEFAULT):
-    """Classify a 4-vector as ``"timelike"``, ``"spacelike"`` or ``"lightlike"``."""
-    q = minkowski_inner(v, v)
-    if abs(q) <= tol.light:
-        return "lightlike"
-    return "timelike" if q < 0 else "spacelike"
-
-
 def _row_dot(a, b):
     """Dot products of matching last-axis rows of two arrays.
 

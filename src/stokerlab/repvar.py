@@ -116,20 +116,10 @@ class Cocycle:
         self.values = [np.asarray(m, dtype=complex).reshape(2, 2) for m in self.values]
 
 
-def _image(rep: Representation, letter):
-    idx = abs(letter) - 1
-    if letter == 0 or idx >= len(rep.images):
-        raise IndexRange(f"letter {letter} outside 1..{len(rep.images)}")
-    m = rep.images[idx]
-    return m if letter > 0 else lorentz.sl2_inverse(m)
-
-
 def evaluate_word(rep: Representation, word):
-    """Ordered product of generator images and inverses over the word."""
-    out = np.eye(2, dtype=complex)
-    for letter in word:
-        out = out @ _image(rep, letter)
-    return out
+    """Ordered product of generator images and inverses over the word: the
+    one-word call of ``_fox_calculus``."""
+    return _fox_calculus(rep, [word])[4][0]
 
 
 def cocycle_extend(u: Cocycle, rep: Representation, word):
@@ -170,19 +160,14 @@ def representation_report(rep: Representation, pres: Presentation):
     """Determinant defects and signed relator residuals.
 
     Returns (max |det - 1|, [(sign, residual)] per relator) where residual is
-    the Frobenius distance of the relator value to sign * identity.
+    the Frobenius distance of the relator value to sign * identity.  The
+    relator values come from one ``_fox_calculus`` walk.
     """
     # one batched det; hypot rounds like the scalar complex modulus
     defects = np.linalg.det(np.array(rep.images).reshape(-1, 2, 2)) - 1.0
     det_defect = np.hypot(defects.real, defects.imag).max(initial=0.0)
-    relator_data = []
-    for r in pres.relators:
-        w = evaluate_word(rep, r)
-        plus = float(np.linalg.norm(w - _I2))
-        minus = float(np.linalg.norm(w + _I2))
-        sign, residual = (1, plus) if plus <= minus else (-1, minus)
-        relator_data.append((sign, residual))
-    return float(det_defect), relator_data
+    signs, residuals = _central_residuals(_fox_calculus(rep, pres.relators)[4])
+    return float(det_defect), [(int(s), float(r)) for s, r in zip(signs, residuals)]
 
 
 def cocycle_from_vector(vec, generator_count, algebra="sl2"):
@@ -198,20 +183,25 @@ def _fox_calculus(rep: Representation, words):
     a sign and the conjugator P such that u(word) = sum sign * Ad(P) u(g) for
     every cocycle u: a letter g has P the prefix before it and sign +1, a
     letter g^-1 has P = prefix g^-1 (the prefix through it) and sign -1.
-    Also returns rho(word) for every word.  Bad letters raise ``IndexRange``.
+    Also returns rho(word) for every word, the left-to-right product of its
+    letters' images.  Bad letters raise ``IndexRange``.
     """
+    images = rep.images
     word_index, generators, signs, conjugators, values = [], [], [], [], []
     for wi, word in enumerate(words):
         prefix = _I2
         for letter in word:
-            step = _image(rep, letter)
-            if letter < 0:
-                prefix = prefix @ step
-            conjugators.append(prefix)
+            idx = abs(letter) - 1
+            if letter == 0 or idx >= len(images):
+                raise IndexRange(f"letter {letter} outside 1..{len(images)}")
             if letter > 0:
-                prefix = prefix @ step
+                conjugators.append(prefix)
+                prefix = prefix @ images[idx]
+            else:
+                prefix = prefix @ lorentz.sl2_inverse(images[idx])
+                conjugators.append(prefix)
             word_index.append(wi)
-            generators.append(abs(letter) - 1)
+            generators.append(idx)
             signs.append(1.0 if letter > 0 else -1.0)
         values.append(prefix)
     return (np.array(word_index, dtype=int), np.array(generators, dtype=int),
@@ -235,7 +225,7 @@ def _relator_matrix(rep: Representation, pres: Presentation, algebra):
     dim = blocks.shape[1]
     mat = np.zeros((len(pres.relators), rep.generator_count, dim, 6))
     np.add.at(mat, (word, gen), sign[:, None, None] * blocks)
-    return mat.transpose(0, 3, 1, 2).reshape(6 * len(pres.relators), -1)
+    return mat.transpose(0, 3, 1, 2).reshape(6 * len(pres.relators), rep.generator_count * dim)
 
 
 def _trace_matrix(rep: Representation, loops, algebra):
@@ -263,13 +253,9 @@ def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
     """Orthonormal basis (columns) of the first-order deformation space.
 
     Solves the linearized relator conditions over generator assignments with
-    values in the chosen coefficient algebra; for a free group the basis is
-    the identity on all of them.
+    values in the chosen coefficient algebra; for a free group there are no
+    conditions and the basis is the identity on all of them.
     """
-    n = rep.generator_count
-    dim = len(algebra_basis(algebra))
-    if not pres.relators:
-        return np.eye(n * dim)
     return nullspace(_relator_matrix(rep, pres, algebra), tol.rank_svd)
 
 
@@ -286,23 +272,15 @@ def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAU
     return u[:, :rank]
 
 
-def _cohomology(rep: Representation, pres: Presentation, algebra, tol: Tolerances):
-    """Orthonormal bases (columns) of Z^1, B^1 and a complement of B^1 in Z^1."""
-    z = cocycle_space(rep, pres, algebra, tol)
-    b = coboundary_space(rep, algebra, tol)
-    if b.shape[1] == 0:
-        return z, b, z
-    reduced = z - b @ (b.T @ z)
-    u, sing, _ = np.linalg.svd(reduced, full_matrices=False)
-    rank = numerical_rank(sing, tol.rank_svd)
-    return z, b, u[:, :rank]
-
-
 def cohomology_basis(rep: Representation, pres: Presentation, algebra="sl2",
                      tol: Tolerances = DEFAULT):
     """Orthonormal basis of a complement of the coboundaries inside the
-    cocycles; its width is the first-cohomology real dimension."""
-    return _cohomology(rep, pres, algebra, tol)[2]
+    cocycles; its width is the first-cohomology real dimension.  The test
+    reference for ``trace_rank``, which needs no such basis."""
+    z = cocycle_space(rep, pres, algebra, tol)
+    b = coboundary_space(rep, algebra, tol)
+    u, sing, _ = np.linalg.svd(z - b @ (b.T @ z), full_matrices=False)
+    return u[:, :numerical_rank(sing, tol.rank_svd)]
 
 
 def trace_differential(rep: Representation, u: Cocycle, word):
@@ -334,15 +312,24 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     Unitary restriction: su(2)-valued cocycles, only the Re rows.  Rank is
     decided at ``tol.rank_svd`` relative threshold; ``gap_ratio`` is the jump
     across the cutoff (infinite when the map has full rank).
+
+    Traces are class functions, so the trace rows vanish on coboundaries.
+    The rows times a basis of all of Z^1 then have the singular values of
+    the map on H^1 plus b^1 zeros, up to rounding; the first
+    h^1 = z^1 - b^1 of them are kept.  This presumes B^1 inside Z^1, which
+    holds when rho satisfies the relators (see ``representation_report``);
+    off a representation the count means nothing and is floored at 0.
     """
     if not loops:
         raise ValueError("need at least one loop")
     algebra = "su2" if restrict_to_unitary else "sl2"
-    z, b, h = _cohomology(rep, pres, algebra, tol)
+    z = cocycle_space(rep, pres, algebra, tol)
+    b1 = coboundary_space(rep, algebra, tol).shape[1]
+    h1 = max(z.shape[1] - b1, 0)
     traces = _trace_matrix(rep, loops, algebra)
     parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
-    mat = np.stack(parts, axis=1).reshape(-1, traces.shape[1]) @ h
-    sing = np.linalg.svd(mat, compute_uv=False)
+    mat = np.stack(parts, axis=1).reshape(-1, traces.shape[1]) @ z
+    sing = np.linalg.svd(mat, compute_uv=False)[:h1]
     rank = numerical_rank(sing, tol.rank_svd)
     if 0 < rank < len(sing) and sing[rank] > 0:
         gap = float(sing[rank - 1] / sing[rank])
@@ -351,8 +338,8 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     return TraceRankReport(
         algebra=algebra,
         z1_dim=z.shape[1],
-        b1_dim=b.shape[1],
-        h1_dim=h.shape[1],
+        b1_dim=b1,
+        h1_dim=h1,
         loop_count=len(loops),
         rank=rank,
         singular_values=sing,
@@ -646,6 +633,17 @@ def _norms(x):
     return np.sqrt(lorentz._row_dot(x.real, x.real) + lorentz._row_dot(x.imag, x.imag))
 
 
+def _central_residuals(products):
+    """Sign of the nearer of +-I to every 2x2 matrix of a stack, and its
+    Frobenius distance to that matrix by ``_norms``: the residual of a
+    relator that should hold up to the double-cover sign."""
+    flat = np.reshape(products, (-1, 4))
+    plus = _norms(flat - _I2.reshape(4))
+    minus = _norms(flat + _I2.reshape(4))
+    nearer = plus <= minus
+    return np.where(nearer, 1, -1), np.where(nearer, plus, minus)
+
+
 def _complex_product(a, b):
     """Real and imaginary parts of a * b by the schoolbook formula, which
     rounds like a product of two complex scalars."""
@@ -678,9 +676,7 @@ def _cyclic_relation_residuals(images, offsets):
     product = np.broadcast_to(_I2, padded.shape[:1] + (2, 2))
     for k in range(padded.shape[1]):
         product = np.where((k < sizes)[:, None, None], product @ padded[:, k], product)
-    plus = _norms((product - _I2).reshape(-1, 4))
-    minus = _norms((product + _I2).reshape(-1, 4))
-    return np.where(plus <= minus, plus, minus)
+    return _central_residuals(product)[1]
 
 
 def _irreducibility(images, offsets, tol: Tolerances):
@@ -699,8 +695,7 @@ def _irreducibility(images, offsets, tol: Tolerances):
     images = np.asarray(images, dtype=complex).reshape(-1, 2, 2)
     n = len(images)
     sizes, owner = _ragged(offsets)
-    distance = np.minimum(_norms((images - _I2).reshape(-1, 4)),
-                          _norms((images + _I2).reshape(-1, 4)))
+    _, distance = _central_residuals(images)
     # row of every group's first non-central image; n marks a central group
     rows = np.append(np.where(distance > tol.central, np.arange(n), n), n)
     first = np.where(sizes > 0, np.minimum.reduceat(rows, offsets[:-1]), n)

@@ -6,8 +6,10 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.spatial import ConvexHull
 
-from stokerlab import lorentz
+from stokerlab import lorentz, repvar
+from stokerlab.config import DEFAULT
 from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron, embed_euclidean
+from stokerlab.rigidity import numerical_rank
 
 
 def random_isometry(rng, scale=0.5):
@@ -122,6 +124,24 @@ def min_norm_step(jac, rhs, rcond):
     """Minimum-norm least-squares solution by the SVD pseudoinverse, with
     singular values below ``rcond`` times the largest one treated as zero."""
     return np.linalg.pinv(jac, rcond) @ rhs
+
+
+def trace_rank_reference(rep, pres, loops, unitary):
+    """The trace rank on H^1 through ``cohomology_basis``: the trace rows
+    times an orthonormal basis of a complement of B^1 in Z^1.  Returns
+    (z1, b1, h1, rank, gap_ratio), the singular values and the 2-norm of
+    the trace rows."""
+    algebra = "su2" if unitary else "sl2"
+    traces = repvar._trace_matrix(rep, loops, algebra)
+    parts = (traces.real,) if unitary else (traces.real, traces.imag)
+    rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
+    h = repvar.cohomology_basis(rep, pres, algebra)
+    sing = np.linalg.svd(rows @ h, compute_uv=False)
+    rank = numerical_rank(sing, DEFAULT.rank_svd)
+    gap = sing[rank - 1] / sing[rank] if 0 < rank < len(sing) and sing[rank] > 0 else np.inf
+    dims = (repvar.cocycle_space(rep, pres, algebra).shape[1],
+            repvar.coboundary_space(rep, algebra).shape[1], h.shape[1], rank, gap)
+    return dims, sing, np.linalg.norm(rows, 2)
 
 
 def finite_difference_jacobian(func, x0, step=1e-6):

@@ -20,6 +20,8 @@ from stokerlab.polyhedron import (
     planarity_residuals,
 )
 from stokerlab.repvar import (
+    _coboundary_matrix,
+    _trace_matrix,
     Cocycle,
     Representation,
     coboundary,
@@ -223,12 +225,12 @@ def test_criterion_6_oracle_agreement():
         n = 2 + i % 2
         rep = Representation([expm(matrix_from_coords(rng.normal(size=6) * 0.7, "sl2"))
                               for _ in range(n)])
-        u_vals = [matrix_from_coords(rng.normal(size=6) * 0.5, "sl2") for _ in range(n)]
+        coords = [rng.normal(size=6) * 0.5 for _ in range(n)]
         length = 3 + i % 5
         letters = rng.integers(1, n + 1, size=length)
         signs = rng.choice([-1, 1], size=length)
         word = tuple(int(l * s) for l, s in zip(letters, signs))
-        u = Cocycle(u_vals)
+        u = Cocycle([matrix_from_coords(c, "sl2") for c in coords])
         step = 1e-5
 
         def trace_at(t):
@@ -239,6 +241,10 @@ def test_criterion_6_oracle_agreement():
         diff = abs(trace_differential(rep, u, word) - numeric)
         if not diff < 1e-6:
             failures.append(f"trace instance {i}: off by {diff:.3e}")
+        # the production path: the trace row times the cocycle's coordinates
+        diff = abs(_trace_matrix(rep, [word], "sl2")[0] @ np.concatenate(coords) - numeric)
+        if not diff < 1e-6:
+            failures.append(f"trace instance {i}: trace row off by {diff:.3e}")
     _conclude(6, "analytic/finite-difference agreement", failures)
 
 
@@ -248,7 +254,8 @@ def test_criterion_7_class_function_property():
     for label, builder, vertex, valence in LINK_CASES:
         link = link_representation(builder(0.3), vertex)
         rep = link.representation()
-        worst = 0.0
+        coboundaries = _coboundary_matrix(rep, "sl2")
+        worst = worst_rows = 0.0
         for _ in range(100):
             v = matrix_from_coords(rng.normal(size=6), "sl2")
             cob = coboundary(v, rep)
@@ -257,8 +264,13 @@ def test_criterion_7_class_function_property():
             signs = rng.choice([-1, 1], size=length)
             word = tuple(int(l * s) for l, s in zip(letters, signs))
             worst = max(worst, abs(trace_differential(rep, cob, word)))
+            # the production path: T B = 0, which trace_rank relies on
+            rows = np.abs(_trace_matrix(rep, [word], "sl2") @ coboundaries)
+            worst_rows = max(worst_rows, float(rows.max()))
         if not worst < 1e-10:
             failures.append(f"{label}: coboundary trace derivative {worst:.3e}")
+        if not worst_rows < 1e-10:
+            failures.append(f"{label}: trace rows times coboundary matrix {worst_rows:.3e}")
         dim = coboundary_space(rep).shape[1]
         if dim != 6:
             failures.append(f"{label}: coboundary space dim {dim} != 6")

@@ -8,6 +8,7 @@ from stokerlab import cli, fixtures, formats
 from stokerlab.errors import ParseError
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import Presentation, surface_group_fixture
+from stokerlab.rigidity import rigidity_report
 
 
 def write(tmp_path, name, text):
@@ -64,6 +65,34 @@ class TestPolyhedronFormat:
         path = write(tmp_path, "angles.json", f'{{"angles": [1.0, {literal}, 2.0]}}')
         with pytest.raises(ParseError, match="angles must be finite"):
             formats.load_angles(path)
+
+
+class TestFloatFormat:
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"), (1e16, "10000000000000000.0"),
+        (1e17, "1e+17"), (2.5, "2.5"), (1e-5, "1.0000000000000001e-05"),
+    ])
+    def test_floats_read_back_as_floats(self, value, text):
+        assert formats.format_float(value) == text
+        parsed = json.loads(formats.to_json([value]))[0]
+        assert type(parsed) is float
+        assert np.copysign(1.0, parsed) == np.copysign(1.0, value) and parsed == value
+        assert formats.to_json([parsed]) == formats.to_json([value])
+
+    def test_integral_verdict_value_is_a_float(self, tmp_path, capsys):
+        """At ``cube(0.02)`` with this seed the achieved angles hit the
+        target exactly, so the ``angles_achieved`` value is 0.0."""
+        path = write_poly(tmp_path, fixtures.cube(0.02))
+        code, out = run_cli(capsys, ["deform", path, "--perturb", "1e-4", "--seed", "1"])
+        assert code == 0
+        report = json.loads(out)
+        assert type(report["config"]["tol_scale"]) is float
+        verdicts = {v["name"]: v for v in report["verdicts"]}
+        assert verdicts["angles_achieved"]["value"] == 0.0
+        for verdict in report["verdicts"]:
+            assert type(verdict["tolerance"]) is float
+            assert type(verdict["value"]) is float
+        assert formats.to_json(report) + "\n" == out
 
 
 class TestPresentationFormat:
@@ -256,11 +285,30 @@ class TestCliRigidity:
         assert report["results"]["rigidity"]["kernel_dim"] == 6
 
     def test_coplanar_not_certified(self, tmp_path, capsys):
+        """A flattened cube is not certified, and ``validate`` fails its
+        convexity, so the command gives the exit-2 ``ParseError`` report."""
         poly = fixtures.cube(0.3)
         flat = poly.with_positions(poly.positions * np.array([1.0, 1.0, 0.0]))
+        assert not rigidity_report(flat).certified
         path = write_poly(tmp_path, flat)
         code, out = run_cli(capsys, ["rigidity", path])
-        assert code == 1
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "ParseError"
+        assert "invalid embedding: minimum convexity margin" in report["message"]
+
+    def test_degenerate_face_rejected(self, tmp_path, capsys):
+        """``rigidity_report`` records the face kernel's error in its notes;
+        the embedding judge then rejects the input."""
+        poly = corner_tetrahedron()
+        pos = poly.positions.copy()
+        pos[2] = 0.5 * (pos[0] + pos[1])  # collapses the anchors of two faces
+        degenerate = poly.with_positions(pos)
+        assert rigidity_report(degenerate).notes == ["three points do not span a plane"]
+        path = write_poly(tmp_path, degenerate)
+        code, out = run_cli(capsys, ["rigidity", path])
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
 
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, ["rigidity", "/nonexistent/nowhere.json"])

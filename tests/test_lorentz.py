@@ -26,11 +26,6 @@ class TestMinkowskiInner:
             expected = sum(u[i] * v[i] for i in range(3)) - u[3] * v[3]
             assert lorentz.minkowski_inner(u, v) == pytest.approx(expected, abs=1e-15)
 
-    def test_causal_character(self):
-        assert lorentz.causal_character(E4) == "timelike"
-        assert lorentz.causal_character(E1) == "spacelike"
-        assert lorentz.causal_character([1.0, 0.0, 0.0, 1.0]) == "lightlike"
-
 
 class TestKleinLift:
     def test_origin(self):

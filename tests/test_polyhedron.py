@@ -234,7 +234,7 @@ class TestEmbedEuclidean:
             embed_euclidean(poly.combinatorics, poly.positions, 1.0)
 
 
-GEOMETRY_COMMANDS = ["angles", "holonomy", "deform", "tracerank"]
+GEOMETRY_COMMANDS = ["angles", "rigidity", "holonomy", "deform", "tracerank"]
 
 
 def geometry_argv(command, path, tmp_path):
@@ -284,7 +284,9 @@ class TestEmbeddingJudge:
     def test_geometry_commands_reject_the_embedding(self, name, command, tmp_path, capsys):
         """The geometry commands give the exit-2 ``ParseError`` report with
         the judge's first issue; an error of the face kernel itself (a
-        vertex outside the ball) comes first and keeps exit 1."""
+        vertex outside the ball) comes first and keeps exit 1.
+        ``rigidity_report`` records such an error in its notes instead of
+        raising, so ``rigidity`` gives the judge's issue there too."""
         poly, error = FAILING_EMBEDDINGS[name][0](), FAILING_EMBEDDINGS[name][1]
         path = tmp_path / "poly.json"
         path.write_text(formats.dump_polyhedron(poly))
@@ -294,7 +296,7 @@ class TestEmbeddingJudge:
         report = json.loads(captured.out)
         assert captured.err == ""
         assert report["command"] == command
-        if error is BallBoundary:
+        if error is BallBoundary and command != "rigidity":
             assert (code, report["error"]) == (1, "BallBoundary")
         else:
             assert (code, report["error"]) == (2, "ParseError")

@@ -14,6 +14,7 @@ from helpers import (
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    trace_rank_reference,
 )
 from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
@@ -457,6 +458,153 @@ class TestSurfaceGroupFixture:
         report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
         assert report.h1_dim == 12 * fx.genus - 12
         assert report.rank == 2 * poly.combinatorics.edge_count
+
+
+EPS = np.finfo(float).eps
+# The two routes' singular values agree to SV_C * eps times the 2-norm of
+# the trace rows, floored at 1: a row entry sums terms of size about 1 or
+# more, and a loop whose terms cancel leaves rows of rounding noise.  Worst
+# seen: 13 eps on the trace-ladder surfaces and links, 33 eps on 3000
+# random punctured-sphere representations.
+SV_C = 128
+
+
+def assert_trace_rank_matches_reference(rep, pres, loops, unitary):
+    """``trace_rank`` on Z^1 against the ``cohomology_basis`` route: equal
+    dimensions, rank and gap ratio (finite gaps divide by a rounding-level
+    value, so there only finiteness is compared), and singular values
+    within the eps bound."""
+    report = trace_rank(rep, pres, loops, restrict_to_unitary=unitary)
+    (z1, b1, h1, rank, gap), sing, row_norm = trace_rank_reference(rep, pres, loops, unitary)
+    assert (report.z1_dim, report.b1_dim, report.h1_dim, report.rank) == (z1, b1, h1, rank)
+    assert report.gap_ratio == gap or (np.isfinite(report.gap_ratio) and np.isfinite(gap))
+    assert len(report.singular_values) == len(sing)
+    worst = np.max(np.abs(report.singular_values - sing), initial=0.0)
+    assert worst <= SV_C * EPS * max(row_norm, 1.0)
+    return report
+
+
+TRACE_LADDER_SURFACES = {name: (lambda name=name: fixtures.STANDARD[name](0.3))
+                         for name in fixtures.STANDARD}
+TRACE_LADDER_SURFACES.update(SURFACE_CASES)
+FIXTURE_LINKS = [(name, v) for name in sorted(fixtures.STANDARD)
+                 for v in range(fixtures.STANDARD[name]().combinatorics.vertex_count)]
+
+
+@st.composite
+def punctured_sphere_cases(draw):
+    """A representation of <g_1 .. g_d | g_1 ... g_d> for d = 3..5: random
+    images of moderate norm, the last one closing the relator, and loops
+    that start with (1,) so that some trace varies.  su(2) cases take
+    unitary images."""
+    d = draw(st.integers(3, 5))
+    unitary = draw(st.booleans())
+    algebra = "su2" if unitary else "sl2"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = rng.uniform(0.1, 0.6)
+    images = [expm(matrix_from_coords(rng.normal(size=6 if algebra == "sl2" else 3) * scale,
+                                      algebra)) for _ in range(d - 1)]
+    images.append(lorentz.sl2_inverse(reduce(np.matmul, images)))
+    letter = st.integers(1, d).flatmap(lambda g: st.sampled_from((g, -g)))
+    loops = draw(st.lists(st.lists(letter, min_size=1, max_size=4).map(tuple),
+                          min_size=0, max_size=3 * d))
+    return Representation(images), Presentation.punctured_sphere(d), [(1,)] + loops, unitary
+
+
+class TestTraceRankOnCocycles:
+    """``trace_rank`` keeps the first h^1 singular values of the trace rows
+    on Z^1; the complement-of-B^1 route is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(TRACE_LADDER_SURFACES))
+    def test_surfaces(self, name):
+        fx = surface_group_fixture(TRACE_LADDER_SURFACES[name]())
+        report = assert_trace_rank_matches_reference(
+            fx.representation, fx.presentation, fx.meridian_loops(), False)
+        assert report.gap_ratio == np.inf
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("name,vertex", FIXTURE_LINKS)
+    def test_fixture_links(self, name, vertex, unitary):
+        link = link_representation(fixtures.STANDARD[name](0.3), vertex)
+        loops = [(k,) for k in range(1, len(link.edges) + 1)]
+        report = assert_trace_rank_matches_reference(
+            link.representation(), link.presentation, loops, unitary)
+        assert report.gap_ratio == np.inf
+
+    @pytest.mark.parametrize("unitary,rows,h1", [(True, 7, 3), (False, 14, 6)])
+    def test_more_rows_than_h1(self, unitary, rows, h1):
+        """The Z^1 product has z^1 singular values, b^1 of them rounding
+        zeros: only the cut to h^1 keeps them out of the rank and the gap."""
+        link = link_representation(fixtures.tetrahedron(0.3), 0)
+        loops = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, -2)]
+        report = assert_trace_rank_matches_reference(
+            link.representation(), link.presentation, loops, unitary)
+        assert (report.loop_count * (1 if unitary else 2), report.h1_dim) == (rows, h1)
+        assert report.z1_dim - report.b1_dim == h1 < rows
+        assert len(report.singular_values) == report.rank == h1
+        assert report.gap_ratio == np.inf
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(punctured_sphere_cases())
+    def test_random_representations(self, case):
+        assert_trace_rank_matches_reference(*case)
+
+    def test_failing_relator_floors_h1(self):
+        """Off a representation B^1 need not lie in Z^1.  With g_1 of order
+        4 and a relator g_2 that fails, z^1 = 4 < b^1 = 6: h^1 is 0 and no
+        singular value is kept."""
+        g1 = np.array([[0, 1], [-1, 0]], dtype=complex)
+        rep = Representation([g1, expm(matrix_from_coords(np.arange(1.0, 7.0) / 10, "sl2"))])
+        pres = Presentation(2, ((1, 1), (2,)))
+        assert representation_report(rep, pres)[1][1][1] > 1.0
+        report = trace_rank(rep, pres, [(1,), (2,), (1, 2)])
+        assert (report.z1_dim, report.b1_dim, report.h1_dim, report.rank) == (4, 6, 0, 0)
+        assert report.singular_values.size == 0
+
+
+class TestOneWordWalk:
+    """Relator values and words are the left-to-right product of the
+    letters' images, bit for bit."""
+
+    @staticmethod
+    def explicit_product(rep, word):
+        out = I2
+        for l in word:
+            m = rep.images[abs(l) - 1]
+            out = out @ (m if l > 0 else lorentz.sl2_inverse(m))
+        return out
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    def test_bit_equal_to_explicit_product(self, seed, n, lengths):
+        rng = np.random.default_rng(seed)
+        rep = random_representation(rng, n)
+        words = [random_word(rng, n, length) for length in lengths]
+        words.append(())
+        pres = Presentation(n, [w for w in words if w])
+        _, relator_data = representation_report(rep, pres)
+        expected = []
+        for word in pres.relators:
+            value = self.explicit_product(rep, word)
+            plus, minus = np.linalg.norm(value - I2), np.linalg.norm(value + I2)
+            expected.append((1, plus) if plus <= minus else (-1, minus))
+        assert relator_data == expected
+        for word in words:
+            assert np.array_equal(evaluate_word(rep, word), self.explicit_product(rep, word))
+
+    @pytest.mark.parametrize("name,vertex,sign", [("cube", 0, -1), ("pentagonal_pyramid", 5, 1)])
+    def test_link_relator_sign(self, name, vertex, sign):
+        """A link relator holds at -I or at +I: the nearer one gives the sign
+        and the residual, in the report and in the batched link relations."""
+        link = link_representation(fixtures.STANDARD[name](0.3), vertex)
+        rep = link.representation()
+        [(found, residual)] = representation_report(rep, link.presentation)[1]
+        value = self.explicit_product(rep, link.presentation.relators[0])
+        assert found == sign
+        assert residual == np.linalg.norm(value - sign * I2) < DEFAULT.relator
+        offsets = np.array([0, len(rep.images)])
+        assert _cyclic_relation_residuals(np.array(rep.images), offsets)[0] == residual
 
 
 def assert_links_equal(batched, single):
