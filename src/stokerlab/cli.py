@@ -316,6 +316,12 @@ def cmd_tracerank(args, tol: Tolerances, config):
     }
     worst_rel = max((r for _, r in relator_data), default=0.0)
     ok = _verdict(report, "relators_hold", worst_rel < tol.relator, tol.relator, worst_rel)
+    if args.unitary:
+        # su(2) coordinates mean nothing for images outside SU(2)
+        images = np.reshape(rep.images, (-1, 2, 2))
+        gram = images @ np.conj(np.swapaxes(images, -1, -2)) - np.eye(2)
+        defect = float(np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0))
+        ok = _verdict(report, "images_unitary", defect < tol.iso, tol.iso, defect) and ok
     if expected is not None:
         report["results"]["expected"] = expected
         ok = _verdict(report, "h1_dim_expected", rank_report.h1_dim == expected["h1_dim"],

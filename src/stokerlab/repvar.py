@@ -25,7 +25,7 @@ from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import ConvexityViolation, EigenFailure, IndexRange, InvalidCombinatorics
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
-from .rigidity import numerical_rank, nullspace
+from .rigidity import _null_components, numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -252,9 +252,12 @@ def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
                   tol: Tolerances = DEFAULT):
     """Orthonormal basis (columns) of the first-order deformation space.
 
-    Solves the linearized relator conditions over generator assignments with
-    values in the chosen coefficient algebra; for a free group there are no
-    conditions and the basis is the identity on all of them.
+    The numerical nullspace (``rigidity.nullspace``: a column-pivoted QR,
+    no SVD) of the linearized relator conditions over generator assignments
+    with values in the chosen coefficient algebra; for a free group there
+    are no conditions and the basis is the identity on all of them.
+    ``trace_rank`` reads Z^1 from the same factorization without forming
+    this basis.
     """
     return nullspace(_relator_matrix(rep, pres, algebra), tol.rank_svd)
 
@@ -313,23 +316,28 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     decided at ``tol.rank_svd`` relative threshold; ``gap_ratio`` is the jump
     across the cutoff (infinite when the map has full rank).
 
-    Traces are class functions, so the trace rows vanish on coboundaries.
-    The rows times a basis of all of Z^1 then have the singular values of
-    the map on H^1 plus b^1 zeros, up to rounding; the first
-    h^1 = z^1 - b^1 of them are kept.  This presumes B^1 inside Z^1, which
-    holds when rho satisfies the relators (see ``representation_report``);
-    off a representation the count means nothing and is floored at 0.
+    The relator matrix is factored once by the column-pivoted QR of
+    ``rigidity.nullspace``; its rank gives z^1 = columns - rank, and the
+    trace rows are carried onto Z^1 through the stored reflectors, with no
+    basis of Z^1 formed.  Traces are class functions, so the trace rows
+    vanish on coboundaries.  The rows on Z^1 then have the singular values
+    of the map on H^1 plus b^1 zeros, up to rounding, for any orthonormal
+    basis of Z^1; the first h^1 = z^1 - b^1 of them are kept.  This presumes
+    B^1 inside Z^1, which holds when rho satisfies the relators (see
+    ``representation_report``); off a representation the count means
+    nothing and is floored at 0.
     """
     if not loops:
         raise ValueError("need at least one loop")
     algebra = "su2" if restrict_to_unitary else "sl2"
-    z = cocycle_space(rep, pres, algebra, tol)
-    b1 = coboundary_space(rep, algebra, tol).shape[1]
-    h1 = max(z.shape[1] - b1, 0)
     traces = _trace_matrix(rep, loops, algebra)
     parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
-    mat = np.stack(parts, axis=1).reshape(-1, traces.shape[1]) @ z
-    sing = np.linalg.svd(mat, compute_uv=False)[:h1]
+    rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
+    on_cocycles = _null_components(_relator_matrix(rep, pres, algebra), tol.rank_svd, rows.T)
+    z1 = on_cocycles.shape[0]
+    b1 = coboundary_space(rep, algebra, tol).shape[1]
+    h1 = max(z1 - b1, 0)
+    sing = np.linalg.svd(on_cocycles, compute_uv=False)[:h1]
     rank = numerical_rank(sing, tol.rank_svd)
     if 0 < rank < len(sing) and sing[rank] > 0:
         gap = float(sing[rank - 1] / sing[rank])
@@ -337,7 +345,7 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
         gap = np.inf
     return TraceRankReport(
         algebra=algebra,
-        z1_dim=z.shape[1],
+        z1_dim=z1,
         b1_dim=b1,
         h1_dim=h1,
         loop_count=len(loops),

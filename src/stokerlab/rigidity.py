@@ -4,14 +4,16 @@ The planarity constraints cut a submanifold of vertex-position space whose
 tangent space has dimension |E| + 6 for a convex embedding; restricted to
 that tangent space the dihedral-angle Jacobian must have rank |E| with a
 6-dimensional kernel spanned exactly by the ambient isometry directions.
-``rigidity_report`` certifies all of this numerically via SVD with a
-relative singular-value threshold.
+``rigidity_report`` certifies all of this numerically at one relative
+threshold, ``Tolerances.rank_svd``: the tangent space is a nullspace from a
+column-pivoted QR (see ``nullspace``), and the restricted angle Jacobian's
+rank and kernel come from its SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
+from scipy.linalg import lapack, subspace_angles
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
@@ -19,21 +21,47 @@ from .errors import DimensionMismatch, RankDeficiency, StokerlabError
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 
 
-def numerical_rank(singular_values, rel_threshold):
-    if len(singular_values) == 0 or singular_values[0] == 0.0:
+def numerical_rank(magnitudes, rel_threshold):
+    """Count of the nonincreasing ``magnitudes`` (singular values, or the
+    |r_kk| of a column-pivoted QR) above ``rel_threshold`` times the first."""
+    if len(magnitudes) == 0 or magnitudes[0] == 0.0:
         return 0
-    return int(np.sum(singular_values > rel_threshold * singular_values[0]))
+    return int(np.sum(magnitudes > rel_threshold * magnitudes[0]))
+
+
+def _null_components(matrix, rel_threshold, block):
+    """Components of the columns of ``block`` along an orthonormal basis of
+    the numerical nullspace of ``matrix``, one row per basis vector.
+
+    One column-pivoted Householder QR, ``matrix.T P = Q R`` (LAPACK
+    ``geqp3``; Businger and Golub, Numer. Math. 7, 1965), decides the rank:
+    the count of |r_kk| above ``rel_threshold`` times |r_00|.  The first
+    rank columns of Q span the row space of ``matrix`` and the rest its
+    nullspace, so the components are the rows of Q^T ``block`` past the
+    rank, applied through the stored reflectors (``ormqr``) without forming
+    Q or any singular vector.
+    """
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    block = np.asarray(block, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("nullspace of a non-finite matrix")
+    if 0 in matrix.shape:
+        return block
+    # LAPACK workspace queries (lwork = -1) before each call
+    lwork = int(lapack.dgeqp3(matrix.T, lwork=-1)[3][0])
+    qr, _, tau, _, _ = lapack.dgeqp3(matrix.T, lwork=lwork)
+    rank = numerical_rank(np.abs(np.diagonal(qr)), rel_threshold)
+    reflectors = qr[:, :tau.size]        # min(m, n) of them: fewer when matrix is tall
+    lwork = int(lapack.dormqr("L", "T", reflectors, tau, block, -1)[1][0])
+    return lapack.dormqr("L", "T", reflectors, tau, block, lwork)[0][rank:]
 
 
 def nullspace(matrix, rel_threshold):
-    """Orthonormal basis of the numerical nullspace (columns)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    cols = matrix.shape[1]
-    if matrix.shape[0] == 0:
-        return np.eye(cols)
-    _, sing, vh = np.linalg.svd(matrix)
-    rank = numerical_rank(sing, rel_threshold)
-    return vh[rank:].T
+    """Orthonormal basis (columns) of the numerical nullspace: the trailing
+    columns of Q in the column-pivoted QR of ``matrix.T``, past the rank
+    that ``_null_components`` decides."""
+    cols = np.atleast_2d(np.asarray(matrix)).shape[1]
+    return _null_components(matrix, rel_threshold, np.eye(cols)).T
 
 
 def constraint_jacobian(poly: EmbeddedPolyhedron):

@@ -126,21 +126,35 @@ def min_norm_step(jac, rhs, rcond):
     return np.linalg.pinv(jac, rcond) @ rhs
 
 
+def svd_nullspace(matrix, rel_threshold):
+    """Orthonormal basis (columns) of the numerical nullspace by a full SVD:
+    the right singular vectors past the rank at ``rel_threshold`` times the
+    largest singular value.  The reference for ``rigidity.nullspace``."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    cols = matrix.shape[1]
+    if matrix.shape[0] == 0:
+        return np.eye(cols)
+    _, sing, vh = np.linalg.svd(matrix)
+    return vh[numerical_rank(sing, rel_threshold):].T
+
+
 def trace_rank_reference(rep, pres, loops, unitary):
-    """The trace rank on H^1 through ``cohomology_basis``: the trace rows
-    times an orthonormal basis of a complement of B^1 in Z^1.  Returns
-    (z1, b1, h1, rank, gap_ratio), the singular values and the 2-norm of
-    the trace rows."""
+    """The trace rank on H^1 by SVDs alone: the trace rows times an
+    orthonormal basis of a complement of B^1 in Z^1, with Z^1 from
+    ``svd_nullspace`` of the relator matrix.  Returns (z1, b1, h1, rank,
+    gap_ratio), the singular values and the 2-norm of the trace rows."""
     algebra = "su2" if unitary else "sl2"
     traces = repvar._trace_matrix(rep, loops, algebra)
     parts = (traces.real,) if unitary else (traces.real, traces.imag)
     rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
-    h = repvar.cohomology_basis(rep, pres, algebra)
+    z = svd_nullspace(repvar._relator_matrix(rep, pres, algebra), DEFAULT.rank_svd)
+    b = repvar.coboundary_space(rep, algebra)
+    u, sing, _ = np.linalg.svd(z - b @ (b.T @ z), full_matrices=False)
+    h = u[:, :numerical_rank(sing, DEFAULT.rank_svd)]
     sing = np.linalg.svd(rows @ h, compute_uv=False)
     rank = numerical_rank(sing, DEFAULT.rank_svd)
     gap = sing[rank - 1] / sing[rank] if 0 < rank < len(sing) and sing[rank] > 0 else np.inf
-    dims = (repvar.cocycle_space(rep, pres, algebra).shape[1],
-            repvar.coboundary_space(rep, algebra).shape[1], h.shape[1], rank, gap)
+    dims = (z.shape[1], b.shape[1], h.shape[1], rank, gap)
     return dims, sing, np.linalg.norm(rows, 2)
 
 

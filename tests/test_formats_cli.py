@@ -7,7 +7,7 @@ from helpers import corner_tetrahedron
 from stokerlab import cli, fixtures, formats
 from stokerlab.errors import ParseError
 from stokerlab.polyhedron import dihedral_angles
-from stokerlab.repvar import Presentation, surface_group_fixture
+from stokerlab.repvar import Presentation, link_representation, surface_group_fixture
 from stokerlab.rigidity import rigidity_report
 
 
@@ -418,6 +418,36 @@ class TestCliTraceRank:
         assert report["results"]["trace_rank"]["h1_dim"] == 6
         assert report["results"]["trace_rank"]["rank"] == 4
         assert report["results"]["expected"] == {"valence": 4, "h1_dim": 6, "rank": 4}
+        unitary = next(v for v in report["verdicts"] if v["name"] == "images_unitary")
+        assert unitary["pass"] and unitary["tolerance"] == 1e-10
+
+    def test_unitary_link_matrices_pass(self, tmp_path, capsys):
+        """The vertex link's images, conjugated to the vertex, are unitary
+        to rounding."""
+        link = link_representation(fixtures.cube(0.3), 0)
+        pres_path = write(tmp_path, "pres.txt", formats.dump_presentation(link.presentation))
+        mats_path = write(tmp_path, "mats.json", formats.dump_matrices(link.representation()))
+        code, out = run_cli(capsys, ["tracerank", pres_path, "--matrices", mats_path,
+                                     "--unitary"])
+        assert code == 0
+        verdicts = {v["name"]: v for v in json.loads(out)["verdicts"]}
+        assert verdicts["images_unitary"]["pass"]
+        assert verdicts["images_unitary"]["value"] < 1e-14
+
+    def test_non_unitary_matrices_rejected(self, tmp_path, capsys):
+        """The boundary-surface images live in the global frame, far from
+        SU(2): su(2) coordinates mean nothing there, so --unitary fails."""
+        fx = surface_group_fixture(fixtures.tetrahedron(0.3))
+        pres_path = write(tmp_path, "pres.txt",
+                          formats.dump_presentation(fx.presentation, fx.meridian_loops()))
+        mats_path = write(tmp_path, "mats.json", formats.dump_matrices(fx.representation))
+        code, out = run_cli(capsys, ["tracerank", pres_path, "--matrices", mats_path,
+                                     "--unitary"])
+        assert code == 1
+        verdicts = {v["name"]: v for v in json.loads(out)["verdicts"]}
+        assert verdicts["relators_hold"]["pass"]
+        assert not verdicts["images_unitary"]["pass"]
+        assert verdicts["images_unitary"]["value"] > 0.1
 
     @pytest.mark.parametrize("vertex", [8, 9, -1])
     def test_fixture_vertex_out_of_range(self, vertex, tmp_path, capsys):

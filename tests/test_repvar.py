@@ -470,7 +470,7 @@ SV_C = 128
 
 
 def assert_trace_rank_matches_reference(rep, pres, loops, unitary):
-    """``trace_rank`` on Z^1 against the ``cohomology_basis`` route: equal
+    """``trace_rank`` on Z^1 against the all-SVD reference route: equal
     dimensions, rank and gap ratio (finite gaps divide by a rounding-level
     value, so there only finiteness is compared), and singular values
     within the eps bound."""

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, subspace_angles
 
 from helpers import (
     finite_difference_jacobian,
     random_isometry,
     random_polar_dual,
+    random_polyhedra,
     random_simplicial_hull,
+    svd_nullspace,
 )
 from stokerlab import fixtures, lorentz
+from stokerlab.config import DEFAULT
 from stokerlab.errors import DimensionMismatch, RankDeficiency
 from stokerlab.polyhedron import EmbeddedPolyhedron, dihedral_angles, planarity_residuals
 from stokerlab.rigidity import (
     angle_jacobian,
     constraint_jacobian,
     isometry_directions,
+    nullspace,
     numerical_rank,
     rigidity_report,
     tangent_space,
@@ -107,6 +113,69 @@ class TestTangentSpace:
         flat = poly.with_positions(poly.positions * np.array([1.0, 1.0, 0.0]))
         with pytest.raises(DimensionMismatch):
             tangent_space(flat)
+
+
+EPS = np.finfo(float).eps
+REL = DEFAULT.rank_svd
+# Bounds for an m x n planted matrix of norm 1, fixed from eps before any
+# run.  Householder reflectors are orthonormal to a small multiple of n eps
+# (worst seen 1.7 n eps).  Under column pivoting the multipliers
+# R11^-1 R12 stay of order 1, so the trailing block of the QR, which is
+# ``matrix @ basis``, is at most about (n + 1) times the largest dropped
+# singular value plus rounding (worst seen 0.9 times that sum, Frobenius).
+# A basis with residual delta makes a sine of at most
+# (delta + sigma_{r+1}) / sigma_r with the true nullspace, and the SVD
+# reference makes less; twice the residual bound covers both.
+ORTHONORMAL_C = 8
+RESIDUAL_C = 4
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """U S V^T with Haar-random U, V and a planted spectrum, 10x away from
+    the ``rank_svd`` cutoff on both sides: r kept values log-uniform in
+    [10 REL, 1] with the first at 1, and the rest either exactly 0 or
+    log-uniform in [1e-3 REL, REL / 10].  Shapes run over wide and tall,
+    zero rows (m = 0), rank 0 (the zero matrix) and full rank."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    k = min(m, n)
+    r = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kept = np.sort(10.0 ** rng.uniform(np.log10(10 * REL), 0.0, r))[::-1]
+    kept[:1] = 1.0
+    dropped = np.zeros(k - r)
+    if r and draw(st.booleans()):
+        dropped = 10.0 ** rng.uniform(np.log10(1e-3 * REL), np.log10(REL / 10), k - r)
+    u = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :k]
+    return (u * np.concatenate([kept, dropped])) @ v.T, kept, dropped
+
+
+class TestNullspace:
+    """The column-pivoted QR nullspace against the full-SVD reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(planted_rank_matrices())
+    def test_matches_svd_reference(self, case):
+        matrix, kept, dropped = case
+        n = matrix.shape[1]
+        basis = nullspace(matrix, REL)
+        reference = svd_nullspace(matrix, REL)
+        assert basis.shape == reference.shape == (n, n - len(kept))
+        width = basis.shape[1]
+        assert np.max(np.abs(basis.T @ basis - np.eye(width)), initial=0.0) \
+            <= ORTHONORMAL_C * n * EPS
+        residual = RESIDUAL_C * ((n + 1) * np.max(dropped, initial=0.0) + n * EPS)
+        assert np.linalg.norm(matrix @ basis) <= residual
+        if width and len(kept):
+            sines = np.sin(subspace_angles(basis, reference))
+            assert np.max(sines) <= 2 * residual / kept[-1]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(random_polyhedra(24))
+    def test_tangent_width_matches_svd_reference(self, poly):
+        width = svd_nullspace(constraint_jacobian(poly), REL).shape[1]
+        assert tangent_space(poly).shape[1] == width == poly.combinatorics.edge_count + 6
 
 
 class TestIsometryDirections:
