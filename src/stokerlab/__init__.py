@@ -27,7 +27,6 @@ from .polyhedron import (
     validate_embedding,
 )
 from .repvar import (
-    Cocycle,
     LinkCertificate,
     LinkRepresentation,
     PolyhedronHolonomy,
@@ -35,7 +34,6 @@ from .repvar import (
     Representation,
     cocycle_extend,
     cocycle_space,
-    coboundary,
     coboundary_space,
     cohomology_basis,
     evaluate_word,
@@ -45,7 +43,6 @@ from .repvar import (
     meridian_holonomy,
     polyhedron_holonomy,
     surface_group_fixture,
-    trace_differential,
     trace_rank,
 )
 from .rigidity import (

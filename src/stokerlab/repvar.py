@@ -54,11 +54,6 @@ def algebra_basis(algebra):
     raise ValueError(f"unknown algebra {algebra!r}")
 
 
-def matrix_from_coords(coords, algebra="sl2"):
-    basis = algebra_basis(algebra)
-    return sum(float(c) * b for c, b in zip(coords, basis))
-
-
 def coords_from_matrix(m, algebra="sl2"):
     """Real coordinates over the algebra's basis of a traceless 2x2 matrix,
     or of every matrix in a stack (the last two axes)."""
@@ -106,54 +101,23 @@ class Representation:
         return len(self.images)
 
 
-@dataclass
-class Cocycle:
-    """Traceless generator values; extended to words by twisted additivity."""
-
-    values: list
-
-    def __post_init__(self):
-        self.values = [np.asarray(m, dtype=complex).reshape(2, 2) for m in self.values]
-
-
 def evaluate_word(rep: Representation, word):
     """Ordered product of generator images and inverses over the word: the
     one-word call of ``_fox_calculus``."""
     return _fox_calculus(rep, [word])[4][0]
 
 
-def cocycle_extend(u: Cocycle, rep: Representation, word):
-    """Value of the cocycle on a word.
+def cocycle_extend(values, rep: Representation, word):
+    """Value on a word of the cocycle with generator values ``values``, an
+    (n, 2, 2) stack of traceless matrices: the one-word call of
+    ``_fox_calculus``, u(word) = sum of sign * P u(g) P^-1 over the letters.
 
-    Inverse letters use u(g^-1) = -Ad(rho(g)^-1) u(g); the result is the
-    derivative at t = 0 of t |-> rho_t(word) rho(word)^-1 for any deformation
-    with rho_t(g) = exp(t u(g)) rho(g).
+    The result is the derivative at t = 0 of t |-> rho_t(word) rho(word)^-1
+    for any deformation with rho_t(g) = exp(t u(g)) rho(g).
     """
-    acc = np.zeros((2, 2), dtype=complex)
-    prefix = _I2
-    prefix_inv = _I2
-    for letter in word:
-        idx = abs(letter) - 1
-        if letter == 0 or idx >= len(rep.images):
-            raise IndexRange(f"letter {letter} outside 1..{len(rep.images)}")
-        g = rep.images[idx]
-        if letter > 0:
-            val = u.values[idx]
-            step = g
-        else:
-            ginv = lorentz.sl2_inverse(g)
-            val = -(ginv @ u.values[idx] @ g)
-            step = ginv
-        acc = acc + prefix @ val @ prefix_inv
-        prefix = prefix @ step
-        prefix_inv = lorentz.sl2_inverse(step) @ prefix_inv
-    return acc
-
-
-def coboundary(v, rep: Representation) -> Cocycle:
-    """The cocycle g |-> v - Ad(rho(g)) v induced by conjugation along v."""
-    v = np.asarray(v, dtype=complex)
-    return Cocycle([v - m @ v @ lorentz.sl2_inverse(m) for m in rep.images])
+    _, gen, sign, conj, _ = _fox_calculus(rep, [word])
+    terms = conj @ np.asarray(values, dtype=complex)[gen] @ lorentz.sl2_inverse(conj)
+    return (sign[:, None, None] * terms).sum(axis=0)
 
 
 def representation_report(rep: Representation, pres: Presentation):
@@ -168,12 +132,6 @@ def representation_report(rep: Representation, pres: Presentation):
     det_defect = np.hypot(defects.real, defects.imag).max(initial=0.0)
     signs, residuals = _central_residuals(_fox_calculus(rep, pres.relators)[4])
     return float(det_defect), [(int(s), float(r)) for s, r in zip(signs, residuals)]
-
-
-def cocycle_from_vector(vec, generator_count, algebra="sl2"):
-    dim = len(algebra_basis(algebra))
-    vec = np.asarray(vec, dtype=float).reshape(generator_count, dim)
-    return Cocycle([matrix_from_coords(row, algebra) for row in vec])
 
 
 def _fox_calculus(rep: Representation, words):
@@ -205,7 +163,8 @@ def _fox_calculus(rep: Representation, words):
             signs.append(1.0 if letter > 0 else -1.0)
         values.append(prefix)
     return (np.array(word_index, dtype=int), np.array(generators, dtype=int),
-            np.array(signs), np.array(conjugators, dtype=complex), np.array(values))
+            np.array(signs), np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
+            np.array(values))
 
 
 def _conjugated_basis(conjugators, algebra):
@@ -278,18 +237,13 @@ def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAU
 def cohomology_basis(rep: Representation, pres: Presentation, algebra="sl2",
                      tol: Tolerances = DEFAULT):
     """Orthonormal basis of a complement of the coboundaries inside the
-    cocycles; its width is the first-cohomology real dimension.  The test
-    reference for ``trace_rank``, which needs no such basis."""
+    cocycles; its width is the first-cohomology real dimension.  Kept as
+    public API and as a name the benchmark tracer wraps; ``trace_rank``
+    needs no such basis."""
     z = cocycle_space(rep, pres, algebra, tol)
     b = coboundary_space(rep, algebra, tol)
     u, sing, _ = np.linalg.svd(z - b @ (b.T @ z), full_matrices=False)
     return u[:, :numerical_rank(sing, tol.rank_svd)]
-
-
-def trace_differential(rep: Representation, u: Cocycle, word):
-    """Derivative of the trace of a word along a deformation direction:
-    tr(u(word) rho(word))."""
-    return complex(np.trace(cocycle_extend(u, rep, word) @ evaluate_word(rep, word)))
 
 
 @dataclass
@@ -322,7 +276,8 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     basis of Z^1 formed.  Traces are class functions, so the trace rows
     vanish on coboundaries.  The rows on Z^1 then have the singular values
     of the map on H^1 plus b^1 zeros, up to rounding, for any orthonormal
-    basis of Z^1; the first h^1 = z^1 - b^1 of them are kept.  This presumes
+    basis of Z^1; the first h^1 = z^1 - b^1 of them are kept, with b^1 the
+    rank of ``_coboundary_matrix`` from its singular values.  This presumes
     B^1 inside Z^1, which holds when rho satisfies the relators (see
     ``representation_report``); off a representation the count means
     nothing and is floored at 0.
@@ -335,7 +290,8 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
     on_cocycles = _null_components(_relator_matrix(rep, pres, algebra), tol.rank_svd, rows.T)
     z1 = on_cocycles.shape[0]
-    b1 = coboundary_space(rep, algebra, tol).shape[1]
+    b1 = numerical_rank(np.linalg.svd(_coboundary_matrix(rep, algebra), compute_uv=False),
+                        tol.rank_svd)
     h1 = max(z1 - b1, 0)
     sing = np.linalg.svd(on_cocycles, compute_uv=False)[:h1]
     rank = numerical_rank(sing, tol.rank_svd)

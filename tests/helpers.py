@@ -138,6 +138,55 @@ def svd_nullspace(matrix, rel_threshold):
     return vh[numerical_rank(sing, rel_threshold):].T
 
 
+def matrix_from_coords(coords, algebra="sl2"):
+    """The traceless 2x2 matrix with the given real coordinates over the
+    algebra's basis; the inverse of ``repvar.coords_from_matrix``."""
+    return sum(float(c) * b for c, b in zip(coords, repvar.algebra_basis(algebra)))
+
+
+def cocycle_from_vector(vec, generator_count, algebra="sl2"):
+    """Generator values, an (n, 2, 2) stack, of a cocycle vector in the
+    column order of the relator and trace matrices."""
+    dim = len(repvar.algebra_basis(algebra))
+    rows = np.asarray(vec, dtype=float).reshape(generator_count, dim)
+    return np.array([matrix_from_coords(row, algebra) for row in rows])
+
+
+def coboundary(v, rep):
+    """Generator values of the cocycle g |-> v - Ad(rho(g)) v induced by
+    conjugation along v."""
+    v = np.asarray(v, dtype=complex)
+    return np.array([v - m @ v @ lorentz.sl2_inverse(m) for m in rep.images])
+
+
+def cocycle_walk(values, rep, word):
+    """Value on a word of the cocycle with generator values ``values``, by
+    twisted additivity one letter at a time: u(g h) = u(g) + Ad(rho(g)) u(h),
+    with u(g^-1) = -Ad(rho(g)^-1) u(g).  The reference for the Fox-calculus
+    assembly: it carries the prefix and its inverse along the word instead
+    of one conjugator per letter."""
+    acc = np.zeros((2, 2), dtype=complex)
+    prefix = prefix_inv = np.eye(2, dtype=complex)
+    for letter in word:
+        idx = abs(letter) - 1
+        g = rep.images[idx]
+        if letter > 0:
+            val, step = values[idx], g
+        else:
+            ginv = lorentz.sl2_inverse(g)
+            val, step = -(ginv @ values[idx] @ g), ginv
+        acc = acc + prefix @ val @ prefix_inv
+        prefix = prefix @ step
+        prefix_inv = lorentz.sl2_inverse(step) @ prefix_inv
+    return acc
+
+
+def trace_differential(rep, values, word):
+    """Derivative of the trace of a word along a deformation direction,
+    tr(u(word) rho(word)), with u(word) from ``cocycle_walk``."""
+    return complex(np.trace(cocycle_walk(values, rep, word) @ repvar.evaluate_word(rep, word)))
+
+
 def trace_rank_reference(rep, pres, loops, unitary):
     """The trace rank on H^1 by SVDs alone: the trace rows times an
     orthonormal basis of a complement of B^1 in Z^1, with Z^1 from

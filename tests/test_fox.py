@@ -2,8 +2,10 @@
 against the letter-by-letter reference path, on random SL(2,C)
 representations and random words with inverse and repeated letters.
 
-References: ``cocycle_extend`` and ``trace_differential`` applied to the unit
-cocycles of ``cocycle_from_vector``, and ``coboundary`` of each basis element.
+References, all in ``helpers``: ``cocycle_walk`` and ``trace_differential``
+applied to the unit cocycles of ``cocycle_from_vector``, and ``coboundary`` of
+each basis element.  ``repvar.cocycle_extend``, the one-word call of the Fox
+walk, is checked against ``cocycle_walk`` too.
 
 Rounding bound, fixed from float64 eps: both routes form the prefixes of a
 word as products of its letters, so the product N_k of the letter norms
@@ -19,6 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from helpers import (
+    coboundary,
+    cocycle_from_vector,
+    cocycle_walk,
+    matrix_from_coords,
+    trace_differential,
+)
 from stokerlab.errors import IndexRange
 from stokerlab.repvar import (
     Presentation,
@@ -27,13 +36,9 @@ from stokerlab.repvar import (
     _relator_matrix,
     _trace_matrix,
     algebra_basis,
-    coboundary,
     cocycle_extend,
-    cocycle_from_vector,
     cocycle_space,
     coords_from_matrix,
-    matrix_from_coords,
-    trace_differential,
     trace_rank,
 )
 
@@ -79,16 +84,21 @@ def entry_bound(rep, word):
 @examples
 @given(fox_cases())
 def test_relator_matrix_matches_cocycle_extend(algebra, case):
+    """The relator matrix and ``cocycle_extend`` both against the walk, on
+    the unit cocycles; the empty word gives the zero matrix."""
     rep, words = case
     mat = _relator_matrix(rep, Presentation(rep.generator_count, words), algebra)
     units = unit_cocycles(rep.generator_count, algebra)
     assert mat.shape == (6 * len(words), len(units))
     for r, word in enumerate(words):
-        reference = np.column_stack(
-            [coords_from_matrix(cocycle_extend(u, rep, word), "sl2") for u in units]
-        )
+        walked = [cocycle_walk(u, rep, word) for u in units]
+        reference = np.column_stack([coords_from_matrix(w, "sl2") for w in walked])
         bound, _ = entry_bound(rep, word)
         assert np.max(np.abs(mat[6 * r:6 * r + 6] - reference)) <= bound
+        extended = np.array([cocycle_extend(u, rep, word) for u in units])
+        assert np.max(np.abs(extended - np.array(walked))) <= bound
+    for u in units:
+        assert np.array_equal(cocycle_extend(u, rep, ()), np.zeros((2, 2)))
 
 
 @algebras
@@ -112,7 +122,7 @@ def test_coboundary_matrix_matches_coboundary(algebra, case):
     rep, _ = case
     mat = _coboundary_matrix(rep, algebra)
     reference = np.column_stack([
-        np.concatenate([coords_from_matrix(v, algebra) for v in coboundary(b, rep).values])
+        coords_from_matrix(coboundary(b, rep), algebra).ravel()
         for b in algebra_basis(algebra)
     ])
     norms = np.repeat([np.linalg.norm(m, 2) ** 2 for m in rep.images], len(algebra_basis(algebra)))
@@ -123,6 +133,9 @@ def test_out_of_range_letters_raise():
     rep = Representation([expm(matrix_from_coords(np.arange(1.0, 7.0) / 10, "sl2"))] * 2)
     with pytest.raises(IndexRange):
         cocycle_space(rep, Presentation(3, ((1, -3),)))
+    values = np.zeros((2, 2, 2), dtype=complex)
     for loop in [(1, 3), (0,), (-3, 2)]:
         with pytest.raises(IndexRange):
             trace_rank(rep, Presentation(2), [loop])
+        with pytest.raises(IndexRange):
+            cocycle_extend(values, rep, loop)

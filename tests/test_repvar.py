@@ -9,11 +9,14 @@ from scipy.linalg import expm
 
 from helpers import (
     capped_cube,
+    coboundary,
     corner_tetrahedron,
     elliptic,
+    matrix_from_coords,
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    trace_differential,
     trace_rank_reference,
 )
 from stokerlab import fixtures, formats
@@ -23,25 +26,20 @@ from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
     _cyclic_relation_residuals,
     _irreducibility,
-    Cocycle,
     Presentation,
     Representation,
-    coboundary,
     coboundary_space,
     cocycle_extend,
-    cocycle_from_vector,
     cocycle_space,
     cohomology_basis,
     evaluate_word,
     irreducibility_check,
     link_certificate,
     link_representation,
-    matrix_from_coords,
     meridian_holonomy,
     polyhedron_holonomy,
     representation_report,
     surface_group_fixture,
-    trace_differential,
     trace_rank,
 )
 from stokerlab import lorentz
@@ -59,7 +57,7 @@ def random_representation(rng, n, scale=0.8):
 
 
 def random_cocycle_values(rng, n, scale=0.5):
-    return Cocycle([matrix_from_coords(rng.normal(size=6) * scale, "sl2") for _ in range(n)])
+    return np.array([matrix_from_coords(rng.normal(size=6) * scale, "sl2") for _ in range(n)])
 
 
 def random_word(rng, n, length):
@@ -72,7 +70,7 @@ def numeric_cocycle_extension(u, rep, word, step=1e-5):
     """Central-difference derivative of t -> rho_t(word) rho(word)^-1."""
 
     def shifted(t):
-        return Representation([expm(t * v) @ m for v, m in zip(u.values, rep.images)])
+        return Representation([expm(t * v) @ m for v, m in zip(u, rep.images)])
 
     plus = evaluate_word(shifted(step), word)
     minus = evaluate_word(shifted(-step), word)
@@ -105,7 +103,7 @@ class TestCocycleExtend:
         rng = np.random.default_rng(3)
         rep = random_representation(rng, 2)
         u = random_cocycle_values(rng, 2)
-        assert np.array_equal(cocycle_extend(u, rep, (1,)), u.values[0])
+        assert np.array_equal(cocycle_extend(u, rep, (1,)), u[0])
 
     def test_cancellation(self):
         rng = np.random.default_rng(4)
@@ -127,13 +125,13 @@ class TestCoboundary:
     def test_zero_vector(self):
         rep = random_representation(np.random.default_rng(6), 2)
         cob = coboundary(np.zeros((2, 2), dtype=complex), rep)
-        assert all(np.max(np.abs(v)) == 0.0 for v in cob.values)
+        assert all(np.max(np.abs(v)) == 0.0 for v in cob)
 
     def test_trivial_representation(self):
         rep = Representation([I2, I2])
         v = matrix_from_coords(np.arange(1, 7, dtype=float), "sl2")
         cob = coboundary(v, rep)
-        assert all(np.max(np.abs(val)) < 1e-15 for val in cob.values)
+        assert all(np.max(np.abs(val)) < 1e-15 for val in cob)
 
     def test_satisfies_relators(self):
         rng = np.random.default_rng(7)
@@ -194,7 +192,7 @@ class TestTraceDifferential:
     def test_zero_cocycle(self):
         rng = np.random.default_rng(9)
         rep = random_representation(rng, 2)
-        u = Cocycle([np.zeros((2, 2), dtype=complex)] * 2)
+        u = np.zeros((2, 2, 2), dtype=complex)
         assert trace_differential(rep, u, (1, 2)) == 0
 
     def test_vanishes_on_coboundaries(self):
@@ -216,7 +214,7 @@ class TestTraceDifferential:
 
             def trace_at(t):
                 shifted = Representation(
-                    [expm(t * v) @ m for v, m in zip(u.values, rep.images)]
+                    [expm(t * v) @ m for v, m in zip(u, rep.images)]
                 )
                 return np.trace(evaluate_word(shifted, word))
 
