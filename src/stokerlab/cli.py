@@ -43,9 +43,9 @@ def _tolerances():
     raw = os.environ.get("STOKERLAB_TOL_SCALE", "1")
     try:
         factor = float(raw)
+        return DEFAULT.scaled(factor), factor
     except ValueError:
-        raise ParseError(f"STOKERLAB_TOL_SCALE={raw!r} is not a number")
-    return DEFAULT.scaled(factor), factor
+        raise ParseError(f"STOKERLAB_TOL_SCALE={raw!r} is not a finite positive number")
 
 
 def _base_report(command, paths, config):
@@ -130,7 +130,6 @@ def cmd_rigidity(args, tol: Tolerances, config):
     report = _base_report("rigidity", [args.path], config)
     rep = rigidity.rigidity_report(poly, tol)
     _require_embedding(poly, args.path, tol)
-    lead, trail = rep.spectral_gap
     report["results"]["rigidity"] = {
         "edge_count": rep.edge_count,
         "tangent_dim": rep.tangent_dim,
@@ -138,8 +137,7 @@ def cmd_rigidity(args, tol: Tolerances, config):
         "kernel_dim": rep.kernel_dim,
         "isometry_containment_residual": rep.isometry_containment_residual,
         "singular_values": [float(s) for s in rep.singular_values],
-        "spectral_gap_lead": lead,
-        "spectral_gap_trail": trail,
+        "spectral_gap_lead": rep.spectral_gap,
         "notes": rep.notes,
     }
     _verdict(report, "tangent_dim", rep.tangent_dim == rep.edge_count + 6, 0.0, rep.tangent_dim)

@@ -5,6 +5,7 @@ scale factor can stress-test all checks coherently (the CLI honors the
 ``STOKERLAB_TOL_SCALE`` environment variable for this purpose).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -31,8 +32,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("tolerance scale factor must be finite and positive")
         return Tolerances(**{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 

@@ -126,10 +126,13 @@ def dump_angles(angles) -> str:
 
 
 def load_presentation(path):
-    """Parse the presentation text format; returns (Presentation, loops)."""
+    """Parse the presentation text format; returns (Presentation, loops).
+
+    An empty relator, or a letter 0 or beyond the ``gens`` count in a
+    ``rel`` or ``loop`` line, raises ``ParseError`` with that line number.
+    """
     gens = None
-    relators = []
-    loops = []
+    words = []              # (line number, directive, letters)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -143,17 +146,22 @@ def load_presentation(path):
         try:
             if parts[0] == "gens" and len(parts) == 2:
                 gens = int(parts[1])
-            elif parts[0] == "rel":
-                relators.append(tuple(int(p) for p in parts[1:]))
-            elif parts[0] == "loop":
-                loops.append(tuple(int(p) for p in parts[1:]))
+            elif parts[0] in ("rel", "loop"):
+                words.append((lineno, parts[0], tuple(int(p) for p in parts[1:])))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from exc
     if gens is None:
         raise ParseError(f"{path}: missing 'gens' line")
-    return Presentation(gens, tuple(relators)), loops
+    for lineno, kind, word in words:
+        if kind == "rel" and not word:
+            raise ParseError(f"{path}: empty relator", line=lineno)
+        for letter in word:
+            if letter == 0 or abs(letter) > gens:
+                raise ParseError(f"{path}: {kind} letter {letter} outside 1..{gens}", line=lineno)
+    relators = tuple(word for _, kind, word in words if kind == "rel")
+    return Presentation(gens, relators), [word for _, kind, word in words if kind == "loop"]
 
 
 def dump_presentation(pres: Presentation, loops=()) -> str:

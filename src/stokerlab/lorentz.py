@@ -14,6 +14,13 @@ Conventions
   from which p1 -> p2 -> p3 runs counterclockwise, so a face stored
   counterclockwise from outside gets a normal pointing away from the
   interior, which pairs negatively with it.
+* ``sl2c_lift`` reads a lift S of L off one identity.  With E_a the
+  Hermitian forms of e1..e4 and P_c running over I, s1, s2, s3 (Pauli
+  matrices), S E_b S* = sum_a L_ab E_a and sum_b E_b B E_b = 2 tr(B) I give
+  M_c = sum_ab L_ab E_a P_c E_b = 2 tr(S* P_c) S.  The one choice is c: the
+  M_c of largest Frobenius norm (the first on a tie), which is never zero
+  since max_c |tr(S* P_c)| >= |S|_F / sqrt(2); dividing it by a square root
+  of its determinant gives +-S.
 * ``sl2c_lift`` fixes its branch so the lifted trace has nonnegative real
   part whenever possible; for an elliptic isometry with rotation angle
   theta in [0, pi] this gives trace 2*cos(theta/2).  Callers comparing
@@ -30,9 +37,6 @@ from .errors import BallBoundary, DegenerateFace, LiftFailure
 
 # Minkowski bilinear form, (+,+,+,-).
 J = np.diag([1.0, 1.0, 1.0, -1.0])
-
-_I2 = np.eye(2, dtype=complex)
-
 
 def minkowski_inner(u, v):
     """Signature (+,+,+,-) inner product of two 4-vectors (a float), or of
@@ -249,7 +253,8 @@ def so31_basis():
 # R^{3,1} is identified with 2x2 Hermitian matrices via
 #   (x1,x2,x3,x4)  ->  [[x4+x3, x1-i x2], [x1+i x2, x4-x3]],
 # on which S in SL(2,C) acts by X -> S X S*; the induced map on vectors is
-# the corresponding Lorentz transformation.
+# the corresponding Lorentz transformation.  ``sl2c_lift`` inverts it by the
+# identity in the module docstring.
 
 
 # Rows: the Hermitian forms of e1, e2, e3, e4, flattened row-major.
@@ -284,42 +289,12 @@ def sl2c_to_so31(s):
     return np.column_stack(cols)
 
 
-# Off-diagonal combinations q_i -+ q_j of a row-major 3x3 rotation that
-# give the quaternion components w x, w y, w z, x y, x z, y z (times 4).
-_PAIR_FIRST = [7, 2, 3, 1, 2, 5]
-_PAIR_SECOND = [5, 6, 1, 3, 6, 7]
-_PAIR_SIGN = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-# Per branch (the component taken from a square root), where w, x, y, z come
-# from among (root, wx, wy, wz, xy, xz, yz).
-_QUAT_SOURCE = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
-# Rows I, -i s1, -i s2, -i s3 (Pauli matrices), flattened row-major.
-_SU2_BASIS = np.array([
-    [1, 0, 0, 1], [0, -1j, -1j, 0], [0, -1, 1, 0], [-1j, 0, 0, 1j],
-])
-
-
-def _su2_from_rotation(q):
-    """SU(2) element covering a 3x3 rotation matrix, via its quaternion, for
-    one matrix or a stack (..., 3, 3).
-
-    Per matrix, the quaternion component (w, x, y, z) taken from a square
-    root r is w when tr q > 0, otherwise the one of x, y, z with the largest
-    diagonal entry (ties to the earlier).  The other three are sums or
-    differences of off-diagonal pairs times 0.5 / r.
-    """
-    q = np.asarray(q, dtype=float)
-    flat = q.reshape(-1, 9)
-    diag = flat[:, [0, 4, 8]]
-    d0, d1, d2 = diag.T
-    t = d0 + d1 + d2
-    branch = np.where(t > 0, 0, 1 + np.argmax(diag, axis=1))
-    r = np.sqrt(np.choose(branch, (1.0 + t, 1.0 + d0 - d1 - d2, 1.0 - d0 + d1 - d2,
-                                   1.0 - d0 - d1 + d2)))
-    pairs = (flat[:, _PAIR_FIRST] + _PAIR_SIGN * flat[:, _PAIR_SECOND]) * (0.5 / r)[:, None]
-    values = np.column_stack([0.5 * r, pairs])
-    quat = values[np.arange(len(flat))[:, None], _QUAT_SOURCE[branch]]
-    # w I - i(x s1 + y s2 + z s3) covers the right-handed rotation (w; x,y,z).
-    return (quat @ _SU2_BASIS).reshape(q.shape[:-2] + (2, 2))
+# E_a P_c E_b for the Hermitian forms E_a of e1..e4 and P_c over I, s1, s2,
+# s3 (the same four matrices, reordered), indexed (a, b, c, row, column,
+# real/imaginary part).  Every entry is 0 or +-1.
+_HERMITIAN = _HERMITIAN_BASIS.reshape(4, 2, 2)
+_SANDWICH = np.einsum("aij,cjk,bkl->abcil", _HERMITIAN, _HERMITIAN[[3, 0, 1, 2]],
+                      _HERMITIAN).view(float).reshape(4, 4, 4, 2, 2, 2)
 
 
 def _canonical_sign(s, tol: Tolerances = DEFAULT):
@@ -350,23 +325,22 @@ def sl2c_lift(mat, tol: Tolerances = DEFAULT):
     """One branch of the SL(2,C) lift of a Lorentz isometry, or of every
     matrix in a stack (..., 4, 4); the result has shape (..., 2, 2).
 
-    The decomposition L = (boost) * (rotation about e4) is lifted factor by
-    factor: the boost to the positive-definite Hermitian square root, the
-    rotation through its quaternion.  The sign is then fixed by
-    ``_canonical_sign``; the other branch is the negative.  Every matrix is
-    lifted as it would be alone, and ``LiftFailure`` is raised if any one of
-    them fails the isometry invariants.
+    For a lift S of L, M_c = sum_ab L_ab E_a P_c E_b equals 2 tr(S* P_c) S
+    (see the module docstring).  The M_c of largest Frobenius norm, never
+    zero, is divided by a square root of its determinant, and the sign is
+    then fixed by ``_canonical_sign``; the other branch is the negative.
+    Every matrix is lifted as it would be alone, and ``LiftFailure`` is
+    raised if any one of them fails the isometry invariants.
     """
     mat = np.asarray(mat, dtype=float)
     if not is_isometry(mat, tol):
         raise LiftFailure("matrix violates the Lorentz isometry invariants")
-    v = mat[..., :, 3]
-    xv = hermitian_from_vec(v)
-    root = np.sqrt(2.0 + (xv[..., 0, 0] + xv[..., 1, 1]).real)
-    boost_lift = (xv + _I2) / root[..., None, None]
-    rot = (J @ pure_boost(v) @ J) @ mat
-    rot_lift = _su2_from_rotation(rot[..., :3, :3])
-    return _canonical_sign(boost_lift @ rot_lift, tol)
+    parts = np.einsum("...ab,abcijk->...cijk", mat, _SANDWICH)
+    best = np.argmax(np.sum(parts * parts, axis=(-3, -2, -1)), axis=-1)
+    m = np.take_along_axis(parts, best[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
+    m = m[..., 0] + 1j * m[..., 1]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return _canonical_sign(m / np.sqrt(det)[..., None, None], tol)
 
 
 def sl2_inverse(m):

@@ -14,7 +14,7 @@ differentials the pairing u, w |-> tr(u(w) rho(w)).  All three matrices are
 assembled from the Fox derivatives of their words evaluated at rho (R. H. Fox,
 Free differential calculus I, Ann. Math. 1953): by twisted additivity
 u(word) = sum of sign * Ad(P) u(g) over the letters, with one conjugator P
-per letter (see ``_fox_calculus``).
+per letter (see ``_fox_calculus``), in one walk (see ``_fox_matrices``).
 """
 
 from dataclasses import dataclass, field
@@ -164,47 +164,42 @@ def _fox_calculus(rep: Representation, words):
         values.append(prefix)
     return (np.array(word_index, dtype=int), np.array(generators, dtype=int),
             np.array(signs), np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
-            np.array(values))
+            np.array(values, dtype=complex).reshape(-1, 2, 2))
 
 
-def _conjugated_basis(conjugators, algebra):
-    """P B_j P^-1 for every conjugator P and basis element B_j, in one
-    batched product: shape (conjugators, basis, 2, 2)."""
-    p = np.asarray(conjugators, dtype=complex).reshape(-1, 1, 2, 2)
-    basis = np.array(algebra_basis(algebra))
-    return p @ basis @ lorentz.sl2_inverse(p)
+def _fox_matrices(rep: Representation, relators, loops, algebra):
+    """The relator, trace and coboundary matrices, from one ``_fox_calculus``
+    walk over the relators and then the loops, and one batched product
+    P B_j P^-1 over the letters' conjugators and then the generator images.
 
+    Relator matrix: six sl(2,C) rows per relator, one column per generator
+    and basis element; each letter's 6 x dim block sign * Ad(P) is scattered
+    into its generator's columns.  Trace matrix (complex): one row per loop
+    w, entries summing sign * tr(P B_j P^-1 rho(w)) over the letters of w.
+    Coboundary matrix: the coboundaries of the basis elements as columns, in
+    algebra coordinates, the blocks I - Ad(rho(g)) stacked over the
+    generators.
+    """
+    n, r = rep.generator_count, len(relators)
+    word, gen, sign, conj, values = _fox_calculus(rep, list(relators) + list(loops))
+    p = np.concatenate([conj, np.reshape(rep.images, (-1, 2, 2))])[:, None]
+    conjugated = p @ np.array(algebra_basis(algebra)) @ lorentz.sl2_inverse(p)
+    dim = conjugated.shape[1]
+    split = np.searchsorted(word, r)        # relator letters first, then loop letters
+    rel, loop = slice(None, split), slice(split, len(conj))
 
-def _relator_matrix(rep: Representation, pres: Presentation, algebra):
-    """Linearized relator conditions: six sl(2,C) rows per relator, one column
-    per generator and basis element.  Each letter's 6 x dim block
-    sign * Ad(P) is scattered into its generator's columns."""
-    word, gen, sign, conj, _ = _fox_calculus(rep, pres.relators)
-    blocks = coords_from_matrix(_conjugated_basis(conj, algebra), "sl2")
-    dim = blocks.shape[1]
-    mat = np.zeros((len(pres.relators), rep.generator_count, dim, 6))
-    np.add.at(mat, (word, gen), sign[:, None, None] * blocks)
-    return mat.transpose(0, 3, 1, 2).reshape(6 * len(pres.relators), rep.generator_count * dim)
+    blocks = coords_from_matrix(conjugated[rel], "sl2")
+    relator = np.zeros((r, n, dim, 6))
+    np.add.at(relator, (word[rel], gen[rel]), sign[rel, None, None] * blocks)
 
+    traces = np.einsum("kjab,kba->kj", conjugated[loop], values[word[loop]])
+    trace = np.zeros((len(loops), n, dim), dtype=complex)
+    np.add.at(trace, (word[loop] - r, gen[loop]), sign[loop, None] * traces)
 
-def _trace_matrix(rep: Representation, loops, algebra):
-    """Trace differentials as a complex matrix: one row per loop w, one column
-    per generator and basis element, entries summing
-    sign * tr(P B_j P^-1 rho(w)) over the letters of w."""
-    word, gen, sign, conj, values = _fox_calculus(rep, loops)
-    conjugated = _conjugated_basis(conj, algebra)
-    traces = np.einsum("kjab,kba->kj", conjugated, values[word])
-    mat = np.zeros((len(loops), rep.generator_count, conjugated.shape[1]), dtype=complex)
-    np.add.at(mat, (word, gen), sign[:, None] * traces)
-    return mat.reshape(len(loops), -1)
-
-
-def _coboundary_matrix(rep: Representation, algebra):
-    """Coboundaries of the basis elements as columns, in algebra coordinates:
-    the blocks I - Ad(rho(g)) stacked over the generators."""
-    blocks = coords_from_matrix(_conjugated_basis(rep.images, algebra), algebra)
-    dim = blocks.shape[1]
-    return (np.eye(dim) - blocks.transpose(0, 2, 1)).reshape(-1, dim)
+    blocks = coords_from_matrix(conjugated[len(conj):], algebra)
+    coboundary = (np.eye(dim) - blocks.transpose(0, 2, 1)).reshape(-1, dim)
+    return (relator.transpose(0, 3, 1, 2).reshape(6 * r, n * dim),
+            trace.reshape(len(loops), n * dim), coboundary)
 
 
 def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
@@ -218,7 +213,7 @@ def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
     ``trace_rank`` reads Z^1 from the same factorization without forming
     this basis.
     """
-    return nullspace(_relator_matrix(rep, pres, algebra), tol.rank_svd)
+    return nullspace(_fox_matrices(rep, pres.relators, (), algebra)[0], tol.rank_svd)
 
 
 def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAULT):
@@ -229,7 +224,7 @@ def coboundary_space(rep: Representation, algebra="sl2", tol: Tolerances = DEFAU
     SL(2,C), and so do some reducible ones: two upper-triangular images
     with a trivial common centralizer share an eigenline and still give 6.
     """
-    u, sing, _ = np.linalg.svd(_coboundary_matrix(rep, algebra), full_matrices=False)
+    u, sing, _ = np.linalg.svd(_fox_matrices(rep, (), (), algebra)[2], full_matrices=False)
     rank = numerical_rank(sing, tol.rank_svd)
     return u[:, :rank]
 
@@ -270,14 +265,15 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     decided at ``tol.rank_svd`` relative threshold; ``gap_ratio`` is the jump
     across the cutoff (infinite when the map has full rank).
 
-    The relator matrix is factored once by the column-pivoted QR of
+    One ``_fox_matrices`` call walks the relators and loops once.  The
+    relator matrix is factored once by the column-pivoted QR of
     ``rigidity.nullspace``; its rank gives z^1 = columns - rank, and the
     trace rows are carried onto Z^1 through the stored reflectors, with no
     basis of Z^1 formed.  Traces are class functions, so the trace rows
     vanish on coboundaries.  The rows on Z^1 then have the singular values
     of the map on H^1 plus b^1 zeros, up to rounding, for any orthonormal
     basis of Z^1; the first h^1 = z^1 - b^1 of them are kept, with b^1 the
-    rank of ``_coboundary_matrix`` from its singular values.  This presumes
+    rank of the coboundary matrix from its singular values.  This presumes
     B^1 inside Z^1, which holds when rho satisfies the relators (see
     ``representation_report``); off a representation the count means
     nothing and is floored at 0.
@@ -285,13 +281,12 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     if not loops:
         raise ValueError("need at least one loop")
     algebra = "su2" if restrict_to_unitary else "sl2"
-    traces = _trace_matrix(rep, loops, algebra)
+    relator, traces, coboundary = _fox_matrices(rep, pres.relators, loops, algebra)
     parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
     rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
-    on_cocycles = _null_components(_relator_matrix(rep, pres, algebra), tol.rank_svd, rows.T)
+    on_cocycles = _null_components(relator, tol.rank_svd, rows.T)
     z1 = on_cocycles.shape[0]
-    b1 = numerical_rank(np.linalg.svd(_coboundary_matrix(rep, algebra), compute_uv=False),
-                        tol.rank_svd)
+    b1 = numerical_rank(np.linalg.svd(coboundary, compute_uv=False), tol.rank_svd)
     h1 = max(z1 - b1, 0)
     sing = np.linalg.svd(on_cocycles, compute_uv=False)[:h1]
     rank = numerical_rank(sing, tol.rank_svd)

@@ -131,13 +131,14 @@ class RigidityReport:
 
     @property
     def spectral_gap(self):
-        """(sigma_|E| / sigma_1, sigma_|E|+1 / sigma_1); second is 0 when absent."""
+        """sigma_|E| / sigma_1 of the restricted angle Jacobian, 0 when it has
+        fewer than |E| singular values.  That Jacobian is |E| x (|E| + 6), so
+        there is no sigma_|E|+1: the kernel is checked against the isometry
+        directions by principal angles instead."""
         s = self.singular_values
         if len(s) < self.edge_count or s[0] == 0.0:
-            return 0.0, np.inf
-        lead = float(s[self.edge_count - 1] / s[0])
-        trail = float(s[self.edge_count] / s[0]) if len(s) > self.edge_count else 0.0
-        return lead, trail
+            return 0.0
+        return float(s[self.edge_count - 1] / s[0])
 
 
 def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> RigidityReport:

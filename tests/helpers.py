@@ -193,10 +193,10 @@ def trace_rank_reference(rep, pres, loops, unitary):
     ``svd_nullspace`` of the relator matrix.  Returns (z1, b1, h1, rank,
     gap_ratio), the singular values and the 2-norm of the trace rows."""
     algebra = "su2" if unitary else "sl2"
-    traces = repvar._trace_matrix(rep, loops, algebra)
+    relator, traces, _ = repvar._fox_matrices(rep, pres.relators, loops, algebra)
     parts = (traces.real,) if unitary else (traces.real, traces.imag)
     rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
-    z = svd_nullspace(repvar._relator_matrix(rep, pres, algebra), DEFAULT.rank_svd)
+    z = svd_nullspace(relator, DEFAULT.rank_svd)
     b = repvar.coboundary_space(rep, algebra)
     u, sing, _ = np.linalg.svd(z - b @ (b.T @ z), full_matrices=False)
     h = u[:, :numerical_rank(sing, DEFAULT.rank_svd)]

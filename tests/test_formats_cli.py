@@ -5,6 +5,7 @@ import pytest
 
 from helpers import corner_tetrahedron
 from stokerlab import cli, fixtures, formats
+from stokerlab.config import DEFAULT
 from stokerlab.errors import ParseError
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import Presentation, link_representation, surface_group_fixture
@@ -118,6 +119,18 @@ class TestPresentationFormat:
         with pytest.raises(ParseError) as info:
             formats.load_presentation(path)
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("gens 3\nrel 1 2 9\n", 2),
+        ("gens 3\nrel 1 2\nloop 1 7\n", 3),
+        ("gens 3\nloop -3 0\n", 2),
+        ("gens 3\nrel 1\nrel\n", 3),
+    ])
+    def test_bad_word_rejected_with_its_line(self, tmp_path, text, line):
+        path = write(tmp_path, "pres.txt", text)
+        with pytest.raises(ParseError) as info:
+            formats.load_presentation(path)
+        assert info.value.line == line
 
 
 class TestMatrixFormat:
@@ -473,6 +486,16 @@ class TestCliTraceRank:
         assert result["h1_dim"] == 24
         assert result["rank"] == 12
 
+    def test_out_of_range_loop_letter_is_bad_input(self, tmp_path, capsys):
+        fx = surface_group_fixture(fixtures.tetrahedron(0.3))
+        pres_path = write(tmp_path, "pres.txt", "gens 12\nloop 1 13\n")
+        mats_path = write(tmp_path, "mats.json", formats.dump_matrices(fx.representation))
+        code, out = run_cli(capsys, ["tracerank", pres_path, "--matrices", mats_path])
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "ParseError"
+        assert report["line"] == 2
+
     def test_free_group_dimension(self, tmp_path, capsys):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))
         pres_path = write(tmp_path, "pres.txt", formats.dump_presentation(Presentation(12)))
@@ -501,3 +524,15 @@ class TestDeterminism:
         code, out = run_cli(capsys, ["validate", path])
         assert code == 0
         assert json.loads(out)["config"]["tol_scale"] == 10.0
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "nan", "inf"])
+    def test_tol_scale_not_finite_positive_is_bad_input(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("STOKERLAB_TOL_SCALE", raw)
+        path = write_poly(tmp_path, fixtures.cube(0.3))
+        code, out = run_cli(capsys, ["rigidity", path])
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "ParseError"
+        assert "STOKERLAB_TOL_SCALE" in report["message"]
+        with pytest.raises(ValueError):
+            DEFAULT.scaled(float(raw))

@@ -32,9 +32,7 @@ from stokerlab.errors import IndexRange
 from stokerlab.repvar import (
     Presentation,
     Representation,
-    _coboundary_matrix,
-    _relator_matrix,
-    _trace_matrix,
+    _fox_matrices,
     algebra_basis,
     cocycle_extend,
     cocycle_space,
@@ -87,7 +85,7 @@ def test_relator_matrix_matches_cocycle_extend(algebra, case):
     """The relator matrix and ``cocycle_extend`` both against the walk, on
     the unit cocycles; the empty word gives the zero matrix."""
     rep, words = case
-    mat = _relator_matrix(rep, Presentation(rep.generator_count, words), algebra)
+    mat = _fox_matrices(rep, words, (), algebra)[0]
     units = unit_cocycles(rep.generator_count, algebra)
     assert mat.shape == (6 * len(words), len(units))
     for r, word in enumerate(words):
@@ -106,7 +104,7 @@ def test_relator_matrix_matches_cocycle_extend(algebra, case):
 @given(fox_cases())
 def test_trace_rows_match_trace_differential(algebra, case):
     rep, words = case
-    mat = _trace_matrix(rep, words, algebra)
+    mat = _fox_matrices(rep, (), words, algebra)[1]
     units = unit_cocycles(rep.generator_count, algebra)
     assert mat.shape == (len(words), len(units))
     for r, word in enumerate(words):
@@ -120,13 +118,28 @@ def test_trace_rows_match_trace_differential(algebra, case):
 @given(fox_cases())
 def test_coboundary_matrix_matches_coboundary(algebra, case):
     rep, _ = case
-    mat = _coboundary_matrix(rep, algebra)
+    mat = _fox_matrices(rep, (), (), algebra)[2]
     reference = np.column_stack([
         coords_from_matrix(coboundary(b, rep), algebra).ravel()
         for b in algebra_basis(algebra)
     ])
     norms = np.repeat([np.linalg.norm(m, 2) ** 2 for m in rep.images], len(algebra_basis(algebra)))
     assert np.all(np.abs(mat - reference) <= FOX_C * EPS * norms[:, None])
+
+
+@algebras
+@examples
+@given(fox_cases())
+def test_one_walk_equals_separate_walks(algebra, case):
+    """Relators and loops walked together give each matrix the bits it gets
+    from a walk over its own words alone."""
+    rep, words = case
+    together = _fox_matrices(rep, words, words[::-1], algebra)
+    alone = (_fox_matrices(rep, words, (), algebra)[0],
+             _fox_matrices(rep, (), words[::-1], algebra)[1],
+             _fox_matrices(rep, (), (), algebra)[2])
+    for joint, single in zip(together, alone):
+        assert np.array_equal(joint, single)
 
 
 def test_out_of_range_letters_raise():

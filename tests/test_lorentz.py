@@ -254,10 +254,11 @@ def boost(rapidities):
 
 
 def isometry_stack(seed, size):
-    """Boosted rotations whose rotation parts cover the four quaternion
-    branches (trace > 0, then the largest diagonal entry on x, y or z), exact
-    half-turns about the axes and about random geodesics (zero lift trace,
-    so the sign falls to the entry tie-breaks), and random isometries."""
+    """Boosted rotations that cover the four choices of P_c in ``sl2c_lift``
+    (rotations by less than 2 pick I; by 2.2 to pi about an axis near x, y
+    or z they mostly pick s1, s2 or s3), exact half-turns about the axes and
+    about random geodesics (zero lift trace, so the sign falls to the entry
+    tie-breaks), and random isometries."""
     rng = np.random.default_rng(seed)
     mats = []
     for k in range(size):
@@ -279,13 +280,14 @@ def isometry_stack(seed, size):
     return np.array(mats)
 
 
-def branch_of(mat):
-    """Quaternion branch taken for the rotation part of an isometry."""
-    rot = (lorentz.J @ lorentz.pure_boost(mat[:, 3]) @ lorentz.J) @ mat
-    d = np.diag(rot)[:3]
-    if d.sum() > 0:
-        return 0
-    return 1 + int(np.argmax(d))
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def pauli_choice(lift):
+    """Index c of the P_c (I, s1, s2, s3) that maximizes |tr(S* P_c)| for a
+    lift S: the matrix ``sl2c_lift`` normalizes, since sum_ab L_ab E_a P_c E_b
+    = 2 tr(S* P_c) S."""
+    return int(np.argmax([abs(np.trace(lift.conj().T @ p)) for p in PAULI]))
 
 
 stacks = settings(max_examples=25, deadline=None, derandomize=True)
@@ -294,8 +296,9 @@ stacks = settings(max_examples=25, deadline=None, derandomize=True)
 class TestSl2cLiftStacks:
     def test_fixture_covers_every_branch_and_tie(self):
         mats = isometry_stack(0, 60)
-        assert {branch_of(m) for m in mats} == {0, 1, 2, 3}
-        traces = np.trace(lorentz.sl2c_lift(mats), axis1=1, axis2=2)
+        lifts = lorentz.sl2c_lift(mats)
+        assert {pauli_choice(s) for s in lifts} == {0, 1, 2, 3}
+        traces = np.trace(lifts, axis1=1, axis2=2)
         assert np.sum(np.abs(traces.real) <= DEFAULT.branch_tie) >= 5
 
     @stacks
@@ -333,6 +336,20 @@ class TestSl2cLiftStacks:
             mats[index] = -mats[index]
         with pytest.raises(LiftFailure):
             lorentz.sl2c_lift(mats)
+
+    def test_round_trip_error_scales_with_the_matrix(self):
+        # M_c has norm at least sqrt(2)|S|_F^2 >= sqrt(2)|L| and its parts are
+        # sums of at most six +-L_ab, so S carries O(eps) relative error and
+        # S E S* returns L to O(eps |L|), plus the input's own distance from
+        # the group (expm rounds to an isometry defect near eps |L|^2).
+        rng = np.random.default_rng(0)
+        mats = np.array([random_isometry(rng, 1.5) for _ in range(400)])
+        lifts = lorentz.sl2c_lift(mats)
+        eps = np.finfo(float).eps
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        round_trip = [np.max(np.abs(lorentz.sl2c_to_so31(s) - m)) for s, m in zip(lifts, mats)]
+        assert np.all(round_trip <= 16 * eps * norms ** 2)
+        assert np.all(np.abs(np.linalg.det(lifts) - 1.0) <= 8 * eps * norms)
 
     def test_empty_stack(self):
         assert lorentz.sl2c_lift(np.zeros((0, 4, 4))).shape == (0, 2, 2)

@@ -229,9 +229,7 @@ class TestRigidityReport:
         assert report.angle_rank == e
         assert report.kernel_dim == 6
         assert report.isometry_containment_residual < 1e-6
-        lead, trail = report.spectral_gap
-        assert lead > 1e-6
-        assert trail < 1e-9
+        assert report.spectral_gap > 1e-6
 
     def test_coplanar_input_not_certified(self):
         poly = fixtures.cube(0.3)
