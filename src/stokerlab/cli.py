@@ -6,12 +6,13 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 verdict carries the tolerance it was judged against.
 
 Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
-(non-finite numbers included, and for ``angles``, ``rigidity``,
-``holonomy``, ``deform`` and ``tracerank --fixture-vertex`` an embedding
-that ``validate`` fails), 3 no convergence, 4 convexity lost, 5
-ball exit.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
-tolerance (default 1); randomness enters only through the explicit
-``--seed`` flag (NumPy PCG64).
+(non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
+exit.  The commands that compute on a polyhedron judge it with
+``validate_combinatorics`` and ``validate_embedding`` before computing, so
+an embedding that ``validate`` fails is invalid input for every one of
+them, reported with its first issue.  The environment variable
+``STOKERLAB_TOL_SCALE`` multiplies every tolerance (default 1); randomness
+enters only through the explicit ``--seed`` flag (NumPy PCG64).
 """
 
 import argparse
@@ -95,28 +96,23 @@ def cmd_validate(args, tol: Tolerances, config):
     return report, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _load_valid_polyhedron(path):
+def _load_valid_polyhedron(path, tol: Tolerances):
+    """Load a polyhedron and judge it before anything computes on it: a
+    combinatorics or embedding issue is a ``ParseError`` naming the first."""
     poly = formats.load_polyhedron(path)
     comb_report = polyhedron.validate_combinatorics(poly.combinatorics)
     if not comb_report.valid:
         raise ParseError(f"{path}: invalid combinatorics: " + "; ".join(comb_report.issues))
-    return poly
-
-
-def _require_embedding(poly, path, tol: Tolerances):
-    """Reject an embedding that ``validate_embedding`` fails, with its first
-    issue.  Callers evaluate the face kernel first, so a degenerate face
-    still raises the kernel's own error."""
     emb = polyhedron.validate_embedding(poly, tol)
     if not emb.valid:
         raise ParseError(f"{path}: invalid embedding: {emb.issues[0]}")
+    return poly
 
 
 def cmd_angles(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path)
+    poly = _load_valid_polyhedron(args.path, tol)
     report = _base_report("angles", [args.path], config)
     angles = polyhedron.dihedral_angles(poly, tol)
-    _require_embedding(poly, args.path, tol)
     report["results"]["edges"] = [list(e) for e in poly.combinatorics.edges]
     report["results"]["angles"] = [float(a) for a in angles]
     ok = _verdict(report, "angles_in_range",
@@ -126,10 +122,9 @@ def cmd_angles(args, tol: Tolerances, config):
 
 
 def cmd_rigidity(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path)
+    poly = _load_valid_polyhedron(args.path, tol)
     report = _base_report("rigidity", [args.path], config)
     rep = rigidity.rigidity_report(poly, tol)
-    _require_embedding(poly, args.path, tol)
     report["results"]["rigidity"] = {
         "edge_count": rep.edge_count,
         "tangent_dim": rep.tangent_dim,
@@ -151,12 +146,11 @@ def cmd_rigidity(args, tol: Tolerances, config):
 
 
 def cmd_deform(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path)
+    poly = _load_valid_polyhedron(args.path, tol)
     comb = poly.combinatorics
     paths = [args.path] + ([args.target] if args.target else [])
     report = _base_report("deform", paths, config)
     current = polyhedron.dihedral_angles(poly, tol)
-    _require_embedding(poly, args.path, tol)
     if args.target:
         target = formats.load_angles(args.target, comb.edge_count)
     else:
@@ -167,14 +161,13 @@ def cmd_deform(args, tol: Tolerances, config):
     except ValueError as exc:
         raise ParseError(f"infeasible target angles: {exc}") from exc
 
+    if args.steps < 1:
+        raise ParseError(f"n_steps must be at least 1, got {args.steps}")
+
     opts = deform.DeformOptions()
     report["results"]["target"] = [float(a) for a in target]
     try:
         results = deform.continuation_path(poly, target, args.steps, opts, tol)
-    except np.linalg.LinAlgError:       # a ValueError, but a failed solve, not bad input
-        raise
-    except ValueError as exc:           # continuation_path rejects --steps below 1
-        raise ParseError(str(exc)) from exc
     except (NoConvergence, ConvexityLost, BallExit) as exc:
         report["results"]["error"] = type(exc).__name__
         report["results"]["failed_waypoint"] = exc.waypoint
@@ -187,9 +180,7 @@ def cmd_deform(args, tol: Tolerances, config):
     final = results[-1]
     achieved = final.achieved_angles
     err = float(np.max(np.abs(achieved - target)))
-    planar = polyhedron.planarity_residuals(final.final)
-    max_planar = float(np.max(np.abs(planar))) if planar.size else 0.0
-    margins = polyhedron.convexity_margins(final.final)
+    emb = polyhedron.validate_embedding(final.final, tol)
     report["results"]["iterations"] = [r.iterations_used for r in results]
     report["results"]["residual_history"] = [
         [float(v) for v in r.residual_history] for r in results
@@ -199,10 +190,11 @@ def cmd_deform(args, tol: Tolerances, config):
     report["results"]["final_polyhedron"] = formats.polyhedron_to_dict(final.final)
     _verdict(report, "angles_achieved", err <= 10 * opts.residual_tol,
              10 * opts.residual_tol, err)
-    _verdict(report, "planarity_preserved", max_planar <= 10 * opts.residual_tol,
-             10 * opts.residual_tol, max_planar)
-    _verdict(report, "convexity_preserved", bool(margins.min() > 0.0), 0.0,
-             float(margins.min()))
+    _verdict(report, "planarity_preserved",
+             emb.max_planarity_residual <= 10 * opts.residual_tol,
+             10 * opts.residual_tol, emb.max_planarity_residual)
+    _verdict(report, "convexity_preserved", emb.min_convexity_margin > 0.0, 0.0,
+             emb.min_convexity_margin)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(formats.dump_polyhedron(final.final))
@@ -211,11 +203,10 @@ def cmd_deform(args, tol: Tolerances, config):
 
 
 def cmd_holonomy(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path)
+    poly = _load_valid_polyhedron(args.path, tol)
     comb = poly.combinatorics
     report = _base_report("holonomy", [args.path], config)
     holonomy = repvar.polyhedron_holonomy(poly, tol)
-    _require_embedding(poly, args.path, tol)
     angles = holonomy.angles
     traces = np.trace(holonomy.meridians, axis1=1, axis2=2)
     trace_abs = np.hypot(traces.real, traces.imag)
@@ -267,12 +258,11 @@ def cmd_tracerank(args, tol: Tolerances, config):
         except ValueError:
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
         paths.append(poly_path)
-        poly = _load_valid_polyhedron(poly_path)
+        poly = _load_valid_polyhedron(poly_path, tol)
         n = poly.combinatorics.vertex_count
         if not 0 <= vertex < n:
             raise ParseError(f"{poly_path}: vertex {vertex} outside 0..{n - 1}")
         link = repvar.link_representation(poly, vertex, tol)
-        _require_embedding(poly, poly_path, tol)
         rep = link.representation()
         d = len(link.edges)
         expected = {

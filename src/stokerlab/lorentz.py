@@ -94,12 +94,6 @@ def klein_lift(p, tol: Tolerances = DEFAULT):
     return np.concatenate([p / s, 1.0 / s], axis=-1)
 
 
-def klein_project(v):
-    """Project a hyperboloid point back to Klein coordinates: (x1,x2,x3)/x4."""
-    v = np.asarray(v, dtype=float)
-    return v[:3] / v[3]
-
-
 def hyperbolic_distance(p, q, tol: Tolerances = DEFAULT):
     """Distance between two Klein points: arccosh(-<P,Q>) of their lifts.
 
@@ -259,34 +253,6 @@ def so31_basis():
 
 # Rows: the Hermitian forms of e1, e2, e3, e4, flattened row-major.
 _HERMITIAN_BASIS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]])
-
-
-def hermitian_from_vec(x):
-    """Hermitian form of a 4-vector, or the (..., 2, 2) stack for (..., 4)."""
-    x = np.asarray(x, dtype=float)
-    return (x @ _HERMITIAN_BASIS).reshape(x.shape[:-1] + (2, 2))
-
-
-def vec_from_hermitian(h):
-    return np.array(
-        [
-            h[1, 0].real,
-            h[1, 0].imag,
-            0.5 * (h[0, 0] - h[1, 1]).real,
-            0.5 * (h[0, 0] + h[1, 1]).real,
-        ]
-    )
-
-
-def sl2c_to_so31(s):
-    """Covering map: the Lorentz matrix induced by S acting on Hermitian forms."""
-    s = np.asarray(s, dtype=complex)
-    cols = []
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = 1.0
-        cols.append(vec_from_hermitian(s @ hermitian_from_vec(e) @ s.conj().T))
-    return np.column_stack(cols)
 
 
 # E_a P_c E_b for the Hermitian forms E_a of e1..e4 and P_c over I, s1, s2,

@@ -7,7 +7,8 @@ that tangent space the dihedral-angle Jacobian must have rank |E| with a
 ``rigidity_report`` certifies all of this numerically at one relative
 threshold, ``Tolerances.rank_svd``: the tangent space is a nullspace from a
 column-pivoted QR (see ``nullspace``), and the restricted angle Jacobian's
-rank and kernel come from its SVD.
+rank and kernel come from its SVD.  A failed certificate is a note in the
+report; input that is not a valid embedding raises the geometry's own error.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from scipy.linalg import lapack, subspace_angles
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
-from .errors import DimensionMismatch, RankDeficiency, StokerlabError
+from .errors import DimensionMismatch, RankDeficiency
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 
 
@@ -148,35 +149,28 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
     rank and kernel via SVD, and compares the kernel with the isometry
     directions by principal angles.  Certified means: tangent dimension
     |E| + 6, angle rank |E|, kernel dimension 6, and kernel/isometry
-    principal angles below ``tol.principal_angle``.  Failures are recorded in
-    ``notes`` instead of raising.
+    principal angles below ``tol.principal_angle``.  A failed certificate is
+    recorded in ``notes``; a constraint nullity other than |E| + 6
+    (``DimensionMismatch``) is one, and ends the report there.  Invalid input
+    geometry raises, as it does from ``dihedral_angles``: ``DegenerateFace``
+    and ``BallBoundary`` from the face kernel and the lift,
+    ``RankDeficiency`` from ``isometry_directions``.
     """
     comb = poly.combinatorics
     notes = []
     edge_count = comb.edge_count
     try:
         tangent = tangent_space(poly, tol)
-    except StokerlabError as exc:
+    except DimensionMismatch as exc:
         notes.append(str(exc))
         return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, notes)
 
-    try:
-        restricted = angle_jacobian(poly, tol) @ tangent
-    except StokerlabError as exc:
-        notes.append(str(exc))
-        return RigidityReport(edge_count, tangent.shape[1], -1, -1, np.inf,
-                              np.array([]), False, notes)
-    _, sing, vh = np.linalg.svd(restricted)
+    _, sing, vh = np.linalg.svd(angle_jacobian(poly, tol) @ tangent)
     rank = numerical_rank(sing, tol.rank_svd)
     kernel = tangent @ vh[rank:].T
     kernel_dim = kernel.shape[1]
 
-    try:
-        iso = isometry_directions(poly, tol)
-    except RankDeficiency as exc:
-        notes.append(str(exc))
-        return RigidityReport(edge_count, tangent.shape[1], rank, kernel_dim,
-                              np.inf, sing, False, notes)
+    iso = isometry_directions(poly, tol)
     iso_in_tangent = tangent @ (tangent.T @ iso)
     if kernel_dim and iso_in_tangent.size:
         residual = float(np.max(subspace_angles(kernel, iso_in_tangent)))

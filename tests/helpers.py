@@ -34,6 +34,36 @@ def elliptic(p, axis, angle):
     return move @ rotation(axis, angle) @ lorentz.J @ move @ lorentz.J
 
 
+def klein_project(v):
+    """Klein coordinates (x1, x2, x3) / x4 of a hyperboloid point; the
+    inverse of ``lorentz.klein_lift``."""
+    v = np.asarray(v, dtype=float)
+    return v[:3] / v[3]
+
+
+def hermitian_from_vec(x):
+    """Hermitian form [[x4 + x3, x1 - i x2], [x1 + i x2, x4 - x3]] of a
+    4-vector (x1, x2, x3, x4) of R^{3,1}."""
+    x1, x2, x3, x4 = x
+    return np.array([[x4 + x3, x1 - 1j * x2], [x1 + 1j * x2, x4 - x3]])
+
+
+def vec_from_hermitian(h):
+    """The 4-vector of a Hermitian form; the inverse of ``hermitian_from_vec``."""
+    return np.array([h[1, 0].real, h[1, 0].imag,
+                     0.5 * (h[0, 0] - h[1, 1]).real, 0.5 * (h[0, 0] + h[1, 1]).real])
+
+
+def sl2c_to_so31(s):
+    """Covering map SL(2,C) -> SO+(3,1): column a is the vector of S E_a S*,
+    with E_a the Hermitian form of the basis vector e_a.  The reference that
+    ``lorentz.sl2c_lift`` inverts, written from the forms themselves rather
+    than the library's basis table."""
+    s = np.asarray(s, dtype=complex)
+    return np.column_stack([vec_from_hermitian(s @ hermitian_from_vec(e) @ s.conj().T)
+                            for e in np.eye(4)])
+
+
 def svd_plane_normal(p1, p2, p3, witness):
     """Unit normal of the plane through three Klein points, oriented away
     from an interior witness.
@@ -107,6 +137,16 @@ def corner_tetrahedron(leg=0.4):
     )
     faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]
     return EmbeddedPolyhedron(CombinatorialType(4, faces), positions)
+
+
+def collapsed_corner_tetrahedron():
+    """``corner_tetrahedron`` with vertex 2 moved to the midpoint of edge
+    0-1: the anchors of faces 0 and 3 are collinear, so the face kernel
+    raises ``DegenerateFace``, and ``validate_embedding`` fails convexity."""
+    poly = corner_tetrahedron()
+    pos = poly.positions.copy()
+    pos[2] = 0.5 * (pos[0] + pos[1])
+    return poly.with_positions(pos)
 
 
 def capped_cube(height):

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import elliptic, random_isometry, rotation, segment_length
+from helpers import (
+    elliptic,
+    klein_project,
+    random_isometry,
+    rotation,
+    segment_length,
+    sl2c_to_so31,
+)
 from stokerlab import lorentz
 from stokerlab.config import DEFAULT
 from stokerlab.errors import BallBoundary, DegenerateFace, LiftFailure
@@ -61,7 +68,7 @@ class TestKleinLift:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = rng.uniform(-0.55, 0.55, 3)
-            assert np.max(np.abs(lorentz.klein_project(lorentz.klein_lift(p)) - p)) < 1e-13
+            assert np.max(np.abs(klein_project(lorentz.klein_lift(p)) - p)) < 1e-13
 
 
 class TestHyperbolicDistance:
@@ -208,7 +215,7 @@ class TestSl2cLift:
             mat = random_isometry(rng)
             s = lorentz.sl2c_lift(mat)
             assert abs(np.linalg.det(s) - 1.0) < 1e-10
-            assert np.max(np.abs(lorentz.sl2c_to_so31(s) - mat)) < 1e-10
+            assert np.max(np.abs(sl2c_to_so31(s) - mat)) < 1e-10
 
     def test_composition_up_to_sign(self):
         rng = np.random.default_rng(13)
@@ -319,7 +326,7 @@ class TestSl2cLiftStacks:
         lifts = lorentz.sl2c_lift(mats)
         for mat, lift in zip(mats, lifts):
             assert abs(np.linalg.det(lift) - 1.0) < 1e-10
-            assert np.max(np.abs(lorentz.sl2c_to_so31(lift) - mat)) < 1e-10
+            assert np.max(np.abs(sl2c_to_so31(lift) - mat)) < 1e-10
             tr = np.trace(lift)
             if abs(tr.real) > DEFAULT.branch_tie:
                 assert tr.real > 0
@@ -347,7 +354,7 @@ class TestSl2cLiftStacks:
         lifts = lorentz.sl2c_lift(mats)
         eps = np.finfo(float).eps
         norms = np.linalg.norm(mats, 2, axis=(1, 2))
-        round_trip = [np.max(np.abs(lorentz.sl2c_to_so31(s) - m)) for s, m in zip(lifts, mats)]
+        round_trip = [np.max(np.abs(sl2c_to_so31(s) - m)) for s, m in zip(lifts, mats)]
         assert np.all(round_trip <= 16 * eps * norms ** 2)
         assert np.all(np.abs(np.linalg.det(lifts) - 1.0) <= 8 * eps * norms)
 
@@ -359,7 +366,7 @@ class TestSl2cLiftStacks:
         # the leading entry alone would pick the other sign
         s = np.diag([-0.5j, 2j])
         for sign in (1, -1):
-            lift = lorentz.sl2c_lift(lorentz.sl2c_to_so31(sign * s))
+            lift = lorentz.sl2c_lift(sl2c_to_so31(sign * s))
             assert np.max(np.abs(lift - s)) < 1e-12
 
     def test_sign_tie_reads_the_tolerance(self):
@@ -381,8 +388,6 @@ class TestStackedPrimitives:
             assert np.array_equal(lorentz.pure_boost(lifts)[k], lorentz.pure_boost(lifts[k]))
             assert np.array_equal(lorentz.translation_to_origin(points)[k],
                                   lorentz.translation_to_origin(p))
-            assert np.array_equal(lorentz.hermitian_from_vec(lifts)[k],
-                                  lorentz.hermitian_from_vec(lifts[k]))
             assert np.array_equal(lorentz.reflect(lorentz.Plane(normals))[k],
                                   lorentz.reflect(lorentz.Plane(normals[k])))
 

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import corner_tetrahedron, intrinsic_dihedral_angle, random_isometry
+from helpers import (
+    collapsed_corner_tetrahedron,
+    corner_tetrahedron,
+    intrinsic_dihedral_angle,
+    random_isometry,
+)
 from stokerlab import cli, fixtures, formats, lorentz
 from stokerlab.errors import (
     BallBoundary,
@@ -74,6 +79,7 @@ FAILING_EMBEDDINGS = {
     "pyramid_apex_below_base": (pyramid_apex_below_base, ConvexityViolation),
     "mirrored_tetrahedron": (mirrored_tetrahedron, ConvexityViolation),
     "cube_vertex_past_wall": (cube_vertex_past_wall, PlanarityViolation),
+    "collapsed_corner_tetrahedron": (collapsed_corner_tetrahedron, ConvexityViolation),
 }
 
 
@@ -282,12 +288,11 @@ class TestEmbeddingJudge:
     @pytest.mark.parametrize("command", GEOMETRY_COMMANDS)
     @pytest.mark.parametrize("name", sorted(FAILING_EMBEDDINGS))
     def test_geometry_commands_reject_the_embedding(self, name, command, tmp_path, capsys):
-        """The geometry commands give the exit-2 ``ParseError`` report with
-        the judge's first issue; an error of the face kernel itself (a
-        vertex outside the ball) comes first and keeps exit 1.
-        ``rigidity_report`` records such an error in its notes instead of
-        raising, so ``rigidity`` gives the judge's issue there too."""
-        poly, error = FAILING_EMBEDDINGS[name][0](), FAILING_EMBEDDINGS[name][1]
+        """The geometry commands judge the embedding before computing, so
+        each gives the exit-2 ``ParseError`` report with the judge's first
+        issue, also where the face kernel would raise (a vertex outside the
+        ball, a degenerate face)."""
+        poly = FAILING_EMBEDDINGS[name][0]()
         path = tmp_path / "poly.json"
         path.write_text(formats.dump_polyhedron(poly))
         issue = validate_embedding(formats.load_polyhedron(str(path))).issues[0]
@@ -296,11 +301,8 @@ class TestEmbeddingJudge:
         report = json.loads(captured.out)
         assert captured.err == ""
         assert report["command"] == command
-        if error is BallBoundary and command != "rigidity":
-            assert (code, report["error"]) == (1, "BallBoundary")
-        else:
-            assert (code, report["error"]) == (2, "ParseError")
-            assert report["message"] == f"{path}: invalid embedding: {issue}"
+        assert (code, report["error"]) == (2, "ParseError")
+        assert report["message"] == f"{path}: invalid embedding: {issue}"
 
     @pytest.mark.parametrize("command", GEOMETRY_COMMANDS)
     def test_scaled_cube_vertex_rejected(self, command, tmp_path, capsys):

@@ -16,6 +16,7 @@ from helpers import (
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    sl2c_to_so31,
     trace_differential,
     trace_rank_reference,
 )
@@ -433,7 +434,7 @@ class TestSurfaceGroupFixture:
         for image, generator in zip(fx.representation.images, fx.generator_names):
             if generator[0] == "t":
                 edge = tuple(int(v) for v in generator[1:].split("_"))
-                twist = lorentz.sl2c_to_so31(image)
+                twist = sl2c_to_so31(image)
                 angle = angles[poly.combinatorics.edge_index[edge]]
                 assert np.trace(twist) == pytest.approx(2.0 + 2.0 * np.cos(angle), abs=1e-12)
                 for v in edge:

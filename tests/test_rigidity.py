@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, subspace_angles
 
 from helpers import (
+    collapsed_corner_tetrahedron,
     finite_difference_jacobian,
     random_isometry,
     random_polar_dual,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from stokerlab import fixtures, lorentz
 from stokerlab.config import DEFAULT
-from stokerlab.errors import DimensionMismatch, RankDeficiency
+from stokerlab.errors import DegenerateFace, DimensionMismatch, RankDeficiency
 from stokerlab.polyhedron import EmbeddedPolyhedron, dihedral_angles, planarity_residuals
 from stokerlab.rigidity import (
     angle_jacobian,
@@ -237,6 +238,12 @@ class TestRigidityReport:
         report = rigidity_report(flat)
         assert not report.certified
         assert any("nullity" in note for note in report.notes)
+
+    def test_degenerate_face_raises(self):
+        """Invalid input geometry raises, as from ``dihedral_angles``; only a
+        failed certificate, such as the flat cube's nullity above, is a note."""
+        with pytest.raises(DegenerateFace, match="three points do not span a plane"):
+            rigidity_report(collapsed_corner_tetrahedron())
 
     def test_invariant_under_isometries_and_rescaling(self):
         poly = fixtures.triangular_prism(0.2)
