@@ -5,14 +5,18 @@ Subcommands: ``validate``, ``angles``, ``rigidity``, ``deform``,
 (floats at 17 significant digits, fixed key order) in which each numeric
 verdict carries the tolerance it was judged against.
 
-Exit codes: 0 success, 1 a check failed, 2 unreadable or invalid input
-(non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
-exit.  The commands that compute on a polyhedron judge it with
-``validate_combinatorics`` and ``validate_embedding`` before computing, so
-an embedding that ``validate`` fails is invalid input for every one of
-them, reported with its first issue.  The environment variable
-``STOKERLAB_TOL_SCALE`` multiplies every tolerance (default 1); randomness
-enters only through the explicit ``--seed`` flag (NumPy PCG64).
+``main`` builds every report's skeleton and hands it to the command, which
+reads each file through ``_read`` and appends its verdicts, so ``inputs``
+names exactly the files read, in the order read.  Exit codes: 0 every
+verdict passed, 1 at least one verdict failed, 2 unreadable or invalid
+input (non-finite numbers included), 3 no convergence, 4 convexity lost,
+5 ball exit; only ``deform`` returns 3-5, from its solver.  The commands
+that compute on a polyhedron judge it with ``validate_combinatorics`` and
+``validate_embedding`` before computing, so an embedding that ``validate``
+fails is invalid input for every one of them, reported with its first
+issue.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
+tolerance (default 1); randomness enters only through the explicit
+``--seed`` flag (NumPy PCG64).
 """
 
 import argparse
@@ -49,26 +53,23 @@ def _tolerances():
         raise ParseError(f"STOKERLAB_TOL_SCALE={raw!r} is not a finite positive number")
 
 
-def _base_report(command, paths, config):
-    return {
-        "command": command,
-        "inputs": [{"path": p, "sha256": formats.sha256_of_file(p)} for p in paths],
-        "config": config,
-        "results": {},
-        "verdicts": [],
-    }
+def _read(report, load, path, *args):
+    """``load(path, *args)``, then the file's entry in ``report["inputs"]``:
+    a file is listed only once it has been read, and a file that cannot be
+    read is the loader's ``ParseError``."""
+    value = load(path, *args)
+    report["inputs"].append({"path": path, "sha256": formats.sha256_of_file(path)})
+    return value
 
 
 def _verdict(report, name, passed, tolerance, value):
     report["verdicts"].append(
         {"name": name, "pass": bool(passed), "tolerance": float(tolerance), "value": value}
     )
-    return passed
 
 
-def cmd_validate(args, tol: Tolerances, config):
-    poly = formats.load_polyhedron(args.path)
-    report = _base_report("validate", [args.path], config)
+def cmd_validate(report, args, tol: Tolerances):
+    poly = _read(report, formats.load_polyhedron, args.path)
     comb_report = polyhedron.validate_combinatorics(poly.combinatorics)
     report["results"]["counts"] = {
         "vertices": comb_report.vertex_count,
@@ -77,8 +78,7 @@ def cmd_validate(args, tol: Tolerances, config):
         "euler_characteristic": comb_report.euler_characteristic,
     }
     report["results"]["combinatorics_issues"] = comb_report.issues
-    ok = _verdict(report, "combinatorics_valid", comb_report.valid, 0.0,
-                  len(comb_report.issues))
+    _verdict(report, "combinatorics_valid", comb_report.valid, 0.0, len(comb_report.issues))
     if comb_report.valid:
         emb = polyhedron.validate_embedding(poly, tol)
         report["results"]["embedding"] = {
@@ -87,13 +87,9 @@ def cmd_validate(args, tol: Tolerances, config):
             "min_convexity_margin": emb.min_convexity_margin,
             "issues": emb.issues,
         }
-        ok = _verdict(report, "embedding_planar", emb.planar,
-                      tol.planar, emb.max_planarity_residual) and ok
-        ok = _verdict(report, "embedding_convex", emb.convex,
-                      tol.convex, emb.min_convexity_margin) and ok
-        ok = _verdict(report, "embedding_in_ball", emb.in_ball,
-                      tol.ball, emb.max_radius) and ok
-    return report, EXIT_OK if ok else EXIT_CHECK_FAILED
+        _verdict(report, "embedding_planar", emb.planar, tol.planar, emb.max_planarity_residual)
+        _verdict(report, "embedding_convex", emb.convex, tol.convex, emb.min_convexity_margin)
+        _verdict(report, "embedding_in_ball", emb.in_ball, tol.ball, emb.max_radius)
 
 
 def _load_valid_polyhedron(path, tol: Tolerances):
@@ -109,21 +105,17 @@ def _load_valid_polyhedron(path, tol: Tolerances):
     return poly
 
 
-def cmd_angles(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
-    report = _base_report("angles", [args.path], config)
+def cmd_angles(report, args, tol: Tolerances):
+    poly = _read(report, _load_valid_polyhedron, args.path, tol)
     angles = polyhedron.dihedral_angles(poly, tol)
     report["results"]["edges"] = [list(e) for e in poly.combinatorics.edges]
     report["results"]["angles"] = [float(a) for a in angles]
-    ok = _verdict(report, "angles_in_range",
-                  bool(np.all(angles > 0.0) and np.all(angles < np.pi)),
-                  0.0, float(angles.min()))
-    return report, EXIT_OK if ok else EXIT_CHECK_FAILED
+    _verdict(report, "angles_in_range", bool(np.all(angles > 0.0) and np.all(angles < np.pi)),
+             0.0, float(angles.min()))
 
 
-def cmd_rigidity(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
-    report = _base_report("rigidity", [args.path], config)
+def cmd_rigidity(report, args, tol: Tolerances):
+    poly = _read(report, _load_valid_polyhedron, args.path, tol)
     rep = rigidity.rigidity_report(poly, tol)
     report["results"]["rigidity"] = {
         "edge_count": rep.edge_count,
@@ -142,27 +134,26 @@ def cmd_rigidity(args, tol: Tolerances, config):
              rep.isometry_containment_residual < tol.principal_angle,
              tol.principal_angle, rep.isometry_containment_residual)
     _verdict(report, "certified", rep.certified, 0.0, int(rep.certified))
-    return report, EXIT_OK if rep.certified else EXIT_CHECK_FAILED
 
 
-def cmd_deform(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+def cmd_deform(report, args, tol: Tolerances):
+    """Returns the solver's exit code when continuation fails, else None."""
+    if args.steps < 1:
+        raise ParseError(f"n_steps must be at least 1, got {args.steps}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
+    poly = _read(report, _load_valid_polyhedron, args.path, tol)
     comb = poly.combinatorics
-    paths = [args.path] + ([args.target] if args.target else [])
-    report = _base_report("deform", paths, config)
-    current = polyhedron.dihedral_angles(poly, tol)
     if args.target:
-        target = formats.load_angles(args.target, comb.edge_count)
+        target = _read(report, formats.load_angles, args.target, comb.edge_count)
     else:
         rng = np.random.default_rng(args.seed)
-        target = current + args.perturb * rng.uniform(-1.0, 1.0, comb.edge_count)
+        target = (polyhedron.dihedral_angles(poly, tol)
+                  + args.perturb * rng.uniform(-1.0, 1.0, comb.edge_count))
     try:
         target = polyhedron.validate_angle_vector(target, comb.edge_count)
     except ValueError as exc:
         raise ParseError(f"infeasible target angles: {exc}") from exc
-
-    if args.steps < 1:
-        raise ParseError(f"n_steps must be at least 1, got {args.steps}")
 
     opts = deform.DeformOptions()
     report["results"]["target"] = [float(a) for a in target]
@@ -173,9 +164,8 @@ def cmd_deform(args, tol: Tolerances, config):
         report["results"]["failed_waypoint"] = exc.waypoint
         report["results"]["completed_waypoints"] = len(exc.results)
         _verdict(report, "deform_converged", False, opts.residual_tol, str(exc))
-        code = {NoConvergence: EXIT_NO_CONVERGENCE, ConvexityLost: EXIT_CONVEXITY_LOST,
-                BallExit: EXIT_BALL_EXIT}[type(exc)]
-        return report, code
+        return {NoConvergence: EXIT_NO_CONVERGENCE, ConvexityLost: EXIT_CONVEXITY_LOST,
+               BallExit: EXIT_BALL_EXIT}[type(exc)]
 
     final = results[-1]
     achieved = final.achieved_angles
@@ -196,16 +186,16 @@ def cmd_deform(args, tol: Tolerances, config):
     _verdict(report, "convexity_preserved", emb.min_convexity_margin > 0.0, 0.0,
              emb.min_convexity_margin)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(formats.dump_polyhedron(final.final))
-    ok = all(v["pass"] for v in report["verdicts"])
-    return report, EXIT_OK if ok else EXIT_CHECK_FAILED
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(formats.dump_polyhedron(final.final))
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
 
 
-def cmd_holonomy(args, tol: Tolerances, config):
-    poly = _load_valid_polyhedron(args.path, tol)
+def cmd_holonomy(report, args, tol: Tolerances):
+    poly = _read(report, _load_valid_polyhedron, args.path, tol)
     comb = poly.combinatorics
-    report = _base_report("holonomy", [args.path], config)
     holonomy = repvar.polyhedron_holonomy(poly, tol)
     angles = holonomy.angles
     traces = np.trace(holonomy.meridians, axis1=1, axis2=2)
@@ -238,18 +228,14 @@ def cmd_holonomy(args, tol: Tolerances, config):
     all_irreducible = bool(np.all(links.irreducible))
     report["results"]["edges"] = edge_rows
     report["results"]["vertices"] = vertex_rows
-    ok = _verdict(report, "trace_identities", worst_trace < tol.trace_identity,
-                  tol.trace_identity, worst_trace)
-    ok = _verdict(report, "vertex_relations", worst_relation < tol.relator,
-                  tol.relator, worst_relation) and ok
-    ok = _verdict(report, "links_irreducible", all_irreducible, tol.irreducible,
-                  int(all_irreducible)) and ok
-    return report, EXIT_OK if ok else EXIT_CHECK_FAILED
+    _verdict(report, "trace_identities", worst_trace < tol.trace_identity,
+             tol.trace_identity, worst_trace)
+    _verdict(report, "vertex_relations", worst_relation < tol.relator, tol.relator, worst_relation)
+    _verdict(report, "links_irreducible", all_irreducible, tol.irreducible, int(all_irreducible))
 
 
-def cmd_tracerank(args, tol: Tolerances, config):
-    pres, loops = formats.load_presentation(args.presentation)
-    paths = [args.presentation]
+def cmd_tracerank(report, args, tol: Tolerances):
+    pres, loops = _read(report, formats.load_presentation, args.presentation)
     expected = None
     if args.fixture_vertex:
         try:
@@ -257,8 +243,7 @@ def cmd_tracerank(args, tol: Tolerances, config):
             vertex = int(vertex_text)
         except ValueError:
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
-        paths.append(poly_path)
-        poly = _load_valid_polyhedron(poly_path, tol)
+        poly = _read(report, _load_valid_polyhedron, poly_path, tol)
         n = poly.combinatorics.vertex_count
         if not 0 <= vertex < n:
             raise ParseError(f"{poly_path}: vertex {vertex} outside 0..{n - 1}")
@@ -275,14 +260,12 @@ def cmd_tracerank(args, tol: Tolerances, config):
                 f"presentation has {pres.generator_count} generators, link has {d}"
             )
     else:
-        paths.append(args.matrices)
-        rep = formats.load_matrices(args.matrices)
+        rep = _read(report, formats.load_matrices, args.matrices)
         if rep.generator_count != pres.generator_count:
             raise ParseError(
                 f"presentation has {pres.generator_count} generators, "
                 f"matrix file has {rep.generator_count}"
             )
-    report = _base_report("tracerank", paths, config)
     det_defect, relator_data = repvar.representation_report(rep, pres)
     if not loops:
         loops = [(g,) for g in range(1, pres.generator_count + 1)]
@@ -303,20 +286,19 @@ def cmd_tracerank(args, tol: Tolerances, config):
         "gap_ratio": rank_report.gap_ratio,
     }
     worst_rel = max((r for _, r in relator_data), default=0.0)
-    ok = _verdict(report, "relators_hold", worst_rel < tol.relator, tol.relator, worst_rel)
+    _verdict(report, "relators_hold", worst_rel < tol.relator, tol.relator, worst_rel)
     if args.unitary:
         # su(2) coordinates mean nothing for images outside SU(2)
         images = np.reshape(rep.images, (-1, 2, 2))
         gram = images @ np.conj(np.swapaxes(images, -1, -2)) - np.eye(2)
         defect = float(np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0))
-        ok = _verdict(report, "images_unitary", defect < tol.iso, tol.iso, defect) and ok
+        _verdict(report, "images_unitary", defect < tol.iso, tol.iso, defect)
     if expected is not None:
         report["results"]["expected"] = expected
-        ok = _verdict(report, "h1_dim_expected", rank_report.h1_dim == expected["h1_dim"],
-                      0.0, rank_report.h1_dim) and ok
-        ok = _verdict(report, "rank_expected", rank_report.rank == expected["rank"],
-                      0.0, rank_report.rank) and ok
-    return report, EXIT_OK if ok else EXIT_CHECK_FAILED
+        _verdict(report, "h1_dim_expected", rank_report.h1_dim == expected["h1_dim"],
+                 0.0, rank_report.h1_dim)
+        _verdict(report, "rank_expected", rank_report.rank == expected["rank"],
+                 0.0, rank_report.rank)
 
 
 @functools.cache
@@ -376,7 +358,9 @@ def main(argv=None):
         for key in ("seed", "perturb", "steps", "unitary"):
             if hasattr(args, key) and getattr(args, key) is not None:
                 config[key] = getattr(args, key)
-        report, code = _COMMANDS[args.command](args, tol, config)
+        report = {"command": args.command, "inputs": [], "config": config,
+                  "results": {}, "verdicts": []}
+        code = _COMMANDS[args.command](report, args, tol)
     except ParseError as exc:
         sys.stdout.write(formats.to_json({
             "command": args.command,
@@ -393,6 +377,8 @@ def main(argv=None):
             "message": str(exc),
         }) + "\n")
         return EXIT_CHECK_FAILED
+    if code is None:
+        code = EXIT_OK if all(v["pass"] for v in report["verdicts"]) else EXIT_CHECK_FAILED
     sys.stdout.write(formats.to_json(report) + "\n")
     return code
 

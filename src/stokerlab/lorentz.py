@@ -251,14 +251,14 @@ def so31_basis():
 # identity in the module docstring.
 
 
-# Rows: the Hermitian forms of e1, e2, e3, e4, flattened row-major.
-_HERMITIAN_BASIS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1], [1, 0, 0, 1]])
+# The Hermitian forms of e1, e2, e3, e4.
+_HERMITIAN = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]], [[1, 0], [0, 1]]])
 
 
 # E_a P_c E_b for the Hermitian forms E_a of e1..e4 and P_c over I, s1, s2,
 # s3 (the same four matrices, reordered), indexed (a, b, c, row, column,
 # real/imaginary part).  Every entry is 0 or +-1.
-_HERMITIAN = _HERMITIAN_BASIS.reshape(4, 2, 2)
 _SANDWICH = np.einsum("aij,cjk,bkl->abcil", _HERMITIAN, _HERMITIAN[[3, 0, 1, 2]],
                       _HERMITIAN).view(float).reshape(4, 4, 4, 2, 2, 2)
 

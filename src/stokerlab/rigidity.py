@@ -90,8 +90,12 @@ def tangent_space(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     Raises ``DimensionMismatch`` when the numerical nullity differs from the
     predicted |E| + 6.
     """
-    basis = nullspace(constraint_jacobian(poly), tol.rank_svd)
-    expected = poly.combinatorics.edge_count + 6
+    return _tangent_basis(FaceGeometry(poly), tol)
+
+
+def _tangent_basis(geometry: FaceGeometry, tol: Tolerances):
+    basis = nullspace(geometry.constraint_jacobian(), tol.rank_svd)
+    expected = geometry.combinatorics.edge_count + 6
     if basis.shape[1] != expected:
         raise DimensionMismatch(
             f"constraint nullity {basis.shape[1]} != |E| + 6 = {expected}"
@@ -156,16 +160,16 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
     and ``BallBoundary`` from the face kernel and the lift,
     ``RankDeficiency`` from ``isometry_directions``.
     """
-    comb = poly.combinatorics
+    geometry = FaceGeometry(poly, tol)
     notes = []
-    edge_count = comb.edge_count
+    edge_count = poly.combinatorics.edge_count
     try:
-        tangent = tangent_space(poly, tol)
+        tangent = _tangent_basis(geometry, tol)
     except DimensionMismatch as exc:
         notes.append(str(exc))
         return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, notes)
 
-    _, sing, vh = np.linalg.svd(angle_jacobian(poly, tol) @ tangent)
+    _, sing, vh = np.linalg.svd(geometry.angle_jacobian() @ tangent)
     rank = numerical_rank(sing, tol.rank_svd)
     kernel = tangent @ vh[rank:].T
     kernel_dim = kernel.shape[1]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,13 +350,25 @@ class TestCliDeform:
         assert len(report["results"]["iterations"]) == 3
         assert len(report["results"]["residual_history"]) == 3
 
-    def test_zero_steps_is_bad_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("options, message", [
+        (["--perturb", "1e-4", "--steps", "0"], "n_steps must be at least 1"),
+        (["--perturb", "1e-4", "--seed", "-1"], "--seed must be nonnegative"),
+        (["--target", "{tmp}/missing.json"], "cannot read {tmp}/missing.json"),
+        (["--target", "{tmp}"], "cannot read {tmp}"),
+        (["--perturb", "1e-4", "--out", "{tmp}/missing/out.json"],
+         "cannot write {tmp}/missing/out.json"),
+    ], ids=["zero_steps", "negative_seed", "missing_target", "directory_target",
+            "unwritable_out"])
+    def test_bad_option_or_file_is_bad_input(self, options, message, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
-        code, out = run_cli(capsys, ["deform", path, "--perturb", "1e-4", "--steps", "0"])
+        options = [o.format(tmp=tmp_path) for o in options]
+        code = cli.main(["deform", path, *options])
+        captured = capsys.readouterr()
         assert code == 2
-        report = json.loads(out)
+        assert captured.err == ""
+        report = json.loads(captured.out)
         assert report["error"] == "ParseError"
-        assert "n_steps must be at least 1" in report["message"]
+        assert message.format(tmp=tmp_path) in report["message"]
 
     def test_emitted_polyhedron_round_trips(self, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
@@ -472,6 +486,35 @@ class TestCliTraceRank:
         code, out = run_cli(capsys, ["tracerank", pres_path, "--matrices", mats_path])
         assert code == 0
         assert json.loads(out)["results"]["trace_rank"]["z1_dim"] == 72
+
+
+class TestCliInputs:
+    """``inputs`` lists the files read, in read order, with their digests."""
+
+    @pytest.mark.parametrize("source", ["deform_target", "matrices", "fixture_vertex"])
+    def test_files_listed_in_read_order(self, source, tmp_path, capsys):
+        poly = fixtures.square_pyramid(0.3)
+        poly_path = write_poly(tmp_path, poly)
+        if source == "deform_target":
+            target_path = write(tmp_path, "target.json",
+                                formats.dump_angles(dihedral_angles(poly)))
+            argv, read = ["deform", poly_path, "--target", target_path], [poly_path, target_path]
+        elif source == "matrices":
+            link = link_representation(poly, 4)
+            pres_path = write(tmp_path, "pres.txt", formats.dump_presentation(link.presentation))
+            mats_path = write(tmp_path, "mats.json", formats.dump_matrices(link.representation()))
+            argv, read = ["tracerank", pres_path, "--matrices", mats_path], [pres_path, mats_path]
+        else:
+            pres_path = write(tmp_path, "pres.txt",
+                              formats.dump_presentation(Presentation.punctured_sphere(4)))
+            argv = ["tracerank", pres_path, "--fixture-vertex", f"{poly_path}:4"]
+            read = [pres_path, poly_path]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["inputs"] == [
+            {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+            for path in read
+        ]
 
 
 class TestDeterminism:
