@@ -214,15 +214,15 @@ def cmd_holonomy(report, args, tol: Tolerances):
     links = repvar.link_certificate(holonomy, tol)
     vertex_rows = [
         {
-            "vertex": link.vertex,
-            "valence": len(link.edges),
+            "vertex": v,
+            "valence": int(valence),
             "relation_residual": float(relation),
             "irreducible": bool(irreducible),
             "irreducibility_residual": float(residual),
         }
-        for link, relation, irreducible, residual in zip(
-            holonomy.links, links.relation_residuals, links.irreducible,
-            links.irreducibility_residuals)
+        for v, (valence, relation, irreducible, residual) in enumerate(zip(
+            np.diff(holonomy.link_offsets), links.relation_residuals, links.irreducible,
+            links.irreducibility_residuals))
     ]
     worst_relation = float(np.max(links.relation_residuals, initial=0.0))
     all_irreducible = bool(np.all(links.irreducible))
@@ -289,8 +289,7 @@ def cmd_tracerank(report, args, tol: Tolerances):
     _verdict(report, "relators_hold", worst_rel < tol.relator, tol.relator, worst_rel)
     if args.unitary:
         # su(2) coordinates mean nothing for images outside SU(2)
-        images = np.reshape(rep.images, (-1, 2, 2))
-        gram = images @ np.conj(np.swapaxes(images, -1, -2)) - np.eye(2)
+        gram = rep.images @ np.conj(np.swapaxes(rep.images, -1, -2)) - np.eye(2)
         defect = float(np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0))
         _verdict(report, "images_unitary", defect < tol.iso, tol.iso, defect)
     if expected is not None:
@@ -301,9 +300,21 @@ def cmd_tracerank(report, args, tol: Tolerances):
                  0.0, rank_report.rank)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every argument that ``float`` reads, such as -1e-4, as a value:
+    the negative-number pattern of argparse has no exponent."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return argparse.ArgumentParser._parse_optional(self, arg_string)
+        return None
+
+
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stokerlab",
         description="Rigidity, deformation and holonomy checks for convex "
                     "hyperbolic polyhedra in the Klein ball.",

@@ -128,8 +128,8 @@ def dump_angles(angles) -> str:
 def load_presentation(path):
     """Parse the presentation text format; returns (Presentation, loops).
 
-    An empty relator, or a letter 0 or beyond the ``gens`` count in a
-    ``rel`` or ``loop`` line, raises ``ParseError`` with that line number.
+    A ``gens`` count below 1, an empty relator, or a letter 0 or beyond
+    ``gens`` in a ``rel`` or ``loop`` line raises ``ParseError`` at its line.
     """
     gens = None
     words = []              # (line number, directive, letters)
@@ -146,6 +146,8 @@ def load_presentation(path):
         try:
             if parts[0] == "gens" and len(parts) == 2:
                 gens = int(parts[1])
+                if gens < 1:
+                    raise ValueError(f"gens must be at least 1, got {gens}")
             elif parts[0] in ("rel", "loop"):
                 words.append((lineno, parts[0], tuple(int(p) for p in parts[1:])))
             else:

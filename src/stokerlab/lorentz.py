@@ -224,21 +224,15 @@ def translation_to_origin(p, tol: Tolerances = DEFAULT):
 
 
 def so31_basis():
-    """Basis of the isometry Lie algebra: 3 rotations then 3 boosts.
+    """Basis of the isometry Lie algebra as one (6, 4, 4) stack: 3 rotations
+    then 3 boosts.
 
     Each generator A satisfies A^T J + J A = 0 exactly.
     """
-    gens = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        a = np.zeros((4, 4))
-        a[i, j] = -1.0
-        a[j, i] = 1.0
-        gens.append(a)
-    for i in range(3):
-        a = np.zeros((4, 4))
-        a[i, 3] = 1.0
-        a[3, i] = 1.0
-        gens.append(a)
+    gens = np.zeros((6, 4, 4))
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))):
+        gens[k, i, j] = 1.0 if j == 3 else -1.0     # a boost is symmetric
+        gens[k, j, i] = 1.0
     return gens
 
 

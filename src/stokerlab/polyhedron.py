@@ -56,7 +56,7 @@ class CombinatorialType:
                 self._directed.setdefault((a, b), fi)
         self.edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in self._directed}))
         self.edge_index = {e: k for k, e in enumerate(self.edges)}
-        self._stars = None
+        self._stars = {}
 
     @property
     def edge_count(self):
@@ -85,8 +85,6 @@ class CombinatorialType:
         the walk crosses edges using the stored face orientations, so the two
         stars at the ends of an edge traverse its faces in opposite order.
         """
-        if self._stars is None:
-            self._stars = {}
         if v not in self._stars:
             self._stars[v] = self._walk_star(v)
         return self._stars[v]
@@ -125,6 +123,22 @@ class CombinatorialType:
 
     def vertex_valence(self, v):
         return len(self.vertex_star(v)[0])
+
+    @cached_property
+    def star_slots(self):
+        """The ``vertex_star`` walks of all vertices as one table of arrays:
+        slot offsets (v owns slots ``offsets[v]:offsets[v + 1]``), then per
+        slot its owner vertex, edge index and (face before, face after).
+        Raises ``InvalidCombinatorics`` for a valence below 3."""
+        stars = [self.vertex_star(v) for v in range(self.vertex_count)]
+        sizes = [len(edges) for edges, _ in stars]
+        for v, d in enumerate(sizes):
+            if d < 3:
+                raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
+        edges = [self.edge_index[e] for star_edges, _ in stars for e in star_edges]
+        pairs = [(faces[k - 1], faces[k]) for _, faces in stars for k in range(len(faces))]
+        return (np.cumsum([0] + sizes, dtype=np.intp), np.repeat(np.arange(len(sizes)), sizes),
+                np.array(edges, dtype=np.intp), np.array(pairs, dtype=np.intp).reshape(-1, 2))
 
     @cached_property
     def edge_graph(self):

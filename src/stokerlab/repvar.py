@@ -89,12 +89,14 @@ class Presentation:
 
 @dataclass
 class Representation:
-    """Generator images in SL(2,C) (unit determinant 2x2 complex matrices)."""
+    """Generator images in SL(2,C): one (n, 2, 2) stack of unit determinant
+    complex matrices, from n images of four entries each (no images give
+    shape (0, 2, 2)); images of any other size raise ``ValueError``."""
 
-    images: list
+    images: np.ndarray
 
     def __post_init__(self):
-        self.images = [np.asarray(m, dtype=complex).reshape(2, 2) for m in self.images]
+        self.images = np.asarray(self.images, dtype=complex).reshape(len(self.images), 2, 2)
 
     @property
     def generator_count(self):
@@ -128,7 +130,7 @@ def representation_report(rep: Representation, pres: Presentation):
     relator values come from one ``_fox_calculus`` walk.
     """
     # one batched det; hypot rounds like the scalar complex modulus
-    defects = np.linalg.det(np.array(rep.images).reshape(-1, 2, 2)) - 1.0
+    defects = np.linalg.det(rep.images) - 1.0
     det_defect = np.hypot(defects.real, defects.imag).max(initial=0.0)
     signs, residuals = _central_residuals(_fox_calculus(rep, pres.relators)[4])
     return float(det_defect), [(int(s), float(r)) for s, r in zip(signs, residuals)]
@@ -182,7 +184,7 @@ def _fox_matrices(rep: Representation, relators, loops, algebra):
     """
     n, r = rep.generator_count, len(relators)
     word, gen, sign, conj, values = _fox_calculus(rep, list(relators) + list(loops))
-    p = np.concatenate([conj, np.reshape(rep.images, (-1, 2, 2))])[:, None]
+    p = np.concatenate([conj, rep.images])[:, None]
     conjugated = p @ np.array(algebra_basis(algebra)) @ lorentz.sl2_inverse(p)
     dim = conjugated.shape[1]
     split = np.searchsorted(word, r)        # relator letters first, then loop letters
@@ -310,29 +312,6 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
 # --- geometric holonomy ----------------------------------------------------
 
 
-def _star_slots(comb, vertices):
-    """Star slots of the given vertices, vertex by vertex in star order.
-
-    Returns lists: the slot offsets of the vertices (slots of
-    ``vertices[i]`` are ``offsets[i]:offsets[i + 1]``), the position in
-    ``vertices`` of every slot's vertex, the edge index of every slot, and
-    the face pairs (face before, face after): edge k of a star lies between
-    star faces k - 1 and k.  Raises ``InvalidCombinatorics`` for a valence
-    below 3.
-    """
-    offsets, owners, edges, pairs = [0], [], [], []
-    for i, v in enumerate(vertices):
-        star_edges, star_faces = comb.vertex_star(v)
-        d = len(star_edges)
-        if d < 3:
-            raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
-        offsets.append(offsets[-1] + d)
-        owners += [i] * d
-        edges += [comb.edge_index[e] for e in star_edges]
-        pairs += [(star_faces[k - 1], star_faces[k]) for k in range(d)]
-    return offsets, owners, edges, pairs
-
-
 def _reflection_products(normals, pairs):
     """Products R_a R_b of (k, 2) index pairs (a, b) into one reflection
     table over the planes of the (n, 4) unit ``normals``, in the global frame.
@@ -350,15 +329,16 @@ def _reflection_products(normals, pairs):
 class LinkRepresentation:
     """Spherical holonomy of a vertex link, based at the vertex.
 
-    ``meridians`` are SL(2,C) lifts in star order, conjugated so the vertex
-    sits at the hyperboloid basepoint (making them numerically unitary); the
-    cyclic product is the identity up to the double-cover sign.
+    ``meridians`` (d, 2, 2) lift ``meridians_so31`` (d, 4, 4) to SL(2,C) in
+    star order, conjugated so the vertex sits at the hyperboloid basepoint
+    (making them numerically unitary); the cyclic product is the identity up
+    to the double-cover sign.
     """
 
     vertex: int
     edges: tuple
-    meridians: list
-    meridians_so31: list
+    meridians: np.ndarray
+    meridians_so31: np.ndarray
     cone_angles: np.ndarray
     presentation: Presentation = field(init=False)
 
@@ -366,7 +346,7 @@ class LinkRepresentation:
         self.presentation = Presentation.punctured_sphere(len(self.meridians))
 
     def representation(self) -> Representation:
-        return Representation(list(self.meridians))
+        return Representation(self.meridians)
 
 
 @dataclass
@@ -375,52 +355,42 @@ class PolyhedronHolonomy:
 
     ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
     meridians in the global frame and their SL(2,C) lifts, equal to
-    ``meridian_holonomy`` edge by edge.  ``links`` holds a
-    ``LinkRepresentation`` per vertex, equal to ``link_representation``
-    vertex by vertex; ``link_meridians`` stacks their lifts, link i at rows
-    ``link_offsets[i]:link_offsets[i + 1]``.  ``angles`` are the dihedral
-    angles of every edge of the face kernel the reflections came from.
+    ``meridian_holonomy`` edge by edge.  ``link_meridians_so31`` and
+    ``link_meridians`` stack the same for the star slots of all vertices
+    (``CombinatorialType.star_slots``); the link of v, rows
+    ``link_offsets[v]:link_offsets[v + 1]``, equals ``link_representation``.
+    ``angles`` are the dihedral angles of every edge of the face kernel the
+    reflections came from.
     """
 
     meridians_so31: np.ndarray
     meridians: np.ndarray
-    links: list
+    link_meridians_so31: np.ndarray
     link_meridians: np.ndarray
     link_offsets: np.ndarray
     angles: np.ndarray
 
 
-def _holonomy(poly: EmbeddedPolyhedron, edges, vertices, tol: Tolerances) -> PolyhedronHolonomy:
-    """Meridians of the given edges and of every star slot of the given
-    vertices, all lifted to SL(2,C) in one ``sl2c_lift`` call.
+def _holonomy(poly: EmbeddedPolyhedron, edge_pairs, first, last, tol: Tolerances):
+    """A ``PolyhedronHolonomy`` of the edges with the given (k, 2) face pairs
+    and of vertices ``first:last``, lifted in one ``sl2c_lift`` call.
 
     Edge meridians stay in the global frame.  The meridians of a vertex's
     star, ordered along the star walk so their cyclic product telescopes to
     the identity, are conjugated by the translation taking the vertex to the
-    origin, so their lifts lie in SU(2).  A link's cone angles are twice the
-    dihedral angles of its edges.
+    origin, so their lifts lie in SU(2).
     """
-    comb = poly.combinatorics
     geom = FaceGeometry(poly, tol)
-    vertices = list(vertices)
-    offsets, owner, slot_edges, slot_pairs = _star_slots(comb, vertices)
-    edge_pairs = [comb.edge_faces(e) for e in edges]
-    pairs = np.array(edge_pairs + slot_pairs, dtype=np.intp).reshape(-1, 2)
-    products = _reflection_products(geom.normals, pairs)
+    offsets, owners, _, slot_pairs = poly.combinatorics.star_slots
+    slots = slice(offsets[first], offsets[last])
+    products = _reflection_products(geom.normals, np.concatenate([edge_pairs, slot_pairs[slots]]))
     n = len(edge_pairs)
-    move = lorentz.translation_to_origin(poly.positions[vertices], tol)
+    move = lorentz.translation_to_origin(poly.positions[owners[slots]], tol)
     move_inv = lorentz.J @ np.swapaxes(move, -1, -2) @ lorentz.J
-    link_so31 = move[owner] @ products[n:] @ move_inv[owner]
+    link_so31 = move @ products[n:] @ move_inv
     lifts = lorentz.sl2c_lift(np.concatenate([products[:n], link_so31]), tol)
-    link_lifts = lifts[n:]
-    cone = 2.0 * geom.angles[slot_edges]
-    links = [
-        LinkRepresentation(v, tuple(comb.edges[k] for k in slot_edges[a:b]),
-                           list(link_lifts[a:b]), list(link_so31[a:b]), cone[a:b])
-        for v, a, b in zip(vertices, offsets, offsets[1:])
-    ]
-    return PolyhedronHolonomy(products[:n], lifts[:n], links, link_lifts,
-                              np.array(offsets, dtype=np.intp), geom.angles)
+    return PolyhedronHolonomy(products[:n], lifts[:n], link_so31, lifts[n:],
+                              offsets[first:last + 1] - slots.start, geom.angles)
 
 
 def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
@@ -430,7 +400,8 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
     elliptic isometry about the edge geodesic rotating by twice the dihedral
     angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
     """
-    holonomy = _holonomy(poly, [(min(edge), max(edge))], [], tol)
+    pairs = np.array([poly.combinatorics.edge_faces((min(edge), max(edge)))])
+    holonomy = _holonomy(poly, pairs, 0, 0, tol)
     return holonomy.meridians_so31[0], holonomy.meridians[0]
 
 
@@ -441,9 +412,17 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     Each meridian is the product of the reflections in the two face planes
     adjacent to its edge, ordered along the star walk so the cyclic product
     telescopes to the identity; everything is conjugated by the translation
-    taking the vertex to the origin so the lifts live in SU(2).
+    taking the vertex to the origin so the lifts live in SU(2).  The cone
+    angles are twice the dihedral angles of the star edges.
     """
-    return _holonomy(poly, [], [vertex], tol).links[0]
+    comb = poly.combinatorics
+    if not 0 <= vertex < comb.vertex_count:
+        raise InvalidCombinatorics(f"vertex {vertex} belongs to no face")
+    hol = _holonomy(poly, np.empty((0, 2), dtype=np.intp), vertex, vertex + 1, tol)
+    offsets, _, slot_edges, _ = comb.star_slots
+    edges = slot_edges[offsets[vertex]:offsets[vertex + 1]]
+    return LinkRepresentation(vertex, tuple(comb.edges[k] for k in edges), hol.link_meridians,
+                              hol.link_meridians_so31, 2.0 * hol.angles[edges])
 
 
 def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
@@ -451,7 +430,7 @@ def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> 
     whole polyhedron: one reflection table, one batch of meridian products
     and one ``sl2c_lift`` call."""
     comb = poly.combinatorics
-    return _holonomy(poly, comb.edges, range(comb.vertex_count), tol)
+    return _holonomy(poly, comb.edge_face_pairs, 0, comb.vertex_count, tol)
 
 
 @dataclass
@@ -520,7 +499,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     """
     comb = poly.combinatorics
     geom = FaceGeometry(poly, tol)
-    offsets, owner, slot_edges, slot_pairs = _star_slots(comb, range(comb.vertex_count))
+    offsets, owner, slot_edges, slot_pairs = comb.star_slots
     ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
     parent = comb.edge_graph.parent
     child_first = parent[ends[:, 0]] == ends[:, 1]
@@ -535,11 +514,11 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     if not np.all(square > 0):          # the faces share a plane
         raise ConvexityViolation(f"edge {comb.edges[cross[np.argmin(square > 0)]]} is flat")
     halfway /= np.sqrt(square)[:, None]
-    pairs = np.concatenate([np.reshape(slot_pairs, (-1, 2)),
+    pairs = np.concatenate([slot_pairs,
                             np.column_stack([f, comb.face_count + np.arange(len(cross))])])
     products = _reflection_products(np.concatenate([geom.normals, halfway]), pairs)
 
-    slot_end = (np.array(owner, dtype=np.intp) == ends[slot_edges, 1]).astype(np.intp)
+    slot_end = (owner == ends[slot_edges, 1]).astype(np.intp)
     rows = np.empty_like(ends)              # slot row of every edge end
     rows[slot_edges, slot_end] = np.arange(len(slot_edges))
     mismatch = np.max(np.abs(products[rows[:, 0]] @ products[rows[:, 1]]
@@ -577,7 +556,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
 
     return SurfaceGroupFixture(
         presentation=Presentation(len(names), relators),
-        representation=Representation(list(images)),
+        representation=Representation(images),
         # an edge's meridian is its first slot generator
         meridian_words={e: (int(m),) for e, m in zip(comb.edges, np.abs(letters[:, 0]))},
         generator_names=names,
@@ -651,7 +630,6 @@ def _irreducibility(images, offsets, tol: Tolerances):
     residual 0 and witness (1, 0).  Raises ``EigenFailure`` when an
     eigenvector is too inaccurate to trust near the threshold.
     """
-    images = np.asarray(images, dtype=complex).reshape(-1, 2, 2)
     n = len(images)
     sizes, owner = _ragged(offsets)
     _, distance = _central_residuals(images)
@@ -704,8 +682,8 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     to trust near the threshold.  The one-group case of the batched check
     that ``link_certificate`` runs over every vertex link.
     """
-    images = np.array(rep.images).reshape(-1, 2, 2)
-    irreducible, residual, witness = _irreducibility(images, np.array([0, len(images)]), tol)
+    offsets = np.array([0, rep.generator_count])
+    irreducible, residual, witness = _irreducibility(rep.images, offsets, tol)
     return IrreducibilityReport(
         irreducible=bool(irreducible[0]),
         residual=float(residual[0]),

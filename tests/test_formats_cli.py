@@ -127,6 +127,8 @@ class TestPresentationFormat:
         ("gens 3\nrel 1 2\nloop 1 7\n", 3),
         ("gens 3\nloop -3 0\n", 2),
         ("gens 3\nrel 1\nrel\n", 3),
+        ("# no generators\ngens 0\n", 2),
+        ("gens -2\nrel 1\n", 1),
     ])
     def test_bad_word_rejected_with_its_line(self, tmp_path, text, line):
         path = write(tmp_path, "pres.txt", text)
@@ -309,18 +311,26 @@ class TestCliRigidity:
 
 
 class TestCliDeform:
-    def test_seeded_perturbation_round_trip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spellings", [
+        (["--perturb", "1e-3"],),
+        (["--perturb", "-1e-3"], ["--perturb=-1e-3"], ["--perturb", "-0.001"]),
+    ], ids=["positive", "negative"])
+    def test_seeded_perturbation_round_trip(self, spellings, tmp_path, capsys):
+        """A negative amplitude is a value in every spelling, with an
+        exponent too, and all spellings give one report."""
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
         out_path = str(tmp_path / "deformed.json")
-        code, out = run_cli(
-            capsys, ["deform", path, "--perturb", "1e-3", "--seed", "7", "--out", out_path]
-        )
+        argvs = [["deform", path, *options, "--seed", "7", "--out", out_path]
+                 for options in spellings]
+        code, out = run_cli(capsys, argvs[0])
         assert code == 0
         report = json.loads(out)
         assert all(v["pass"] for v in report["verdicts"])
         deformed = formats.load_polyhedron(out_path)
         achieved = dihedral_angles(deformed)
         assert np.max(np.abs(achieved - np.array(report["results"]["target"]))) < 1e-10
+        for argv in argvs[1:]:
+            assert run_cli(capsys, argv) == (code, out)
 
     def test_current_angles_zero_steps(self, tmp_path, capsys):
         poly = fixtures.cube(0.3)
@@ -468,6 +478,17 @@ class TestCliTraceRank:
         result = json.loads(out)["results"]["trace_rank"]
         assert result["h1_dim"] == 24
         assert result["rank"] == 12
+
+    def test_no_generators_is_bad_input(self, tmp_path, capsys):
+        pres_path = write(tmp_path, "pres.txt", "gens 0\n")
+        mats_path = write(tmp_path, "mats.json", '{"matrices": []}')
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert report["line"] == 1
 
     def test_out_of_range_loop_letter_is_bad_input(self, tmp_path, capsys):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     collapsed_corner_tetrahedron,
     corner_tetrahedron,
     intrinsic_dihedral_angle,
     random_isometry,
+    random_polyhedra,
 )
 from stokerlab import cli, fixtures, formats, lorentz
 from stokerlab.errors import (
@@ -152,6 +154,38 @@ class TestCombinatorics:
         for v in (-1, 4, 9):
             with pytest.raises(InvalidCombinatorics, match=f"vertex {v} belongs to no face"):
                 comb.vertex_star(v)
+
+    @staticmethod
+    def assert_star_slots_match_walks(comb):
+        """The slot table is the ``vertex_star`` walks laid end to end."""
+        table = comb.star_slots
+        offsets, owners, edges, pairs = [0], [], [], []
+        for v in range(comb.vertex_count):
+            star_edges, star_faces = comb.vertex_star(v)
+            offsets.append(offsets[-1] + len(star_edges))
+            owners += [v] * len(star_edges)
+            edges += [comb.edge_index[e] for e in star_edges]
+            pairs += [(star_faces[k - 1], star_faces[k]) for k in range(len(star_faces))]
+        assert [a.dtype for a in table] == [np.intp] * 4
+        assert table[0].tolist() == offsets
+        assert table[1].tolist() == owners
+        assert table[2].tolist() == edges
+        assert table[3].shape == (len(pairs), 2)
+        assert [tuple(p) for p in table[3].tolist()] == pairs
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_star_slots_match_walks(self, name):
+        self.assert_star_slots_match_walks(fixtures.STANDARD[name](0.3).combinatorics)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_star_slots_match_walks_on_random_hulls_and_duals(self, poly):
+        self.assert_star_slots_match_walks(poly.combinatorics)
+
+    def test_star_slots_reject_valence_below_three(self):
+        comb = CombinatorialType(3, [[0, 1, 2], [0, 2, 1]])
+        with pytest.raises(InvalidCombinatorics, match="vertex 0 has valence 2 < 3"):
+            comb.star_slots
 
     def test_residual_count_identity(self):
         for build in fixtures.STANDARD.values():

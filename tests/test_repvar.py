@@ -22,7 +22,7 @@ from helpers import (
 )
 from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
-from stokerlab.errors import ConvexityViolation, EigenFailure
+from stokerlab.errors import ConvexityViolation, EigenFailure, InvalidCombinatorics
 from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
     _cyclic_relation_residuals,
@@ -80,8 +80,21 @@ def numeric_cocycle_extension(u, rep, word, step=1e-5):
 
 
 class TestEvaluateWord:
-    def test_empty_word(self):
-        rep = random_representation(np.random.default_rng(0), 2)
+    @pytest.mark.parametrize("images, shape", [
+        (random_representation(np.random.default_rng(0), 2).images, (2, 2, 2)),
+        ([], (0, 2, 2)),
+        (np.zeros((4, 3, 3)), None),
+    ], ids=["two_generators", "no_generators", "four_3x3"])
+    def test_empty_word(self, images, shape):
+        """Generator images are one (n, 2, 2) stack, the empty one included,
+        and the empty word is the identity on it; four 3x3 matrices are
+        refused, not read as nine 2x2 ones."""
+        if shape is None:
+            with pytest.raises(ValueError, match="cannot reshape"):
+                Representation(images)
+            return
+        rep = Representation(images)
+        assert rep.images.shape == shape
         assert np.array_equal(evaluate_word(rep, ()), I2)
 
     def test_cancellation(self):
@@ -277,6 +290,12 @@ class TestLinkRepresentation:
             _, [(_, residual)] = representation_report(link.representation(),
                                                        link.presentation)
             assert residual < 1e-10
+
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_vertex_out_of_range_belongs_to_no_face(self, vertex):
+        """A link is a range of the star-slot table, where -1 would wrap."""
+        with pytest.raises(InvalidCombinatorics, match=f"vertex {vertex} belongs to no face"):
+            link_representation(fixtures.tetrahedron(0.3), vertex)
 
     def test_square_pyramid_apex_symmetry(self):
         link = link_representation(fixtures.square_pyramid(0.3), 4)
@@ -603,17 +622,25 @@ class TestOneWordWalk:
         assert found == sign
         assert residual == np.linalg.norm(value - sign * I2) < DEFAULT.relator
         offsets = np.array([0, len(rep.images)])
-        assert _cyclic_relation_residuals(np.array(rep.images), offsets)[0] == residual
+        assert _cyclic_relation_residuals(rep.images, offsets)[0] == residual
 
 
-def assert_links_equal(batched, single):
-    assert batched.vertex == single.vertex
-    assert batched.edges == single.edges
-    assert np.array_equal(batched.cone_angles, single.cone_angles)
-    for name in ("meridians", "meridians_so31"):
-        a, b = getattr(batched, name), getattr(single, name)
-        assert len(a) == len(b)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+def link_rows(hol, v):
+    """The rows of vertex v's link in the stacks of ``hol``."""
+    return slice(hol.link_offsets[v], hol.link_offsets[v + 1])
+
+
+def assert_links_equal(hol, poly, v):
+    """The batched link of v, its rows of the stacks, is
+    ``link_representation(poly, v)`` bit for bit, on the star of v."""
+    link = link_representation(poly, v)
+    assert np.array_equal(hol.link_meridians[link_rows(hol, v)], link.meridians)
+    assert np.array_equal(hol.link_meridians_so31[link_rows(hol, v)], link.meridians_so31)
+    comb = poly.combinatorics
+    star_edges, _ = comb.vertex_star(v)
+    assert (link.vertex, link.edges) == (v, star_edges)
+    edges = [comb.edge_index[e] for e in star_edges]
+    assert np.array_equal(link.cone_angles, 2.0 * hol.angles[edges])
 
 
 class TestPolyhedronHolonomy:
@@ -626,9 +653,13 @@ class TestPolyhedronHolonomy:
             iso, lift = meridian_holonomy(poly, e)
             assert np.array_equal(hol.meridians_so31[k], iso)
             assert np.array_equal(hol.meridians[k], lift)
-        assert [link.vertex for link in hol.links] == list(range(comb.vertex_count))
-        for v, link in enumerate(hol.links):
-            assert_links_equal(link, link_representation(poly, v))
+        slots = 2 * comb.edge_count
+        assert hol.link_offsets.shape == (comb.vertex_count + 1,)
+        assert (hol.link_offsets[0], hol.link_offsets[-1]) == (0, slots)
+        assert hol.link_meridians.shape == (slots, 2, 2)
+        assert hol.link_meridians_so31.shape == (slots, 4, 4)
+        for v in range(comb.vertex_count):
+            assert_links_equal(hol, poly, v)
         traces = np.abs(np.trace(hol.meridians, axis1=1, axis2=2))
         defect = np.abs(traces - 2.0 * np.abs(np.cos(dihedral_angles(poly))))
         assert np.max(defect) < DEFAULT.trace_identity
@@ -665,9 +696,10 @@ class TestLinkCertificate:
         cert = link_certificate(hol)
         assert np.array_equal(hol.angles, dihedral_angles(poly))
         assert len(cert.relation_residuals) == poly.combinatorics.vertex_count
-        for v, link in enumerate(hol.links):
-            rep = link.representation()
-            _, [(_, residual)] = representation_report(rep, link.presentation)
+        for v in range(poly.combinatorics.vertex_count):
+            rep = Representation(hol.link_meridians[link_rows(hol, v)])
+            pres = Presentation.punctured_sphere(rep.generator_count)
+            _, [(_, residual)] = representation_report(rep, pres)
             report = irreducibility_check(rep)
             assert cert.relation_residuals[v] == residual
             assert cert.irreducible[v] == report.irreducible
@@ -710,9 +742,9 @@ class TestLinkCertificate:
     def test_random_ragged_groups(self, seed, sizes):
         rng = np.random.default_rng(seed)
         groups = [random_representation(rng, n).images for n in sizes]
-        groups[0] = [np.triu(m) / np.sqrt(m[0, 0] * m[1, 1]) for m in groups[0]]
+        groups[0] = np.triu(groups[0]) / np.sqrt(groups[0][:, :1, :1] * groups[0][:, 1:, 1:])
         offsets = np.cumsum([0] + sizes)
-        images = np.array(sum(groups, []), dtype=complex).reshape(-1, 2, 2)
+        images = np.concatenate(groups)
         assert_group_results(images, offsets,
                              [irreducibility_check(Representation(g)) for g in groups])
 
@@ -724,9 +756,9 @@ class TestLinkCertificate:
         rep = Representation([probe, np.array([[0.0, 1j], [1j, 0.0]])])
         with pytest.raises(EigenFailure, match="unreliable eigenvector"):
             irreducibility_check(rep)
-        good = list(link_representation(fixtures.tetrahedron(0.3), 0).meridians)
+        good = link_representation(fixtures.tetrahedron(0.3), 0).meridians
         with pytest.raises(EigenFailure, match="unreliable eigenvector"):
-            _irreducibility(np.array(good + rep.images), np.array([0, 3, 5]), DEFAULT)
+            _irreducibility(np.concatenate([good, rep.images]), np.array([0, 3, 5]), DEFAULT)
 
     def test_singular_image_raises(self):
         rep = Representation([np.diag([2.0, 0.5]), np.zeros((2, 2))])
