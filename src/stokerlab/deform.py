@@ -10,21 +10,28 @@ Jacobian; the remaining gauge freedom is removed afterwards by a canonical
 frame (vertex 0 at the origin, vertex 1 on the positive x-axis, vertex 2 in
 the upper half of the xy-plane).
 
-The step comes from a complete orthogonal factorization of the Jacobian
-(LAPACK ``gelsy``: QR with column pivoting, then an RZ step).  Its rank is
-the size of the largest leading triangle of the pivoted QR whose estimated
-condition number stays below 1 / ``Tolerances.rank_svd``.  At a convex
-embedding the Jacobian has full row rank, so no rank is cut and the step is
-the SVD's minimum-norm step, found without singular vectors.  The normal
-equations square cond(J) and lost 2e-7 of the step on a 160-point dual; an
-unpivoted QR makes no rank decision, so a nearly singular Jacobian would not
-be truncated.
+At a convex embedding the stacked Jacobian J has full row rank 3|V| - 6 (the
+angles locally parameterize the polyhedron), so each step solves an
+underdetermined system of full row rank.  The step factors J^T = QR once by
+Householder QR (LAPACK ``geqrf``), solves R^T y = rhs and returns Q [y; 0],
+applying the reflectors without forming Q.  That is the minimum-norm
+solution with an error bound of order cond(J) eps (Demmel & Higham, SIAM J.
+Matrix Anal. Appl. 14, 1993), and it needs no column pivoting because it
+makes no rank decision.  It is taken only when LAPACK's estimate of R's
+reciprocal condition number exceeds ``Tolerances.rank_svd``.  Otherwise (a
+nearly rank-deficient J, a non-finite system, or more rows than columns) the
+step comes from a complete orthogonal factorization (``gelsy``: QR with
+column pivoting, then an RZ step), whose rank is the size of the largest
+leading triangle of the pivoted QR with estimated condition number below
+1 / ``Tolerances.rank_svd``.  The normal equations square cond(J) and lost
+2e-7 of the step on a 160-point dual.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
@@ -93,8 +100,27 @@ def _stacked_residual(geom: FaceGeometry, target):
 
 
 def _gauss_newton_step(jac, rhs, tol: Tolerances):
-    """Minimum-norm least-squares solution of ``jac @ step = rhs`` by a
-    complete orthogonal factorization, with the rank cut at ``tol.rank_svd``."""
+    """Minimum-norm least-squares solution of ``jac @ step = rhs``.
+
+    With no more rows than columns and R of J^T = QR estimated better
+    conditioned than 1 / ``tol.rank_svd``, the step is Q R^-T rhs.  Every
+    other system (a NaN estimate included) goes to ``gelsy`` with the rank
+    cut at ``tol.rank_svd``, which raises ``ValueError`` on non-finite input.
+    """
+    m, n = jac.shape
+    if m <= n and np.isfinite(rhs).all():
+        lwork = int(lapack.dgeqrf_lwork(n, m)[0])
+        qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork)
+        r = qr[:m]
+        rcond, _ = lapack.dtrcon(r)
+        if rcond > tol.rank_svd:
+            y, _ = lapack.dtrtrs(r, rhs, trans=1)
+            padded = np.zeros((n, 1))
+            padded[:m, 0] = y
+            # lwork 1 selects the unblocked sweep, cheaper than forming
+            # block reflectors for a single column.
+            step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1)
+            return step[:, 0]
     step, *_ = scipy.linalg.lstsq(jac, rhs, cond=tol.rank_svd, lapack_driver="gelsy")
     return step
 

@@ -182,13 +182,13 @@ class CombinatorialType:
                         dtype=np.intp).reshape(-1, 2)
 
     @cached_property
-    def convexity_pairs(self):
-        """(C, 2) (face, vertex) rows: every vertex not on the face, face-major."""
+    def convexity_mask(self):
+        """(F, V) bool: True where the vertex is not on the face."""
         sizes = [len(f) for f in self.faces]
-        incident = np.zeros((self.face_count, self.vertex_count), dtype=bool)
-        incident[np.repeat(np.arange(self.face_count), sizes),
-                 np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = True
-        return np.argwhere(~incident)
+        mask = np.ones((self.face_count, self.vertex_count), dtype=bool)
+        mask[np.repeat(np.arange(self.face_count), sizes),
+             np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = False
+        return mask
 
 
 def _cyclic_pairs(face):
@@ -327,15 +327,16 @@ class FaceGeometry:
         p1 = self.anchors[:, 0]
         self.cross = _cross(self.anchors[:, 1] - p1, self.anchors[:, 2] - p1)
 
-    def _determinants(self, pairs):
+    def planarity_residuals(self):
+        pairs = self.combinatorics.planarity_pairs
         f, v = pairs[:, 0], pairs[:, 1]
         return _dot3(self.cross[f], self.positions[v] - self.anchors[f, 0])
 
-    def planarity_residuals(self):
-        return self._determinants(self.combinatorics.planarity_pairs)
-
     def convexity_margins(self):
-        return -self._determinants(self.combinatorics.convexity_pairs)
+        """Margins of every (face, vertex off the face), face-major: the
+        determinants of the whole F x V table, read through the mask."""
+        table = _dot3(self.cross[:, None], self.positions[None] - self.anchors[:, None, 0])
+        return -table[self.combinatorics.convexity_mask]
 
     @cached_property
     def _normals(self):

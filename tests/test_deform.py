@@ -266,18 +266,41 @@ def check_min_norm_step(poly):
     assert np.linalg.norm(iso.T @ step) / np.linalg.norm(step) < bound
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Records every ``scipy.linalg.lstsq`` call, which the step makes only
+    on its rank-cutting path, and forwards it."""
+    calls = []
+    lstsq = scipy.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", spy)
+    return calls
+
+
+def with_smallest_singular_value(jac, ratio):
+    """``jac`` with its smallest singular value set to ``ratio`` sigma_max."""
+    u, sing, vt = np.linalg.svd(jac, full_matrices=False)
+    sing[-1] = ratio * sing[0]
+    return (u * sing) @ vt
+
+
 class TestGaussNewtonStep:
     @pytest.mark.parametrize("scale", [0.3, 0.02])
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
-    def test_fixture_steps_match_pseudoinverse(self, name, scale):
+    def test_fixture_steps_match_pseudoinverse(self, name, scale, lstsq_calls):
         check_min_norm_step(fixtures.STANDARD[name](scale))
+        assert lstsq_calls == []
 
     @examples
     @given(random_polyhedra(24))
     def test_random_steps_match_pseudoinverse(self, poly):
         check_min_norm_step(poly)
 
-    def test_duplicated_row(self):
+    def test_duplicated_row(self, lstsq_calls):
         """A repeated equation with a consistent right-hand side costs one
         rank and leaves the minimum-norm step unchanged."""
         jac, rhs = first_step_system(fixtures.cube(0.3))
@@ -285,23 +308,45 @@ class TestGaussNewtonStep:
         doubled = np.vstack([jac, jac[:1]])
         step = _gauss_newton_step(doubled, np.append(rhs, rhs[0]), DEFAULT)
         assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
+        assert lstsq_calls == ["gelsy"]
 
-    def test_rank_cutoff_drops_a_tiny_singular_value(self):
+    def test_rank_cutoff_drops_a_tiny_singular_value(self, lstsq_calls):
         """A singular value of 1e-12 sigma_max lies under the rank_svd cutoff,
         so the step must ignore its direction as the pseudoinverse does.  The
         two truncations differ by about the dropped value over the smallest
         kept one, at most 1e-12 cond(J).  Without the cutoff, that direction
         is amplified 1e12-fold."""
         jac, rhs = first_step_system(fixtures.cube(0.3))
-        u, sing, vt = np.linalg.svd(jac, full_matrices=False)
-        bound = 10 * 1e-12 * sing[0] / sing[-1]
-        sing[-1] = 1e-12 * sing[0]
-        nearly_singular = (u * sing) @ vt
+        bound = 10 * 1e-12 * np.linalg.cond(jac)
+        nearly_singular = with_smallest_singular_value(jac, 1e-12)
         reference = min_norm_step(nearly_singular, rhs, DEFAULT.rank_svd)
         step = _gauss_newton_step(nearly_singular, rhs, DEFAULT)
         assert relative_error(step, reference) < bound
+        assert lstsq_calls == ["gelsy"]
         uncut, *_ = scipy.linalg.lstsq(nearly_singular, rhs, lapack_driver="gelsy")
         assert relative_error(uncut, reference) > 1e6
+
+    def test_ill_conditioned_full_rank_is_not_cut(self, lstsq_calls):
+        """A singular value of 1e-7 sigma_max lies above the rank_svd cutoff:
+        the step is the full pseudoinverse step within 100 eps cond(J), from
+        the unpivoted QR, without the rank-cutting solver."""
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        ill = with_smallest_singular_value(jac, 1e-7)
+        bound = 100 * EPS * np.linalg.cond(ill)
+        step = _gauss_newton_step(ill, rhs, DEFAULT)
+        assert relative_error(step, min_norm_step(ill, rhs, DEFAULT.rank_svd)) < bound
+        assert lstsq_calls == []
+
+    @pytest.mark.parametrize("operand", ["jac", "rhs"])
+    def test_non_finite_system_rejected(self, operand, lstsq_calls):
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        if operand == "jac":
+            jac[3, 5] = np.nan
+        else:
+            rhs[5] = np.nan
+        with pytest.raises(ValueError):
+            _gauss_newton_step(jac, rhs, DEFAULT)
+        assert lstsq_calls == ["gelsy"]
 
 
 @examples

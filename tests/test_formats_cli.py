@@ -83,12 +83,16 @@ class TestFloatFormat:
         assert formats.to_json([parsed]) == formats.to_json([value])
 
     def test_integral_verdict_value_is_a_float(self, tmp_path, capsys):
-        """At ``cube(0.02)`` with this seed the achieved angles hit the
-        target exactly, so the ``angles_achieved`` value is 0.0."""
-        path = write_poly(tmp_path, fixtures.cube(0.02))
-        code, out = run_cli(capsys, ["deform", path, "--perturb", "1e-4", "--seed", "1"])
+        """The target is the file's own angles, so the solver takes no step
+        and the ``angles_achieved`` value is 0.0 by construction."""
+        poly = fixtures.cube(0.02)
+        path = write_poly(tmp_path, poly)
+        target_path = write(tmp_path, "target.json",
+                            formats.dump_angles(dihedral_angles(poly)))
+        code, out = run_cli(capsys, ["deform", path, "--target", target_path])
         assert code == 0
         report = json.loads(out)
+        assert report["results"]["iterations"] == [0]
         assert type(report["config"]["tol_scale"]) is float
         verdicts = {v["name"]: v for v in report["verdicts"]}
         assert verdicts["angles_achieved"]["value"] == 0.0

@@ -4,7 +4,7 @@ simplicial hulls and their polar duals.
 References: ``helpers.svd_plane_normal`` (SVD normal, witness orientation)
 with ``lorentz.minkowski_inner`` for normals and angles, a loop of
 ``np.linalg.det`` for the determinants, central differences for both
-Jacobians, and a per-face incidence loop for the convexity index array.
+Jacobians, and a per-face incidence loop for the convexity mask.
 """
 
 import numpy as np
@@ -90,14 +90,25 @@ FIXTURES = {**{name: build(0.3) for name, build in fixtures.STANDARD.items()},
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_convexity_pairs_match_face_loop(name):
     comb = FIXTURES[name].combinatorics
-    assert np.array_equal(comb.convexity_pairs, convexity_pairs_reference(comb))
+    assert np.array_equal(np.argwhere(comb.convexity_mask), convexity_pairs_reference(comb))
 
 
 @examples
 @given(random_polyhedra(24))
 def test_convexity_pairs_match_face_loop(poly):
     comb = poly.combinatorics
-    assert np.array_equal(comb.convexity_pairs, convexity_pairs_reference(comb))
+    assert np.array_equal(np.argwhere(comb.convexity_mask), convexity_pairs_reference(comb))
+
+
+@examples
+@given(random_polyhedra(24))
+def test_convexity_margins_equal_gathered_pairs(poly):
+    """The masked F x V table holds the same products, in the same order, as
+    the determinants gathered at each (face, vertex) pair: equal bit for bit."""
+    geom = FaceGeometry(poly)
+    f, v = np.argwhere(poly.combinatorics.convexity_mask).T
+    gathered = -lorentz._dot3(geom.cross[f], geom.positions[v] - geom.anchors[f, 0])
+    assert np.array_equal(geom.convexity_margins(), gathered)
 
 
 @examples
@@ -106,7 +117,7 @@ def test_determinants_match_det_loop(poly):
     comb = poly.combinatorics
     values, bounds = det_reference(poly, comb.planarity_pairs, convex=False)
     assert np.all(np.abs(planarity_residuals(poly) - values) <= bounds)
-    values, bounds = det_reference(poly, comb.convexity_pairs, convex=True)
+    values, bounds = det_reference(poly, np.argwhere(comb.convexity_mask), convex=True)
     margins = convexity_margins(poly)
     assert np.all(np.abs(margins - values) <= bounds)
     assert margins.min() > 0

@@ -242,7 +242,7 @@ class TestConvexity:
         assert convexity_margins(poly).min() > 0
         crossing_face = 1  # the x = -s wall, which does not contain vertex 7
         margins = convexity_margins(cube_vertex_past_wall())
-        for k, (f, v) in enumerate(comb.convexity_pairs):
+        for k, (f, v) in enumerate(np.argwhere(comb.convexity_mask)):
             if (f, v) == (crossing_face, 7):
                 assert margins[k] < 0
             else:
