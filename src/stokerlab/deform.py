@@ -16,21 +16,17 @@ underdetermined system of full row rank.  The step factors J^T = QR once by
 Householder QR (LAPACK ``geqrf``), solves R^T y = rhs and returns Q [y; 0],
 applying the reflectors without forming Q.  That is the minimum-norm
 solution with an error bound of order cond(J) eps (Demmel & Higham, SIAM J.
-Matrix Anal. Appl. 14, 1993), and it needs no column pivoting because it
-makes no rank decision.  It is taken only when LAPACK's estimate of R's
-reciprocal condition number exceeds ``Tolerances.rank_svd``.  Otherwise (a
-nearly rank-deficient J, a non-finite system, or more rows than columns) the
-step comes from a complete orthogonal factorization (``gelsy``: QR with
-column pivoting, then an RZ step), whose rank is the size of the largest
-leading triangle of the pivoted QR with estimated condition number below
-1 / ``Tolerances.rank_svd``.  The normal equations square cond(J) and lost
-2e-7 of the step on a 160-point dual.
+Matrix Anal. Appl. 14, 1993).  When LAPACK's estimate of R's reciprocal
+condition number is at or below ``Tolerances.rank_svd``, or J has more rows
+than columns, J has lost its full row rank: the iterate has left the regime
+where the angles parameterize the polyhedron, and the solver stops with
+``NoConvergence`` instead of cutting the rank.  The normal equations square
+cond(J) and lost 2e-7 of the step on a 160-point dual.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from . import lorentz
@@ -100,29 +96,30 @@ def _stacked_residual(geom: FaceGeometry, target):
 
 
 def _gauss_newton_step(jac, rhs, tol: Tolerances):
-    """Minimum-norm least-squares solution of ``jac @ step = rhs``.
+    """Minimum-norm solution Q R^-T rhs of ``jac @ step = rhs``, J^T = QR.
 
-    With no more rows than columns and R of J^T = QR estimated better
-    conditioned than 1 / ``tol.rank_svd``, the step is Q R^-T rhs.  Every
-    other system (a NaN estimate included) goes to ``gelsy`` with the rank
-    cut at ``tol.rank_svd``, which raises ``ValueError`` on non-finite input.
+    Raises ``NoConvergence`` when J has lost its full row rank: more rows
+    than columns, or R estimated no better conditioned than 1 /
+    ``tol.rank_svd``.  Raises ``ValueError`` on a non-finite system.
     """
+    if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
+        raise ValueError("Gauss-Newton system is not finite")
     m, n = jac.shape
-    if m <= n and np.isfinite(rhs).all():
-        lwork = int(lapack.dgeqrf_lwork(n, m)[0])
-        qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork)
-        r = qr[:m]
-        rcond, _ = lapack.dtrcon(r)
-        if rcond > tol.rank_svd:
-            y, _ = lapack.dtrtrs(r, rhs, trans=1)
-            padded = np.zeros((n, 1))
-            padded[:m, 0] = y
-            # lwork 1 selects the unblocked sweep, cheaper than forming
-            # block reflectors for a single column.
-            step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1)
-            return step[:, 0]
-    step, *_ = scipy.linalg.lstsq(jac, rhs, cond=tol.rank_svd, lapack_driver="gelsy")
-    return step
+    if m > n:
+        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed its {n} columns")
+    lwork = int(lapack.dgeqrf_lwork(n, m)[0])
+    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork)
+    r = qr[:m]
+    rcond, _ = lapack.dtrcon(r)
+    if not rcond > tol.rank_svd:
+        raise NoConvergence(f"Jacobian lost rank: reciprocal condition estimate "
+                            f"{rcond:.1e} at or below the cut {tol.rank_svd:.1e}")
+    y, _ = lapack.dtrtrs(r, rhs, trans=1)
+    padded = np.zeros((n, 1))
+    padded[:m, 0] = y
+    # lwork 1: the unblocked sweep, cheaper than block reflectors for one column.
+    step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1)
+    return step[:, 0]
 
 
 def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = DeformOptions(),
@@ -140,8 +137,9 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     Returns a ``DeformResult`` whose ``final`` embedding is gauge-fixed and
     achieves the target within ``opts.residual_tol`` in sup norm.  Raises
     ``NoConvergence``, ``ConvexityLost`` or ``BallExit``; the first suggests
-    more continuation steps, the second that the target leaves the convex
-    cell.  Raises ``ValueError`` when the starting residual is not finite.
+    more continuation steps or, when its message says so, that the Jacobian
+    lost rank, the second that the target leaves the convex cell.  Raises
+    ``ValueError`` when the starting residual is not finite.
     """
     comb = poly.combinatorics
     target = validate_angle_vector(target, comb.edge_count)

@@ -1,7 +1,7 @@
 """File formats and deterministic report serialization.
 
 Polyhedra travel as JSON objects ``{"vertices": [[x, y, z], ...],
-"faces": [[i, j, k, ...], ...]}`` with 0-based indices and faces
+"faces": [[i, j, k, ...], ...]}`` with 0-based integer indices and faces
 counterclockwise viewed from outside.  Presentations use a line-based text
 format: ``gens n``, one ``rel`` line per relator with signed 1-based
 indices, and optional ``loop`` lines marking trace loops.  Representations
@@ -82,16 +82,22 @@ def _load_json(path):
 
 def load_polyhedron(path) -> EmbeddedPolyhedron:
     data = _load_json(path)
-    if not isinstance(data, dict) or "vertices" not in data or "faces" not in data:
-        raise ParseError(f"{path}: expected an object with 'vertices' and 'faces'")
+    if not (isinstance(data, dict) and "vertices" in data and isinstance(data.get("faces"), list)):
+        raise ParseError(f"{path}: expected an object with 'vertices' and a 'faces' list")
     try:
-        vertices = np.asarray(data["vertices"], dtype=float).reshape(-1, 3)
-        faces = [[int(i) for i in f] for f in data["faces"]]
+        vertices = np.asarray(data["vertices"], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed vertices or faces: {exc}") from exc
+        raise ParseError(f"{path}: malformed vertices: {exc}") from exc
+    if vertices.shape[1:] != (3,) and vertices.shape != (0,):
+        raise ParseError(f"{path}: vertices must be a list of [x, y, z] rows")
     if not np.all(np.isfinite(vertices)):
         raise ParseError(f"{path}: vertex coordinates must be finite")
-    comb = CombinatorialType(len(vertices), faces)
+    for k, face in enumerate(data["faces"]):
+        # bool subclasses int, so index types are compared exactly
+        if not (isinstance(face, list) and all(type(i) is int for i in face)):
+            raise ParseError(f"{path}: face {k} is not a list of integer indices: "
+                             f"{json.dumps(face)}")
+    comb = CombinatorialType(len(vertices), data["faces"])
     return EmbeddedPolyhedron(comb, vertices)
 
 

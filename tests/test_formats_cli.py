@@ -30,6 +30,29 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def malformed_tetrahedron(tmp_path, kind):
+    """A tetrahedron(0.3) file with one malformation that a lenient reader
+    would repair into the same polyhedron: the flat list of its 12
+    coordinates, or a face index 2 written as 2.9 or "2", or 1 as true."""
+    data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+    assert data["faces"][0] == [1, 3, 2]
+    if kind == "flat_vertices":
+        data["vertices"] = [c for row in data["vertices"] for c in row]
+    else:
+        slot, value = {"fractional_index": (2, 2.9), "string_index": (2, "2"),
+                       "boolean_index": (0, True)}[kind]
+        data["faces"][0][slot] = value
+    return write(tmp_path, "malformed.json", json.dumps(data))
+
+
+MALFORMED = {
+    "flat_vertices": "vertices must be a list of [x, y, z] rows",
+    "fractional_index": "face 0 is not a list of integer indices: [1, 3, 2.9]",
+    "string_index": 'face 0 is not a list of integer indices: [1, 3, "2"]',
+    "boolean_index": "face 0 is not a list of integer indices: [true, 3, 2]",
+}
+
+
 class TestPolyhedronFormat:
     def test_emit_parse_emit_fixed_point(self, tmp_path):
         poly = fixtures.pentagonal_pyramid(0.37)
@@ -54,6 +77,18 @@ class TestPolyhedronFormat:
         path = write(tmp_path, "bad.json", '{"vertices": [[0, 0, 0]]}')
         with pytest.raises(ParseError):
             formats.load_polyhedron(path)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_polyhedron_rejected(self, tmp_path, kind):
+        with pytest.raises(ParseError) as info:
+            formats.load_polyhedron(malformed_tetrahedron(tmp_path, kind))
+        assert MALFORMED[kind] in str(info.value)
+
+    def test_empty_vertex_list_is_no_vertices(self, tmp_path):
+        path = write(tmp_path, "empty.json", '{"vertices": [], "faces": []}')
+        poly = formats.load_polyhedron(path)
+        assert poly.positions.shape == (0, 3)
+        assert poly.combinatorics.faces == ()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
     def test_non_finite_coordinate_rejected(self, tmp_path, literal):
@@ -216,8 +251,9 @@ class TestCliOutOfRangeFace:
 
 
 class TestCliNonFiniteInput:
-    """NaN and infinite numbers are invalid input: exit 2 with the
-    ``ParseError`` report, never a traceback or a judged report."""
+    """NaN and infinite numbers, and malformed polyhedron files, are invalid
+    input: exit 2 with the ``ParseError`` report, never a traceback or a
+    judged report."""
 
     COMMANDS = [["validate"], ["angles"], ["rigidity"], ["holonomy"],
                 ["deform", "--perturb", "1e-4"]]
@@ -235,6 +271,19 @@ class TestCliNonFiniteInput:
         assert report["command"] == command[0]
         assert report["error"] == "ParseError"
         assert "vertex coordinates must be finite" in report["message"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_malformed_polyhedron(self, command, kind, tmp_path, capsys):
+        path = malformed_tetrahedron(tmp_path, kind)
+        code = cli.main([command[0], path] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["command"] == command[0]
+        assert report["error"] == "ParseError"
+        assert MALFORMED[kind] in report["message"]
         assert captured.err == ""
 
     def test_nan_target_angle(self, tmp_path, capsys):
