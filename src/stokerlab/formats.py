@@ -2,16 +2,23 @@
 
 Polyhedra travel as JSON objects ``{"vertices": [[x, y, z], ...],
 "faces": [[i, j, k, ...], ...]}`` with 0-based integer indices and faces
-counterclockwise viewed from outside.  Presentations use a line-based text
-format: ``gens n``, one ``rel`` line per relator with signed 1-based
-indices, and optional ``loop`` lines marking trace loops.  Representations
-travel as ``{"matrices": [[[re, im], ...], ...]}`` with row-major 2x2
-entries.
+counterclockwise viewed from outside; target angles as one flat list, bare
+or as ``{"angles": [...]}``.  Numbers are strict: a coordinate or angle is
+a JSON number (int or float, not a boolean and not a string) and an index
+a JSON integer, checked in one pass over the parsed lists, and anything
+else is a ``ParseError`` naming the first bad entry.  Presentations use a
+line-based text format: ``gens n``, one ``rel`` line per relator with
+signed 1-based indices, and optional ``loop`` lines marking trace loops.
+Representations travel as ``{"matrices": [[[re, im], ...], ...]}`` with
+row-major 2x2 entries.
 
 All floats are serialized with 17 significant digits, and integral ones
 with a decimal point, so emit -> parse -> emit is a fixed point and a JSON
 reader gets floats back; dictionaries keep insertion order, giving
-byte-identical reports for identical inputs.
+byte-identical reports for identical inputs.  ``to_json`` dispatches on
+the exact type of each value, so the built-in floats, ints, strings,
+dicts and lists of a report take one test each; numpy scalars, None and
+subclasses follow the ``isinstance`` rules after them.
 """
 
 import hashlib
@@ -28,35 +35,58 @@ def format_float(x):
     """17 significant digits; text with no point, exponent, ``nan`` or
     ``inf`` is an integral value and gets ``.0``."""
     text = format(float(x), ".17g")
-    return text if any(c in text for c in ".ein") else text + ".0"
+    return text if "." in text or "e" in text or "n" in text else text + ".0"
+
+
+def _float_text(x):
+    text = format_float(x)
+    return f'"{text}"' if "n" in text else text     # strict JSON has no nan or inf
+
+
+_SCALARS = (bool, int, float, np.integer, np.floating)
+_NUMBER_TYPES = {int, float}       # JSON numbers; bool subclasses int and is excluded
+_INDEX_TYPES = {int}
 
 
 def to_json(obj, indent=0):
-    """Deterministic JSON text with fixed float formatting and key order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    """Deterministic JSON text with fixed float formatting and key order.
+
+    Containers open one line per entry, indented two spaces a level, except
+    a list or tuple of at most 16 numbers, which stays on one line.
+    """
+    return _emit(obj, "  " * indent)
+
+
+def _emit(obj, pad):
+    kind = type(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return json.dumps(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()]
+        inner = pad + "  "
+        items = [f'{inner}"{k}": {_emit(v, inner)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
-        if flat and len(seq) <= 16:
-            return "[" + ", ".join(to_json(v) for v in seq) + "]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if len(obj) <= 16 and all(isinstance(v, _SCALARS) for v in obj):
+            return "[" + ", ".join([_emit(v, "") for v in obj]) + "]"
+        inner = pad + "  "
+        return "[\n" + ",\n".join([inner + _emit(v, inner) for v in obj]) + "\n" + pad + "]"
+    # numpy scalars, None and everything else
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            return f'"{float(obj)}"'  # strict JSON has no Infinity literal
-        return format_float(obj)
+        return _float_text(obj)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -84,17 +114,22 @@ def load_polyhedron(path) -> EmbeddedPolyhedron:
     data = _load_json(path)
     if not (isinstance(data, dict) and "vertices" in data and isinstance(data.get("faces"), list)):
         raise ParseError(f"{path}: expected an object with 'vertices' and a 'faces' list")
+    rows = data["vertices"]
+    if type(rows) is not list:
+        raise ParseError(f"{path}: vertices must be a list of [x, y, z] rows of numbers")
+    for k, row in enumerate(rows):
+        if not (type(row) is list and len(row) == 3 and _NUMBER_TYPES.issuperset(map(type, row))):
+            raise ParseError(f"{path}: vertices must be a list of [x, y, z] rows of numbers; "
+                             f"vertex {k} is {json.dumps(row)}")
     try:
-        vertices = np.asarray(data["vertices"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed vertices: {exc}") from exc
-    if vertices.shape[1:] != (3,) and vertices.shape != (0,):
-        raise ParseError(f"{path}: vertices must be a list of [x, y, z] rows")
+        vertices = np.array(rows, dtype=float).reshape(-1, 3)
+    except OverflowError:       # an integer beyond the float range
+        raise ParseError(f"{path}: vertex coordinates must be finite") from None
     if not np.all(np.isfinite(vertices)):
         raise ParseError(f"{path}: vertex coordinates must be finite")
     for k, face in enumerate(data["faces"]):
         # bool subclasses int, so index types are compared exactly
-        if not (isinstance(face, list) and all(type(i) is int for i in face)):
+        if not (isinstance(face, list) and _INDEX_TYPES.issuperset(map(type, face))):
             raise ParseError(f"{path}: face {k} is not a list of integer indices: "
                              f"{json.dumps(face)}")
     comb = CombinatorialType(len(vertices), data["faces"])
@@ -116,10 +151,16 @@ def load_angles(path, edge_count=None):
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("angles")
+    if type(data) is not list:
+        raise ParseError(f"{path}: expected a list of angles, bare or under 'angles'")
+    if not _NUMBER_TYPES.issuperset(map(type, data)):
+        k = next(k for k, a in enumerate(data) if type(a) not in _NUMBER_TYPES)
+        raise ParseError(f"{path}: angles must be a flat list of numbers; "
+                         f"entry {k} is {json.dumps(data[k])}")
     try:
-        angles = np.asarray(data, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed angle list: {exc}") from exc
+        angles = np.array(data, dtype=float)
+    except OverflowError:       # an integer beyond the float range
+        raise ParseError(f"{path}: angles must be finite") from None
     if not np.all(np.isfinite(angles)):
         raise ParseError(f"{path}: angles must be finite")
     if edge_count is not None and angles.size != edge_count:

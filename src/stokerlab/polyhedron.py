@@ -1,9 +1,14 @@
 """Convex polyhedra in the Klein ball and their dihedral-angle map.
 
-A combinatorial type is a closed face-vertex incidence structure; an
-embedding supplies Klein coordinates for every vertex.  Because Klein planes
-are Euclidean planes, planarity and convexity of an embedding are expressed
-by 3x3 determinants in the vertex coordinates:
+A combinatorial type is a closed face-vertex incidence structure, held as
+one half-edge table (``CombinatorialType``): every face slot is a directed
+edge with its successor in the face and its twin, the slot running the
+other way, found by one sort of the directed keys.  Vertex stars are the
+cycles of sigma = next o twin, walked for all vertices at once, and every
+index array below is read from that table.  An embedding supplies Klein
+coordinates for every vertex.  Because Klein planes are Euclidean planes,
+planarity and convexity of an embedding are expressed by 3x3 determinants
+in the vertex coordinates:
 
 * planarity: for each face, every vertex beyond the first three anchors is
   coplanar with them (determinant zero);
@@ -43,102 +48,204 @@ class CombinatorialType:
     faces : iterable of cyclic vertex-index lists, counterclockwise viewed
         from outside
 
-    Derived data (edges, directed-edge owners, vertex stars) is computed on
-    construction; use :func:`validate_combinatorics` for a full diagnostic.
+    The structure is one half-edge table.  Slot h of the flattened faces is
+    the directed edge from its vertex to the next vertex of its face, which
+    sits in slot ``next[h]``.  Directed edges are keyed a*n + b and sorted
+    once, stably, so the first face of a directed edge, and the twin of a
+    slot (the first slot running the opposite way), are binary searches in
+    that sort.  Edges are the distinct keys min(a, b)*n + max(a, b), so
+    edge ids run in lexicographic order.  Where some index lies outside
+    0..n-1 (an invalid type), the digits a, b are ranks among the distinct
+    indices, which keeps every key distinct.
+
+    Around a vertex v, sigma = next o twin takes v's slot in one face to
+    v's slot in the next face of its star, so a star is a cycle of sigma
+    from v's slot in its lowest face; the stars of all vertices advance
+    together, at most max-valence times.  Everything else is read from the
+    table and cached on first use: ``star_slots`` (the stars laid end to
+    end, which ``vertex_star`` slices), ``edge_graph`` (adjacency and
+    breadth-first tree), and the index arrays of ``FaceGeometry``:
+    ``face_anchors``, ``edge_face_pairs``, ``planarity_pairs`` and
+    ``convexity_mask``.  Use :func:`validate_combinatorics` for a full
+    diagnostic.
     """
 
     def __init__(self, vertex_count, faces):
-        self.vertex_count = int(vertex_count)
-        self.faces = tuple(tuple(int(v) for v in f) for f in faces)
-        self._directed = {}
-        for fi, f in enumerate(self.faces):
-            for a, b in _cyclic_pairs(f):
-                self._directed.setdefault((a, b), fi)
-        self.edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in self._directed}))
-        self.edge_index = {e: k for k, e in enumerate(self.edges)}
-        self._stars = {}
+        self.vertex_count = n = int(vertex_count)
+        self.faces = tuple(tuple(map(int, f)) for f in faces)
+        self._sizes = sizes = np.fromiter(map(len, self.faces), np.intp, len(self.faces))
+        ends = sizes.cumsum()
+        self._starts = ends - sizes
+        count = int(ends[-1]) if len(ends) else 0
+        try:
+            self._tail = tail = np.fromiter(chain.from_iterable(self.faces), np.intp, count)
+        except OverflowError:
+            raise InvalidCombinatorics("a face index does not fit a machine integer") from None
+        self._face = np.arange(len(sizes)).repeat(sizes)
+        self._next = nxt = np.arange(1, count + 1)
+        closing = sizes.nonzero()[0]
+        if len(closing) < len(sizes):       # an empty face closes nothing
+            ends, sizes = ends[closing], sizes[closing]
+        nxt[ends - 1] -= sizes
+        if count and 0 <= np.minimum.reduce(tail) and np.maximum.reduce(tail) < n:
+            self._labels, self._base, digits = None, n, tail
+        else:
+            self._labels, digits = np.unique(tail, return_inverse=True)
+            self._base = len(self._labels)
+        self._digits, head = digits, digits[nxt]
+        self._key = key = digits * self._base
+        key += head
+        reverse = head * self._base
+        reverse += digits
+        self._order = key.argsort(kind="stable")
+        self._sorted_keys = key[self._order]
+        self._twin = self._first_slots(reverse)
+        self._canonical = np.minimum(key, reverse)
+        self._edge_keys = np.unique(self._canonical)
+
+    def _first_slots(self, keys):
+        """First slot, in face order, of each directed key; -1 for a key
+        that no face contains."""
+        if not len(self._order):
+            return np.full(len(keys), -1)
+        slots = self._order.take(self._sorted_keys.searchsorted(keys), mode="clip")
+        slots[self._key[slots] != keys] = -1
+        return slots
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self._edge_keys)
 
     @property
     def face_count(self):
         return len(self.faces)
 
-    def face_of_directed(self, a, b):
-        """Index of the face containing the directed edge a -> b."""
-        try:
-            return self._directed[(a, b)]
-        except KeyError:
-            raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}") from None
+    @cached_property
+    def _edge_ends(self):
+        """(E, 2) vertex indices (a, b), a <= b, of every edge."""
+        ends = np.empty((self.edge_count, 2), dtype=np.intp)
+        ends[:, 0], ends[:, 1] = np.divmod(self._edge_keys, max(self._base, 1))
+        return ends if self._labels is None else self._labels[ends]
+
+    @cached_property
+    def edges(self):
+        """Vertex pairs (a, b), a <= b, in lexicographic order."""
+        return tuple(map(tuple, self._edge_ends.tolist()))
+
+    @cached_property
+    def edge_index(self):
+        return dict(zip(self.edges, range(self.edge_count)))
+
+    def _digit(self, v):
+        """Key digit of vertex index v, or None where no key can hold it."""
+        if self._labels is None:
+            return v if 0 <= v < self.vertex_count else None
+        k = int(self._labels.searchsorted(v))
+        return k if k < self._base and self._labels[k] == v else None
 
     def edge_faces(self, edge):
-        """The two faces adjacent to an undirected edge (a, b) with a < b."""
-        a, b = edge
-        return self.face_of_directed(a, b), self.face_of_directed(b, a)
+        """The faces containing a -> b and b -> a for an undirected edge
+        (a, b) with a < b, each the first such face."""
+        faces = []
+        for a, b in (edge, edge[::-1]):
+            da, db = self._digit(a), self._digit(b)
+            slot = -1 if da is None or db is None else self._first_slots([da * self._base + db])[0]
+            if slot < 0:
+                raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
+            faces.append(int(self._face[slot]))
+        return tuple(faces)
 
     def vertex_star(self, v):
         """Cyclic star at v: (edges, faces) with edge k between faces k-1, k.
 
         Edges are returned as sorted index pairs and faces as face indices;
-        the walk crosses edges using the stored face orientations, so the two
-        stars at the ends of an edge traverse its faces in opposite order.
+        the star crosses edges using the stored face orientations, so the
+        two stars at the ends of an edge traverse its faces in opposite
+        order.  It is a slice of ``star_slots`` and raises as that does.
         """
-        if v not in self._stars:
-            self._stars[v] = self._walk_star(v)
-        return self._stars[v]
-
-    @cached_property
-    def vertex_faces(self):
-        """Faces containing each vertex, in increasing face order, keyed by
-        every vertex that some face lists (in range or not)."""
-        incident = {}
-        for fi, f in enumerate(self.faces):
-            for v in dict.fromkeys(f):
-                incident.setdefault(v, []).append(fi)
-        return incident
-
-    def _walk_star(self, v):
-        incident = self.vertex_faces.get(v, ())
-        if not incident:
+        if not 0 <= v < self.vertex_count:
             raise InvalidCombinatorics(f"vertex {v} belongs to no face")
-        start = min(incident)
-        faces = [start]
-        edges = []
-        current = start
-        for _ in range(len(incident)):
-            f = self.faces[current]
-            b = f[(f.index(v) + 1) % len(f)]
-            edges.append((min(v, b), max(v, b)))
-            current = self.face_of_directed(b, v)
-            if current == start:
-                break
-            faces.append(current)
-        if len(faces) != len(incident) or len(edges) != len(incident):
-            raise InvalidCombinatorics(f"vertex {v} has a disconnected or pinched star")
-        # rotate so the star is recorded as: edge k shared by faces[k-1], faces[k]
-        edges = edges[-1:] + edges[:-1]
-        return tuple(edges), tuple(faces)
+        offsets, _, edges, pairs = self.star_slots
+        star = slice(offsets[v], offsets[v + 1])
+        return tuple(self.edges[k] for k in edges[star].tolist()), tuple(pairs[star, 1].tolist())
 
     def vertex_valence(self, v):
         return len(self.vertex_star(v)[0])
 
     @cached_property
+    def _star_cycles(self):
+        """The sigma cycles of all vertices: (offsets, owners, slots, problems).
+
+        ``slots`` lays the cycles end to end, vertex v in entries
+        ``offsets[v]:offsets[v + 1]`` (``owners`` holds v there): entry k
+        of v is sigma^(k-1) of v's slot in its lowest face, so entry 0 is
+        sigma^-1 of it.  ``problems`` holds, in vertex order, the
+        ``InvalidCombinatorics`` message of every vertex whose cycle does
+        not close after exactly its valence steps.  Raises for an index
+        outside 0..n-1.
+        """
+        n, tail, count = self.vertex_count, self._tail, len(self._tail)
+        if self._labels is not None and count:
+            slot = int(np.flatnonzero((tail < 0) | (tail >= n))[0])
+            raise InvalidCombinatorics(f"face {self._face[slot]} references vertex "
+                                       f"{tail[slot]} outside 0..{n - 1}")
+        valence = np.bincount(tail, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        valence.cumsum(out=offsets[1:])
+        owners = np.arange(n).repeat(valence)
+        if not count:
+            return offsets, owners, tail, [f"vertex {v} belongs to no face" for v in range(n)]
+        # a vertex of valence 0 gets some other slot here; it never closes
+        start = tail.argsort(kind="stable").take(offsets[:-1], mode="clip")
+        sigma = np.where(self._twin >= 0, self._next[self._twin], count)
+        walk = np.empty((int(np.maximum.reduce(valence)) + 2, n), dtype=np.intp)
+        walk[0] = start
+        for j in range(1, len(walk)):       # past a missing twin the rows are never read
+            sigma.take(walk[j - 1], out=walk[j], mode="clip")
+        step = np.arange(count) - 1
+        step -= offsets[owners]
+        slots = walk[step % valence[owners], owners]
+        # Since sigma keeps a slot's vertex, every cycle closes after exactly
+        # its valence steps iff every vertex has a slot, the cycles cover
+        # each slot once and each returns to its start at that step.
+        returned = walk[valence, np.arange(n)] == start
+        if np.count_nonzero(valence) == n == np.count_nonzero(returned) \
+                and np.count_nonzero(np.bincount(slots, minlength=count + 1)[:count]) == count:
+            return offsets, owners, slots, []
+        hit = walk[1:] == start
+        hit |= walk[1:] == count
+        first = hit.argmax(axis=0) + 1      # the step that returned or found no twin
+        problems = []
+        for v in ((first != valence) | ~returned).nonzero()[0].tolist():
+            d, j = valence[v], first[v]
+            if not d:
+                problems.append(f"vertex {v} belongs to no face")
+            elif j <= d and walk[j, v] == count:
+                b = tail[self._next[walk[j - 1, v]]]
+                problems.append(f"no face contains directed edge {b}->{v}")
+            else:
+                problems.append(f"vertex {v} has a disconnected or pinched star")
+        return offsets, owners, slots, problems
+
+    @cached_property
     def star_slots(self):
-        """The ``vertex_star`` walks of all vertices as one table of arrays:
-        slot offsets (v owns slots ``offsets[v]:offsets[v + 1]``), then per
-        slot its owner vertex, edge index and (face before, face after).
-        Raises ``InvalidCombinatorics`` for a valence below 3."""
-        stars = [self.vertex_star(v) for v in range(self.vertex_count)]
-        sizes = [len(edges) for edges, _ in stars]
-        for v, d in enumerate(sizes):
-            if d < 3:
-                raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
-        edges = [self.edge_index[e] for star_edges, _ in stars for e in star_edges]
-        pairs = [(faces[k - 1], faces[k]) for _, faces in stars for k in range(len(faces))]
-        return (np.cumsum([0] + sizes, dtype=np.intp), np.repeat(np.arange(len(sizes)), sizes),
-                np.array(edges, dtype=np.intp), np.array(pairs, dtype=np.intp).reshape(-1, 2))
+        """The stars of all vertices as one table of arrays: slot offsets
+        (v owns slots ``offsets[v]:offsets[v + 1]``), then per slot its
+        owner vertex, edge index and (face before, face after).  Slot k of
+        v is the half-edge sigma^(k-1) of v's slot in its lowest face.
+        Raises ``InvalidCombinatorics`` for the first vertex whose star
+        does not close, then for the first valence below 3."""
+        offsets, owners, slots, problems = self._star_cycles
+        if problems:
+            raise InvalidCombinatorics(problems[0])
+        valence = np.diff(offsets)
+        low = (valence < 3).nonzero()[0]
+        if len(low):
+            raise InvalidCombinatorics(f"vertex {low[0]} has valence {valence[low[0]]} < 3")
+        pairs = np.empty((len(slots), 2), dtype=np.intp)
+        pairs[:, 0] = self._face[slots]
+        pairs[:, 1] = self._face[self._twin[slots]]
+        return offsets, owners, self._edge_keys.searchsorted(self._canonical[slots]), pairs
 
     @cached_property
     def edge_graph(self):
@@ -147,20 +254,21 @@ class CombinatorialType:
         neighbours in sorted order.  Edges with an end outside 0..n-1 are
         skipped, so the walk never raises on an invalid type."""
         n = self.vertex_count
-        adjacent = [set() for _ in range(n)]
-        for a, b in self.edges:
-            if 0 <= a and b < n:            # a <= b in a stored edge
-                adjacent[a].add(b)
-                adjacent[b].add(a)
-        neighbours = tuple(tuple(sorted(s)) for s in adjacent)
-        parent = np.full(n, -1, dtype=np.intp)
+        adjacent = [[] for _ in range(n)]
+        for a, b in self.edges:     # lexicographic, so every list comes out sorted
+            if 0 <= a and b < n:
+                adjacent[a].append(b)
+                if a != b:
+                    adjacent[b].append(a)
+        neighbours = tuple(map(tuple, adjacent))
+        parent = [-1] * n
         order = [0] if n else []
         for u in order:                     # grows while it is walked
             for w in neighbours[u]:
                 if w and parent[w] < 0:
                     parent[w] = u
                     order.append(w)
-        return EdgeGraph(neighbours, parent)
+        return EdgeGraph(neighbours, np.array(parent, dtype=np.intp))
 
     # Index arrays of the batched face-plane kernel (``FaceGeometry``),
     # built on first use because an invalid type may lack some of them.
@@ -168,32 +276,43 @@ class CombinatorialType:
     @cached_property
     def face_anchors(self):
         """(F, 3) first three stored vertices of every face."""
-        return np.array([f[:3] for f in self.faces], dtype=np.intp).reshape(-1, 3)
+        if np.count_nonzero(self._sizes < 3):
+            raise InvalidCombinatorics("a face has fewer than 3 vertices")
+        return self._tail[self._starts[:, None] + _ANCHOR_OFFSETS]
 
     @cached_property
     def edge_face_pairs(self):
         """(E, 2) the faces of ``edge_faces`` for every edge, in edge order."""
-        return np.array([self.edge_faces(e) for e in self.edges], dtype=np.intp).reshape(-1, 2)
+        forward = self._first_slots(self._edge_keys)
+        backward = self._twin[forward]
+        missing = (forward < 0) | (backward < 0)
+        if np.count_nonzero(missing):
+            e = int(missing.argmax())
+            a, b = self._edge_ends[e] if forward[e] < 0 else self._edge_ends[e, ::-1]
+            raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
+        pairs = np.empty((len(forward), 2), dtype=np.intp)
+        pairs[:, 0] = self._face[forward]
+        pairs[:, 1] = self._face[backward]
+        return pairs
 
     @cached_property
     def planarity_pairs(self):
         """(P, 2) (face, vertex) rows: every face vertex beyond the anchors."""
-        return np.array([(fi, v) for fi, f in enumerate(self.faces) for v in f[3:]],
-                        dtype=np.intp).reshape(-1, 2)
+        beyond = (np.arange(len(self._tail)) - self._starts[self._face] >= 3).nonzero()[0]
+        pairs = np.empty((len(beyond), 2), dtype=np.intp)
+        pairs[:, 0] = self._face[beyond]
+        pairs[:, 1] = self._tail[beyond]
+        return pairs
 
     @cached_property
     def convexity_mask(self):
         """(F, V) bool: True where the vertex is not on the face."""
-        sizes = [len(f) for f in self.faces]
         mask = np.ones((self.face_count, self.vertex_count), dtype=bool)
-        mask[np.repeat(np.arange(self.face_count), sizes),
-             np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = False
+        mask[self._face, self._tail] = False
         return mask
 
 
-def _cyclic_pairs(face):
-    for i, a in enumerate(face):
-        yield a, face[(i + 1) % len(face)]
+_ANCHOR_OFFSETS = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -234,28 +353,44 @@ def validate_combinatorics(comb: CombinatorialType) -> CombinatoricsReport:
     Verified: index ranges, faces of size >= 3 without repeats, each edge in
     exactly two faces with opposite traversal directions, Euler
     characteristic 2, vertex valences >= 3, single-cycle vertex stars and a
-    connected edge graph.  Never raises; failures are listed in the report.
+    connected edge graph.  Never raises; failures are listed in the report,
+    face by face (a face's repeat, then its indices out of range, then its
+    directed edges met before, in stored order), then edge by edge, then
+    vertex by vertex.  Faces with fewer than 3 vertices are judged no
+    further and own no directed edge here.
     """
-    issues = []
-    n = comb.vertex_count
-    directed = {}
-    for fi, f in enumerate(comb.faces):
-        if len(f) < 3:
-            issues.append(f"face {fi} has fewer than 3 vertices")
-            continue
-        if len(set(f)) != len(f):
-            issues.append(f"face {fi} repeats a vertex")
-        for v in f:
-            if not 0 <= v < n:
-                issues.append(f"face {fi} references vertex {v} outside 0..{n - 1}")
-        for a, b in _cyclic_pairs(f):
-            if (a, b) in directed:
-                issues.append(
-                    f"directed edge {a}->{b} appears in faces {directed[(a, b)]} and {fi}"
-                )
-            directed[(a, b)] = fi
-    for a, b in comb.edges:
-        if (a, b) not in directed or (b, a) not in directed:
+    n, m = comb.vertex_count, comb._base
+    tail, face, key, order = comb._tail, comb._face, comb._key, comb._order
+    small = (comb._sizes < 3).nonzero()[0].tolist()
+    found = [(f, 0, 0, f"face {f} has fewer than 3 vertices") for f in small]
+    judged = slice(None)                        # the slots of faces judged further
+    if small:
+        judged = comb._sizes[face] >= 3
+        order = order[judged[order]]            # judged slots, sorted by key, stably
+    sorted_keys = key[order]
+    cells = face * m
+    cells += comb._digits
+    cells = np.sort(cells[judged])
+    repeats = cells[1:] == cells[:-1]
+    if np.count_nonzero(repeats):
+        for f in np.unique(cells[1:][repeats] // m).tolist():
+            found.append((f, 1, 0, f"face {f} repeats a vertex"))
+    if comb._labels is not None:
+        slots = np.arange(len(tail))[judged]
+        for h in slots[(tail[slots] < 0) | (tail[slots] >= n)].tolist():
+            found.append((face[h], 2, h,
+                          f"face {face[h]} references vertex {tail[h]} outside 0..{n - 1}"))
+    again = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0]
+    for before, h in zip(order[again].tolist(), order[again + 1].tolist()):
+        found.append((face[h], 3, h, f"directed edge {tail[h]}->{tail[comb._next[h]]} "
+                                     f"appears in faces {face[before]} and {face[h]}"))
+    issues = [text for *_, text in sorted(found)]
+    if small or np.count_nonzero(comb._twin < 0):   # else every edge has both directions
+        a, b = np.divmod(comb._edge_keys, max(m, 1))
+        wanted = np.concatenate([comb._edge_keys, b * m + a])
+        bounded = np.append(sorted_keys, m * m)     # past every key
+        shared = (bounded[bounded.searchsorted(wanted)] == wanted).reshape(2, -1).all(axis=0)
+        for a, b in comb._edge_ends[~shared].tolist():
             issues.append(f"edge {a}-{b} is not shared by two faces with opposite directions")
 
     euler = n + comb.face_count - comb.edge_count
@@ -269,11 +404,7 @@ def validate_combinatorics(comb: CombinatorialType) -> CombinatoricsReport:
     if n and not issues:
         if not graph.connected:
             issues.append("edge graph is not connected")
-        for v in range(n):
-            try:
-                comb.vertex_star(v)
-            except InvalidCombinatorics as exc:
-                issues.append(str(exc))
+        issues += comb._star_cycles[3]
     return CombinatoricsReport(n, comb.edge_count, comb.face_count, euler, issues)
 
 

@@ -1,5 +1,8 @@
 """Shared oracles for the test suite, independent of the library paths they check."""
 
+import json
+from itertools import chain
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -8,7 +11,15 @@ from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz, repvar
 from stokerlab.config import DEFAULT
-from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron, embed_euclidean
+from stokerlab.errors import InvalidCombinatorics
+from stokerlab.formats import format_float
+from stokerlab.polyhedron import (
+    CombinatorialType,
+    CombinatoricsReport,
+    EdgeGraph,
+    EmbeddedPolyhedron,
+    embed_euclidean,
+)
 from stokerlab.rigidity import numerical_rank
 
 
@@ -334,3 +345,188 @@ def random_polyhedra(max_points):
         st.integers(10, max_points),
         st.booleans(),
     )
+
+
+def to_json_reference(obj, indent=0):
+    """Report text by one recursive call per value, each judged by
+    ``isinstance``: the reference for ``formats.to_json``."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{k}": {to_json_reference(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
+        if flat and len(seq) <= 16:
+            return "[" + ", ".join(to_json_reference(v) for v in seq) + "]"
+        items = [f"{inner}{to_json_reference(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            return f'"{float(obj)}"'
+        return format_float(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+def _cyclic_pairs(face):
+    for i, a in enumerate(face):
+        yield a, face[(i + 1) % len(face)]
+
+
+class WalkedCombinatorics:
+    """The reference for ``CombinatorialType``: a dict of directed edges,
+    one Python walk per vertex star and per-face comprehensions for the
+    index arrays, with the same names and values."""
+
+    def __init__(self, vertex_count, faces):
+        self.vertex_count = int(vertex_count)
+        self.faces = tuple(tuple(int(v) for v in f) for f in faces)
+        self.directed = {}
+        for fi, f in enumerate(self.faces):
+            for a, b in _cyclic_pairs(f):
+                self.directed.setdefault((a, b), fi)
+        self.edges = tuple(sorted({(min(a, b), max(a, b)) for a, b in self.directed}))
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        self.edge_count = len(self.edges)
+        self.face_count = len(self.faces)
+
+    def face_of_directed(self, a, b):
+        try:
+            return self.directed[(a, b)]
+        except KeyError:
+            raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}") from None
+
+    def edge_faces(self, edge):
+        a, b = edge
+        return self.face_of_directed(a, b), self.face_of_directed(b, a)
+
+    def vertex_faces(self):
+        """Faces containing each vertex, in increasing face order."""
+        incident = {}
+        for fi, f in enumerate(self.faces):
+            for v in dict.fromkeys(f):
+                incident.setdefault(v, []).append(fi)
+        return incident
+
+    def vertex_star(self, v):
+        """Cyclic star at v, walked face to face from its lowest face:
+        (edges, faces) with edge k between faces k-1 and k."""
+        incident = self.vertex_faces().get(v, ())
+        if not incident:
+            raise InvalidCombinatorics(f"vertex {v} belongs to no face")
+        start = min(incident)
+        faces = [start]
+        edges = []
+        current = start
+        for _ in range(len(incident)):
+            f = self.faces[current]
+            b = f[(f.index(v) + 1) % len(f)]
+            edges.append((min(v, b), max(v, b)))
+            current = self.face_of_directed(b, v)
+            if current == start:
+                break
+            faces.append(current)
+        if len(faces) != len(incident) or len(edges) != len(incident):
+            raise InvalidCombinatorics(f"vertex {v} has a disconnected or pinched star")
+        edges = edges[-1:] + edges[:-1]
+        return tuple(edges), tuple(faces)
+
+    def star_slots(self):
+        stars = [self.vertex_star(v) for v in range(self.vertex_count)]
+        sizes = [len(edges) for edges, _ in stars]
+        for v, d in enumerate(sizes):
+            if d < 3:
+                raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
+        edges = [self.edge_index[e] for star_edges, _ in stars for e in star_edges]
+        pairs = [(faces[k - 1], faces[k]) for _, faces in stars for k in range(len(faces))]
+        return (np.cumsum([0] + sizes, dtype=np.intp), np.repeat(np.arange(len(sizes)), sizes),
+                np.array(edges, dtype=np.intp), np.array(pairs, dtype=np.intp).reshape(-1, 2))
+
+    def edge_graph(self):
+        n = self.vertex_count
+        adjacent = [set() for _ in range(n)]
+        for a, b in self.edges:
+            if 0 <= a and b < n:
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+        neighbours = tuple(tuple(sorted(s)) for s in adjacent)
+        parent = np.full(n, -1, dtype=np.intp)
+        order = [0] if n else []
+        for u in order:
+            for w in neighbours[u]:
+                if w and parent[w] < 0:
+                    parent[w] = u
+                    order.append(w)
+        return EdgeGraph(neighbours, parent)
+
+    def face_anchors(self):
+        return np.array([f[:3] for f in self.faces], dtype=np.intp).reshape(-1, 3)
+
+    def edge_face_pairs(self):
+        return np.array([self.edge_faces(e) for e in self.edges], dtype=np.intp).reshape(-1, 2)
+
+    def planarity_pairs(self):
+        return np.array([(fi, v) for fi, f in enumerate(self.faces) for v in f[3:]],
+                        dtype=np.intp).reshape(-1, 2)
+
+    def convexity_mask(self):
+        sizes = [len(f) for f in self.faces]
+        mask = np.ones((self.face_count, self.vertex_count), dtype=bool)
+        mask[np.repeat(np.arange(self.face_count), sizes),
+             np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = False
+        return mask
+
+
+def validate_combinatorics_reference(comb: WalkedCombinatorics) -> CombinatoricsReport:
+    """The reference for ``validate_combinatorics``: every check by a loop
+    over faces, edges and vertices, issues in the order found."""
+    issues = []
+    n = comb.vertex_count
+    directed = {}
+    for fi, f in enumerate(comb.faces):
+        if len(f) < 3:
+            issues.append(f"face {fi} has fewer than 3 vertices")
+            continue
+        if len(set(f)) != len(f):
+            issues.append(f"face {fi} repeats a vertex")
+        for v in f:
+            if not 0 <= v < n:
+                issues.append(f"face {fi} references vertex {v} outside 0..{n - 1}")
+        for a, b in _cyclic_pairs(f):
+            if (a, b) in directed:
+                issues.append(
+                    f"directed edge {a}->{b} appears in faces {directed[(a, b)]} and {fi}"
+                )
+            directed[(a, b)] = fi
+    for a, b in comb.edges:
+        if (a, b) not in directed or (b, a) not in directed:
+            issues.append(f"edge {a}-{b} is not shared by two faces with opposite directions")
+
+    euler = n + comb.face_count - comb.edge_count
+    if euler != 2:
+        issues.append(f"Euler characteristic {euler} != 2")
+
+    graph = comb.edge_graph()
+    for v, neighbours in enumerate(graph.neighbours):
+        if len(neighbours) < 3:
+            issues.append(f"vertex {v} has valence {len(neighbours)} < 3")
+    if n and not issues:
+        if not graph.connected:
+            issues.append("edge graph is not connected")
+        for v in range(n):
+            try:
+                comb.vertex_star(v)
+            except InvalidCombinatorics as exc:
+                issues.append(str(exc))
+    return CombinatoricsReport(n, comb.edge_count, comb.face_count, euler, issues)

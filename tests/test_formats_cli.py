@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import corner_tetrahedron
+from helpers import corner_tetrahedron, to_json_reference
 from stokerlab import cli, fixtures, formats
 from stokerlab.config import DEFAULT
 from stokerlab.errors import ParseError
@@ -53,6 +55,13 @@ MALFORMED = {
 }
 
 
+HUGE_INTEGER = "1" + "0" * 400     # a JSON integer past the float range
+
+
+def literal_id(literal):
+    return "huge_integer" if literal == HUGE_INTEGER else literal
+
+
 class TestPolyhedronFormat:
     def test_emit_parse_emit_fixed_point(self, tmp_path):
         poly = fixtures.pentagonal_pyramid(0.37)
@@ -90,19 +99,55 @@ class TestPolyhedronFormat:
         assert poly.positions.shape == (0, 3)
         assert poly.combinatorics.faces == ()
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', "1e999",
+                                         HUGE_INTEGER], ids=literal_id)
     def test_non_finite_coordinate_rejected(self, tmp_path, literal):
+        """A string is not a number, even one that spells NaN."""
         data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
         data["vertices"][0][0] = "x"
         path = write(tmp_path, "bad.json", json.dumps(data).replace('"x"', literal))
-        with pytest.raises(ParseError, match="vertex coordinates must be finite"):
+        message = ('vertices must be a list of [x, y, z] rows of numbers; vertex 0 is ["nan", '
+                   if literal == '"nan"' else "vertex coordinates must be finite")
+        with pytest.raises(ParseError) as info:
             formats.load_polyhedron(path)
+        assert message in str(info.value)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("entry, shown", [
+        ('"0.17"', '["0.17", '), ("true", "[true, "), ("null", "[null, "), ("[0.1]", "[[0.1], "),
+    ], ids=["string", "boolean", "null", "nested"])
+    def test_coordinates_must_be_numbers(self, tmp_path, entry, shown):
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        data["vertices"][2][0] = "x"
+        path = write(tmp_path, "bad.json", json.dumps(data).replace('"x"', entry))
+        with pytest.raises(ParseError) as info:
+            formats.load_polyhedron(path)
+        assert f"rows of numbers; vertex 2 is {shown}" in str(info.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", HUGE_INTEGER],
+                             ids=literal_id)
     def test_non_finite_angle_rejected(self, tmp_path, literal):
         path = write(tmp_path, "angles.json", f'{{"angles": [1.0, {literal}, 2.0]}}')
         with pytest.raises(ParseError, match="angles must be finite"):
             formats.load_angles(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"angles": [1.0, "0.5", 2.0]}', 'entry 1 is "0.5"'),
+        ('[1.0, true, 2.0]', "entry 1 is true"),
+        ('[[1.0, 2.0], [3.0, 4.0]]', "entry 0 is [1.0, 2.0]"),
+        ('{"angles": 1.5}', "expected a list of angles"),
+        ('{"target": [1.0]}', "expected a list of angles"),
+    ], ids=["string", "boolean", "nested", "bare_number", "no_angles_key"])
+    def test_angles_must_be_a_flat_list_of_numbers(self, tmp_path, text, message):
+        path = write(tmp_path, "angles.json", text)
+        with pytest.raises(ParseError) as info:
+            formats.load_angles(path)
+        assert message in str(info.value)
+
+    def test_bare_and_keyed_angle_lists_read_alike(self, tmp_path):
+        bare = formats.load_angles(write(tmp_path, "bare.json", "[1, 2.5]"))
+        keyed = formats.load_angles(write(tmp_path, "keyed.json", '{"angles": [1, 2.5]}'))
+        assert bare.dtype == keyed.dtype == float
+        assert bare.tolist() == keyed.tolist() == [1.0, 2.5]
 
 
 class TestFloatFormat:
@@ -135,6 +180,44 @@ class TestFloatFormat:
             assert type(verdict["tolerance"]) is float
             assert type(verdict["value"]) is float
         assert formats.to_json(report) + "\n" == out
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1.0, float("nan"), float("inf"), -float("inf"), 1e16, 1e17,
+               -1e16, 5e-324, 2.2250738585072014e-308 / 3, 0.1]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+SCALARS = st.one_of(st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+LEAVES = st.one_of(SCALARS, st.none(), st.text())
+
+
+def nested(children):
+    lists = st.lists(children, max_size=5)
+    return st.one_of(lists, lists.map(tuple), st.dictionaries(st.text(), children, max_size=5),
+                     st.lists(SCALARS, min_size=16, max_size=17),
+                     st.lists(SCALARS, min_size=16, max_size=17).map(tuple))
+
+
+class TestSerializerOracle:
+    """``formats.to_json`` against ``helpers.to_json_reference``, the
+    recursive ``isinstance`` emitter it replaced: byte for byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.recursive(LEAVES, nested, max_leaves=40), st.integers(0, 3))
+    def test_equals_reference(self, value, indent):
+        assert formats.to_json(value, indent) == to_json_reference(value, indent)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}],
+        [0.5] * 16, [0.5] * 17, (1,) * 16, (1,) * 17, [True] * 16 + [None],
+        list(EDGE_FLOATS) + [np.float64(-0.0), np.int64(-7), np.float32(0.1), np.bool_(True)],
+        {"k": [np.float64("nan"), np.float64("inf"), 3, "x\"y"]},
+    ], ids=lambda v: repr(v)[:40])
+    def test_edge_cases_equal_reference(self, value):
+        assert formats.to_json(value) == to_json_reference(value)
+
+    def test_sixteen_numbers_share_a_line(self):
+        assert formats.to_json([1] * 16) == "[" + ", ".join(["1"] * 16) + "]"
+        assert formats.to_json([1] * 17).count("\n") == 18
 
 
 class TestPresentationFormat:
@@ -284,6 +367,38 @@ class TestCliNonFiniteInput:
         assert report["command"] == command[0]
         assert report["error"] == "ParseError"
         assert MALFORMED[kind] in report["message"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["validate", "rigidity", "holonomy"])
+    def test_string_coordinates(self, command, tmp_path, capsys):
+        """Vertex 0's coordinates written as JSON strings are not read as
+        numbers."""
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        data["vertices"][0] = [repr(c) for c in data["vertices"][0]]
+        path = write(tmp_path, "bad.json", json.dumps(data))
+        code = cli.main([command, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert "rows of numbers; vertex 0 is [\"" in report["message"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("kind", ["string", "nested"])
+    def test_malformed_target_angles(self, kind, tmp_path, capsys):
+        """The cube's 12 angles as strings, or as two lists of 6, are not a
+        flat list of numbers."""
+        poly = fixtures.cube(0.3)
+        path = write_poly(tmp_path, poly)
+        angles = [float(a) for a in dihedral_angles(poly)]
+        target = [repr(a) for a in angles] if kind == "string" else [angles[:6], angles[6:]]
+        target_path = write(tmp_path, "target.json", json.dumps({"angles": target}))
+        code = cli.main(["deform", path, "--target", target_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert "angles must be a flat list of numbers; entry 0 is " in report["message"]
         assert captured.err == ""
 
     def test_nan_target_angle(self, tmp_path, capsys):

@@ -143,13 +143,15 @@ class TestCombinatorics:
                     assert set(e) <= fa and set(e) <= fb
 
     def test_vertex_faces_match_a_scan(self):
-        """The cached incidence lists the faces of a vertex in increasing
-        order, as a scan of every face does; a vertex no face lists, in
-        range or not, has no star."""
+        """The faces of a vertex's star, sorted, are those a scan of every
+        face finds, and the star starts at the lowest; a vertex no face
+        lists, in range or not, has no star."""
         for build in fixtures.STANDARD.values():
             comb = build().combinatorics
             for v in range(comb.vertex_count):
-                assert comb.vertex_faces[v] == [fi for fi, f in enumerate(comb.faces) if v in f]
+                faces = comb.vertex_star(v)[1]
+                assert sorted(faces) == [fi for fi, f in enumerate(comb.faces) if v in f]
+                assert faces[0] == min(faces)
         comb = CombinatorialType(5, fixtures.tetrahedron().combinatorics.faces)
         for v in (-1, 4, 9):
             with pytest.raises(InvalidCombinatorics, match=f"vertex {v} belongs to no face"):
