@@ -24,17 +24,19 @@ for radius in (0.3, 0.6, 0.9, 0.99):
     print(f"radius {radius:4}: chord {radius:.2f}  hyperbolic "
           f"{lorentz.hyperbolic_distance(origin, q):.4f}")
 
-# Planes are stored by a unit spacelike normal.  Three points fix the plane
-# and their order fixes its side: the normal points to where p1 -> p2 -> p3
-# is seen counterclockwise.  These run counterclockwise seen from above.
-plane = lorentz.plane_through([0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [-0.2, -0.2, 0.0])
-print("normal of the z=0 plane, upward:", plane.normal)
-print("a point above pairs positively:", plane.side([0.0, 0.0, 0.4]) > 0)
+# A plane is its unit spacelike normal, a 4-vector.  Three points fix the
+# plane and their order fixes its side: the normal points to where
+# p1 -> p2 -> p3 is seen counterclockwise.  These run counterclockwise seen
+# from above.
+normal = lorentz.plane_through([0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [-0.2, -0.2, 0.0])
+print("normal of the z=0 plane, upward:", normal)
+print("a point above pairs positively:",
+      lorentz.minkowski_inner(normal, lorentz.klein_lift([0.0, 0.0, 0.4])) > 0)
 flipped = lorentz.plane_through([0.3, 0.0, 0.0], [-0.2, -0.2, 0.0], [0.0, 0.3, 0.0])
-print("reversed order flips the normal:", flipped.normal)
+print("reversed order flips the normal:", flipped)
 
 # The reflection in that plane is a Lorentz involution.
-refl = lorentz.reflect(plane)
+refl = lorentz.reflect(normal)
 print("reflection squared deviates from identity by",
       np.max(np.abs(refl @ refl - np.eye(4))))
 

@@ -240,7 +240,7 @@ def cmd_tracerank(report, args, tol: Tolerances):
     if args.fixture_vertex:
         try:
             poly_path, vertex_text = args.fixture_vertex.rsplit(":", 1)
-            vertex = int(vertex_text)
+            vertex = formats.parse_int(vertex_text)
         except ValueError:
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
         poly = _read(report, _load_valid_polyhedron, poly_path, tol)

@@ -3,14 +3,15 @@
 Polyhedra travel as JSON objects ``{"vertices": [[x, y, z], ...],
 "faces": [[i, j, k, ...], ...]}`` with 0-based integer indices and faces
 counterclockwise viewed from outside; target angles as one flat list, bare
-or as ``{"angles": [...]}``.  Numbers are strict: a coordinate or angle is
-a JSON number (int or float, not a boolean and not a string) and an index
-a JSON integer, checked in one pass over the parsed lists, and anything
-else is a ``ParseError`` naming the first bad entry.  Presentations use a
+or as ``{"angles": [...]}``; representations as ``{"matrices": [...]}``, a
+list of 2x2 matrices, each two rows of two ``[re, im]`` pairs.  Numbers
+are strict: a coordinate, angle or matrix part is a JSON number (int or
+float, not a boolean and not a string) and an index a JSON integer,
+checked in one pass over the parsed lists, and anything else is a
+``ParseError`` naming the first bad entry.  Presentations use a
 line-based text format: ``gens n``, one ``rel`` line per relator with
-signed 1-based indices, and optional ``loop`` lines marking trace loops.
-Representations travel as ``{"matrices": [[[re, im], ...], ...]}`` with
-row-major 2x2 entries.
+signed 1-based indices, and optional ``loop`` lines marking trace loops;
+every number there is an ASCII decimal integer.
 
 All floats are serialized with 17 significant digits, and integral ones
 with a decimal point, so emit -> parse -> emit is a fixed point and a JSON
@@ -23,6 +24,7 @@ subclasses follow the ``isinstance`` rules after them.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
@@ -46,6 +48,7 @@ def _float_text(x):
 _SCALARS = (bool, int, float, np.integer, np.floating)
 _NUMBER_TYPES = {int, float}       # JSON numbers; bool subclasses int and is excluded
 _INDEX_TYPES = {int}
+_DECIMAL = re.compile(r"[+-]?[0-9]+")      # [0-9], not \d, which takes any Unicode digit
 
 
 def to_json(obj, indent=0):
@@ -172,11 +175,22 @@ def dump_angles(angles) -> str:
     return to_json({"angles": [float(a) for a in angles]}) + "\n"
 
 
+def parse_int(text):
+    """The integer of an ASCII decimal token ``[+-]?[0-9]+``; anything else,
+    such as ``1_0`` or non-ASCII digits that ``int`` also reads, raises
+    ``ValueError``."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def load_presentation(path):
     """Parse the presentation text format; returns (Presentation, loops).
 
-    A ``gens`` count below 1, an empty relator, or a letter 0 or beyond
-    ``gens`` in a ``rel`` or ``loop`` line raises ``ParseError`` at its line.
+    Every number is an ASCII decimal integer (``parse_int``).  Any other
+    token, a ``gens`` count below 1, an empty relator, or a letter 0 or
+    beyond ``gens`` in a ``rel`` or ``loop`` line raises ``ParseError`` at
+    its line.
     """
     gens = None
     words = []              # (line number, directive, letters)
@@ -192,11 +206,11 @@ def load_presentation(path):
         parts = line.split()
         try:
             if parts[0] == "gens" and len(parts) == 2:
-                gens = int(parts[1])
+                gens = parse_int(parts[1])
                 if gens < 1:
                     raise ValueError(f"gens must be at least 1, got {gens}")
             elif parts[0] in ("rel", "loop"):
-                words.append((lineno, parts[0], tuple(int(p) for p in parts[1:])))
+                words.append((lineno, parts[0], tuple(map(parse_int, parts[1:]))))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:
@@ -226,16 +240,23 @@ def load_matrices(path) -> Representation:
     data = _load_json(path)
     if not isinstance(data, dict) or "matrices" not in data:
         raise ParseError(f"{path}: expected an object with 'matrices'")
-    mats = []
+    mats = data["matrices"]
+    shape = "matrices must be a list of 2x2 matrices of [re, im] pairs of numbers"
+    if type(mats) is not list:
+        raise ParseError(f"{path}: {shape}")
+    for k, m in enumerate(mats):
+        if not (type(m) is list and len(m) == 2
+                and all(type(row) is list and len(row) == 2 for row in m)
+                and all(type(z) is list and len(z) == 2 and _NUMBER_TYPES.issuperset(map(type, z))
+                        for row in m for z in row)):
+            raise ParseError(f"{path}: {shape}; matrix {k} is {json.dumps(m)}")
     try:
-        for raw in data["matrices"]:
-            arr = np.asarray(raw, dtype=float).reshape(2, 2, 2)
-            if not np.all(np.isfinite(arr)):
-                raise ParseError(f"{path}: matrix entries must be finite")
-            mats.append(arr[..., 0] + 1j * arr[..., 1])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed matrix entries: {exc}") from exc
-    return Representation(mats)
+        arr = np.array(mats, dtype=float).reshape(-1, 2, 2, 2)
+    except OverflowError:       # an integer beyond the float range
+        raise ParseError(f"{path}: matrix entries must be finite") from None
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{path}: matrix entries must be finite")
+    return Representation(arr[..., 0] + 1j * arr[..., 1])
 
 
 def dump_matrices(rep: Representation) -> str:

@@ -9,11 +9,12 @@ SL(2,C) lifts use the Hermitian-matrix model of R^{3,1}.
 
 Conventions
 -----------
-* Planes are stored by a unit spacelike Minkowski normal.  A plane through
-  three points is oriented by their order: the normal points to the side
-  from which p1 -> p2 -> p3 runs counterclockwise, so a face stored
-  counterclockwise from outside gets a normal pointing away from the
-  interior, which pairs negatively with it.
+* A plane is its unit spacelike Minkowski normal n, a (4,) array, and a
+  stack of planes is a (..., 4) array; there is no plane type.  The plane
+  is {x : <x, n> = 0}.  A plane through three points is oriented by their
+  order: the normal points to the side from which p1 -> p2 -> p3 runs
+  counterclockwise, so a face stored counterclockwise from outside gets a
+  normal pointing away from the interior, which pairs negatively with it.
 * ``sl2c_lift`` reads a lift S of L off one identity.  With E_a the
   Hermitian forms of e1..e4 and P_c running over I, s1, s2, s3 (Pauli
   matrices), S E_b S* = sum_a L_ab E_a and sum_b E_b B E_b = 2 tr(B) I give
@@ -105,26 +106,6 @@ def hyperbolic_distance(p, q, tol: Tolerances = DEFAULT):
     return float(2.0 * np.arcsinh(0.5 * np.sqrt(h)))
 
 
-class Plane:
-    """Hyperbolic plane stored as a unit spacelike normal.
-
-    The normal is oriented away from the interior: <normal, lift(x)> < 0 for
-    interior points x.
-    """
-
-    __slots__ = ("normal",)
-
-    def __init__(self, normal):
-        self.normal = np.asarray(normal, dtype=float)
-
-    def side(self, p, tol: Tolerances = DEFAULT):
-        """Signed pairing <normal, lift(p)>; negative on the interior side."""
-        return minkowski_inner(self.normal, klein_lift(p, tol))
-
-    def __repr__(self):
-        return f"Plane(normal={self.normal!r})"
-
-
 def _unit_normals(anchors, tol: Tolerances):
     """Unit Minkowski normals of planes through point triples, and the norms
     they were scaled by: the library's one plane construction.
@@ -153,7 +134,8 @@ def _unit_normals(anchors, tol: Tolerances):
 
 
 def plane_through(p1, p2, p3, tol: Tolerances = DEFAULT):
-    """Hyperbolic plane through three Klein points, oriented by their order.
+    """Unit normal (4,) of the hyperbolic plane through three Klein points,
+    oriented by their order.
 
     The one-triple case of ``_unit_normals``: the normal n satisfies
     <n, lift(p_i)> = 0 and points to the side from which p1 -> p2 -> p3 runs
@@ -161,16 +143,14 @@ def plane_through(p1, p2, p3, tol: Tolerances = DEFAULT):
     ``_unit_normals`` does.
     """
     anchors = np.array([p1, p2, p3], dtype=float)[None]
-    return Plane(_unit_normals(anchors, tol)[0][0])
+    return _unit_normals(anchors, tol)[0][0]
 
 
-def reflect(plane: Plane):
-    """Lorentz reflection x -> x - 2<x,n>n in the given plane.
-
-    A plane whose normal is a stack (..., 4) gives the stack (..., 4, 4) of
-    reflections.
+def reflect(n):
+    """Lorentz reflection x -> x - 2<x,n>n in the plane of the unit normal
+    n (4,), or the stack (..., 4, 4) of them for a stack (..., 4) of normals.
     """
-    n = plane.normal
+    n = np.asarray(n, dtype=float)
     return np.eye(4) - 2.0 * (n[..., :, None] * (n @ J)[..., None, :])
 
 

@@ -136,25 +136,6 @@ class CombinatorialType:
     def edge_index(self):
         return dict(zip(self.edges, range(self.edge_count)))
 
-    def _digit(self, v):
-        """Key digit of vertex index v, or None where no key can hold it."""
-        if self._labels is None:
-            return v if 0 <= v < self.vertex_count else None
-        k = int(self._labels.searchsorted(v))
-        return k if k < self._base and self._labels[k] == v else None
-
-    def edge_faces(self, edge):
-        """The faces containing a -> b and b -> a for an undirected edge
-        (a, b) with a < b, each the first such face."""
-        faces = []
-        for a, b in (edge, edge[::-1]):
-            da, db = self._digit(a), self._digit(b)
-            slot = -1 if da is None or db is None else self._first_slots([da * self._base + db])[0]
-            if slot < 0:
-                raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
-            faces.append(int(self._face[slot]))
-        return tuple(faces)
-
     def vertex_star(self, v):
         """Cyclic star at v: (edges, faces) with edge k between faces k-1, k.
 
@@ -282,7 +263,8 @@ class CombinatorialType:
 
     @cached_property
     def edge_face_pairs(self):
-        """(E, 2) the faces of ``edge_faces`` for every edge, in edge order."""
+        """(E, 2) faces of every edge (a, b) in edge order: the first face
+        containing a -> b, then the first containing b -> a."""
         forward = self._first_slots(self._edge_keys)
         backward = self._twin[forward]
         missing = (forward < 0) | (backward < 0)
@@ -619,14 +601,14 @@ def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> E
 
 
 def face_planes(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
-    """Away-from-interior hyperbolic plane of every face (anchored on the
-    first three stored vertices).
+    """(F, 4) away-from-interior unit normals of the face planes, anchored on
+    the first three stored vertices of each face: ``FaceGeometry.normals``.
 
     The counterclockwise face orientation fixes the side, as in
     ``lorentz.plane_through``; degenerate anchor triples raise
     ``DegenerateFace``.
     """
-    return [lorentz.Plane(n) for n in FaceGeometry(poly, tol).normals]
+    return FaceGeometry(poly, tol).normals
 
 
 def dihedral_angles(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):

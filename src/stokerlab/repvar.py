@@ -321,7 +321,7 @@ def _reflection_products(normals, pairs):
     *Foundations of Hyperbolic Manifolds*, section 6.5).  For adjacent face
     planes this is the edge meridian, rotating by twice the dihedral angle.
     """
-    reflections = lorentz.reflect(lorentz.Plane(normals))
+    reflections = lorentz.reflect(normals)
     return reflections[pairs[:, 0]] @ reflections[pairs[:, 1]]
 
 
@@ -398,10 +398,15 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
 
     The product of the reflections in the two adjacent face planes is an
     elliptic isometry about the edge geodesic rotating by twice the dihedral
-    angle, so the lift trace satisfies |tr| = 2|cos(angle)|.
+    angle, so the lift trace satisfies |tr| = 2|cos(angle)|.  Raises
+    ``InvalidCombinatorics`` when the edge is not an edge of the polyhedron.
     """
-    pairs = np.array([poly.combinatorics.edge_faces((min(edge), max(edge)))])
-    holonomy = _holonomy(poly, pairs, 0, 0, tol)
+    comb = poly.combinatorics
+    a, b = min(edge), max(edge)
+    k = comb.edge_index.get((a, b))
+    if k is None:
+        raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
+    holonomy = _holonomy(poly, comb.edge_face_pairs[k:k + 1], 0, 0, tol)
     return holonomy.meridians_so31[0], holonomy.meridians[0]
 
 

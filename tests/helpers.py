@@ -3,6 +3,7 @@
 import json
 from itertools import chain
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -75,24 +76,50 @@ def sl2c_to_so31(s):
                             for e in np.eye(4)])
 
 
-def svd_plane_normal(p1, p2, p3, witness):
+REFERENCE_DIGITS = 40
+
+
+def _mp_lift(p):
+    """Hyperboloid lift of a Klein point in mpmath, the float coordinates
+    taken exactly; call under ``mpmath.workdps``."""
+    p = [mpmath.mpf(float(c)) for c in p]
+    s = mpmath.sqrt(1 - mpmath.fsum(c * c for c in p))
+    return [c / s for c in p] + [1 / s]
+
+
+def _mp_inner(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
+
+
+def mp_plane_normal(p1, p2, p3, witness):
     """Unit normal of the plane through three Klein points, oriented away
-    from an interior witness.
+    from an interior witness, as four mpmath numbers of ``REFERENCE_DIGITS``
+    digits.
 
     The reference for the library's closed-form plane kernel: the normal is
-    the null vector of the three lifts by SVD, and its sign comes from the
-    witness, not from the order of the points.
+    the null vector of the three lifts, the last column of a full
+    Householder QR of their Minkowski duals, all in mpmath, so its error is
+    far below the float bounds it checks.  Its sign comes from the witness,
+    not from the order of the points.
     """
-    lifts = np.stack([lorentz.klein_lift(p1), lorentz.klein_lift(p2), lorentz.klein_lift(p3)])
-    _, sing, vh = np.linalg.svd(lifts @ lorentz.J)
-    assert sing[2] > 1e-10 * sing[0], "three points do not span a plane"
-    n = vh[3]
-    q = lorentz.minkowski_inner(n, n)
-    assert q > 1e-10, "normal direction is not spacelike"
-    n = n / np.sqrt(q)
-    w = lorentz.minkowski_inner(n, lorentz.klein_lift(witness))
-    assert abs(w) > 1e-12, "witness lies on the plane"
-    return -n if w > 0 else n
+    with mpmath.workdps(REFERENCE_DIGITS):
+        duals = [[x, y, z, -t] for x, y, z, t in map(_mp_lift, (p1, p2, p3))]
+        q, r = mpmath.qr(mpmath.matrix(duals).T, mode="full")
+        assert abs(r[2, 2]) > 1e-10 * abs(r[0, 0]), "three points do not span a plane"
+        n = [q[k, 3] for k in range(4)]
+        norm2 = _mp_inner(n, n)
+        assert norm2 > 1e-10, "normal direction is not spacelike"
+        n = [c / mpmath.sqrt(norm2) for c in n]
+        w = _mp_inner(n, _mp_lift(witness))
+        assert abs(w) > 1e-12, "witness lies on the plane"
+        return [-c for c in n] if w > 0 else n
+
+
+def mp_dihedral_angle(n_a, n_b):
+    """Interior angle pi - arccos(<n_a, n_b>) between two ``mp_plane_normal``
+    planes, evaluated in mpmath and rounded once to a float."""
+    with mpmath.workdps(REFERENCE_DIGITS):
+        return float(mpmath.pi - mpmath.acos(max(-1, min(1, _mp_inner(n_a, n_b)))))
 
 
 def klein_metric_inner(x, u, v):
@@ -121,7 +148,7 @@ def intrinsic_dihedral_angle(poly, edge):
     """
     comb = poly.combinatorics
     pos = poly.positions
-    fa, fb = comb.edge_faces(edge)
+    fa, fb = comb.edge_face_pairs[comb.edge_index[edge]]
     mid = 0.5 * (pos[edge[0]] + pos[edge[1]])
     tang = pos[edge[1]] - pos[edge[0]]
     tt = klein_metric_inner(mid, tang, tang)

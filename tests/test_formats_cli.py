@@ -57,6 +57,23 @@ MALFORMED = {
 
 HUGE_INTEGER = "1" + "0" * 400     # a JSON integer past the float range
 
+DEMO_OUTPUT = Path(__file__).parent.parent / "demos" / "output"
+
+
+def malformed_k4_matrices(tmp_path, kind):
+    """The demo surface matrices with one malformation that a lenient reader
+    would repair: an entry part written as a string or as true, or matrix 7
+    flattened to its four [re, im] pairs.  Returns the path and the index of
+    the bad matrix."""
+    data = json.loads((DEMO_OUTPUT / "k4_surface_matrices.json").read_text())
+    if kind == "string_part":
+        k, data["matrices"][3][0][1][0] = 3, str(data["matrices"][3][0][1][0])
+    elif kind == "boolean_part":
+        k, data["matrices"][5][1][1][1] = 5, True
+    else:
+        k, data["matrices"][7] = 7, [z for row in data["matrices"][7] for z in row]
+    return write(tmp_path, "mats.json", json.dumps(data)), k
+
 
 def literal_id(literal):
     return "huge_integer" if literal == HUGE_INTEGER else literal
@@ -251,6 +268,11 @@ class TestPresentationFormat:
         ("gens 3\nrel 1\nrel\n", 3),
         ("# no generators\ngens 0\n", 2),
         ("gens -2\nrel 1\n", 1),
+        ("gens 1_2\n", 1),
+        ("gens 12\nrel 1_0 -3\n", 2),
+        ("gens 12\nrel 10 -\u0663\n", 2),
+        ("gens 12\nloop 1 \uff12\n", 2),
+        ("gens 12\nrel 1 2.0\n", 2),
     ])
     def test_bad_word_rejected_with_its_line(self, tmp_path, text, line):
         path = write(tmp_path, "pres.txt", text)
@@ -268,6 +290,33 @@ class TestMatrixFormat:
         for a, b in zip(parsed.images, fx.representation.images):
             assert np.array_equal(a, b)
         assert formats.dump_matrices(parsed) == text
+
+    def test_demo_file_loads_to_its_images(self):
+        """The strict reader gives the images of the plain conversion."""
+        path = DEMO_OUTPUT / "k4_surface_matrices.json"
+        raw = np.array(json.loads(path.read_text())["matrices"], dtype=float)
+        images = formats.load_matrices(str(path)).images
+        assert images.shape == (12, 2, 2)
+        assert np.array_equal(images, raw[..., 0] + 1j * raw[..., 1])
+
+    @pytest.mark.parametrize("kind", ["string_part", "boolean_part", "flat_matrix"])
+    def test_malformed_matrix_named(self, kind, tmp_path):
+        path, k = malformed_k4_matrices(tmp_path, kind)
+        with pytest.raises(ParseError, match=rf"2x2 matrices of \[re, im\] pairs of numbers; "
+                                             rf"matrix {k} is "):
+            formats.load_matrices(path)
+
+    @pytest.mark.parametrize("matrices", ['"none"', "{}", "[[[1, 0], [0, 1]]]"])
+    def test_malformed_matrix_list_rejected(self, matrices, tmp_path):
+        path = write(tmp_path, "mats.json", f'{{"matrices": {matrices}}}')
+        with pytest.raises(ParseError, match="matrices must be a list of 2x2 matrices"):
+            formats.load_matrices(path)
+
+    def test_huge_integer_part_is_not_finite(self, tmp_path):
+        path = write(tmp_path, "mats.json",
+                     f'{{"matrices": [[[[{HUGE_INTEGER}, 0], [0, 0]], [[0, 0], [1, 0]]]]}}')
+        with pytest.raises(ParseError, match="matrix entries must be finite"):
+            formats.load_matrices(path)
 
 
 class TestCliValidate:
@@ -635,6 +684,44 @@ class TestCliTraceRank:
         report = json.loads(captured.out)
         assert report["error"] == "ParseError"
         assert report["message"] == f"{poly_path}: vertex {vertex} outside 0..7"
+
+    @pytest.mark.parametrize("kind", ["string_part", "boolean_part", "flat_matrix"])
+    def test_malformed_matrix_file_is_bad_input(self, kind, tmp_path, capsys):
+        mats_path, k = malformed_k4_matrices(tmp_path, kind)
+        pres_path = str(DEMO_OUTPUT / "k4_surface_presentation.txt")
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert f"; matrix {k} is " in report["message"]
+
+    @pytest.mark.parametrize("text", ["gens 1_2\n", "gens 12\nrel 1_0 -\u0663\n"])
+    def test_non_ascii_decimal_presentation_is_bad_input(self, text, tmp_path, capsys):
+        pres_path = write(tmp_path, "pres.txt", text)
+        mats_path = str(DEMO_OUTPUT / "k4_surface_matrices.json")
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert report["line"] == text.count("\n")
+        assert "invalid integer '1_" in report["message"]
+
+    @pytest.mark.parametrize("vertex", ["1_0", "\u0663", " 3", "3.0"])
+    def test_fixture_vertex_must_be_ascii_decimal(self, vertex, tmp_path, capsys):
+        poly_path = write_poly(tmp_path, fixtures.cube(0.3))
+        pres_path = write(tmp_path, "pres.txt",
+                          formats.dump_presentation(Presentation.punctured_sphere(3)))
+        code = cli.main(["tracerank", pres_path, "--fixture-vertex", f"{poly_path}:{vertex}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert report["message"] == "--fixture-vertex expects POLYHEDRON.json:VERTEX"
 
     def test_surface_fixture_via_matrix_file(self, tmp_path, capsys):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))

@@ -1,17 +1,24 @@
 """Closed-form face-plane kernel against independent references on random
 simplicial hulls and their polar duals.
 
-References: ``helpers.svd_plane_normal`` (SVD normal, witness orientation)
-with ``lorentz.minkowski_inner`` for normals and angles, a loop of
-``np.linalg.det`` for the determinants, central differences for both
-Jacobians, and a per-face incidence loop for the convexity mask.
+References: ``helpers.mp_plane_normal`` (a 40-digit mpmath null vector,
+witness orientation) and ``helpers.mp_dihedral_angle`` for normals and
+angles, a loop of ``np.linalg.det`` for the determinants, central
+differences for both Jacobians, and a per-face incidence loop for the
+convexity mask.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import capped_cube, finite_difference_jacobian, random_polyhedra, svd_plane_normal
+from helpers import (
+    capped_cube,
+    finite_difference_jacobian,
+    mp_dihedral_angle,
+    mp_plane_normal,
+    random_polyhedra,
+)
 from stokerlab import fixtures, lorentz
 from stokerlab.polyhedron import (
     FaceGeometry,
@@ -24,18 +31,17 @@ from stokerlab.repvar import link_representation
 from stokerlab.rigidity import angle_jacobian, constraint_jacobian
 
 EPS = np.finfo(float).eps
-REFERENCE_TOL = 1e-13    # normals and angles against the SVD route
+REFERENCE_TOL = 1e-13    # normals and angles against the mpmath route
 FD_TOL = 1e-6            # same bound as the fixture oracles
 
 examples = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 def reference_normals(poly):
+    """``mp_plane_normal`` of every face, witnessed by the vertex centroid."""
     witness = poly.positions.mean(axis=0)
-    return np.array([
-        svd_plane_normal(*poly.positions[list(f[:3])], witness)
-        for f in poly.combinatorics.faces
-    ])
+    return [mp_plane_normal(*poly.positions[list(f[:3])], witness)
+            for f in poly.combinatorics.faces]
 
 
 def det_reference(poly, index, convex):
@@ -63,11 +69,10 @@ def convexity_pairs_reference(comb):
 @examples
 @given(random_polyhedra(24))
 def test_normals_match_plane_through(poly):
-    ref = reference_normals(poly)
+    ref = np.array(reference_normals(poly), dtype=float)
     assert np.max(np.abs(FaceGeometry(poly).normals - ref)) <= REFERENCE_TOL
-    planes = np.array([plane.normal for plane in face_planes(poly)])
-    assert np.max(np.abs(planes - ref)) <= REFERENCE_TOL
-    through = np.array([lorentz.plane_through(*poly.positions[list(f[:3])]).normal
+    assert np.max(np.abs(face_planes(poly) - ref)) <= REFERENCE_TOL
+    through = np.array([lorentz.plane_through(*poly.positions[list(f[:3])])
                         for f in poly.combinatorics.faces])
     assert np.max(np.abs(through - ref)) <= REFERENCE_TOL
 
@@ -76,10 +81,8 @@ def test_normals_match_plane_through(poly):
 @given(random_polyhedra(24))
 def test_angles_match_minkowski_inner(poly):
     ref = reference_normals(poly)
-    expected = np.array([
-        np.pi - np.arccos(np.clip(lorentz.minkowski_inner(ref[fa], ref[fb]), -1.0, 1.0))
-        for fa, fb in map(poly.combinatorics.edge_faces, poly.combinatorics.edges)
-    ])
+    expected = np.array([mp_dihedral_angle(ref[fa], ref[fb])
+                         for fa, fb in poly.combinatorics.edge_face_pairs.tolist()])
     assert np.max(np.abs(dihedral_angles(poly) - expected)) <= REFERENCE_TOL
 
 

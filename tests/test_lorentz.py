@@ -102,11 +102,12 @@ class TestPlaneThrough:
     def test_coordinate_plane_oriented_by_point_order(self):
         # counterclockwise seen from above, so the normal points up
         pts = [np.array([0.2, 0.0, 0.0]), np.array([0.0, 0.3, 0.0]), np.array([-0.1, -0.2, 0.0])]
-        plane = lorentz.plane_through(*pts)
-        assert np.allclose(plane.normal, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
-        assert plane.side(np.array([0.0, 0.0, 0.5])) > 0
+        normal = lorentz.plane_through(*pts)
+        assert normal.shape == (4,)
+        assert np.allclose(normal, [0.0, 0.0, 1.0, 0.0], atol=1e-14)
+        assert lorentz.minkowski_inner(normal, lorentz.klein_lift(np.array([0.0, 0.0, 0.5]))) > 0
         flipped = lorentz.plane_through(pts[0], pts[2], pts[1])
-        assert np.array_equal(flipped.normal, -plane.normal)
+        assert np.array_equal(flipped, -normal)
 
     def test_collinear_points_rejected(self):
         pts = [np.array([0.1, 0.0, 0.0]), np.array([0.2, 0.0, 0.0]), np.array([0.3, 0.0, 0.0])]
@@ -119,16 +120,16 @@ class TestPlaneThrough:
         for _ in range(10):
             pts = [rng.uniform(-0.5, 0.5, 3) for _ in range(3)]
             try:
-                plane = lorentz.plane_through(*pts)
+                normal = lorentz.plane_through(*pts)
             except DegenerateFace:
                 continue
-            assert abs(lorentz.minkowski_inner(plane.normal, plane.normal) - 1.0) < 1e-12
+            assert abs(lorentz.minkowski_inner(normal, normal) - 1.0) < 1e-12
             for p in pts:
-                assert abs(lorentz.minkowski_inner(plane.normal, lorentz.klein_lift(p))) < 1e-12
+                assert abs(lorentz.minkowski_inner(normal, lorentz.klein_lift(p))) < 1e-12
             # seen from a point on the normal's side, p1 -> p2 -> p3 turns
             # counterclockwise: the triple product with that point is positive
             probe = rng.uniform(-0.5, 0.5, 3)
-            side = plane.side(probe)
+            side = lorentz.minkowski_inner(normal, lorentz.klein_lift(probe))
             if abs(side) > 1e-9:
                 u, w, x = pts[1] - pts[0], pts[2] - pts[0], probe - pts[0]
                 assert np.sign(np.linalg.det(np.column_stack([u, w, x]))) == np.sign(side)
@@ -137,7 +138,7 @@ class TestPlaneThrough:
 
 
 class TestReflect:
-    def _random_plane(self, rng):
+    def _random_normal(self, rng):
         while True:
             pts = [rng.uniform(-0.5, 0.5, 3) for _ in range(3)]
             try:
@@ -146,19 +147,17 @@ class TestReflect:
                 continue
 
     def test_coordinate_plane(self):
-        plane = lorentz.Plane([0.0, 0.0, 1.0, 0.0])
-        assert np.allclose(lorentz.reflect(plane), np.diag([1.0, 1.0, -1.0, 1.0]))
+        assert np.allclose(lorentz.reflect([0.0, 0.0, 1.0, 0.0]), np.diag([1.0, 1.0, -1.0, 1.0]))
 
     def test_involution(self):
         rng = np.random.default_rng(6)
-        plane = self._random_plane(rng)
-        r = lorentz.reflect(plane)
+        r = lorentz.reflect(self._random_normal(rng))
         assert np.max(np.abs(r @ r - np.eye(4))) < 1e-13
 
     def test_preserves_form(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            r = lorentz.reflect(self._random_plane(rng))
+            r = lorentz.reflect(self._random_normal(rng))
             assert lorentz.isometry_defect(r) < 1e-12
 
 
@@ -205,7 +204,7 @@ class TestSl2cLift:
         for _ in range(10):
             a, b, c, d = rng.uniform(-0.4, 0.4, (4, 3))
             first, second = lorentz.plane_through(a, b, c), lorentz.plane_through(a, b, d)
-            t = np.arccos(abs(lorentz.minkowski_inner(first.normal, second.normal)))
+            t = np.arccos(abs(lorentz.minkowski_inner(first, second)))
             s = lorentz.sl2c_lift(lorentz.reflect(first) @ lorentz.reflect(second))
             assert abs(np.trace(s)) == pytest.approx(2.0 * np.cos(t), abs=1e-10)
 
@@ -388,8 +387,7 @@ class TestStackedPrimitives:
             assert np.array_equal(lorentz.pure_boost(lifts)[k], lorentz.pure_boost(lifts[k]))
             assert np.array_equal(lorentz.translation_to_origin(points)[k],
                                   lorentz.translation_to_origin(p))
-            assert np.array_equal(lorentz.reflect(lorentz.Plane(normals))[k],
-                                  lorentz.reflect(lorentz.Plane(normals[k])))
+            assert np.array_equal(lorentz.reflect(normals)[k], lorentz.reflect(normals[k]))
 
     def test_stack_boundary_rejected(self):
         with pytest.raises(BallBoundary):

@@ -280,6 +280,22 @@ class TestMeridianHolonomy:
             lift = lorentz.klein_lift(poly.positions[v])
             assert np.max(np.abs(iso @ lift - lift)) < 1e-11
 
+    def test_either_orientation_reads_the_edge_face_pairs(self):
+        poly = fixtures.cube(0.3)
+        holonomy = polyhedron_holonomy(poly)
+        for k, (a, b) in enumerate(poly.combinatorics.edges):
+            for edge in ((a, b), (b, a)):
+                iso, lift = meridian_holonomy(poly, edge)
+                assert np.array_equal(iso, holonomy.meridians_so31[k])
+                assert np.array_equal(lift, holonomy.meridians[k])
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 6), "0->6"), ((6, 0), "0->6"), ((2, 2), "2->2"), ((1, 99), "1->99"), ((-1, 3), "-1->3"),
+    ])
+    def test_non_edge_rejected(self, edge, message):
+        with pytest.raises(InvalidCombinatorics, match=f"^no face contains directed edge {message}$"):
+            meridian_holonomy(fixtures.cube(0.3), edge)
+
 
 class TestLinkRepresentation:
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
