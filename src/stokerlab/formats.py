@@ -113,6 +113,18 @@ def _load_json(path):
                          line=exc.lineno, column=exc.colno) from exc
 
 
+def _finite_array(rows, path, what):
+    """The float array of type-checked JSON numbers ``rows``; an entry that
+    is not finite raises ``ParseError`` "``what`` must be finite"."""
+    try:
+        arr = np.array(rows, dtype=float)
+    except OverflowError:       # an integer beyond the float range
+        raise ParseError(f"{path}: {what} must be finite") from None
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{path}: {what} must be finite")
+    return arr
+
+
 def load_polyhedron(path) -> EmbeddedPolyhedron:
     data = _load_json(path)
     if not (isinstance(data, dict) and "vertices" in data and isinstance(data.get("faces"), list)):
@@ -124,12 +136,7 @@ def load_polyhedron(path) -> EmbeddedPolyhedron:
         if not (type(row) is list and len(row) == 3 and _NUMBER_TYPES.issuperset(map(type, row))):
             raise ParseError(f"{path}: vertices must be a list of [x, y, z] rows of numbers; "
                              f"vertex {k} is {json.dumps(row)}")
-    try:
-        vertices = np.array(rows, dtype=float).reshape(-1, 3)
-    except OverflowError:       # an integer beyond the float range
-        raise ParseError(f"{path}: vertex coordinates must be finite") from None
-    if not np.all(np.isfinite(vertices)):
-        raise ParseError(f"{path}: vertex coordinates must be finite")
+    vertices = _finite_array(rows, path, "vertex coordinates").reshape(-1, 3)
     for k, face in enumerate(data["faces"]):
         # bool subclasses int, so index types are compared exactly
         if not (isinstance(face, list) and _INDEX_TYPES.issuperset(map(type, face))):
@@ -160,12 +167,7 @@ def load_angles(path, edge_count=None):
         k = next(k for k, a in enumerate(data) if type(a) not in _NUMBER_TYPES)
         raise ParseError(f"{path}: angles must be a flat list of numbers; "
                          f"entry {k} is {json.dumps(data[k])}")
-    try:
-        angles = np.array(data, dtype=float)
-    except OverflowError:       # an integer beyond the float range
-        raise ParseError(f"{path}: angles must be finite") from None
-    if not np.all(np.isfinite(angles)):
-        raise ParseError(f"{path}: angles must be finite")
+    angles = _finite_array(data, path, "angles")
     if edge_count is not None and angles.size != edge_count:
         raise ParseError(f"{path}: expected {edge_count} angles, found {angles.size}")
     return angles
@@ -250,12 +252,7 @@ def load_matrices(path) -> Representation:
                 and all(type(z) is list and len(z) == 2 and _NUMBER_TYPES.issuperset(map(type, z))
                         for row in m for z in row)):
             raise ParseError(f"{path}: {shape}; matrix {k} is {json.dumps(m)}")
-    try:
-        arr = np.array(mats, dtype=float).reshape(-1, 2, 2, 2)
-    except OverflowError:       # an integer beyond the float range
-        raise ParseError(f"{path}: matrix entries must be finite") from None
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{path}: matrix entries must be finite")
+    arr = _finite_array(mats, path, "matrix entries").reshape(-1, 2, 2, 2)
     return Representation(arr[..., 0] + 1j * arr[..., 1])
 
 

@@ -239,8 +239,7 @@ class TestRigidityReport:
     def test_loose_rank_cut_keeps_rank_and_kernel_consistent(self, name, dims):
         """Near-flat fixtures with every threshold scaled by 1e5 lose angle
         rank.  The one SVD gives both the rank and the kernel, so they add up
-        to the tangent dimension; the pivoted-QR kernel of the same matrix
-        has width 6, so a values-only SVD beside it would not add up."""
+        to the tangent dimension."""
         poly = fixtures.STANDARD[name](0.02)
         tol = DEFAULT.scaled(1e5)
         report = rigidity_report(poly, tol)
@@ -250,8 +249,6 @@ class TestRigidityReport:
         assert report.angle_rank + report.kernel_dim == report.tangent_dim
         assert f"angle rank {report.angle_rank} != |E| = {e}" in report.notes
         assert f"kernel dimension {report.kernel_dim} != 6" in report.notes
-        restricted = angle_jacobian(poly, tol) @ tangent_space(poly, tol)
-        assert nullspace(restricted, tol.rank_svd).shape[1] == 6
 
     def test_coplanar_input_not_certified(self):
         poly = fixtures.cube(0.3)
