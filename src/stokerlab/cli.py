@@ -16,7 +16,7 @@ that compute on a polyhedron judge it with ``validate_combinatorics`` and
 fails is invalid input for every one of them, reported with its first
 issue.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
 tolerance (default 1); randomness enters only through the explicit
-``--seed`` flag (NumPy PCG64).
+``--seed`` flag (NumPy PCG64).  Numbers are ASCII decimal literals.
 """
 
 import argparse
@@ -47,7 +47,7 @@ EXIT_BALL_EXIT = 5
 def _tolerances():
     raw = os.environ.get("STOKERLAB_TOL_SCALE", "1")
     try:
-        factor = float(raw)
+        factor = formats.parse_float(raw)
         return DEFAULT.scaled(factor), factor
     except ValueError:
         raise ParseError(f"STOKERLAB_TOL_SCALE={raw!r} is not a finite positive number")
@@ -332,10 +332,10 @@ def build_parser():
     p.add_argument("path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="JSON file with the target angles")
-    group.add_argument("--perturb", type=float,
+    group.add_argument("--perturb",
                        help="uniform perturbation amplitude applied to current angles")
-    p.add_argument("--seed", type=int, default=0, help="seed for --perturb")
-    p.add_argument("--steps", type=int, default=1, help="continuation waypoints")
+    p.add_argument("--seed", default="0", help="seed for --perturb")
+    p.add_argument("--steps", default="1", help="continuation waypoints")
     p.add_argument("--out", help="write the final polyhedron JSON here")
 
     p = sub.add_parser("holonomy", help="meridian traces, vertex relations, link checks")
@@ -366,9 +366,15 @@ def main(argv=None):
     try:
         tol, factor = _tolerances()
         config = {"tol_scale": factor}
-        for key in ("seed", "perturb", "steps", "unitary"):
-            if hasattr(args, key) and getattr(args, key) is not None:
-                config[key] = getattr(args, key)
+        # numbers are read here, not by argparse, so a bad one gets a report
+        for key, read in (("seed", formats.parse_int), ("perturb", formats.parse_float),
+                          ("steps", formats.parse_int), ("unitary", bool)):
+            if getattr(args, key, None) is not None:
+                try:
+                    config[key] = read(getattr(args, key))
+                except ValueError as exc:
+                    raise ParseError(f"--{key}: {exc}") from None
+        vars(args).update(config)
         report = {"command": args.command, "inputs": [], "config": config,
                   "results": {}, "verdicts": []}
         code = _COMMANDS[args.command](report, args, tol)

@@ -45,10 +45,11 @@ def _float_text(x):
     return f'"{text}"' if "n" in text else text     # strict JSON has no nan or inf
 
 
-_SCALARS = (bool, int, float, np.integer, np.floating)
+_SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 _NUMBER_TYPES = {int, float}       # JSON numbers; bool subclasses int and is excluded
 _INDEX_TYPES = {int}
 _DECIMAL = re.compile(r"[+-]?[0-9]+")      # [0-9], not \d, which takes any Unicode digit
+_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def to_json(obj, indent=0):
@@ -84,7 +85,7 @@ def _emit(obj, pad):
         inner = pad + "  "
         return "[\n" + ",\n".join([inner + _emit(v, inner) for v in obj]) + "\n" + pad + "]"
     # numpy scalars, None and everything else
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -184,6 +185,13 @@ def parse_int(text):
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+def parse_float(text):
+    """``parse_int`` for a decimal literal such as ``-1e-4``, ``2.`` or ``.5``."""
+    if not _DECIMAL_FLOAT.fullmatch(text):
+        raise ValueError(f"invalid number {text!r}")
+    return float(text)
 
 
 def load_presentation(path):

@@ -4,11 +4,11 @@ A combinatorial type is a closed face-vertex incidence structure, held as
 one half-edge table (``CombinatorialType``): every face slot is a directed
 edge with its successor in the face and its twin, the slot running the
 other way, found by one sort of the directed keys.  Vertex stars are the
-cycles of sigma = next o twin, walked for all vertices at once, and every
-index array below is read from that table.  An embedding supplies Klein
-coordinates for every vertex.  Because Klein planes are Euclidean planes,
-planarity and convexity of an embedding are expressed by 3x3 determinants
-in the vertex coordinates:
+cycles of sigma = next o twin, walked for all vertices at once; every index
+array below is read from that table, and where an invalid type lacks one it
+raises the issues of ``validate_combinatorics``.  An embedding supplies
+Klein coordinates for every vertex.  Klein planes are Euclidean planes, so
+planarity and convexity of an embedding are conditions on 3x3 determinants:
 
 * planarity: for each face, every vertex beyond the first three anchors is
   coplanar with them (determinant zero);
@@ -66,8 +66,8 @@ class CombinatorialType:
     end, which ``vertex_star`` slices), ``edge_graph`` (adjacency and
     breadth-first tree), and the index arrays of ``FaceGeometry``:
     ``face_anchors``, ``edge_face_pairs``, ``planarity_pairs`` and
-    ``convexity_mask``.  Use :func:`validate_combinatorics` for a full
-    diagnostic.
+    ``convexity_mask``.  Where an invalid type lacks one, it raises
+    ``InvalidCombinatorics`` with the issues of :func:`validate_combinatorics`.
     """
 
     def __init__(self, vertex_count, faces):
@@ -112,6 +112,10 @@ class CombinatorialType:
         slots[self._key[slots] != keys] = -1
         return slots
 
+    def _invalid(self):
+        """The error of an invalid type: its issues, joined by "; "."""
+        return InvalidCombinatorics("; ".join(validate_combinatorics(self).issues))
+
     @property
     def edge_count(self):
         return len(self._edge_keys)
@@ -142,8 +146,8 @@ class CombinatorialType:
         Edges are returned as sorted index pairs and faces as face indices;
         the star crosses edges using the stored face orientations, so the
         two stars at the ends of an edge traverse its faces in opposite
-        order.  It is a slice of ``star_slots`` and raises as that does.
-        """
+        order.  It is a slice of ``star_slots`` and raises the joined issues
+        as that does; a v outside 0..n-1 belongs to no face."""
         if not 0 <= v < self.vertex_count:
             raise InvalidCombinatorics(f"vertex {v} belongs to no face")
         offsets, _, edges, pairs = self.star_slots
@@ -155,27 +159,22 @@ class CombinatorialType:
 
     @cached_property
     def _star_cycles(self):
-        """The sigma cycles of all vertices: (offsets, owners, slots, problems).
+        """The sigma cycles of all vertices, (offsets, owners, slots,
+        unclosed), or None for no faces or an index outside 0..n-1.
 
         ``slots`` lays the cycles end to end, vertex v in entries
         ``offsets[v]:offsets[v + 1]`` (``owners`` holds v there): entry k
         of v is sigma^(k-1) of v's slot in its lowest face, so entry 0 is
-        sigma^-1 of it.  ``problems`` holds, in vertex order, the
-        ``InvalidCombinatorics`` message of every vertex whose cycle does
-        not close after exactly its valence steps.  Raises for an index
-        outside 0..n-1.
+        sigma^-1 of it.  ``unclosed`` lists, in order, every vertex (one in
+        no face too) whose cycle does not close after its valence steps.
         """
         n, tail, count = self.vertex_count, self._tail, len(self._tail)
-        if self._labels is not None and count:
-            slot = int(np.flatnonzero((tail < 0) | (tail >= n))[0])
-            raise InvalidCombinatorics(f"face {self._face[slot]} references vertex "
-                                       f"{tail[slot]} outside 0..{n - 1}")
+        if self._labels is not None:
+            return None
         valence = np.bincount(tail, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.intp)
         valence.cumsum(out=offsets[1:])
         owners = np.arange(n).repeat(valence)
-        if not count:
-            return offsets, owners, tail, [f"vertex {v} belongs to no face" for v in range(n)]
         # a vertex of valence 0 gets some other slot here; it never closes
         start = tail.argsort(kind="stable").take(offsets[:-1], mode="clip")
         sigma = np.where(self._twin >= 0, self._next[self._twin], count)
@@ -192,21 +191,11 @@ class CombinatorialType:
         returned = walk[valence, np.arange(n)] == start
         if np.count_nonzero(valence) == n == np.count_nonzero(returned) \
                 and np.count_nonzero(np.bincount(slots, minlength=count + 1)[:count]) == count:
-            return offsets, owners, slots, []
+            return offsets, owners, slots, np.empty(0, dtype=np.intp)
         hit = walk[1:] == start
         hit |= walk[1:] == count
         first = hit.argmax(axis=0) + 1      # the step that returned or found no twin
-        problems = []
-        for v in ((first != valence) | ~returned).nonzero()[0].tolist():
-            d, j = valence[v], first[v]
-            if not d:
-                problems.append(f"vertex {v} belongs to no face")
-            elif j <= d and walk[j, v] == count:
-                b = tail[self._next[walk[j - 1, v]]]
-                problems.append(f"no face contains directed edge {b}->{v}")
-            else:
-                problems.append(f"vertex {v} has a disconnected or pinched star")
-        return offsets, owners, slots, problems
+        return offsets, owners, slots, ((first != valence) | ~returned).nonzero()[0]
 
     @cached_property
     def star_slots(self):
@@ -214,15 +203,12 @@ class CombinatorialType:
         (v owns slots ``offsets[v]:offsets[v + 1]``), then per slot its
         owner vertex, edge index and (face before, face after).  Slot k of
         v is the half-edge sigma^(k-1) of v's slot in its lowest face.
-        Raises ``InvalidCombinatorics`` for the first vertex whose star
-        does not close, then for the first valence below 3."""
-        offsets, owners, slots, problems = self._star_cycles
-        if problems:
-            raise InvalidCombinatorics(problems[0])
-        valence = np.diff(offsets)
-        low = (valence < 3).nonzero()[0]
-        if len(low):
-            raise InvalidCombinatorics(f"vertex {low[0]} has valence {valence[low[0]]} < 3")
+        A star that does not close or a valence below 3 raises the joined
+        issues."""
+        cycles = self._star_cycles
+        if cycles is None or len(cycles[3]) or np.count_nonzero(np.diff(cycles[0]) < 3):
+            raise self._invalid()
+        offsets, owners, slots, _ = cycles
         pairs = np.empty((len(slots), 2), dtype=np.intp)
         pairs[:, 0] = self._face[slots]
         pairs[:, 1] = self._face[self._twin[slots]]
@@ -256,22 +242,21 @@ class CombinatorialType:
 
     @cached_property
     def face_anchors(self):
-        """(F, 3) first three stored vertices of every face."""
+        """(F, 3) first three stored vertices of every face; a face of
+        fewer raises the joined issues."""
         if np.count_nonzero(self._sizes < 3):
-            raise InvalidCombinatorics("a face has fewer than 3 vertices")
+            raise self._invalid()
         return self._tail[self._starts[:, None] + _ANCHOR_OFFSETS]
 
     @cached_property
     def edge_face_pairs(self):
         """(E, 2) faces of every edge (a, b) in edge order: the first face
-        containing a -> b, then the first containing b -> a."""
+        containing a -> b, then the first containing b -> a.  An edge with
+        a direction in no face raises the joined issues."""
         forward = self._first_slots(self._edge_keys)
         backward = self._twin[forward]
-        missing = (forward < 0) | (backward < 0)
-        if np.count_nonzero(missing):
-            e = int(missing.argmax())
-            a, b = self._edge_ends[e] if forward[e] < 0 else self._edge_ends[e, ::-1]
-            raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
+        if np.count_nonzero((forward < 0) | (backward < 0)):
+            raise self._invalid()
         pairs = np.empty((len(forward), 2), dtype=np.intp)
         pairs[:, 0] = self._face[forward]
         pairs[:, 1] = self._face[backward]
@@ -386,7 +371,7 @@ def validate_combinatorics(comb: CombinatorialType) -> CombinatoricsReport:
     if n and not issues:
         if not graph.connected:
             issues.append("edge graph is not connected")
-        issues += comb._star_cycles[3]
+        issues += [f"vertex {v} has a disconnected or pinched star" for v in comb._star_cycles[3]]
     return CombinatoricsReport(n, comb.edge_count, comb.face_count, euler, issues)
 
 
@@ -534,13 +519,13 @@ def embed_euclidean(comb: CombinatorialType, euclidean_positions, scale=1.0,
 
     Klein planes are Euclidean planes, so planarity and convexity of the
     scaled coordinates transfer verbatim to the hyperbolic polyhedron.
-    Raises the error of the first ``validate_embedding`` check that fails:
+    An invalid type raises its joined issues (``InvalidCombinatorics``), a
+    valid one the error of the first failing ``validate_embedding`` check,
     ``BallBoundary``, ``PlanarityViolation`` or ``ConvexityViolation``, with
-    its issue as the message.
+    its issue.
     """
-    report = validate_combinatorics(comb)
-    if not report.valid:
-        raise InvalidCombinatorics("; ".join(report.issues))
+    if not validate_combinatorics(comb).valid:
+        raise comb._invalid()
     poly = EmbeddedPolyhedron(comb, scale * np.asarray(euclidean_positions, dtype=float))
     emb = validate_embedding(poly, tol)
     if not emb.valid:

@@ -388,12 +388,13 @@ def to_json_reference(obj, indent=0):
         seq = list(obj)
         if not seq:
             return "[]"
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
+        scalars = (bool, np.bool_, int, float, np.integer, np.floating)
+        flat = all(isinstance(v, scalars) for v in seq)
         if flat and len(seq) <= 16:
             return "[" + ", ".join(to_json_reference(v) for v in seq) + "]"
         items = [f"{inner}{to_json_reference(v, indent + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -428,16 +429,6 @@ class WalkedCombinatorics:
         self.edge_count = len(self.edges)
         self.face_count = len(self.faces)
 
-    def face_of_directed(self, a, b):
-        try:
-            return self.directed[(a, b)]
-        except KeyError:
-            raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}") from None
-
-    def edge_faces(self, edge):
-        a, b = edge
-        return self.face_of_directed(a, b), self.face_of_directed(b, a)
-
     def vertex_faces(self):
         """Faces containing each vertex, in increasing face order."""
         incident = {}
@@ -449,9 +440,7 @@ class WalkedCombinatorics:
     def vertex_star(self, v):
         """Cyclic star at v, walked face to face from its lowest face:
         (edges, faces) with edge k between faces k-1 and k."""
-        incident = self.vertex_faces().get(v, ())
-        if not incident:
-            raise InvalidCombinatorics(f"vertex {v} belongs to no face")
+        incident = self.vertex_faces()[v]
         start = min(incident)
         faces = [start]
         edges = []
@@ -460,7 +449,7 @@ class WalkedCombinatorics:
             f = self.faces[current]
             b = f[(f.index(v) + 1) % len(f)]
             edges.append((min(v, b), max(v, b)))
-            current = self.face_of_directed(b, v)
+            current = self.directed[(b, v)]
             if current == start:
                 break
             faces.append(current)
@@ -472,9 +461,6 @@ class WalkedCombinatorics:
     def star_slots(self):
         stars = [self.vertex_star(v) for v in range(self.vertex_count)]
         sizes = [len(edges) for edges, _ in stars]
-        for v, d in enumerate(sizes):
-            if d < 3:
-                raise InvalidCombinatorics(f"vertex {v} has valence {d} < 3")
         edges = [self.edge_index[e] for star_edges, _ in stars for e in star_edges]
         pairs = [(faces[k - 1], faces[k]) for _, faces in stars for k in range(len(faces))]
         return (np.cumsum([0] + sizes, dtype=np.intp), np.repeat(np.arange(len(sizes)), sizes),
@@ -501,7 +487,8 @@ class WalkedCombinatorics:
         return np.array([f[:3] for f in self.faces], dtype=np.intp).reshape(-1, 3)
 
     def edge_face_pairs(self):
-        return np.array([self.edge_faces(e) for e in self.edges], dtype=np.intp).reshape(-1, 2)
+        return np.array([(self.directed[(a, b)], self.directed[(b, a)]) for a, b in self.edges],
+                        dtype=np.intp).reshape(-1, 2)
 
     def planarity_pairs(self):
         return np.array([(fi, v) for fi, f in enumerate(self.faces) for v in f[3:]],

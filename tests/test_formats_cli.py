@@ -203,7 +203,8 @@ EDGE_FLOATS = [-0.0, 0.0, 1.0, float("nan"), float("inf"), -float("inf"), 1e16, 
                -1e16, 5e-324, 2.2250738585072014e-308 / 3, 0.1]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
 SCALARS = st.one_of(st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
-                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                    st.booleans().map(np.bool_))
 LEAVES = st.one_of(SCALARS, st.none(), st.text())
 
 
@@ -231,6 +232,10 @@ class TestSerializerOracle:
     ], ids=lambda v: repr(v)[:40])
     def test_edge_cases_equal_reference(self, value):
         assert formats.to_json(value) == to_json_reference(value)
+
+    def test_numpy_booleans_are_json_booleans(self):
+        assert formats.to_json(np.bool_(True)) == "true"
+        assert formats.to_json([np.bool_(False), 1.0]) == "[false, 1.0]"
 
     def test_sixteen_numbers_share_a_line(self):
         assert formats.to_json([1] * 16) == "[" + ", ".join(["1"] * 16) + "]"
@@ -584,8 +589,18 @@ class TestCliDeform:
         (["--target", "{tmp}"], "cannot read {tmp}"),
         (["--perturb", "1e-4", "--out", "{tmp}/missing/out.json"],
          "cannot write {tmp}/missing/out.json"),
+        (["--perturb", "1e-4", "--seed", "1_0"], "--seed: invalid integer '1_0'"),
+        (["--perturb", "1e-4", "--seed", "\u0661"], "--seed: invalid integer"),
+        (["--perturb", "1e-4", "--seed", "1.0"], "--seed: invalid integer '1.0'"),
+        (["--perturb", "1e-4", "--steps", "\uff12"], "--steps: invalid integer"),
+        (["--perturb", "1_0e-4"], "--perturb: invalid number '1_0e-4'"),
+        (["--perturb", " 1e-4"], "--perturb: invalid number ' 1e-4'"),
+        (["--perturb", "nan"], "--perturb: invalid number 'nan'"),
+        (["--perturb", "-inf"], "--perturb: invalid number '-inf'"),
     ], ids=["zero_steps", "negative_seed", "missing_target", "directory_target",
-            "unwritable_out"])
+            "unwritable_out", "underscore_seed", "arabic_indic_seed", "fractional_seed",
+            "fullwidth_steps", "underscore_perturb", "spaced_perturb", "nan_perturb",
+            "infinite_perturb"])
     def test_bad_option_or_file_is_bad_input(self, options, message, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
         options = [o.format(tmp=tmp_path) for o in options]
@@ -824,3 +839,26 @@ class TestDeterminism:
         assert "STOKERLAB_TOL_SCALE" in report["message"]
         with pytest.raises(ValueError):
             DEFAULT.scaled(float(raw))
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0661", " 1"])
+    def test_tol_scale_not_an_ascii_literal_is_bad_input(self, tmp_path, capsys, monkeypatch,
+                                                         raw):
+        monkeypatch.setenv("STOKERLAB_TOL_SCALE", raw)
+        path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
+        code = cli.main(["validate", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "ParseError"
+        assert report["message"] == f"STOKERLAB_TOL_SCALE={raw!r} is not a finite positive number"
+
+    @pytest.mark.parametrize("raw, factor", [("1e5", 1e5), ("2.", 2.0), (".5", 0.5),
+                                             ("+3E-1", 0.3)])
+    def test_tol_scale_ascii_literals_are_read(self, tmp_path, capsys, monkeypatch, raw,
+                                               factor):
+        monkeypatch.setenv("STOKERLAB_TOL_SCALE", raw)
+        path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
+        code, out = run_cli(capsys, ["validate", path])
+        assert code == 0
+        assert json.loads(out)["config"]["tol_scale"] == factor

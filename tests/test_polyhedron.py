@@ -144,8 +144,9 @@ class TestCombinatorics:
 
     def test_vertex_faces_match_a_scan(self):
         """The faces of a vertex's star, sorted, are those a scan of every
-        face finds, and the star starts at the lowest; a vertex no face
-        lists, in range or not, has no star."""
+        face finds, and the star starts at the lowest.  A vertex outside
+        0..n-1 belongs to no face; a vertex in range that no face lists
+        makes the type invalid, and its star raises the joined issues."""
         for build in fixtures.STANDARD.values():
             comb = build().combinatorics
             for v in range(comb.vertex_count):
@@ -153,8 +154,12 @@ class TestCombinatorics:
                 assert sorted(faces) == [fi for fi, f in enumerate(comb.faces) if v in f]
                 assert faces[0] == min(faces)
         comb = CombinatorialType(5, fixtures.tetrahedron().combinatorics.faces)
-        for v in (-1, 4, 9):
-            with pytest.raises(InvalidCombinatorics, match=f"vertex {v} belongs to no face"):
+        for v in (-1, 5, 9):
+            with pytest.raises(InvalidCombinatorics, match=f"^vertex {v} belongs to no face$"):
+                comb.vertex_star(v)
+        for v in range(5):
+            with pytest.raises(InvalidCombinatorics, match="^Euler characteristic 3 != 2; "
+                                                           "vertex 4 has valence 0 < 3$"):
                 comb.vertex_star(v)
 
     @staticmethod
@@ -186,7 +191,9 @@ class TestCombinatorics:
 
     def test_star_slots_reject_valence_below_three(self):
         comb = CombinatorialType(3, [[0, 1, 2], [0, 2, 1]])
-        with pytest.raises(InvalidCombinatorics, match="vertex 0 has valence 2 < 3"):
+        with pytest.raises(InvalidCombinatorics, match="^vertex 0 has valence 2 < 3; "
+                                                       "vertex 1 has valence 2 < 3; "
+                                                       "vertex 2 has valence 2 < 3$"):
             comb.star_slots
 
     def test_residual_count_identity(self):
