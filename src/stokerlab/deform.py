@@ -4,11 +4,12 @@ The solver runs Gauss-Newton on the stacked residual
 
     [planarity determinants; dihedral angles - target]
 
-over all vertex coordinates.  Each step is the minimum-norm least-squares
-solution, which never moves along the 6-dimensional isometry kernel of the
-Jacobian; the remaining gauge freedom is removed afterwards by a canonical
-frame (vertex 0 at the origin, vertex 1 on the positive x-axis, vertex 2 in
-the upper half of the xy-plane).
+over all vertex coordinates, its Jacobian J scattered once per iterate
+(``FaceGeometry.jacobian``).  Each step is the minimum-norm least-squares
+solution, which never moves along the 6-dimensional isometry kernel of J;
+the remaining gauge freedom is removed afterwards by a canonical frame
+(vertex 0 at the origin, vertex 1 on the positive x-axis, vertex 2 in the
+upper half of the xy-plane).
 
 At a convex embedding the stacked Jacobian J has full row rank 3|V| - 6 (the
 angles locally parameterize the polyhedron), so each step solves an
@@ -158,7 +159,8 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             raise NoConvergence(
                 f"residual {history[-1]:.3e} after {iterations} iterations"
             )
-        jac = np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()])
+        # Held until the next J exists; freed after the step, its heap pages re-fault.
+        jac = geom.jacobian()
         step = _gauss_newton_step(jac, -residual, tol)
         damping = 1.0
         while damping * np.max(np.abs(step)) > opts.trust_radius:

@@ -106,19 +106,18 @@ def hyperbolic_distance(p, q, tol: Tolerances = DEFAULT):
     return float(2.0 * np.arcsinh(0.5 * np.sqrt(h)))
 
 
-def _unit_normals(anchors, tol: Tolerances):
+def _unit_normals(anchors, cross, tol: Tolerances):
     """Unit Minkowski normals of planes through point triples, and the norms
     they were scaled by: the library's one plane construction.
 
-    ``anchors`` (k, 3, 3) holds triples p1, p2, p3.  With
-    a = (p2 - p1) x (p3 - p1) the plane is a . x = b for b = a . p1, so
-    n = (a, b) is Minkowski-orthogonal to every (x, 1) on it and points to
-    the side from which p1 -> p2 -> p3 runs counterclockwise.  Raises
-    ``BallBoundary`` for a point outside the ball and ``DegenerateFace`` when
-    the triple's (p, 1) span less than ``tol.rank_rel`` of their Hadamard
-    bound or n is not spacelike.
+    ``anchors`` (k, 3, 3) holds triples p1, p2, p3 and ``cross`` (k, 3) their
+    a = (p2 - p1) x (p3 - p1), which the face kernel already holds.  The
+    plane is a . x = b for b = a . p1, so n = (a, b) is Minkowski-orthogonal
+    to every (x, 1) on it and points to the side from which p1 -> p2 -> p3
+    runs counterclockwise.  Raises ``BallBoundary`` for a point outside the
+    ball and ``DegenerateFace`` when the triple's (p, 1) span less than
+    ``tol.rank_rel`` of their Hadamard bound or n is not spacelike.
     """
-    cross = _cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
     radii2 = _dot3(anchors, anchors)
     _require_in_ball(radii2, tol)
     b = _dot3(cross, anchors[:, 0])
@@ -143,7 +142,8 @@ def plane_through(p1, p2, p3, tol: Tolerances = DEFAULT):
     ``_unit_normals`` does.
     """
     anchors = np.array([p1, p2, p3], dtype=float)[None]
-    return _unit_normals(anchors, tol)[0][0]
+    cross = _cross(anchors[:, 1] - anchors[:, 0], anchors[:, 2] - anchors[:, 0])
+    return _unit_normals(anchors, cross, tol)[0][0]
 
 
 def reflect(n):

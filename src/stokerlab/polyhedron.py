@@ -65,9 +65,10 @@ class CombinatorialType:
     table and cached on first use: ``star_slots`` (the stars laid end to
     end, which ``vertex_star`` slices), ``edge_graph`` (adjacency and
     breadth-first tree), and the index arrays of ``FaceGeometry``:
-    ``face_anchors``, ``edge_face_pairs``, ``planarity_pairs`` and
-    ``convexity_mask``.  Where an invalid type lacks one, it raises
-    ``InvalidCombinatorics`` with the issues of :func:`validate_combinatorics`.
+    ``face_anchors``, ``edge_face_pairs``, ``planarity_pairs``,
+    ``convexity_mask`` and the stacked Jacobian's cells ``jacobian_cells``.
+    Where an invalid type lacks one, it raises ``InvalidCombinatorics``
+    with the issues of :func:`validate_combinatorics`.
     """
 
     def __init__(self, vertex_count, faces):
@@ -278,8 +279,23 @@ class CombinatorialType:
         mask[self._face, self._tail] = False
         return mask
 
+    @cached_property
+    def jacobian_cells(self):
+        """Flat indices of every gradient entry in the stacked (P + E) x 3V
+        Jacobian [constraint; angle]: row p holds the anchors of
+        ``planarity_pairs`` row p's face, then its vertex; row P + e the
+        anchors of edge e's two faces; three columns per vertex, summed
+        where a row repeats one.  An invalid type raises the joined issues."""
+        anchors, planar, n = self.face_anchors, self.planarity_pairs, self.vertex_count
+        rows = np.arange(len(planar) + self.edge_count)[:, None] * n
+        planar_rows = np.column_stack([anchors[planar[:, 0]], planar[:, 1]]) + rows[:len(planar)]
+        edge_rows = anchors[self.edge_face_pairs].reshape(-1, 6) + rows[len(planar):]
+        cells = 3 * np.concatenate([planar_rows.ravel(), edge_rows.ravel()])
+        return (cells[:, None] + _ANCHOR_OFFSETS).ravel()
+
 
 _ANCHOR_OFFSETS = np.arange(3)
+_TURNS = np.array([[1, 2, 0], [2, 0, 1]])      # anchors i + 1, i + 2 (mod 3) of anchor i
 
 
 @dataclass(frozen=True)
@@ -386,35 +402,17 @@ class EmbeddedPolyhedron:
         return EmbeddedPolyhedron(self.combinatorics, positions)
 
 
-def _scatter(vertex_count, vertices, blocks):
-    """Dense rows from per-vertex gradient blocks.
-
-    ``vertices`` (R, k) and ``blocks`` (R, k, 3) give, for row r, the
-    gradient block of each of its k vertices; blocks of a vertex repeated in
-    a row are summed.  Returns the (R, 3 * vertex_count) matrix.
-    """
-    rows = vertices.shape[0]
-    width = 3 * vertex_count
-    cols = 3 * vertices[..., None] + np.arange(3)
-    flat = (np.arange(rows)[:, None, None] * width + cols).ravel()
-    return np.bincount(flat, weights=blocks.ravel(), minlength=rows * width).reshape(rows, width)
-
-
-def angles_between(normals_a, normals_b):
-    """Interior dihedral angles pi - arccos(<n, n'>) for rows of away-from-
-    interior unit normals of the two faces at each edge."""
-    return np.pi - np.arccos(np.clip(lorentz.minkowski_inner(normals_a, normals_b), -1.0, 1.0))
-
-
 class FaceGeometry:
     """All face-plane quantities of one embedding, evaluated in batches.
 
-    Built once per vertex configuration and driven by the index arrays
-    cached on the combinatorial type.  Planarity and convexity are the
-    anchored determinants (u x w) . (x - p1) with u, w the anchor edges;
-    normals, angles and both Jacobians are closed-form (see
-    ``lorentz._unit_normals`` and ``angle_jacobian``).  Normals are computed
-    on first use, so the determinants never raise.
+    Built once per vertex configuration (one Gauss-Newton iterate) from the
+    index arrays cached on the combinatorial type; each quantity is computed
+    once.  Planarity and convexity are the determinants (u x w) . (x - p1),
+    u, w the anchor edges; they read no normals, so they never raise.  The
+    normals (from the same u x w), each edge's two normals and their inner
+    product are cached on first use for ``angles`` and the angle Jacobian.
+    ``jacobian`` scatters all closed-form blocks at once; the other two
+    Jacobians are its row ranges.
     """
 
     def __init__(self, poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -438,7 +436,7 @@ class FaceGeometry:
 
     @cached_property
     def _normals(self):
-        return _unit_normals(self.anchors, self.tol)
+        return _unit_normals(self.anchors, self.cross, self.tol)
 
     @property
     def normals(self):
@@ -446,49 +444,69 @@ class FaceGeometry:
         return self._normals[0]
 
     @cached_property
+    def _edge_normals(self):
+        """The (E, 2, 4) normals n_f, n_g of every edge's faces and <n_f, n_g>."""
+        pairs = self.normals[self.combinatorics.edge_face_pairs]
+        return pairs, lorentz.minkowski_inner(pairs[:, 0], pairs[:, 1])
+
+    @cached_property
     def angles(self):
-        """Interior dihedral angle of every edge, in lexicographic edge order."""
-        pairs = self.combinatorics.edge_face_pairs
-        return angles_between(self.normals[pairs[:, 0]], self.normals[pairs[:, 1]])
+        """Interior dihedral angle pi - arccos <n_f, n_g> of every edge, in edge order."""
+        return np.pi - np.arccos(np.clip(self._edge_normals[1], -1.0, 1.0))
+
+    def jacobian(self):
+        """(P + E) x 3V Jacobian of [planarity residuals; angles], one
+        ``np.bincount`` through ``CombinatorialType.jacobian_cells``.  It
+        reads the normals, so a degenerate face raises ``DegenerateFace``."""
+        parts = self._constraint_blocks(), self._angle_blocks()
+        blocks = np.concatenate([part.ravel() for part in parts])
+        return self._scatter(self.combinatorics.jacobian_cells, blocks, sum(map(len, parts)))
 
     def constraint_jacobian(self):
-        """Gradient of det(u, w, x): d/du = w x x, d/dw = x x u, d/dx = u x w,
-        and the first anchor gets minus their sum."""
-        comb = self.combinatorics
-        pairs = comb.planarity_pairs
-        f = pairs[:, 0]
-        p = self.anchors[f]
-        u = p[:, 1] - p[:, 0]
-        w = p[:, 2] - p[:, 0]
-        x = self.positions[pairs[:, 1]] - p[:, 0]
-        gu, gw, gx = _cross(w, x), _cross(x, u), self.cross[f]
-        blocks = np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
-        vertices = np.column_stack([comb.face_anchors[f], pairs[:, 1]])
-        return _scatter(comb.vertex_count, vertices, blocks)
+        """Rows 0..P of ``jacobian``; no normals are computed."""
+        blocks = self._constraint_blocks()
+        return self._scatter(self.combinatorics.jacobian_cells[:blocks.size], blocks, len(blocks))
 
     def angle_jacobian(self):
-        """Chain rule through the unnormalized normals n = (a, b).
-
-        With N = n / sqrt(q) and c = <N_f, N_g>, d theta = dc / sqrt(1 - c^2)
-        and dc = <dn_f, m_f> + <dn_g, m_g> for m_f = (N_g - c N_f) / sqrt(q_f).
-        For a fixed m = (m_s, m_t), <n, m> = a . m_s - b m_t has gradient
-        (p2 - p3) x m_s - m_t (p2 x p3) in p1, and cyclically in p2, p3.
-        """
+        """Rows P.. of ``jacobian``."""
         comb = self.combinatorics
-        normals, root = self._normals
-        faces = comb.edge_face_pairs                       # (E, 2)
-        nf, ng = normals[faces[:, 0]], normals[faces[:, 1]]
-        c = lorentz.minkowski_inner(nf, ng)[:, None]
+        blocks, cells = self._angle_blocks(), comb.jacobian_cells
+        offset = len(comb.planarity_pairs) * 3 * comb.vertex_count
+        return self._scatter(cells[cells.size - blocks.size:] - offset, blocks, len(blocks))
+
+    def _scatter(self, cells, blocks, rows):
+        """Dense rows x 3V matrix of the gradient entries summed into cells."""
+        width = 3 * self.combinatorics.vertex_count
+        return np.bincount(cells, blocks.ravel(), rows * width).reshape(rows, width)
+
+    def _constraint_blocks(self):
+        """(P, 4, 3) gradients of det(u, w, x): d/du = w x x, d/dw = x x u,
+        d/dx = u x w, and the first anchor gets minus their sum."""
+        f, v = self.combinatorics.planarity_pairs.T
+        p = self.anchors[f]
+        u, w, x = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], self.positions[v] - p[:, 0]
+        gu, gw, gx = _cross(w, x), _cross(x, u), self.cross[f]
+        return np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
+
+    def _angle_blocks(self):
+        """(E, 6, 3) gradients of every angle at the anchors of its two faces.
+
+        Chain rule through the unnormalized normals n = (a, b).  With
+        N = n / sqrt(q) and c = <N_f, N_g>, d theta = dc / sqrt(1 - c^2) and
+        dc = <dn_f, m_f> + <dn_g, m_g> for m_f = (N_g - c N_f) / sqrt(q_f).
+        For a fixed m = (m_s, m_t), <n, m> = a . m_s - b m_t has gradient
+        (p2 - p3) x m_s - m_t (p2 x p3) in p1, and cyclically in p2, p3;
+        those differences and cross products are taken once per face.
+        """
+        faces = self.combinatorics.edge_face_pairs            # (E, 2)
+        pairs, c = self._edge_normals
+        c = c[:, None, None]
         scale = 1.0 / np.sqrt(np.maximum(1.0 - c * c, 1e-300))
-        m = np.stack([(ng - c * nf) * (scale / root[faces[:, 0], None]),
-                      (nf - c * ng) * (scale / root[faces[:, 1], None])], axis=1)
-        p = self.anchors[faces]                            # (E, 2, 3, 3)
-        after = np.roll(p, -1, axis=2)
-        later = np.roll(p, -2, axis=2)
-        blocks = (_cross(after - later, m[:, :, None, :3])
-                  - m[:, :, None, 3:] * _cross(after, later))
-        vertices = comb.face_anchors[faces].reshape(len(faces), 6)
-        return _scatter(comb.vertex_count, vertices, blocks.reshape(len(faces), 6, 3))
+        m = (pairs[:, ::-1] - c * pairs) * (scale / self._normals[1][faces, None])
+        after, later = self.anchors[:, _TURNS[0]], self.anchors[:, _TURNS[1]]
+        blocks = (_cross((after - later)[faces], m[:, :, None, :3])
+                  - m[:, :, None, 3:] * _cross(after, later)[faces])
+        return blocks.reshape(len(faces), 6, 3)
 
 
 def planarity_residuals(poly: EmbeddedPolyhedron):

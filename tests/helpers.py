@@ -363,6 +363,22 @@ def random_polar_dual(seed, n):
     return EmbeddedPolyhedron(CombinatorialType(len(verts), faces), scale * verts)
 
 
+def prism_faces(n):
+    """The n-prism: bottom ring 0..n-1, top ring n..2n-1, counterclockwise
+    from outside."""
+    sides = [[i, (i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
+    return [list(range(n - 1, -1, -1)), list(range(n, 2 * n))] + sides
+
+
+def prism(n):
+    """The regular n-prism of ``prism_faces`` whose half-height equals its
+    circumradius, scaled to Klein radius ``HULL_RADIUS``."""
+    ring = 2.0 * np.pi * np.arange(n) / n
+    verts = [[np.cos(t), np.sin(t), z] for z in (-1.0, 1.0) for t in ring]
+    comb = CombinatorialType(2 * n, prism_faces(n))
+    return embed_euclidean(comb, verts, HULL_RADIUS / np.sqrt(2.0))
+
+
 def random_polyhedra(max_points):
     """Hypothesis strategy: a seeded simplicial hull of 10 to ``max_points``
     spread sphere points, or the polar dual of one."""
@@ -500,6 +516,36 @@ class WalkedCombinatorics:
         mask[np.repeat(np.arange(self.face_count), sizes),
              np.fromiter(chain.from_iterable(self.faces), np.intp, sum(sizes))] = False
         return mask
+
+    def jacobian_rows(self):
+        """Vertices of every row of the stacked Jacobian [constraint; angle]:
+        a planarity row's face anchors, then its vertex; an edge's two face
+        anchor triples."""
+        anchors = self.face_anchors().tolist()
+        return ([anchors[f] + [v] for f, v in self.planarity_pairs().tolist()]
+                + [anchors[f] + anchors[g] for f, g in self.edge_face_pairs().tolist()])
+
+    def jacobian_cells(self):
+        width = 3 * self.vertex_count
+        return np.array([r * width + 3 * v + k for r, row in enumerate(self.jacobian_rows())
+                         for v in row for k in range(3)], dtype=np.intp)
+
+
+def jacobian_reference(geom):
+    """The stacked Jacobian [constraint; angle] of a ``FaceGeometry``,
+    scattered row by row with ``np.add.at``: its gradient blocks placed at
+    the vertices of ``WalkedCombinatorics.jacobian_rows``."""
+    comb = geom.combinatorics
+    rows = WalkedCombinatorics(comb.vertex_count, comb.faces).jacobian_rows()
+    blocks = np.concatenate([geom._constraint_blocks().reshape(-1, 3),
+                             geom._angle_blocks().reshape(-1, 3)])
+    jac = np.zeros((len(rows), 3 * comb.vertex_count))
+    first = 0
+    for r, vertices in enumerate(rows):
+        cols = 3 * np.array(vertices)[:, None] + np.arange(3)
+        np.add.at(jac[r], cols.ravel(), blocks[first:first + len(vertices)].ravel())
+        first += len(vertices)
+    return jac
 
 
 def validate_combinatorics_reference(comb: WalkedCombinatorics) -> CombinatoricsReport:

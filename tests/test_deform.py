@@ -248,8 +248,7 @@ def first_step_system(poly, seed=0, amplitude=1e-3):
     geom = FaceGeometry(poly)
     rng = np.random.default_rng(seed)
     target = geom.angles + amplitude * rng.uniform(-1.0, 1.0, geom.angles.size)
-    jac = np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()])
-    return jac, -_stacked_residual(geom, target)
+    return geom.jacobian(), -_stacked_residual(geom, target)
 
 
 def relative_error(value, reference):

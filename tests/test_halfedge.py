@@ -14,20 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import WalkedCombinatorics, random_polyhedra, validate_combinatorics_reference
+from helpers import (
+    WalkedCombinatorics,
+    prism_faces,
+    random_polyhedra,
+    validate_combinatorics_reference,
+)
 from stokerlab import fixtures
 from stokerlab.errors import InvalidCombinatorics
 from stokerlab.polyhedron import CombinatorialType, validate_combinatorics
 
 examples = settings(max_examples=40, deadline=None, derandomize=True)
 TETRA = [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]]
-
-
-def prism_faces(n):
-    """The n-prism: bottom ring 0..n-1, top ring n..2n-1, counterclockwise
-    from outside."""
-    sides = [[i, (i + 1) % n, n + (i + 1) % n, n + i] for i in range(n)]
-    return [list(range(n - 1, -1, -1)), list(range(n, 2 * n))] + sides
 
 
 def assert_same(got, want):
@@ -68,7 +66,8 @@ def assert_matches_reference(vertex_count, faces):
     assert_same(graph.parent, want.parent)
     for build, reference in [(lambda: comb.edge_face_pairs, ref.edge_face_pairs),
                              (lambda: comb.face_anchors, ref.face_anchors),
-                             (lambda: comb.star_slots, ref.star_slots)]:
+                             (lambda: comb.star_slots, ref.star_slots),
+                             (lambda: comb.jacobian_cells, ref.jacobian_cells)]:
         assert_built_or_raises(build, reference, report.issues)
     for v in range(vertex_count):
         assert_built_or_raises(lambda: comb.vertex_star(v), lambda: ref.vertex_star(v),

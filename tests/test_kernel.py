@@ -4,8 +4,9 @@ simplicial hulls and their polar duals.
 References: ``helpers.mp_plane_normal`` (a 40-digit mpmath null vector,
 witness orientation) and ``helpers.mp_dihedral_angle`` for normals and
 angles, a loop of ``np.linalg.det`` for the determinants, central
-differences for both Jacobians, and a per-face incidence loop for the
-convexity mask.
+differences for both Jacobians, a per-face incidence loop for the
+convexity mask, and ``helpers.jacobian_reference`` (a row-by-row
+``np.add.at`` scatter) for the stacked Jacobian's placement.
 """
 
 import numpy as np
@@ -14,12 +15,16 @@ from hypothesis import given, settings
 
 from helpers import (
     capped_cube,
+    collapsed_corner_tetrahedron,
     finite_difference_jacobian,
+    jacobian_reference,
     mp_dihedral_angle,
     mp_plane_normal,
+    prism,
     random_polyhedra,
 )
 from stokerlab import fixtures, lorentz
+from stokerlab.errors import DegenerateFace
 from stokerlab.polyhedron import (
     FaceGeometry,
     convexity_margins,
@@ -141,6 +146,43 @@ def test_jacobians_match_finite_differences(poly):
     assert analytic.shape == fd.shape
     if analytic.size:
         assert np.max(np.abs(analytic - fd)) < FD_TOL
+
+
+def assert_stacked_jacobian_exact(poly):
+    """``jacobian`` equals its two row ranges stacked, and the row-by-row
+    reference scatter of the same blocks, bit for bit."""
+    geom = FaceGeometry(poly)
+    jac = geom.jacobian()
+    assert np.array_equal(jac, np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()]))
+    assert np.array_equal(jac, jacobian_reference(geom))
+
+
+STACKED = {**{f"{name}@{scale}": (build, scale) for name, build in fixtures.STANDARD.items()
+              for scale in (0.02, 0.3)},
+           **{f"prism{n}": (prism, n) for n in (3, 5, 8)}}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_stacked_jacobian_is_exact(name):
+    build, arg = STACKED[name]
+    assert_stacked_jacobian_exact(build(arg))
+
+
+@examples
+@given(random_polyhedra(24))
+def test_stacked_jacobian_is_exact_on_hulls_and_duals(poly):
+    assert_stacked_jacobian_exact(poly)
+
+
+def test_only_the_normals_raise_on_a_degenerate_face():
+    """Collinear anchors: the determinants and their Jacobian read no
+    normals and return; the stacked Jacobian reads them and raises."""
+    geom = FaceGeometry(collapsed_corner_tetrahedron())
+    assert geom.constraint_jacobian().shape == (0, 12)
+    assert geom.planarity_residuals().shape == (0,)
+    assert geom.convexity_margins().shape == (4,)
+    with pytest.raises(DegenerateFace):
+        geom.jacobian()
 
 
 @examples
