@@ -17,12 +17,14 @@ underdetermined system of full row rank.  The step factors J^T = QR once by
 Householder QR (LAPACK ``geqrf``), solves R^T y = rhs and returns Q [y; 0],
 applying the reflectors without forming Q.  That is the minimum-norm
 solution with an error bound of order cond(J) eps (Demmel & Higham, SIAM J.
-Matrix Anal. Appl. 14, 1993).  When LAPACK's estimate of R's reciprocal
-condition number is at or below ``Tolerances.rank_svd``, or J has more rows
-than columns, J has lost its full row rank: the iterate has left the regime
-where the angles parameterize the polyhedron, and the solver stops with
-``NoConvergence`` instead of cutting the rank.  The normal equations square
-cond(J) and lost 2e-7 of the step on a 160-point dual.
+Matrix Anal. Appl. 14, 1993).  The step consumes J, factoring it in place;
+only the condition estimate gets a copy, of the square R.  When LAPACK's
+estimate of R's reciprocal condition number is at or below
+``Tolerances.rank_svd``, or J has more rows than columns, J has lost its
+full row rank: the iterate has left the regime where the angles
+parameterize the polyhedron, and the solver stops with ``NoConvergence``
+instead of cutting the rank.  The normal equations square cond(J) and lost
+2e-7 of the step on a 160-point dual.
 """
 
 from dataclasses import dataclass, field
@@ -99,6 +101,11 @@ def _stacked_residual(geom: FaceGeometry, target):
 def _gauss_newton_step(jac, rhs, tol: Tolerances):
     """Minimum-norm solution Q R^-T rhs of ``jac @ step = rhs``, J^T = QR.
 
+    Consumes ``jac``: the factor overwrites a C-ordered J (whose transpose
+    is Fortran-ordered), so pass a copy to keep J.  ``dtrtrs`` reads R in
+    the tall factor; ``dtrcon`` gets a square copy of R, since its wrapper
+    strides by the column count and would misread the factor.
+
     Raises ``NoConvergence`` when J has lost its full row rank: more rows
     than columns, or R estimated no better conditioned than 1 /
     ``tol.rank_svd``.  Raises ``ValueError`` on a non-finite system.
@@ -109,17 +116,16 @@ def _gauss_newton_step(jac, rhs, tol: Tolerances):
     if m > n:
         raise NoConvergence(f"Jacobian lost rank: {m} rows exceed its {n} columns")
     lwork = int(lapack.dgeqrf_lwork(n, m)[0])
-    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork)
-    r = qr[:m]
-    rcond, _ = lapack.dtrcon(r)
+    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork, overwrite_a=1)
+    rcond, _ = lapack.dtrcon(np.asfortranarray(qr[:m]))
     if not rcond > tol.rank_svd:
         raise NoConvergence(f"Jacobian lost rank: reciprocal condition estimate "
                             f"{rcond:.1e} at or below the cut {tol.rank_svd:.1e}")
-    y, _ = lapack.dtrtrs(r, rhs, trans=1)
+    y, _ = lapack.dtrtrs(qr, rhs, trans=1)
     padded = np.zeros((n, 1))
     padded[:m, 0] = y
     # lwork 1: the unblocked sweep, cheaper than block reflectors for one column.
-    step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1)
+    step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1, overwrite_c=1)
     return step[:, 0]
 
 
@@ -159,7 +165,7 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             raise NoConvergence(
                 f"residual {history[-1]:.3e} after {iterations} iterations"
             )
-        # Held until the next J exists; freed after the step, its heap pages re-fault.
+        # Consumed by the step; held until the next J exists, as pages freed re-fault.
         jac = geom.jacobian()
         step = _gauss_newton_step(jac, -residual, tol)
         damping = 1.0
@@ -172,11 +178,9 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             raise BallExit("a vertex left the unit ball")
         candidate = current.with_positions(new_pos)
         geom = FaceGeometry(candidate, tol)
-        margins = geom.convexity_margins()
-        if margins.size and margins.min() <= 0.0:
-            raise ConvexityLost(
-                f"convexity margin {margins.min():.3e} crossed zero"
-            )
+        margin = geom.min_convexity_margin()
+        if margin <= 0.0:
+            raise ConvexityLost(f"convexity margin {margin:.3e} crossed zero")
         current = candidate
         residual = _stacked_residual(geom, target)
         history.append(float(np.max(np.abs(residual))))

@@ -431,8 +431,30 @@ class FaceGeometry:
     def convexity_margins(self):
         """Margins of every (face, vertex off the face), face-major: the
         determinants of the whole F x V table, read through the mask."""
-        table = _dot3(self.cross[:, None], self.positions[None] - self.anchors[:, None, 0])
-        return -table[self.combinatorics.convexity_mask]
+        return -self._margin_table()[self.combinatorics.convexity_mask]
+
+    def min_convexity_margin(self):
+        """Least of ``convexity_margins`` (inf when there are none), as the
+        negated masked maximum of the table, with no masked copy; a NaN
+        entry gives NaN."""
+        mask = self.combinatorics.convexity_mask
+        return float(-self._margin_table().max(where=mask, initial=-np.inf))
+
+    def _margin_table(self):
+        """F x V determinants c . d, d = x - a0, with c the face's anchor
+        cross product and a0 its first anchor.  Summed (c0 d0 + c1 d1) + c2 d2
+        as ``_dot3`` sums them, a coordinate at a time into one accumulator
+        and one scratch array: no (F, V, 3) temporary."""
+        c, a, x = self.cross.T[:, :, None], self.anchors[:, 0].T[:, :, None], self.positions.T
+        table = x[0] - a[0]
+        table *= c[0]
+        term = x[1] - a[1]
+        term *= c[1]
+        table += term
+        np.subtract(x[2], a[2], out=term)
+        term *= c[2]
+        table += term
+        return table
 
     @cached_property
     def _normals(self):
@@ -588,8 +610,7 @@ def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> E
         max_radius = float(radii.max()) if radii.size else 0.0
         residuals = geom.planarity_residuals()
         max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-        margins = geom.convexity_margins()
-        min_margin = float(margins.min()) if margins.size else np.inf
+        min_margin = geom.min_convexity_margin()
     in_ball = max_radius < 1.0 - tol.ball
     planar = max_res <= tol.planar
     convex = min_margin > tol.convex

@@ -48,12 +48,13 @@ def _null_components(matrix, rel_threshold, block):
         raise np.linalg.LinAlgError("nullspace of a non-finite matrix")
     if 0 in matrix.shape:
         return block
-    # LAPACK workspace queries (lwork = -1) before each call
-    lwork = int(lapack.dgeqp3(matrix.T, lwork=-1)[3][0])
+    # LAPACK workspace queries (lwork = -1) before each call; a query writes
+    # nothing, so only the real geqp3 copies the caller's matrix.
+    lwork = int(lapack.dgeqp3(matrix.T, lwork=-1, overwrite_a=1)[3][0])
     qr, _, tau, _, _ = lapack.dgeqp3(matrix.T, lwork=lwork)
     rank = numerical_rank(np.abs(np.diagonal(qr)), rel_threshold)
     reflectors = qr[:, :tau.size]        # min(m, n) of them: fewer when matrix is tall
-    lwork = int(lapack.dormqr("L", "T", reflectors, tau, block, -1)[1][0])
+    lwork = int(lapack.dormqr("L", "T", reflectors, tau, block, -1, overwrite_c=1)[1][0])
     return lapack.dormqr("L", "T", reflectors, tau, block, lwork)[0][rank:]
 
 

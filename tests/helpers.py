@@ -7,12 +7,12 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz, repvar
 from stokerlab.config import DEFAULT
-from stokerlab.errors import InvalidCombinatorics
+from stokerlab.errors import InvalidCombinatorics, NoConvergence
 from stokerlab.formats import format_float
 from stokerlab.polyhedron import (
     CombinatorialType,
@@ -202,6 +202,31 @@ def min_norm_step(jac, rhs, rcond):
     """Minimum-norm least-squares solution by the SVD pseudoinverse, with
     singular values below ``rcond`` times the largest one treated as zero."""
     return np.linalg.pinv(jac, rcond) @ rhs
+
+
+def reference_step(jac, rhs, tol):
+    """The Gauss-Newton step computed out of place: J^T = QR factored from a
+    copy, so ``jac`` is left as it was, and the square R used both for the
+    condition estimate and for the solve R^T y = rhs.  The reference for
+    ``deform._gauss_newton_step``, with the same rank-loss messages."""
+    m, n = jac.shape
+    if m > n:
+        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed its {n} columns")
+    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=int(lapack.dgeqrf_lwork(n, m)[0]))
+    r = qr[:m]
+    rcond, _ = lapack.dtrcon(r)
+    if not rcond > tol.rank_svd:
+        raise NoConvergence(f"Jacobian lost rank: reciprocal condition estimate "
+                            f"{rcond:.1e} at or below the cut {tol.rank_svd:.1e}")
+    padded = np.zeros((n, 1))
+    padded[:m, 0] = lapack.dtrtrs(r, rhs, trans=1)[0]
+    return lapack.dormqr("L", "N", qr, tau, padded, 1)[0][:, 0]
+
+
+def margin_table_reference(geom):
+    """The F x V convexity determinants of a ``FaceGeometry``: ``_dot3`` of
+    each face's anchor cross product with x - a0, broadcast over (F, V, 3)."""
+    return lorentz._dot3(geom.cross[:, None], geom.positions[None] - geom.anchors[:, None, 0])
 
 
 def svd_nullspace(matrix, rel_threshold):

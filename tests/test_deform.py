@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import min_norm_step, random_isometry, random_polyhedra
+from helpers import min_norm_step, prism, random_isometry, random_polyhedra, reference_step
 from stokerlab import deform, fixtures, lorentz
 from stokerlab.config import DEFAULT, Tolerances
 from stokerlab.deform import (
@@ -260,7 +260,7 @@ def check_min_norm_step(poly):
     isometry directions, both within 100 eps cond(J), fixed before the solve."""
     jac, rhs = first_step_system(poly)
     bound = 100 * EPS * np.linalg.cond(jac)
-    step = _gauss_newton_step(jac, rhs, DEFAULT)
+    step = _gauss_newton_step(jac.copy(), rhs, DEFAULT)
     assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
     iso, _ = np.linalg.qr(isometry_directions(poly))
     assert np.linalg.norm(iso.T @ step) / np.linalg.norm(step) < bound
@@ -321,7 +321,7 @@ class TestGaussNewtonStep:
         jac, rhs = first_step_system(fixtures.cube(0.3))
         ill = with_smallest_singular_value(jac, 1e-7)
         bound = 100 * EPS * np.linalg.cond(ill)
-        step = _gauss_newton_step(ill, rhs, DEFAULT)
+        step = _gauss_newton_step(ill.copy(), rhs, DEFAULT)
         assert relative_error(step, min_norm_step(ill, rhs, DEFAULT.rank_svd)) < bound
 
     @pytest.mark.parametrize("operand", ["jac", "rhs"])
@@ -333,6 +333,62 @@ class TestGaussNewtonStep:
             rhs[5] = np.nan
         with pytest.raises(ValueError):
             _gauss_newton_step(jac, rhs, DEFAULT)
+
+
+STEP_CASES = {**{f"{name}@{scale}": (build, scale) for name, build in fixtures.STANDARD.items()
+                 for scale in (0.02, 0.3)},
+              **{f"prism{n}": (prism, n) for n in (3, 5, 8)}}
+
+
+def assert_step_matches_reference(poly):
+    """The step, which factors J in place, equals the out-of-place
+    reference bit for bit; the reference runs first, on the intact J."""
+    jac, rhs = first_step_system(poly)
+    expected = reference_step(jac, rhs, DEFAULT)
+    assert np.array_equal(_gauss_newton_step(jac, rhs, DEFAULT), expected)
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("name", sorted(STEP_CASES))
+    def test_fixture_steps_equal_reference(self, name):
+        build, arg = STEP_CASES[name]
+        assert_step_matches_reference(build(arg))
+
+    @examples
+    @given(random_polyhedra(24))
+    def test_random_steps_equal_reference(self, poly):
+        assert_step_matches_reference(poly)
+
+    def test_factor_shares_memory_with_jac(self, monkeypatch):
+        """J is consumed: ``dgeqrf`` overwrites it with the factor."""
+        factors = []
+        dgeqrf = deform.lapack.dgeqrf
+
+        def spy(*args, **kwargs):
+            out = dgeqrf(*args, **kwargs)
+            factors.append(out[0])
+            return out
+
+        monkeypatch.setattr(deform.lapack, "dgeqrf", spy)
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        _gauss_newton_step(jac, rhs, DEFAULT)
+        assert len(factors) == 1
+        assert np.shares_memory(factors[0], jac)
+
+    @pytest.mark.parametrize("case", ["duplicated_row", "tiny_singular_value"])
+    def test_rank_stop_reports_the_square_r_estimate(self, case):
+        """The rank-loss message gives ``dtrcon``'s estimate for the square R,
+        as the reference computes it, not one read from the tall factor."""
+        jac, rhs = first_step_system(fixtures.cube(0.3))
+        if case == "duplicated_row":
+            jac, rhs = np.vstack([jac, jac[:1]]), np.append(rhs, rhs[0])
+        else:
+            jac = with_smallest_singular_value(jac, 1e-12)
+        with pytest.raises(NoConvergence) as expected:
+            reference_step(jac, rhs, DEFAULT)
+        with pytest.raises(NoConvergence) as info:
+            _gauss_newton_step(jac, rhs, DEFAULT)
+        assert str(info.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 2), (2, 3), (4, 6)])

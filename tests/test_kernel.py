@@ -18,6 +18,7 @@ from helpers import (
     collapsed_corner_tetrahedron,
     finite_difference_jacobian,
     jacobian_reference,
+    margin_table_reference,
     mp_dihedral_angle,
     mp_plane_normal,
     prism,
@@ -31,6 +32,7 @@ from stokerlab.polyhedron import (
     dihedral_angles,
     face_planes,
     planarity_residuals,
+    validate_embedding,
 )
 from stokerlab.repvar import link_representation
 from stokerlab.rigidity import angle_jacobian, constraint_jacobian
@@ -183,6 +185,44 @@ def test_only_the_normals_raise_on_a_degenerate_face():
     assert geom.convexity_margins().shape == (4,)
     with pytest.raises(DegenerateFace):
         geom.jacobian()
+
+
+def assert_margins_exact(poly):
+    """``convexity_margins`` is the (F, V, 3) reference table read through
+    the mask, and ``min_convexity_margin`` its least entry, bit for bit."""
+    geom = FaceGeometry(poly)
+    margins = geom.convexity_margins()
+    reference = -margin_table_reference(geom)[poly.combinatorics.convexity_mask]
+    assert np.array_equal(margins, reference)
+    assert np.float64(geom.min_convexity_margin()).tobytes() == margins.min().tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_margins_are_exact(name):
+    build, arg = STACKED[name]
+    assert_margins_exact(build(arg))
+
+
+@examples
+@given(random_polyhedra(24))
+def test_margins_are_exact_on_hulls_and_duals(poly):
+    assert_margins_exact(poly)
+
+
+def test_a_nan_vertex_gives_a_nan_margin():
+    poly = fixtures.cube(0.3)
+    pos = poly.positions.copy()
+    pos[1, 2] = np.nan
+    poly = poly.with_positions(pos)
+    geom = FaceGeometry(poly)
+    assert np.isnan(geom.convexity_margins().min())
+    assert np.isnan(geom.min_convexity_margin())
+    assert not validate_embedding(poly).convex
+
+
+def test_margins_return_on_a_degenerate_face():
+    """Collinear anchors: the margins read no normals, so both return."""
+    assert_margins_exact(collapsed_corner_tetrahedron())
 
 
 @examples

@@ -583,6 +583,14 @@ class TestTraceRankOnCocycles:
     def test_random_representations(self, case):
         assert_trace_rank_matches_reference(*case)
 
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_leaves_its_inputs_unchanged(self, unitary):
+        fx = surface_group_fixture(fixtures.cube(0.3))
+        images = fx.representation.images.copy()
+        trace_rank(fx.representation, fx.presentation, fx.meridian_loops(),
+                   restrict_to_unitary=unitary)
+        assert np.array_equal(fx.representation.images, images)
+
     def test_failing_relator_floors_h1(self):
         """Off a representation B^1 need not lie in Z^1.  With g_1 of order
         4 and a relator g_2 that fails, z^1 = 4 < b^1 = 6: h^1 is 0 and no

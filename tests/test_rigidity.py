@@ -172,6 +172,16 @@ class TestNullspace:
             sines = np.sin(subspace_angles(basis, reference))
             assert np.max(sines) <= 2 * residual / kept[-1]
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(planted_rank_matrices())
+    def test_leaves_its_input_unchanged(self, case):
+        """The workspace query takes the operand without a copy; the
+        factorization still copies, so the caller's matrix survives."""
+        matrix = case[0]
+        before = matrix.copy()
+        nullspace(matrix, REL)
+        assert np.array_equal(matrix, before)
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(random_polyhedra(24))
     def test_tangent_width_matches_svd_reference(self, poly):
