@@ -28,7 +28,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidCombinatorics, ParseError
 from .polyhedron import CombinatorialType, EmbeddedPolyhedron
 from .repvar import Presentation, Representation
 
@@ -143,7 +143,10 @@ def load_polyhedron(path) -> EmbeddedPolyhedron:
         if not (isinstance(face, list) and _INDEX_TYPES.issuperset(map(type, face))):
             raise ParseError(f"{path}: face {k} is not a list of integer indices: "
                              f"{json.dumps(face)}")
-    comb = CombinatorialType(len(vertices), data["faces"])
+    try:
+        comb = CombinatorialType(len(vertices), data["faces"])
+    except InvalidCombinatorics as exc:     # an index beyond a machine integer
+        raise ParseError(f"{path}: {exc}") from None
     return EmbeddedPolyhedron(comb, vertices)
 
 

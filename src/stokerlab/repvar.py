@@ -440,9 +440,10 @@ def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> 
 
 @dataclass
 class LinkCertificate:
-    """Cyclic relation and irreducibility of every vertex link, in vertex
-    order.  Link by link, ``relation_residuals`` equal the relator residual
-    of ``representation_report``, and ``irreducible`` and
+    """Cyclic relation and irreducibility of every vertex link, one entry
+    per vertex in vertex order, all read from one identity-padded stack of
+    the link meridians.  Link by link, ``relation_residuals`` equal the
+    relator residual of ``representation_report``, and ``irreducible`` and
     ``irreducibility_residuals`` the fields of ``irreducibility_check``."""
 
     relation_residuals: np.ndarray
@@ -454,9 +455,9 @@ def link_certificate(holonomy: PolyhedronHolonomy, tol: Tolerances = DEFAULT) ->
     """Check every vertex link of a polyhedron in one batched pass: the
     meridians around each vertex multiply to +-I, and each link is
     irreducible.  Raises ``EigenFailure`` as ``irreducibility_check`` does."""
-    images, offsets = holonomy.link_meridians, holonomy.link_offsets
-    irreducible, residuals, _ = _irreducibility(images, offsets, tol)
-    return LinkCertificate(_cyclic_relation_residuals(images, offsets), irreducible, residuals)
+    padded = _padded(holonomy.link_meridians, holonomy.link_offsets)
+    irreducible, residuals, _ = _irreducibility(padded, tol)
+    return LinkCertificate(_cyclic_relation_residuals(padded), irreducible, residuals)
 
 
 # --- boundary-surface fixture ----------------------------------------------
@@ -577,10 +578,11 @@ def _norms(x):
 
 
 def _central_residuals(products):
-    """Sign of the nearer of +-I to every 2x2 matrix of a stack, and its
-    Frobenius distance to that matrix by ``_norms``: the residual of a
-    relator that should hold up to the double-cover sign."""
-    flat = np.reshape(products, (-1, 4))
+    """Sign of the nearer of +-I to every 2x2 matrix of a (..., 2, 2) stack,
+    and its Frobenius distance to that matrix by ``_norms``, both shaped like
+    the stack's leading axes: the residual of a relator that should hold up
+    to the double-cover sign."""
+    flat = np.reshape(products, products.shape[:-2] + (4,))
     plus = _norms(flat - _I2.reshape(4))
     minus = _norms(flat + _I2.reshape(4))
     nearer = plus <= minus
@@ -600,56 +602,50 @@ class IrreducibilityReport:
     witness: np.ndarray = None
 
 
-def _ragged(offsets):
-    """Group sizes and the group of every row of a ragged stack whose group
-    g holds rows ``offsets[g]:offsets[g + 1]``."""
+def _padded(images, offsets):
+    """A ragged stack whose group g holds rows ``offsets[g]:offsets[g + 1]``
+    as one (G, L, 2, 2) array, L the largest group size: group g's images in
+    order, then identities.  A pad is central and fixes every line, so it
+    changes no product, no probe and no wedge."""
     sizes = np.diff(offsets)
-    return sizes, np.repeat(np.arange(len(sizes)), sizes)
+    padded = np.tile(_I2, (len(sizes), sizes.max(initial=0), 1, 1))
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = images
+    return padded
 
 
-def _cyclic_relation_residuals(images, offsets):
+def _cyclic_relation_residuals(padded):
     """Frobenius distance to the nearer of +-I of every group's ordered
-    product g_1 ... g_d (the relator of ``Presentation.punctured_sphere``),
-    rounded as ``representation_report`` rounds it: one left-to-right
-    product over slot position k, each group multiplied while k is below its
-    size."""
-    sizes, owner = _ragged(offsets)
-    padded = np.zeros((len(sizes), sizes.max(initial=0), 2, 2), dtype=complex)
-    padded[owner, np.arange(len(owner)) - offsets[owner]] = images
+    product g_1 ... g_d (the relator of ``Presentation.punctured_sphere``) of
+    an identity-padded stack, rounded as ``representation_report`` rounds it:
+    one left-to-right product over slot position k."""
     product = np.broadcast_to(_I2, padded.shape[:1] + (2, 2))
     for k in range(padded.shape[1]):
-        product = np.where((k < sizes)[:, None, None], product @ padded[:, k], product)
+        product = product @ padded[:, k]
     return _central_residuals(product)[1]
 
 
-def _irreducibility(images, offsets, tol: Tolerances):
-    """Irreducibility of every group of a ragged stack of generator images
-    (group g at rows ``offsets[g]:offsets[g + 1]``), in one pass.
+def _irreducibility(padded, tol: Tolerances):
+    """Irreducibility of every group of an identity-padded (G, L, 2, 2)
+    stack of generator images, in one pass.
 
     A group is reducible exactly when all its images share a projective
     eigenvector.  The eigenvectors of each group's first non-central image
     (one stacked ``eig``) are scanned: the residual of an eigenvector is its
-    worst normalized wedge against the images, and the group keeps the
-    smaller of the two.  Returns per group the verdict, that residual and
-    its eigenvector; a central group, where every line is invariant, gets
+    worst normalized wedge against the group's images, and the group keeps
+    the smaller of the two.  A pad's wedge is exactly 0, so it never sets
+    the worst.  Returns per group the verdict, that residual and its
+    eigenvector; a central group, where every line is invariant, gets
     residual 0 and witness (1, 0).  Raises ``EigenFailure`` when an
     eigenvector is too inaccurate to trust near the threshold.
     """
-    n = len(images)
-    sizes, owner = _ragged(offsets)
-    _, distance = _central_residuals(images)
-    # row of every group's first non-central image; n marks a central group
-    rows = np.append(np.where(distance > tol.central, np.arange(n), n), n)
-    first = np.where(sizes > 0, np.minimum.reduceat(rows, offsets[:-1]), n)
-    probed = first < n
-    residual = np.zeros(len(sizes))
-    witness = np.zeros((len(sizes), 2), dtype=complex)
+    noncentral = _central_residuals(padded)[1] > tol.central
+    probed = noncentral.any(axis=1)
+    residual = np.zeros(len(padded))
+    witness = np.zeros((len(padded), 2), dtype=complex)
     witness[:, 0] = 1.0
     if probed.any():
-        probes = images[first[probed]]
-        slots = np.flatnonzero(probed[owner])       # the rows of probed groups
-        group = (np.cumsum(probed) - 1)[owner[slots]]
-        starts = np.cumsum(sizes[probed]) - sizes[probed]
+        groups = padded[probed]
+        probes = groups[np.arange(len(groups)), noncentral[probed].argmax(axis=1)]
         eigvals, eigvecs = np.linalg.eig(probes)
         best = np.full(len(probes), np.inf)
         best_vec = eigvecs[:, :, 0]
@@ -660,15 +656,15 @@ def _irreducibility(images, offsets, tol: Tolerances):
             if np.any((norm < tol.degenerate) | (error > tol.eigen_residual * norm)):
                 raise EigenFailure("unreliable eigenvector for a borderline generator")
             xi = xi / norm[:, None]
-            mxi = (images[slots] @ xi[group][..., None])[..., 0]
+            mxi = (groups @ xi[:, None, :, None])[..., 0]
             denom = _norms(mxi)
             if np.any(denom < tol.degenerate):
                 raise EigenFailure("generator image nearly singular")
             # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar
             # complex products and modulus
-            p_re, p_im = _complex_product(mxi[:, 0], xi[group, 1])
-            q_re, q_im = _complex_product(mxi[:, 1], xi[group, 0])
-            worst = np.maximum.reduceat(np.hypot(p_re - q_re, p_im - q_im) / denom, starts)
+            p_re, p_im = _complex_product(mxi[..., 0], xi[:, None, 1])
+            q_re, q_im = _complex_product(mxi[..., 1], xi[:, None, 0])
+            worst = (np.hypot(p_re - q_re, p_im - q_im) / denom).max(axis=1)
             better = worst < best
             best = np.where(better, worst, best)
             best_vec = np.where(better[:, None], xi, best_vec)
@@ -687,8 +683,7 @@ def irreducibility_check(rep: Representation, tol: Tolerances = DEFAULT) -> Irre
     to trust near the threshold.  The one-group case of the batched check
     that ``link_certificate`` runs over every vertex link.
     """
-    offsets = np.array([0, rep.generator_count])
-    irreducible, residual, witness = _irreducibility(rep.images, offsets, tol)
+    irreducible, residual, witness = _irreducibility(rep.images[None], tol)
     return IrreducibilityReport(
         irreducible=bool(irreducible[0]),
         residual=float(residual[0]),

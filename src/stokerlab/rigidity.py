@@ -177,10 +177,7 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
 
     iso = isometry_directions(poly, tol)
     iso_in_tangent = tangent @ (tangent.T @ iso)
-    if kernel_dim and iso_in_tangent.size:
-        residual = float(np.max(subspace_angles(kernel, iso_in_tangent)))
-    else:
-        residual = np.inf
+    residual = float(np.max(subspace_angles(kernel, iso_in_tangent)))
 
     if rank != edge_count:
         notes.append(f"angle rank {rank} != |E| = {edge_count}")

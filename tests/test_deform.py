@@ -24,6 +24,7 @@ from stokerlab.polyhedron import (
     convexity_margins,
     dihedral_angles,
     planarity_residuals,
+    validate_angle_vector,
 )
 from stokerlab.rigidity import isometry_directions, rigidity_report
 
@@ -35,6 +36,16 @@ examples = settings(max_examples=20, deadline=None, derandomize=True)
 def perturb_angles(poly, rng, amplitude=1e-3):
     base = dihedral_angles(poly)
     return base + rng.uniform(-amplitude, amplitude, base.size)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"max_iterations": 0}, "max_iterations must be positive"),
+    ({"residual_tol": 1e-15}, "residual_tol must be at least 1e-14"),
+    ({"trust_radius": 0.0}, "trust_radius must be positive"),
+], ids=["max_iterations", "residual_tol", "trust_radius"])
+def test_deform_options_rejected(options, message):
+    with pytest.raises(ValueError, match=message):
+        DeformOptions(**options)
 
 
 class TestGaugeFix:
@@ -175,6 +186,13 @@ class TestRealizeAngles:
         target[3] = value
         with pytest.raises(ValueError, match="strictly between 0 and pi"):
             realize_angles(poly, target)
+
+    @pytest.mark.parametrize("target", [np.full(11, 1.0), np.full((2, 6), 1.0)],
+                             ids=["short", "nested"])
+    def test_rejects_wrong_shape(self, target):
+        with pytest.raises(ValueError, match=re.escape(f"expected 12 angles, got shape "
+                                                       f"{target.shape}")):
+            validate_angle_vector(target, 12)
 
     def test_non_finite_start_raises(self):
         # vertex 7 anchors no face here, so the angles stay finite and only

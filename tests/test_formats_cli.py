@@ -423,6 +423,20 @@ class TestCliNonFiniteInput:
         assert MALFORMED[kind] in report["message"]
         assert captured.err == ""
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_face_index_beyond_machine_integer(self, command, tmp_path, capsys):
+        data = json.loads(formats.dump_polyhedron(fixtures.tetrahedron(0.3)))
+        data["faces"][0][0] = 10 ** 30
+        path = write(tmp_path, "bad.json", json.dumps(data))
+        code = cli.main([command[0], path] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["command"] == command[0]
+        assert report["error"] == "ParseError"
+        assert report["message"] == f"{path}: a face index does not fit a machine integer"
+        assert captured.err == ""
+
     @pytest.mark.parametrize("command", ["validate", "rigidity", "holonomy"])
     def test_string_coordinates(self, command, tmp_path, capsys):
         """Vertex 0's coordinates written as JSON strings are not read as
@@ -485,6 +499,36 @@ class TestCliNonFiniteInput:
         assert report["error"] == "ParseError"
         assert "matrix entries must be finite" in report["message"]
         assert captured.err == ""
+
+
+class TestCliLoaderErrors:
+    """Files that parse as JSON or text but not as their format are invalid
+    input: exit 2 with the loader's message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "{poly}"], "vertices must be a list of [x, y, z] rows of numbers"),
+        (["deform", "{tetra}", "--target", "{angles}"], "expected 6 angles, found 5"),
+        (["tracerank", "{tmp}/missing.txt", "--matrices", "{mats}"],
+         "cannot read {tmp}/missing.txt"),
+        (["tracerank", "{gensless}", "--matrices", "{mats}"], "missing 'gens' line"),
+        (["tracerank", "{pres}", "--matrices", "{poly}"], "expected an object with 'matrices'"),
+    ], ids=["vertices_not_a_list", "angle_count", "unreadable_presentation",
+            "missing_gens", "no_matrices_key"])
+    def test_exit_two_with_message(self, argv, message, tmp_path, capsys):
+        files = {
+            "poly": write(tmp_path, "bad.json", '{"vertices": {"x": 1}, "faces": []}'),
+            "tetra": write_poly(tmp_path, fixtures.tetrahedron(0.3)),
+            "angles": write(tmp_path, "angles.json", formats.dump_angles([1.0] * 5)),
+            "mats": str(DEMO_OUTPUT / "k4_surface_matrices.json"),
+            "gensless": write(tmp_path, "gensless.txt", "rel 1 -1\n"),
+            "pres": write(tmp_path, "pres.txt", "gens 1\n"),
+            "tmp": tmp_path,
+        }
+        code, out = run_cli(capsys, [a.format(**files) for a in argv])
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "ParseError"
+        assert message.format(**files) in report["message"]
 
 
 class TestCliAngles:
@@ -611,6 +655,38 @@ class TestCliDeform:
         report = json.loads(captured.out)
         assert report["error"] == "ParseError"
         assert message.format(tmp=tmp_path) in report["message"]
+
+    @pytest.mark.parametrize("poly, options, exit_code, error, waypoint", [
+        (fixtures.triangular_prism(0.02), ["--perturb", "1e-3", "--seed", "0"], 3,
+         "NoConvergence", 0),
+        (fixtures.tetrahedron(0.02), ["--perturb", "1e-3", "--seed", "1"], 4,
+         "ConvexityLost", 0),
+        (fixtures.tetrahedron(0.3), ["--target", "{hyperideal}", "--steps", "2"], 5,
+         "BallExit", 1),
+    ], ids=["no_convergence", "convexity_lost", "ball_exit"])
+    def test_solver_failure_report(self, poly, options, exit_code, error, waypoint,
+                                   tmp_path, capsys):
+        """A failed continuation is a report with the solver's exit code: the
+        error, the waypoint it failed at, the waypoints completed before it
+        and a failed ``deform_converged`` verdict carrying its message.  The
+        ball-exit target puts all six angles of the tetrahedron just below
+        pi/3, past the ideal one."""
+        path = write_poly(tmp_path, poly)
+        hyperideal = write(tmp_path, "target.json",
+                           formats.dump_angles(np.full(6, np.pi / 3 - 1e-3)))
+        code, out = run_cli(capsys, ["deform", path]
+                            + [o.format(hyperideal=hyperideal) for o in options])
+        assert code == exit_code
+        report = json.loads(out)
+        results = report["results"]
+        assert results["error"] == error
+        assert results["failed_waypoint"] == waypoint
+        assert results["completed_waypoints"] == waypoint
+        [verdict] = report["verdicts"]
+        assert verdict["name"] == "deform_converged"
+        assert verdict["pass"] is False
+        if error == "NoConvergence":
+            assert "Jacobian lost rank" in verdict["value"]
 
     def test_emitted_polyhedron_round_trips(self, tmp_path, capsys):
         path = write_poly(tmp_path, fixtures.tetrahedron(0.3))

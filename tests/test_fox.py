@@ -152,3 +152,19 @@ def test_out_of_range_letters_raise():
             trace_rank(rep, Presentation(2), [loop])
         with pytest.raises(IndexRange):
             cocycle_extend(values, rep, loop)
+
+
+@pytest.mark.parametrize("relators, error, message", [
+    (((1, 2), ()), ValueError, "relators must be nonempty words"),
+    (((1, 3),), IndexRange, "letter 3 outside 1..2"),
+    (((0,),), IndexRange, "letter 0 outside 1..2"),
+], ids=["empty_relator", "past_last_generator", "zero_letter"])
+def test_presentation_rejects_bad_relators(relators, error, message):
+    with pytest.raises(error, match=message):
+        Presentation(2, relators)
+
+
+def test_trace_rank_needs_a_loop():
+    rep = Representation([expm(matrix_from_coords(np.arange(1.0, 7.0) / 10, "sl2"))] * 2)
+    with pytest.raises(ValueError, match="need at least one loop"):
+        trace_rank(rep, Presentation(2), [])

@@ -85,6 +85,15 @@ FAILING_EMBEDDINGS = {
 }
 
 
+def torus_and_tetrahedron():
+    """The 7-vertex triangulated torus, faces (i, i+1, i+3) and
+    (i, i+3, i+2) mod 7, and a tetrahedron on vertices 7-10."""
+    faces = [f for i in range(7)
+             for f in ([i, (i + 1) % 7, (i + 3) % 7], [i, (i + 3) % 7, (i + 2) % 7])]
+    faces += [[8, 10, 9], [7, 9, 10], [7, 10, 8], [7, 8, 9]]
+    return CombinatorialType(11, faces)
+
+
 class TestCombinatorics:
     def test_tetrahedron_counts(self):
         comb = fixtures.tetrahedron().combinatorics
@@ -114,6 +123,22 @@ class TestCombinatorics:
         assert not report.valid
         assert f"face 2 references vertex {bad} outside 0..3" in report.issues
         assert all(0 <= w < 4 for ws in comb.edge_graph.neighbours for w in ws)
+
+    def test_disconnected_edge_graph_reported(self, tmp_path, capsys):
+        """The 7-vertex torus beside a tetrahedron: Euler characteristic
+        0 + 2, every valence at least 3, and two components."""
+        comb = torus_and_tetrahedron()
+        report = validate_combinatorics(comb)
+        assert report.euler_characteristic == 2
+        assert report.issues == ["edge graph is not connected"]
+        with pytest.raises(InvalidCombinatorics, match="^edge graph is not connected$"):
+            embed_euclidean(comb, np.zeros((11, 3)))
+        path = tmp_path / "disconnected.json"
+        path.write_text(json.dumps({"vertices": np.zeros((11, 3)).tolist(),
+                                    "faces": [list(f) for f in comb.faces]}))
+        assert cli.main(["validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["combinatorics_issues"] == ["edge graph is not connected"]
 
     def test_edge_graph_walk(self):
         graph = fixtures.cube().combinatorics.edge_graph

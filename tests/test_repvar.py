@@ -27,6 +27,7 @@ from stokerlab.polyhedron import dihedral_angles
 from stokerlab.repvar import (
     _cyclic_relation_residuals,
     _irreducibility,
+    _padded,
     Presentation,
     Representation,
     coboundary_space,
@@ -646,7 +647,7 @@ class TestOneWordWalk:
         assert found == sign
         assert residual == np.linalg.norm(value - sign * I2) < DEFAULT.relator
         offsets = np.array([0, len(rep.images)])
-        assert _cyclic_relation_residuals(rep.images, offsets)[0] == residual
+        assert _cyclic_relation_residuals(_padded(rep.images, offsets))[0] == residual
 
 
 def link_rows(hol, v):
@@ -704,7 +705,7 @@ class TestPolyhedronHolonomy:
 def assert_group_results(images, offsets, reports):
     """One batched call over the groups gives each group's own
     ``irreducibility_check`` report, witness included."""
-    irreducible, residual, witness = _irreducibility(images, offsets, DEFAULT)
+    irreducible, residual, witness = _irreducibility(_padded(images, offsets), DEFAULT)
     for g, report in enumerate(reports):
         assert irreducible[g] == report.irreducible
         assert residual[g] == report.residual
@@ -754,7 +755,7 @@ class TestLinkCertificate:
         images = np.array(sum(groups, []))
         offsets = np.cumsum([0] + [len(g) for g in groups])
         assert_group_results(images, offsets, reports)
-        relations = _cyclic_relation_residuals(images, offsets)
+        relations = _cyclic_relation_residuals(_padded(images, offsets))
         for g, images in enumerate(groups):
             rep = Representation(images)
             _, [(_, residual)] = representation_report(
@@ -772,6 +773,19 @@ class TestLinkCertificate:
         assert_group_results(images, offsets,
                              [irreducibility_check(Representation(g)) for g in groups])
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    def test_padded_stack(self, seed, sizes):
+        """Each group's images in place and in order, then exact identities."""
+        rng = np.random.default_rng(seed)
+        images = random_representation(rng, sum(sizes)).images
+        offsets = np.cumsum([0] + sizes)
+        padded = _padded(images, offsets)
+        assert padded.shape == (len(sizes), max(sizes), 2, 2)
+        for g, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            assert np.array_equal(padded[g, :b - a], images[a:b])
+            assert (padded[g, b - a:] == I2).all()
+
     def test_unreliable_probe_raises(self):
         """A diagonalizable matrix sheared into entries near 1e18, where
         ``eig`` cannot return eigenvectors to the trusted residual."""
@@ -782,7 +796,8 @@ class TestLinkCertificate:
             irreducibility_check(rep)
         good = link_representation(fixtures.tetrahedron(0.3), 0).meridians
         with pytest.raises(EigenFailure, match="unreliable eigenvector"):
-            _irreducibility(np.concatenate([good, rep.images]), np.array([0, 3, 5]), DEFAULT)
+            _irreducibility(_padded(np.concatenate([good, rep.images]), np.array([0, 3, 5])),
+                            DEFAULT)
 
     def test_singular_image_raises(self):
         rep = Representation([np.diag([2.0, 0.5]), np.zeros((2, 2))])

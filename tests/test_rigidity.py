@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,29 @@ class TestRigidityReport:
         report = rigidity_report(flat)
         assert not report.certified
         assert any("nullity" in note for note in report.notes)
+
+    def test_flat_cube_report_ends_at_the_nullity(self):
+        """A constraint nullity other than |E| + 6 ends the report before the
+        SVD: no dimensions, no singular values, no principal angle."""
+        poly = fixtures.cube(0.3)
+        flat = poly.with_positions(poly.positions * np.array([1.0, 1.0, 0.0]))
+        report = rigidity_report(flat)
+        assert (report.tangent_dim, report.angle_rank, report.kernel_dim) == (-1, -1, -1)
+        assert report.notes == ["constraint nullity 22 != |E| + 6 = 18"]
+        assert report.spectral_gap == 0.0
+        assert report.isometry_containment_residual == np.inf
+        assert report.singular_values.size == 0
+
+    def test_principal_angle_note(self):
+        """With a zero principal-angle threshold the cube's kernel, which
+        matches the isometries to rounding, fails on that note alone."""
+        tol = dataclasses.replace(DEFAULT, principal_angle=0.0)
+        report = rigidity_report(fixtures.cube(0.3), tol)
+        residual = report.isometry_containment_residual
+        assert not report.certified
+        assert (report.angle_rank, report.kernel_dim) == (12, 6)
+        assert report.notes == [f"kernel/isometry principal angle {residual:.3e} too large"]
+        assert 0.0 <= residual < DEFAULT.principal_angle
 
     def test_degenerate_face_raises(self):
         """Invalid input geometry raises, as from ``dihedral_angles``; only a
