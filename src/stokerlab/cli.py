@@ -8,10 +8,11 @@ verdict carries the tolerance it was judged against.
 ``main`` builds every report's skeleton and hands it to the command, which
 reads each file through ``_read`` and appends its verdicts, so ``inputs``
 names exactly the files read, in the order read.  Exit codes: 0 every
-verdict passed, 1 at least one verdict failed, 2 unreadable or invalid
-input (non-finite numbers included), 3 no convergence, 4 convexity lost,
-5 ball exit; only ``deform`` returns 3-5, from its solver.  The commands
-that compute on a polyhedron judge it with ``validate_combinatorics`` and
+verdict passed, 1 a verdict failed or the library failed on accepted
+input (numerical failures included), 2 unreadable or invalid input
+(non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
+exit; only ``deform`` returns 3-5, from its solver.  The commands that
+compute on a polyhedron judge it with ``validate_combinatorics`` and
 ``validate_embedding`` before computing, so an embedding that ``validate``
 fails is invalid input for every one of them, reported with its first
 issue.  The environment variable ``STOKERLAB_TOL_SCALE`` multiplies every
@@ -266,10 +267,12 @@ def cmd_tracerank(report, args, tol: Tolerances):
                 f"presentation has {pres.generator_count} generators, "
                 f"matrix file has {rep.generator_count}"
             )
-    det_defect, relator_data = repvar.representation_report(rep, pres)
     if not loops:
         loops = [(g,) for g in range(1, pres.generator_count + 1)]
-    rank_report = repvar.trace_rank(rep, pres, loops, args.unitary, tol)
+    # finite images can overflow; trace_rank then raises LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_defect, relator_data = repvar.representation_report(rep, pres)
+        rank_report = repvar.trace_rank(rep, pres, loops, args.unitary, tol)
     report["results"]["representation"] = {
         "det_defect": det_defect,
         "relator_residuals": [r for _, r in relator_data],
@@ -378,22 +381,12 @@ def main(argv=None):
         report = {"command": args.command, "inputs": [], "config": config,
                   "results": {}, "verdicts": []}
         code = _COMMANDS[args.command](report, args, tol)
-    except ParseError as exc:
-        sys.stdout.write(formats.to_json({
-            "command": args.command,
-            "error": "ParseError",
-            "message": str(exc),
-            "line": exc.line,
-            "column": exc.column,
-        }) + "\n")
-        return EXIT_BAD_INPUT
-    except StokerlabError as exc:
-        sys.stdout.write(formats.to_json({
-            "command": args.command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }) + "\n")
-        return EXIT_CHECK_FAILED
+    except (StokerlabError, np.linalg.LinAlgError) as exc:
+        error = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ParseError):
+            error.update(line=exc.line, column=exc.column)
+        sys.stdout.write(formats.to_json(error) + "\n")
+        return EXIT_BAD_INPUT if isinstance(exc, ParseError) else EXIT_CHECK_FAILED
     if code is None:
         code = EXIT_OK if all(v["pass"] for v in report["verdicts"]) else EXIT_CHECK_FAILED
     sys.stdout.write(formats.to_json(report) + "\n")

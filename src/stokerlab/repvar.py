@@ -312,17 +312,18 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
 # --- geometric holonomy ----------------------------------------------------
 
 
-def _reflection_products(normals, pairs):
-    """Products R_a R_b of (k, 2) index pairs (a, b) into one reflection
-    table over the planes of the (n, 4) unit ``normals``, in the global frame.
+def _reflection_products(pairs):
+    """Products R_a R_b of the reflections in the planes of (k, 2, 4) pairs
+    (a, b) of unit normals.  Since M R_n M^-1 = R_(M n) for a Lorentz M,
+    normals moved by M give the product conjugated by M.
 
     The product of the reflections in two planes through a geodesic is the
     rotation about it by twice the angle between them (Ratcliffe,
     *Foundations of Hyperbolic Manifolds*, section 6.5).  For adjacent face
     planes this is the edge meridian, rotating by twice the dihedral angle.
     """
-    reflections = lorentz.reflect(normals)
-    return reflections[pairs[:, 0]] @ reflections[pairs[:, 1]]
+    reflections = lorentz.reflect(pairs)
+    return reflections[:, 0] @ reflections[:, 1]
 
 
 @dataclass
@@ -330,9 +331,9 @@ class LinkRepresentation:
     """Spherical holonomy of a vertex link, based at the vertex.
 
     ``meridians`` (d, 2, 2) lift ``meridians_so31`` (d, 4, 4) to SL(2,C) in
-    star order, conjugated so the vertex sits at the hyperboloid basepoint
-    (making them numerically unitary); the cyclic product is the identity up
-    to the double-cover sign.
+    star order: reflections in face normals moved so the vertex sits at the
+    hyperboloid basepoint (making them numerically unitary); the cyclic
+    product is the identity up to the double-cover sign.
     """
 
     vertex: int
@@ -356,11 +357,11 @@ class PolyhedronHolonomy:
     ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
     meridians in the global frame and their SL(2,C) lifts, equal to
     ``meridian_holonomy`` edge by edge.  ``link_meridians_so31`` and
-    ``link_meridians`` stack the same for the star slots of all vertices
-    (``CombinatorialType.star_slots``); the link of v, rows
-    ``link_offsets[v]:link_offsets[v + 1]``, equals ``link_representation``.
-    ``angles`` are the dihedral angles of every edge of the face kernel the
-    reflections came from.
+    ``link_meridians`` stack the same, from normals moved to the vertex, for
+    the star slots of all vertices (``CombinatorialType.star_slots``); the
+    link of v, rows ``link_offsets[v]:link_offsets[v + 1]``, equals
+    ``link_representation``.  ``angles`` are the dihedral angles of every
+    edge of the face kernel the reflections came from.
     """
 
     meridians_so31: np.ndarray
@@ -376,20 +377,20 @@ def _holonomy(poly: EmbeddedPolyhedron, edge_pairs, first, last, tol: Tolerances
     and of vertices ``first:last``, lifted in one ``sl2c_lift`` call.
 
     Edge meridians stay in the global frame.  The meridians of a vertex's
-    star, ordered along the star walk so their cyclic product telescopes to
-    the identity, are conjugated by the translation taking the vertex to the
-    origin, so their lifts lie in SU(2).
+    star, in star order so their cyclic product telescopes to the identity,
+    are reflections in normals moved by one translation taking the vertex
+    to the origin, so their lifts lie in SU(2).
     """
     geom = FaceGeometry(poly, tol)
     offsets, owners, _, slot_pairs = poly.combinatorics.star_slots
     slots = slice(offsets[first], offsets[last])
-    products = _reflection_products(geom.normals, np.concatenate([edge_pairs, slot_pairs[slots]]))
+    # a pure boost is symmetric, so the row normals n^T M are the moved M n
+    move = lorentz.translation_to_origin(poly.positions[first:last], tol)
+    moved = geom.normals[slot_pairs[slots]] @ move[owners[slots] - first]
     n = len(edge_pairs)
-    move = lorentz.translation_to_origin(poly.positions[owners[slots]], tol)
-    move_inv = lorentz.J @ np.swapaxes(move, -1, -2) @ lorentz.J
-    link_so31 = move @ products[n:] @ move_inv
-    lifts = lorentz.sl2c_lift(np.concatenate([products[:n], link_so31]), tol)
-    return PolyhedronHolonomy(products[:n], lifts[:n], link_so31, lifts[n:],
+    products = _reflection_products(np.concatenate([geom.normals[edge_pairs], moved]))
+    lifts = lorentz.sl2c_lift(products, tol)
+    return PolyhedronHolonomy(products[:n], lifts[:n], products[n:], lifts[n:],
                               offsets[first:last + 1] - slots.start, geom.angles)
 
 
@@ -416,9 +417,9 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
 
     Each meridian is the product of the reflections in the two face planes
     adjacent to its edge, ordered along the star walk so the cyclic product
-    telescopes to the identity; everything is conjugated by the translation
-    taking the vertex to the origin so the lifts live in SU(2).  The cone
-    angles are twice the dihedral angles of the star edges.
+    telescopes to the identity; the planes are first moved by the
+    translation taking the vertex to the origin, so the lifts live in
+    SU(2).  The cone angles are twice the dihedral angles of the star edges.
     """
     comb = poly.combinatorics
     if not 0 <= vertex < comb.vertex_count:
@@ -432,8 +433,8 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
 
 def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
     """Edge meridians in lexicographic edge order and every vertex link of a
-    whole polyhedron: one reflection table, one batch of meridian products
-    and one ``sl2c_lift`` call."""
+    whole polyhedron: one batch of reflection products and one
+    ``sl2c_lift`` call."""
     comb = poly.combinatorics
     return _holonomy(poly, comb.edge_face_pairs, 0, comb.vertex_count, tol)
 
@@ -491,7 +492,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     """Build the boundary-surface representation for an embedded polyhedron.
 
     All meridians and twists are taken in one global frame as products of
-    two reflections from one table, so no conjugation bookkeeping is needed;
+    two reflections in one batch, so no conjugation bookkeeping is needed;
     the construction is validated by the Euler characteristic of the
     presentation and exact inverse matching of the two copies of every
     meridian.  Raises ``ConvexityViolation`` for a flat cross edge.
@@ -513,16 +514,15 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     cross = np.flatnonzero(~tree)
     # A cross edge's twist is R_f R_m, with m the plane through the edge
     # halfway between its faces f and g: the rotation about the edge by its
-    # dihedral angle.  Its reflection joins the face reflection table.
+    # dihedral angle.  Its normal pair joins the slots' face normal pairs.
     f, g = comb.edge_face_pairs[cross].T
     halfway = geom.normals[f] - geom.normals[g]
     square = lorentz.minkowski_inner(halfway, halfway)
     if not np.all(square > 0):          # the faces share a plane
         raise ConvexityViolation(f"edge {comb.edges[cross[np.argmin(square > 0)]]} is flat")
     halfway /= np.sqrt(square)[:, None]
-    pairs = np.concatenate([slot_pairs,
-                            np.column_stack([f, comb.face_count + np.arange(len(cross))])])
-    products = _reflection_products(np.concatenate([geom.normals, halfway]), pairs)
+    twists = np.stack([geom.normals[f], halfway], axis=1)
+    products = _reflection_products(np.concatenate([geom.normals[slot_pairs], twists]))
 
     slot_end = (owner == ends[slot_edges, 1]).astype(np.intp)
     rows = np.empty_like(ends)              # slot row of every edge end

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from helpers import corner_tetrahedron, to_json_reference
 from stokerlab import cli, fixtures, formats
 from stokerlab.config import DEFAULT
-from stokerlab.errors import ParseError
+from stokerlab.errors import EigenFailure, ParseError
 from stokerlab.polyhedron import dihedral_angles
-from stokerlab.repvar import Presentation, link_representation, surface_group_fixture
+from stokerlab.repvar import (
+    Presentation,
+    Representation,
+    link_representation,
+    surface_group_fixture,
+)
 from stokerlab.rigidity import rigidity_report
 
 
@@ -717,6 +722,28 @@ class TestCliHolonomy:
         assert len(report["results"]["edges"]) == 12
         assert len(report["results"]["vertices"]) == 8
 
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_near_sphere_fixtures_pass(self, name, tmp_path, capsys):
+        """Vertices at Klein radius 0.999999: every link meridian is still
+        an isometry to ``DEFAULT.iso``, so the lift succeeds."""
+        path = write_poly(tmp_path, fixtures.STANDARD[name](0.999999))
+        code, out = run_cli(capsys, ["holonomy", path])
+        assert code == 0
+        assert all(v["pass"] for v in json.loads(out)["verdicts"])
+
+    def test_library_error_is_exit_1_report(self, tmp_path, capsys, monkeypatch):
+        def fail(poly, tol):
+            raise EigenFailure("probe")
+
+        monkeypatch.setattr(cli.repvar, "polyhedron_holonomy", fail)
+        path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
+        code = cli.main(["holonomy", path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"command": "holonomy", "error": "EigenFailure",
+                                            "message": "probe"}
+
 
 class TestCliTraceRank:
     def test_fixture_vertex_unitary(self, tmp_path, capsys):
@@ -845,6 +872,40 @@ class TestCliTraceRank:
         report = json.loads(out)
         assert report["error"] == "ParseError"
         assert report["line"] == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_products_are_a_report(self, tmp_path, capsys):
+        """Finite unit-determinant images whose Fox products overflow: the
+        nullspace of the non-finite relator matrix fails, which is exit 1
+        with an error report and no warning."""
+        pres_path = write(tmp_path, "pres.txt", "gens 2\nrel 1 2 -1 -2\n")
+        rep = Representation([[[1e200, 0], [0, 1e-200]], [[1, 1], [0, 1]]])
+        mats_path = write(tmp_path, "mats.json", formats.dump_matrices(rep))
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"command": "tracerank", "error": "LinAlgError",
+                                            "message": "nullspace of a non-finite matrix"}
+
+    def test_fixture_vertex_generator_count_mismatch(self, tmp_path, capsys):
+        poly_path = write_poly(tmp_path, fixtures.tetrahedron(0.3))
+        pres_path = write(tmp_path, "pres.txt", "gens 4\nrel 1 2 3 4\n")
+        code = cli.main(["tracerank", pres_path, "--fixture-vertex", f"{poly_path}:0"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["error"] == "ParseError"
+        assert report["message"] == "presentation has 4 generators, link has 3"
+
+    def test_matrix_count_mismatch(self, tmp_path, capsys):
+        pres_path = write(tmp_path, "pres.txt", "gens 2\n")
+        rep = Representation(np.tile(np.eye(2), (3, 1, 1)))
+        mats_path = write(tmp_path, "mats.json", formats.dump_matrices(rep))
+        code = cli.main(["tracerank", pres_path, "--matrices", mats_path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["error"] == "ParseError"
+        assert report["message"] == "presentation has 2 generators, matrix file has 3"
 
     def test_free_group_dimension(self, tmp_path, capsys):
         fx = surface_group_fixture(fixtures.tetrahedron(0.3))

@@ -13,7 +13,7 @@ from helpers import (
     sl2c_to_so31,
 )
 from stokerlab import lorentz
-from stokerlab.config import DEFAULT
+from stokerlab.config import DEFAULT, Tolerances
 from stokerlab.errors import BallBoundary, DegenerateFace, LiftFailure
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -114,6 +114,17 @@ class TestPlaneThrough:
         with pytest.raises(DegenerateFace):
             lorentz.plane_through(*pts)
 
+    def test_timelike_normal_rejected(self):
+        """Three points on the plane x = 0.92: its normal (a, b) has
+        q / span = (|a|^2 - b^2) / (|a|^2 + b^2) = (1 - 0.92^2) / (1 + 0.92^2),
+        about 0.083, below rank_rel = 0.1.  No ``DEFAULT.scaled(k)`` reaches
+        this branch: for points inside radius 1 - ball, q / span is above
+        about ``ball``, which stays 10 times ``rank_rel`` under any scaling,
+        so the record here sets rank_rel alone."""
+        pts = [0.92, 0.3, 0.0], [0.92, -0.15, 0.26], [0.92, -0.15, -0.26]
+        with pytest.raises(DegenerateFace, match="normal direction is not spacelike"):
+            lorentz.plane_through(*pts, Tolerances(rank_rel=0.1))
+
     def test_contains_its_points(self):
         rng = np.random.default_rng(5)
         checked = 0
@@ -176,6 +187,9 @@ class TestSo31Basis:
             mat = expm(0.1 * gen)
             assert lorentz.isometry_defect(mat) < 1e-12
             assert lorentz.is_isometry(mat)
+
+    def test_non_4x4_is_not_an_isometry(self):
+        assert not lorentz.is_isometry(np.eye(3))
 
 
 class TestSl2cLift:

@@ -30,6 +30,7 @@ from stokerlab.repvar import (
     _padded,
     Presentation,
     Representation,
+    algebra_basis,
     coboundary_space,
     cocycle_extend,
     cocycle_space,
@@ -181,6 +182,10 @@ class TestCocycleSpaces:
         assert z.shape[1] == 6 * (valence - 1)
         assert b.shape[1] == 6
         assert z.shape[1] - b.shape[1] == 6 * valence - 12
+
+    def test_unknown_algebra_rejected(self):
+        with pytest.raises(ValueError, match="unknown algebra 'so3'"):
+            algebra_basis("so3")
 
     def test_coboundary_space_of_central_rep(self):
         rep = Representation([I2, -I2])
@@ -700,6 +705,16 @@ class TestPolyhedronHolonomy:
     @given(random_polyhedra(20))
     def test_random_hulls_and_duals(self, poly):
         self.check(poly)
+
+    @pytest.mark.parametrize("scale", [0.3, 0.99, 0.9999, 0.999999])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_link_meridians_near_the_sphere(self, name, scale):
+        """Link meridians are reflections in normals moved to the vertex, so
+        their rounding stays near eps for a vertex near the sphere.
+        Conjugating the global-frame product by the vertex's boost instead
+        scales it by the boost's entries: 9.3e-10 at scale 0.999999."""
+        hol = polyhedron_holonomy(fixtures.STANDARD[name](scale))
+        assert np.max(lorentz.isometry_defect(hol.link_meridians_so31)) <= 1e-12
 
 
 def assert_group_results(images, offsets, reports):

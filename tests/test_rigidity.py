@@ -184,6 +184,10 @@ class TestNullspace:
         nullspace(matrix, REL)
         assert np.array_equal(matrix, before)
 
+    def test_non_finite_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="nullspace of a non-finite matrix"):
+            nullspace(np.array([[np.nan, 1.0]]), 1e-9)
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(random_polyhedra(24))
     def test_tangent_width_matches_svd_reference(self, poly):
