@@ -199,7 +199,7 @@ def cmd_holonomy(report, args, tol: Tolerances):
     comb = poly.combinatorics
     holonomy = repvar.polyhedron_holonomy(poly, tol)
     angles = holonomy.angles
-    traces = np.trace(holonomy.meridians, axis1=1, axis2=2)
+    traces = np.trace(holonomy.link_meridians[comb.edge_slots[:, 0]], axis1=1, axis2=2)
     trace_abs = np.hypot(traces.real, traces.imag)
     defects = np.abs(np.abs(traces.real) - 2.0 * np.abs(np.cos(angles)))
     worst_trace = float(np.max(defects, initial=0.0))

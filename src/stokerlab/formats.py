@@ -201,9 +201,9 @@ def load_presentation(path):
     """Parse the presentation text format; returns (Presentation, loops).
 
     Every number is an ASCII decimal integer (``parse_int``).  Any other
-    token, a ``gens`` count below 1, an empty relator, or a letter 0 or
-    beyond ``gens`` in a ``rel`` or ``loop`` line raises ``ParseError`` at
-    its line.
+    token, a second ``gens`` line, one without exactly one count or with a
+    count below 1, an empty relator, or a letter 0 or beyond ``gens`` in a
+    ``rel`` or ``loop`` line raises ``ParseError`` at its line.
     """
     gens = None
     words = []              # (line number, directive, letters)
@@ -218,7 +218,10 @@ def load_presentation(path):
             continue
         parts = line.split()
         try:
-            if parts[0] == "gens" and len(parts) == 2:
+            if parts[0] == "gens":
+                if gens is not None or len(parts) != 2:
+                    raise ValueError("a second 'gens' line" if gens is not None else
+                                     f"'gens' takes one count, got {len(parts) - 1}")
                 gens = parse_int(parts[1])
                 if gens < 1:
                     raise ValueError(f"gens must be at least 1, got {gens}")

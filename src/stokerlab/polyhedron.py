@@ -63,10 +63,11 @@ class CombinatorialType:
     from v's slot in its lowest face; the stars of all vertices advance
     together, at most max-valence times.  Everything else is read from the
     table and cached on first use: ``star_slots`` (the stars laid end to
-    end, which ``vertex_star`` slices), ``edge_graph`` (adjacency and
-    breadth-first tree), and the index arrays of ``FaceGeometry``:
-    ``face_anchors``, ``edge_face_pairs``, ``planarity_pairs``,
-    ``convexity_mask`` and the stacked Jacobian's cells ``jacobian_cells``.
+    end, which ``vertex_star`` slices and ``edge_slots`` indexes by edge),
+    ``edge_graph`` (adjacency and breadth-first tree), and the index arrays
+    of ``FaceGeometry``: ``face_anchors``, ``edge_face_pairs``,
+    ``planarity_pairs``, ``convexity_mask`` and the stacked Jacobian's
+    cells ``jacobian_cells``.
     Where an invalid type lacks one, it raises ``InvalidCombinatorics``
     with the issues of :func:`validate_combinatorics`.
     """
@@ -214,6 +215,14 @@ class CombinatorialType:
         pairs[:, 0] = self._face[slots]
         pairs[:, 1] = self._face[self._twin[slots]]
         return offsets, owners, self._edge_keys.searchsorted(self._canonical[slots]), pairs
+
+    @cached_property
+    def edge_slots(self):
+        """(E, 2) ``star_slots`` rows of every edge (a, b): at a, then at b."""
+        _, owners, edges, _ = self.star_slots
+        slots = np.empty((self.edge_count, 2), dtype=np.intp)
+        slots[edges, (owners == self._edge_ends[edges, 1]).astype(np.intp)] = np.arange(len(edges))
+        return slots
 
     @cached_property
     def edge_graph(self):

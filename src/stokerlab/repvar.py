@@ -352,50 +352,44 @@ class LinkRepresentation:
 
 @dataclass
 class PolyhedronHolonomy:
-    """Edge meridians and vertex links of a polyhedron, computed in one batch.
+    """Vertex links of a polyhedron, computed in one batch.
 
-    ``meridians_so31`` (E, 4, 4) and ``meridians`` (E, 2, 2) are the edge
-    meridians in the global frame and their SL(2,C) lifts, equal to
-    ``meridian_holonomy`` edge by edge.  ``link_meridians_so31`` and
-    ``link_meridians`` stack the same, from normals moved to the vertex, for
-    the star slots of all vertices (``CombinatorialType.star_slots``); the
-    link of v, rows ``link_offsets[v]:link_offsets[v + 1]``, equals
-    ``link_representation``.  ``angles`` are the dihedral angles of every
-    edge of the face kernel the reflections came from.
+    ``link_meridians_so31`` (S, 4, 4) and ``link_meridians`` (S, 2, 2) are
+    the edge meridians, from normals moved to the vertex, and their SL(2,C)
+    lifts at the star slots of all vertices (``CombinatorialType.star_slots``);
+    rows ``link_offsets[v]:link_offsets[v + 1]`` equal ``link_representation``
+    of v.  Edge e = (a, b) sits at rows ``edge_slots[e]``, conjugate to its
+    ``meridian_holonomy`` at a and to the inverse at b.  ``angles`` are the
+    dihedral angles of the face kernel the reflections came from.
     """
 
-    meridians_so31: np.ndarray
-    meridians: np.ndarray
     link_meridians_so31: np.ndarray
     link_meridians: np.ndarray
     link_offsets: np.ndarray
     angles: np.ndarray
 
 
-def _holonomy(poly: EmbeddedPolyhedron, edge_pairs, first, last, tol: Tolerances):
-    """A ``PolyhedronHolonomy`` of the edges with the given (k, 2) face pairs
-    and of vertices ``first:last``, lifted in one ``sl2c_lift`` call.
+def _holonomy(poly: EmbeddedPolyhedron, first, last, tol: Tolerances):
+    """A ``PolyhedronHolonomy`` of vertices ``first:last``, lifted in one
+    ``sl2c_lift`` call.
 
-    Edge meridians stay in the global frame.  The meridians of a vertex's
-    star, in star order so their cyclic product telescopes to the identity,
-    are reflections in normals moved by one translation taking the vertex
-    to the origin, so their lifts lie in SU(2).
+    The meridians of a vertex's star, in star order so their cyclic product
+    telescopes to the identity, are reflections in normals moved by one
+    translation taking the vertex to the origin, so their lifts lie in SU(2).
+    No global-frame product, whose rounding grows with the boost, is formed.
     """
     geom = FaceGeometry(poly, tol)
     offsets, owners, _, slot_pairs = poly.combinatorics.star_slots
     slots = slice(offsets[first], offsets[last])
     # a pure boost is symmetric, so the row normals n^T M are the moved M n
     move = lorentz.translation_to_origin(poly.positions[first:last], tol)
-    moved = geom.normals[slot_pairs[slots]] @ move[owners[slots] - first]
-    n = len(edge_pairs)
-    products = _reflection_products(np.concatenate([geom.normals[edge_pairs], moved]))
-    lifts = lorentz.sl2c_lift(products, tol)
-    return PolyhedronHolonomy(products[:n], lifts[:n], products[n:], lifts[n:],
+    products = _reflection_products(geom.normals[slot_pairs[slots]] @ move[owners[slots] - first])
+    return PolyhedronHolonomy(products, lorentz.sl2c_lift(products, tol),
                               offsets[first:last + 1] - slots.start, geom.angles)
 
 
 def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
-    """Meridian isometry of an edge and its SL(2,C) lift.
+    """Meridian isometry of an edge in the global frame and its SL(2,C) lift.
 
     The product of the reflections in the two adjacent face planes is an
     elliptic isometry about the edge geodesic rotating by twice the dihedral
@@ -407,8 +401,8 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
     k = comb.edge_index.get((a, b))
     if k is None:
         raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
-    holonomy = _holonomy(poly, comb.edge_face_pairs[k:k + 1], 0, 0, tol)
-    return holonomy.meridians_so31[0], holonomy.meridians[0]
+    products = _reflection_products(FaceGeometry(poly, tol).normals[comb.edge_face_pairs[k:k + 1]])
+    return products[0], lorentz.sl2c_lift(products, tol)[0]
 
 
 def link_representation(poly: EmbeddedPolyhedron, vertex,
@@ -424,7 +418,7 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     comb = poly.combinatorics
     if not 0 <= vertex < comb.vertex_count:
         raise InvalidCombinatorics(f"vertex {vertex} belongs to no face")
-    hol = _holonomy(poly, np.empty((0, 2), dtype=np.intp), vertex, vertex + 1, tol)
+    hol = _holonomy(poly, vertex, vertex + 1, tol)
     offsets, _, slot_edges, _ = comb.star_slots
     edges = slot_edges[offsets[vertex]:offsets[vertex + 1]]
     return LinkRepresentation(vertex, tuple(comb.edges[k] for k in edges), hol.link_meridians,
@@ -432,11 +426,10 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
 
 
 def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
-    """Edge meridians in lexicographic edge order and every vertex link of a
-    whole polyhedron: one batch of reflection products and one
-    ``sl2c_lift`` call."""
-    comb = poly.combinatorics
-    return _holonomy(poly, comb.edge_face_pairs, 0, comb.vertex_count, tol)
+    """Every vertex link of a whole polyhedron: one batch of reflection
+    products and one ``sl2c_lift`` call.  An edge's meridian is read from
+    its link slots (``CombinatorialType.edge_slots``)."""
+    return _holonomy(poly, 0, poly.combinatorics.vertex_count, tol)
 
 
 @dataclass
@@ -498,15 +491,15 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     meridian.  Raises ``ConvexityViolation`` for a flat cross edge.
 
     Generators are kept as one (E, 2) array of signed letters, one per edge
-    end.  The spanning tree is the breadth-first tree of
-    ``CombinatorialType.edge_graph``: a tree edge keeps the slot at its parent
-    end and its child end reads the inverse letter; a cross edge keeps both
-    slots and gets a twist.  Slot generators are numbered in edge order, then
-    the twists.
+    end (``CombinatorialType.edge_slots``).  The spanning tree is the
+    breadth-first tree of ``CombinatorialType.edge_graph``: a tree edge
+    keeps the slot at its parent end and its child end reads the inverse
+    letter; a cross edge keeps both slots and gets a twist.  Slot generators
+    are numbered in edge order, then the twists.
     """
     comb = poly.combinatorics
     geom = FaceGeometry(poly, tol)
-    offsets, owner, slot_edges, slot_pairs = comb.star_slots
+    offsets, _, slot_edges, slot_pairs = comb.star_slots
     ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
     parent = comb.edge_graph.parent
     child_first = parent[ends[:, 0]] == ends[:, 1]
@@ -524,16 +517,12 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     twists = np.stack([geom.normals[f], halfway], axis=1)
     products = _reflection_products(np.concatenate([geom.normals[slot_pairs], twists]))
 
-    slot_end = (owner == ends[slot_edges, 1]).astype(np.intp)
-    rows = np.empty_like(ends)              # slot row of every edge end
-    rows[slot_edges, slot_end] = np.arange(len(slot_edges))
-    mismatch = np.max(np.abs(products[rows[:, 0]] @ products[rows[:, 1]]
-                             - np.eye(4)), axis=(1, 2))
+    rows = comb.edge_slots                  # slot row of every edge end
+    mismatch = np.max(np.abs(products[rows[:, 0]] @ products[rows[:, 1]] - np.eye(4)), axis=(1, 2))
     for e, defect in zip(comb.edges, mismatch):
         if defect > tol.meridian_copy:
             raise InvalidCombinatorics(
-                f"meridian copies of edge {e} are not inverse (defect {defect:.3e})"
-            )
+                f"meridian copies of edge {e} are not inverse (defect {defect:.3e})")
 
     width = np.where(tree, 1, 2)            # slot generators per edge
     first = np.cumsum(width) - width + 1
@@ -545,7 +534,8 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     generator_rows = np.concatenate([rows[letters > 0], len(slot_edges) + np.arange(len(cross))])
     images = lorentz.sl2c_lift(products[generator_rows], tol)
 
-    slot_letters = letters[slot_edges, slot_end]
+    slot_letters = np.empty_like(slot_edges)
+    slot_letters[rows] = letters
     twist = int(width.sum()) + 1 + np.arange(len(cross))
     relators = [slot_letters[a:b] for a, b in zip(offsets, offsets[1:])]
     relators += [(t, a, -t, b) for t, (a, b) in zip(twist, letters[cross])]
@@ -556,9 +546,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     genus = comb.edge_count - comb.vertex_count + 1
     euler = 1 - len(names) + len(relators)
     if euler != 2 - 2 * genus:
-        raise InvalidCombinatorics(
-            f"presentation Euler characteristic {euler} != {2 - 2 * genus}"
-        )
+        raise InvalidCombinatorics(f"presentation Euler characteristic {euler} != {2 - 2 * genus}")
 
     return SurfaceGroupFixture(
         presentation=Presentation(len(names), relators),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corner_tetrahedron, to_json_reference
-from stokerlab import cli, fixtures, formats
+from stokerlab import cli, fixtures, formats, lorentz
 from stokerlab.config import DEFAULT
 from stokerlab.errors import EigenFailure, ParseError
 from stokerlab.polyhedron import dihedral_angles
@@ -283,12 +283,17 @@ class TestPresentationFormat:
         ("gens 12\nrel 10 -\u0663\n", 2),
         ("gens 12\nloop 1 \uff12\n", 2),
         ("gens 12\nrel 1 2.0\n", 2),
+        ("gens 2\ngens 3\nrel 1 2 -1 -2\n", 2),
+        ("gens 2 3\n", 1),
     ])
     def test_bad_word_rejected_with_its_line(self, tmp_path, text, line):
         path = write(tmp_path, "pres.txt", text)
         with pytest.raises(ParseError) as info:
             formats.load_presentation(path)
         assert info.value.line == line
+        named = {"gens 2\ngens 3\nrel 1 2 -1 -2\n": "a second 'gens' line",
+                 "gens 2 3\n": "'gens' takes one count, got 2"}
+        assert named.get(text, "") in str(info.value)
 
 
 class TestMatrixFormat:
@@ -727,6 +732,19 @@ class TestCliHolonomy:
         """Vertices at Klein radius 0.999999: every link meridian is still
         an isometry to ``DEFAULT.iso``, so the lift succeeds."""
         path = write_poly(tmp_path, fixtures.STANDARD[name](0.999999))
+        code, out = run_cli(capsys, ["holonomy", path])
+        assert code == 0
+        assert all(v["pass"] for v in json.loads(out)["verdicts"])
+
+    @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("name", ["cube", "triangular_prism"])
+    def test_far_from_origin_passes(self, name, radius, tmp_path, capsys):
+        """The fixture moved by the boost taking 0 to (radius, 0, 0): edge
+        traces are read from the links, so no global-frame meridian, whose
+        rounding grows like eps |L|^2, reaches the lift."""
+        poly = fixtures.STANDARD[name](0.3)
+        boost = lorentz.pure_boost(lorentz.klein_lift([radius, 0.0, 0.0]))
+        path = write_poly(tmp_path, poly.with_positions(lorentz.apply_isometry(boost, poly.positions)))
         code, out = run_cli(capsys, ["holonomy", path])
         assert code == 0
         assert all(v["pass"] for v in json.loads(out)["verdicts"])

@@ -288,12 +288,11 @@ class TestMeridianHolonomy:
 
     def test_either_orientation_reads_the_edge_face_pairs(self):
         poly = fixtures.cube(0.3)
-        holonomy = polyhedron_holonomy(poly)
-        for k, (a, b) in enumerate(poly.combinatorics.edges):
-            for edge in ((a, b), (b, a)):
-                iso, lift = meridian_holonomy(poly, edge)
-                assert np.array_equal(iso, holonomy.meridians_so31[k])
-                assert np.array_equal(lift, holonomy.meridians[k])
+        for a, b in poly.combinatorics.edges:
+            iso, lift = meridian_holonomy(poly, (a, b))
+            flipped_iso, flipped_lift = meridian_holonomy(poly, (b, a))
+            assert np.array_equal(iso, flipped_iso)
+            assert np.array_equal(lift, flipped_lift)
 
     @pytest.mark.parametrize("edge, message", [
         ((0, 6), "0->6"), ((6, 0), "0->6"), ((2, 2), "2->2"), ((1, 99), "1->99"), ((-1, 3), "-1->3"),
@@ -677,12 +676,6 @@ class TestPolyhedronHolonomy:
     def check(self, poly):
         comb = poly.combinatorics
         hol = polyhedron_holonomy(poly)
-        assert hol.meridians_so31.shape == (comb.edge_count, 4, 4)
-        assert hol.meridians.shape == (comb.edge_count, 2, 2)
-        for k, e in enumerate(comb.edges):
-            iso, lift = meridian_holonomy(poly, e)
-            assert np.array_equal(hol.meridians_so31[k], iso)
-            assert np.array_equal(hol.meridians[k], lift)
         slots = 2 * comb.edge_count
         assert hol.link_offsets.shape == (comb.vertex_count + 1,)
         assert (hol.link_offsets[0], hol.link_offsets[-1]) == (0, slots)
@@ -690,8 +683,9 @@ class TestPolyhedronHolonomy:
         assert hol.link_meridians_so31.shape == (slots, 4, 4)
         for v in range(comb.vertex_count):
             assert_links_equal(hol, poly, v)
-        traces = np.abs(np.trace(hol.meridians, axis1=1, axis2=2))
-        defect = np.abs(traces - 2.0 * np.abs(np.cos(dihedral_angles(poly))))
+        slot_edges = comb.star_slots[2]
+        traces = np.abs(np.trace(hol.link_meridians, axis1=1, axis2=2))
+        defect = np.abs(traces - 2.0 * np.abs(np.cos(dihedral_angles(poly)[slot_edges])))
         assert np.max(defect) < DEFAULT.trace_identity
 
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
@@ -715,6 +709,39 @@ class TestPolyhedronHolonomy:
         scales it by the boost's entries: 9.3e-10 at scale 0.999999."""
         hol = polyhedron_holonomy(fixtures.STANDARD[name](scale))
         assert np.max(lorentz.isometry_defect(hol.link_meridians_so31)) <= 1e-12
+
+
+class TestEdgeSlots:
+    """Each edge's two link slots against its global-frame meridian."""
+
+    def check(self, poly):
+        comb = poly.combinatorics
+        _, owners, slot_edges, _ = comb.star_slots
+        slots = comb.edge_slots
+        assert slots.shape == (comb.edge_count, 2)
+        assert np.array_equal(np.sort(slots, axis=None), np.arange(2 * comb.edge_count))
+        assert np.array_equal(slot_edges[slots], np.arange(comb.edge_count)[:, None].repeat(2, 1))
+        assert np.array_equal(owners[slots], np.array(comb.edges).reshape(-1, 2))
+        hol = polyhedron_holonomy(poly)
+        for e, (a, b) in enumerate(comb.edges):
+            iso, _ = meridian_holonomy(poly, (a, b))
+            for end, v in enumerate((a, b)):
+                # T_v M_e T_v^-1 at end a, its inverse at end b; J L^T J inverts a Lorentz L
+                move = lorentz.translation_to_origin(poly.positions[v])
+                seen = move @ iso @ lorentz.J @ move.T @ lorentz.J
+                if end:
+                    seen = lorentz.J @ seen.T @ lorentz.J
+                assert np.max(np.abs(hol.link_meridians_so31[slots[e, end]] - seen)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures(self, name, scale):
+        self.check(fixtures.STANDARD[name](scale))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_random_hulls_and_duals(self, poly):
+        self.check(poly)
 
 
 def assert_group_results(images, offsets, reports):
