@@ -25,7 +25,7 @@ from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import ConvexityViolation, EigenFailure, IndexRange, InvalidCombinatorics
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
-from .rigidity import _null_components, numerical_rank, nullspace
+from .rigidity import _null_components, _pivoted_qr, numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -286,7 +286,7 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     relator, traces, coboundary = _fox_matrices(rep, pres.relators, loops, algebra)
     parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
     rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
-    on_cocycles = _null_components(relator, tol.rank_svd, rows.T)
+    on_cocycles = _null_components(_pivoted_qr(relator, tol.rank_svd), rows.T)
     z1 = on_cocycles.shape[0]
     b1 = numerical_rank(np.linalg.svd(coboundary, compute_uv=False), tol.rank_svd)
     h1 = max(z1 - b1, 0)

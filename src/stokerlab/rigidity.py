@@ -6,15 +6,16 @@ that tangent space the dihedral-angle Jacobian must have rank |E| with a
 6-dimensional kernel spanned exactly by the ambient isometry directions.
 ``rigidity_report`` certifies all of this numerically at one relative
 threshold, ``Tolerances.rank_svd``: the tangent space is a nullspace from a
-column-pivoted QR (see ``nullspace``), and the restricted angle Jacobian's
-rank and kernel come from its SVD.  A failed certificate is a note in the
-report; input that is not a valid embedding raises the geometry's own error.
+column-pivoted QR (see ``nullspace``); the restricted angle Jacobian's
+singular values are those of the R of its unpivoted QR, and its kernel is
+Q's trailing columns.  A failed certificate is a note in the report; input
+that is not a valid embedding raises the geometry's own error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, subspace_angles
+from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
@@ -30,40 +31,42 @@ def numerical_rank(magnitudes, rel_threshold):
     return int(np.sum(magnitudes > rel_threshold * magnitudes[0]))
 
 
-def _null_components(matrix, rel_threshold, block):
-    """Components of the columns of ``block`` along an orthonormal basis of
-    the numerical nullspace of ``matrix``, one row per basis vector.
-
-    One column-pivoted Householder QR, ``matrix.T P = Q R`` (LAPACK
-    ``geqp3``; Businger and Golub, Numer. Math. 7, 1965), decides the rank:
-    the count of |r_kk| above ``rel_threshold`` times |r_00|.  The first
-    rank columns of Q span the row space of ``matrix`` and the rest its
-    nullspace, so the components are the rows of Q^T ``block`` past the
-    rank, applied through the stored reflectors (``ormqr``) without forming
-    Q or any singular vector.
-    """
+def _pivoted_qr(matrix, rel_threshold):
+    """(reflectors, tau, rank) of one column-pivoted Householder QR
+    ``matrix.T P = Q R`` (LAPACK ``geqp3``; Businger and Golub, Numer. Math.
+    7, 1965): the rank counts the |r_kk| above ``rel_threshold`` times
+    |r_00|.  An empty matrix gives (None, None, 0)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    block = np.asarray(block, dtype=float)
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("nullspace of a non-finite matrix")
     if 0 in matrix.shape:
-        return block
+        return None, None, 0
     # LAPACK workspace queries (lwork = -1) before each call; a query writes
     # nothing, so only the real geqp3 copies the caller's matrix.
     lwork = int(lapack.dgeqp3(matrix.T, lwork=-1, overwrite_a=1)[3][0])
     qr, _, tau, _, _ = lapack.dgeqp3(matrix.T, lwork=lwork)
     rank = numerical_rank(np.abs(np.diagonal(qr)), rel_threshold)
-    reflectors = qr[:, :tau.size]        # min(m, n) of them: fewer when matrix is tall
+    return qr[:, :tau.size], tau, rank     # min(m, n) reflectors: fewer when matrix is tall
+
+
+def _null_components(factor, block):
+    """Components of the columns of ``block`` along the numerical nullspace
+    of a matrix factored by ``_pivoted_qr``: Q's columns past the rank span
+    it, so these are the rows of Q^T ``block`` past the rank, applied
+    through the stored reflectors (``ormqr``) without forming Q."""
+    reflectors, tau, rank = factor
+    block = np.asarray(block, dtype=float)
+    if reflectors is None:
+        return block
     lwork = int(lapack.dormqr("L", "T", reflectors, tau, block, -1, overwrite_c=1)[1][0])
     return lapack.dormqr("L", "T", reflectors, tau, block, lwork)[0][rank:]
 
 
 def nullspace(matrix, rel_threshold):
-    """Orthonormal basis (columns) of the numerical nullspace: the trailing
-    columns of Q in the column-pivoted QR of ``matrix.T``, past the rank
-    that ``_null_components`` decides."""
+    """Orthonormal basis (columns) of the numerical nullspace: the columns of
+    Q in the pivoted QR of ``matrix.T`` past the rank of ``_pivoted_qr``."""
     cols = np.atleast_2d(np.asarray(matrix)).shape[1]
-    return _null_components(matrix, rel_threshold, np.eye(cols)).T
+    return _null_components(_pivoted_qr(matrix, rel_threshold), np.eye(cols)).T
 
 
 def constraint_jacobian(poly: EmbeddedPolyhedron):
@@ -91,17 +94,19 @@ def tangent_space(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     Raises ``DimensionMismatch`` when the numerical nullity differs from the
     predicted |E| + 6.
     """
-    return _tangent_basis(FaceGeometry(poly), tol)
+    factor = _constraint_factor(FaceGeometry(poly), tol)
+    return _null_components(factor, np.eye(3 * poly.combinatorics.vertex_count)).T
 
 
-def _tangent_basis(geometry: FaceGeometry, tol: Tolerances):
-    basis = nullspace(geometry.constraint_jacobian(), tol.rank_svd)
+def _constraint_factor(geometry: FaceGeometry, tol: Tolerances):
+    """``_pivoted_qr`` of the constraint Jacobian, which reads no normals;
+    raises ``DimensionMismatch`` when its nullity is not |E| + 6."""
+    factor = _pivoted_qr(geometry.constraint_jacobian(), tol.rank_svd)
+    nullity = 3 * geometry.combinatorics.vertex_count - factor[2]
     expected = geometry.combinatorics.edge_count + 6
-    if basis.shape[1] != expected:
-        raise DimensionMismatch(
-            f"constraint nullity {basis.shape[1]} != |E| + 6 = {expected}"
-        )
-    return basis
+    if nullity != expected:
+        raise DimensionMismatch(f"constraint nullity {nullity} != |E| + 6 = {expected}")
+    return factor
 
 
 def isometry_directions(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -150,42 +155,47 @@ class RigidityReport:
 def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> RigidityReport:
     """Certify that the dihedral angles locally parameterize the embedding.
 
-    Restricts the angle Jacobian to the constraint tangent space, reports its
-    rank and kernel via SVD, and compares the kernel with the isometry
-    directions by principal angles.  Certified means: tangent dimension
-    |E| + 6, angle rank |E|, kernel dimension 6, and kernel/isometry
-    principal angles below ``tol.principal_angle``.  A failed certificate is
-    recorded in ``notes``; a constraint nullity other than |E| + 6
-    (``DimensionMismatch``) is one, and ends the report there.  Invalid input
-    geometry raises, as it does from ``dihedral_angles``: ``DegenerateFace``
-    and ``BallBoundary`` from the face kernel and the lift,
-    ``RankDeficiency`` from ``isometry_directions``.
+    Certified means: tangent dimension |E| + 6, angle rank |E|, kernel
+    dimension 6, and kernel/isometry principal angles below
+    ``tol.principal_angle``.  The constraint QR's reflectors carry the angle
+    Jacobian A and the isometry directions into tangent coordinates, as
+    M^T = (A T)^T and Y = T^T iso, with no basis T formed.  One unpivoted QR
+    [M^T | Q_Y] = Q R, Q_Y an orthonormal basis of Y, gives the rest.  The
+    singular values are those of R's leading |E| x |E| block, and the rank
+    counts them; the kernel K is Q's columns past the rank, so rank plus
+    kernel dimension is the tangent dimension.  The largest principal angle
+    is the arcsin of the norm of (I - K K^T) Q_Y: R's last columns above row
+    rank.
+
+    A failed certificate is recorded in ``notes``; a constraint nullity
+    other than |E| + 6 (``DimensionMismatch``) is one, and ends the report
+    there, before any face normal is read.  Invalid input geometry raises,
+    as it does from ``dihedral_angles``: ``DegenerateFace`` and
+    ``BallBoundary`` from the face kernel and the lift, ``RankDeficiency``
+    from ``isometry_directions``.
     """
     geometry = FaceGeometry(poly, tol)
-    notes = []
     edge_count = poly.combinatorics.edge_count
     try:
-        tangent = _tangent_basis(geometry, tol)
+        factor = _constraint_factor(geometry, tol)
     except DimensionMismatch as exc:
-        notes.append(str(exc))
-        return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, notes)
+        return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, [str(exc)])
 
-    _, sing, vh = np.linalg.svd(geometry.angle_jacobian() @ tangent)
+    block = np.concatenate([geometry.angle_jacobian(), isometry_directions(poly, tol).T]).T
+    tangent = _null_components(factor, block)
+    tangent[:, edge_count:] = np.linalg.qr(tangent[:, edge_count:])[0]
+    r = lapack.dgeqrf(tangent, overwrite_a=1)[0]
+    sing = np.linalg.svd(np.triu(r[:edge_count, :edge_count]), compute_uv=False)
     rank = numerical_rank(sing, tol.rank_svd)
-    kernel = tangent @ vh[rank:].T
-    kernel_dim = kernel.shape[1]
+    kernel_dim = r.shape[0] - rank
+    residual = float(np.arcsin(min(np.linalg.norm(r[:rank, edge_count:], 2), 1.0)))
 
-    iso = isometry_directions(poly, tol)
-    iso_in_tangent = tangent @ (tangent.T @ iso)
-    residual = float(np.max(subspace_angles(kernel, iso_in_tangent)))
-
+    notes = []
     if rank != edge_count:
         notes.append(f"angle rank {rank} != |E| = {edge_count}")
     if kernel_dim != 6:
         notes.append(f"kernel dimension {kernel_dim} != 6")
     if not residual < tol.principal_angle:
         notes.append(f"kernel/isometry principal angle {residual:.3e} too large")
-    certified = not notes
-    return RigidityReport(
-        edge_count, tangent.shape[1], rank, kernel_dim, residual, sing, certified, notes
-    )
+    return RigidityReport(edge_count, r.shape[0], rank, kernel_dim, residual, sing,
+                          not notes, notes)

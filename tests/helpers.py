@@ -7,12 +7,12 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import expm, lapack
+from scipy.linalg import expm, lapack, subspace_angles
 from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz, repvar
 from stokerlab.config import DEFAULT
-from stokerlab.errors import InvalidCombinatorics, NoConvergence
+from stokerlab.errors import DimensionMismatch, InvalidCombinatorics, NoConvergence
 from stokerlab.formats import format_float
 from stokerlab.polyhedron import (
     CombinatorialType,
@@ -21,7 +21,13 @@ from stokerlab.polyhedron import (
     EmbeddedPolyhedron,
     embed_euclidean,
 )
-from stokerlab.rigidity import numerical_rank
+from stokerlab.rigidity import (
+    RigidityReport,
+    angle_jacobian,
+    isometry_directions,
+    numerical_rank,
+    tangent_space,
+)
 
 
 def random_isometry(rng, scale=0.5):
@@ -239,6 +245,33 @@ def svd_nullspace(matrix, rel_threshold):
         return np.eye(cols)
     _, sing, vh = np.linalg.svd(matrix)
     return vh[numerical_rank(sing, rel_threshold):].T
+
+
+def rigidity_report_reference(poly, tol=DEFAULT):
+    """The certificate by the explicit route: the tangent basis T, the full
+    SVD of the restricted angle Jacobian A T for its rank and kernel, and
+    ``scipy.linalg.subspace_angles`` between that kernel and the isometry
+    directions projected onto T.  The reference for
+    ``rigidity.rigidity_report``; raises and notes in the same order."""
+    edge_count = poly.combinatorics.edge_count
+    try:
+        tangent = tangent_space(poly, tol)
+    except DimensionMismatch as exc:
+        return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, [str(exc)])
+    _, sing, vh = np.linalg.svd(angle_jacobian(poly, tol) @ tangent)
+    rank = numerical_rank(sing, tol.rank_svd)
+    kernel = tangent @ vh[rank:].T
+    iso = isometry_directions(poly, tol)
+    residual = float(np.max(subspace_angles(kernel, tangent @ (tangent.T @ iso))))
+    notes = []
+    if rank != edge_count:
+        notes.append(f"angle rank {rank} != |E| = {edge_count}")
+    if kernel.shape[1] != 6:
+        notes.append(f"kernel dimension {kernel.shape[1]} != 6")
+    if not residual < tol.principal_angle:
+        notes.append(f"kernel/isometry principal angle {residual:.3e} too large")
+    return RigidityReport(edge_count, tangent.shape[1], rank, kernel.shape[1], residual,
+                          sing, not notes, notes)
 
 
 def matrix_from_coords(coords, algebra="sl2"):

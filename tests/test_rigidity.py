@@ -13,6 +13,7 @@ from helpers import (
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    rigidity_report_reference,
     svd_nullspace,
 )
 from stokerlab import fixtures, lorentz
@@ -254,8 +255,9 @@ class TestRigidityReport:
     ])
     def test_loose_rank_cut_keeps_rank_and_kernel_consistent(self, name, dims):
         """Near-flat fixtures with every threshold scaled by 1e5 lose angle
-        rank.  The one SVD gives both the rank and the kernel, so they add up
-        to the tangent dimension."""
+        rank.  The rank counts the singular values of the QR's R factor and
+        the kernel is the trailing columns of its Q, so they add up to the
+        tangent dimension."""
         poly = fixtures.STANDARD[name](0.02)
         tol = DEFAULT.scaled(1e5)
         report = rigidity_report(poly, tol)
@@ -275,7 +277,8 @@ class TestRigidityReport:
 
     def test_flat_cube_report_ends_at_the_nullity(self):
         """A constraint nullity other than |E| + 6 ends the report before the
-        SVD: no dimensions, no singular values, no principal angle."""
+        angle Jacobian is read: no dimensions, no singular values, no
+        principal angle."""
         poly = fixtures.cube(0.3)
         flat = poly.with_positions(poly.positions * np.array([1.0, 1.0, 0.0]))
         report = rigidity_report(flat)
@@ -319,3 +322,41 @@ class TestRigidityReport:
             assert (report.tangent_dim, report.angle_rank, report.kernel_dim) == (
                 base.tangent_dim, base.angle_rank, base.kernel_dim,
             )
+
+
+# Bounds of the QR route against the full-SVD reference, fixed before any
+# run: singular values within about 450 eps of sigma_1, and the largest
+# principal angle within 1e-11 absolute (both routes are backward stable,
+# and the angle is amplified by at most the conditioning sigma_1 / sigma_|E|).
+SIGMA_BOUND = 1e-13
+RESIDUAL_BOUND = 1e-11
+
+
+def assert_matches_reference(poly, tol=DEFAULT):
+    report, reference = rigidity_report(poly, tol), rigidity_report_reference(poly, tol)
+    for field in ("tangent_dim", "angle_rank", "kernel_dim", "certified", "notes"):
+        assert getattr(report, field) == getattr(reference, field), field
+    sing, ref = report.singular_values, reference.singular_values
+    assert sing.shape == ref.shape
+    assert np.max(np.abs(sing - ref), initial=0.0) <= SIGMA_BOUND * ref[0]
+    assert abs(report.isometry_containment_residual
+               - reference.isometry_containment_residual) <= RESIDUAL_BOUND
+
+
+class TestRigidityReportReference:
+    """``rigidity_report`` against the explicit tangent basis, full SVD and
+    ``subspace_angles`` of ``rigidity_report_reference``."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    @pytest.mark.parametrize("scale", (0.02, 0.3, 0.9))
+    def test_fixtures(self, name, scale):
+        assert_matches_reference(fixtures.STANDARD[name](scale))
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures_at_the_loose_rank_cut(self, name):
+        assert_matches_reference(fixtures.STANDARD[name](0.02), DEFAULT.scaled(1e5))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_random_polyhedra(self, poly):
+        assert_matches_reference(poly)
