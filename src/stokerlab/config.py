@@ -24,7 +24,6 @@ class Tolerances:
     central: float = 1e-10        # Frobenius distance to +-I below which an image is central
     eigen_residual: float = 1e-6  # relative eigenpair residual of a trusted eigenvector
     degenerate: float = 1e-12     # norm below which an eigenvector or its image is zero
-    meridian_copy: float = 1e-9   # entrywise defect of an edge's two inverse meridian copies
     frame: float = 1e-10          # collinearity threshold for gauge frames
     branch_tie: float = 1e-12     # |part| at or below which an SL(2,C) lift's sign test ties
     branch_entry: float = 1e-8    # modulus above which a lift entry can break a sign tie

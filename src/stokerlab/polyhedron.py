@@ -305,6 +305,7 @@ class CombinatorialType:
 
 _ANCHOR_OFFSETS = np.arange(3)
 _TURNS = np.array([[1, 2, 0], [2, 0, 1]])      # anchors i + 1, i + 2 (mod 3) of anchor i
+_SIGNATURE = np.diag(lorentz.J)                 # (x * y) @ _SIGNATURE = <x, y>, row by row
 
 
 @dataclass(frozen=True)
@@ -418,8 +419,8 @@ class FaceGeometry:
     index arrays cached on the combinatorial type; each quantity is computed
     once.  Planarity and convexity are the determinants (u x w) . (x - p1),
     u, w the anchor edges; they read no normals, so they never raise.  The
-    normals (from the same u x w), each edge's two normals and their inner
-    product are cached on first use for ``angles`` and the angle Jacobian.
+    normals (from the same u x w), each edge's two normals and their two
+    half-chords are cached on first use for ``angles`` and the angle Jacobian.
     ``jacobian`` scatters all closed-form blocks at once; the other two
     Jacobians are its row ranges.
     """
@@ -476,14 +477,16 @@ class FaceGeometry:
 
     @cached_property
     def _edge_normals(self):
-        """The (E, 2, 4) normals n_f, n_g of every edge's faces and <n_f, n_g>."""
+        """The (E, 2, 4) normals n_f, n_g of every edge's faces and the half-chords
+        |n_f - n_g| = 2 sin(phi/2) and |n_f + n_g| = 2 cos(phi/2), phi = pi - theta."""
         pairs = self.normals[self.combinatorics.edge_face_pairs]
-        return pairs, lorentz.minkowski_inner(pairs[:, 0], pairs[:, 1])
+        minus, plus = pairs[:, 0] - pairs[:, 1], pairs[:, 0] + pairs[:, 1]
+        return pairs, np.sqrt((minus * minus) @ _SIGNATURE), np.sqrt((plus * plus) @ _SIGNATURE)
 
     @cached_property
     def angles(self):
-        """Interior dihedral angle pi - arccos <n_f, n_g> of every edge, in edge order."""
-        return np.pi - np.arccos(np.clip(self._edge_normals[1], -1.0, 1.0))
+        """Interior dihedral angle pi - 2 atan2(|n_f - n_g|, |n_f + n_g|) of every edge."""
+        return np.pi - 2.0 * np.arctan2(*self._edge_normals[1:])
 
     def jacobian(self):
         """(P + E) x 3V Jacobian of [planarity residuals; angles], one
@@ -523,16 +526,17 @@ class FaceGeometry:
         """(E, 6, 3) gradients of every angle at the anchors of its two faces.
 
         Chain rule through the unnormalized normals n = (a, b).  With
-        N = n / sqrt(q) and c = <N_f, N_g>, d theta = dc / sqrt(1 - c^2) and
+        N = n / sqrt(q), c = <N_f, N_g> and sin(phi) = |N_f - N_g| |N_f + N_g| / 2,
+        d theta = dc / sin(phi), taken as 0 on a flat edge (N_f = N_g), and
         dc = <dn_f, m_f> + <dn_g, m_g> for m_f = (N_g - c N_f) / sqrt(q_f).
         For a fixed m = (m_s, m_t), <n, m> = a . m_s - b m_t has gradient
         (p2 - p3) x m_s - m_t (p2 x p3) in p1, and cyclically in p2, p3;
         those differences and cross products are taken once per face.
         """
         faces = self.combinatorics.edge_face_pairs            # (E, 2)
-        pairs, c = self._edge_normals
-        c = c[:, None, None]
-        scale = 1.0 / np.sqrt(np.maximum(1.0 - c * c, 1e-300))
+        pairs, minus, plus = self._edge_normals
+        c = lorentz.minkowski_inner(pairs[:, 0], pairs[:, 1])[:, None, None]
+        scale = np.divide(2.0, minus * plus, out=np.zeros_like(minus), where=minus > 0)[:, None, None]
         m = (pairs[:, ::-1] - c * pairs) * (scale / self._normals[1][faces, None])
         after, later = self.anchors[:, _TURNS[0]], self.anchors[:, _TURNS[1]]
         blocks = (_cross((after - later)[faces], m[:, :, None, :3])
@@ -647,8 +651,8 @@ def face_planes(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
 def dihedral_angles(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     """Interior dihedral angle of every edge, in lexicographic edge order.
 
-    For an edge between faces with away-from-interior unit normals n, n' the
-    angle is pi - arccos(<n, n'>); convex embeddings give values in (0, pi).
+    For an edge between faces with away-from-interior unit normals n, n', the
+    angle pi - 2 atan2(|n - n'|, |n + n'|) lies in (0, pi) when P is convex.
     """
     return FaceGeometry(poly, tol).angles
 

@@ -358,9 +358,9 @@ class PolyhedronHolonomy:
     the edge meridians, from normals moved to the vertex, and their SL(2,C)
     lifts at the star slots of all vertices (``CombinatorialType.star_slots``);
     rows ``link_offsets[v]:link_offsets[v + 1]`` equal ``link_representation``
-    of v.  Edge e = (a, b) sits at rows ``edge_slots[e]``, conjugate to its
-    ``meridian_holonomy`` at a and to the inverse at b.  ``angles`` are the
-    dihedral angles of the face kernel the reflections came from.
+    of v.  Edge e = (a, b) sits at rows ``edge_slots[e]``: its
+    ``meridian_holonomy`` at a, a conjugate of the inverse at b.  ``angles``
+    are the dihedral angles of the face kernel the reflections came from.
     """
 
     link_meridians_so31: np.ndarray
@@ -371,7 +371,7 @@ class PolyhedronHolonomy:
 
 def _holonomy(poly: EmbeddedPolyhedron, first, last, tol: Tolerances):
     """A ``PolyhedronHolonomy`` of vertices ``first:last``, lifted in one
-    ``sl2c_lift`` call.
+    ``sl2c_lift`` call; ``meridian_holonomy`` reads one of its slots.
 
     The meridians of a vertex's star, in star order so their cyclic product
     telescopes to the identity, are reflections in normals moved by one
@@ -389,7 +389,8 @@ def _holonomy(poly: EmbeddedPolyhedron, first, last, tol: Tolerances):
 
 
 def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
-    """Meridian isometry of an edge in the global frame and its SL(2,C) lift.
+    """Meridian isometry of an edge and its SU(2) lift: the edge's slot in the
+    link of its lower end a: the global meridian conjugated by T_a (a -> 0).
 
     The product of the reflections in the two adjacent face planes is an
     elliptic isometry about the edge geodesic rotating by twice the dihedral
@@ -401,8 +402,9 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
     k = comb.edge_index.get((a, b))
     if k is None:
         raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
-    products = _reflection_products(FaceGeometry(poly, tol).normals[comb.edge_face_pairs[k:k + 1]])
-    return products[0], lorentz.sl2c_lift(products, tol)[0]
+    slot = comb.edge_slots[k, 0] - comb.star_slots[0][a]
+    hol = _holonomy(poly, a, a + 1, tol)
+    return hol.link_meridians_so31[slot], hol.link_meridians[slot]
 
 
 def link_representation(poly: EmbeddedPolyhedron, vertex,
@@ -484,11 +486,12 @@ class SurfaceGroupFixture:
 def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> SurfaceGroupFixture:
     """Build the boundary-surface representation for an embedded polyhedron.
 
-    All meridians and twists are taken in one global frame as products of
-    two reflections in one batch, so no conjugation bookkeeping is needed;
-    the construction is validated by the Euler characteristic of the
-    presentation and exact inverse matching of the two copies of every
-    meridian.  Raises ``ConvexityViolation`` for a flat cross edge.
+    Each generator is a product of two reflections in face normals moved,
+    as in ``_holonomy``, by one translation taking the vertex mean (inside
+    P) to the origin.  An edge's two slots pair its faces as (f, g) and
+    (g, f), so its meridian copies are inverse by construction.  The
+    presentation is checked by its Euler characteristic; a flat cross edge
+    raises ``ConvexityViolation``.
 
     Generators are kept as one (E, 2) array of signed letters, one per edge
     end (``CombinatorialType.edge_slots``).  The spanning tree is the
@@ -498,41 +501,35 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     are numbered in edge order, then the twists.
     """
     comb = poly.combinatorics
-    geom = FaceGeometry(poly, tol)
     offsets, _, slot_edges, slot_pairs = comb.star_slots
     ends = np.array(comb.edges, dtype=np.intp).reshape(-1, 2)
     parent = comb.edge_graph.parent
     child_first = parent[ends[:, 0]] == ends[:, 1]
     tree = child_first | (parent[ends[:, 1]] == ends[:, 0])
     cross = np.flatnonzero(~tree)
-    # A cross edge's twist is R_f R_m, with m the plane through the edge
-    # halfway between its faces f and g: the rotation about the edge by its
-    # dihedral angle.  Its normal pair joins the slots' face normal pairs.
+    # a pure boost is symmetric, so the row normals n^T M are the moved M n
+    move = lorentz.translation_to_origin(poly.positions.mean(axis=0), tol)
+    normals = FaceGeometry(poly, tol).normals @ move
+    # A cross edge's twist R_f R_m, m the plane through the edge halfway
+    # between its faces f and g, rotates about the edge by its dihedral angle.
     f, g = comb.edge_face_pairs[cross].T
-    halfway = geom.normals[f] - geom.normals[g]
+    halfway = normals[f] - normals[g]
     square = lorentz.minkowski_inner(halfway, halfway)
     if not np.all(square > 0):          # the faces share a plane
         raise ConvexityViolation(f"edge {comb.edges[cross[np.argmin(square > 0)]]} is flat")
     halfway /= np.sqrt(square)[:, None]
-    twists = np.stack([geom.normals[f], halfway], axis=1)
-    products = _reflection_products(np.concatenate([geom.normals[slot_pairs], twists]))
-
-    rows = comb.edge_slots                  # slot row of every edge end
-    mismatch = np.max(np.abs(products[rows[:, 0]] @ products[rows[:, 1]] - np.eye(4)), axis=(1, 2))
-    for e, defect in zip(comb.edges, mismatch):
-        if defect > tol.meridian_copy:
-            raise InvalidCombinatorics(
-                f"meridian copies of edge {e} are not inverse (defect {defect:.3e})")
 
     width = np.where(tree, 1, 2)            # slot generators per edge
     first = np.cumsum(width) - width + 1
     # tree edge: g at the parent end, g^-1 at the child end; cross edge: g, g + 1
     letters = np.column_stack([np.where(child_first, -first, first), first + 1])
     letters[tree, 1] = -letters[tree, 0]
+    rows = comb.edge_slots                  # slot row of every edge end
     # Read row by row, the positive letters are 1, 2, ..., so their slot
     # rows list the slot generators in order; the twist generators follow.
-    generator_rows = np.concatenate([rows[letters > 0], len(slot_edges) + np.arange(len(cross))])
-    images = lorentz.sl2c_lift(products[generator_rows], tol)
+    pairs = np.concatenate([normals[slot_pairs[rows[letters > 0]]],
+                            np.stack([normals[f], halfway], axis=1)])
+    images = lorentz.sl2c_lift(_reflection_products(pairs), tol)
 
     slot_letters = np.empty_like(slot_edges)
     slot_letters[rows] = letters

@@ -19,6 +19,7 @@ from stokerlab.polyhedron import (
     CombinatoricsReport,
     EdgeGraph,
     EmbeddedPolyhedron,
+    FaceGeometry,
     embed_euclidean,
 )
 from stokerlab.rigidity import (
@@ -171,6 +172,16 @@ def intrinsic_dihedral_angle(poly, edge):
         klein_metric_inner(mid, d1, d1) * klein_metric_inner(mid, d2, d2)
     )
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def global_meridian(poly, edge):
+    """Meridian isometry of an edge (a, b), a < b, in the global frame: the
+    product R_f R_g of the reflections in its two face planes (f, g) =
+    ``edge_face_pairs``, from the unmoved normals.  Its rounding grows with
+    the edge's distance from the origin; the library forms no such product."""
+    comb = poly.combinatorics
+    f, g = lorentz.reflect(FaceGeometry(poly).normals[comb.edge_face_pairs[comb.edge_index[edge]]])
+    return f @ g
 
 
 def corner_tetrahedron(leg=0.4):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import min_norm_step, prism, random_isometry, random_polyhedra, reference_step
+from helpers import (
+    capped_cube,
+    min_norm_step,
+    prism,
+    random_isometry,
+    random_polyhedra,
+    reference_step,
+)
 from stokerlab import deform, fixtures, lorentz
 from stokerlab.config import DEFAULT, Tolerances
 from stokerlab.deform import (
@@ -105,6 +112,16 @@ class TestRealizeAngles:
         assert result.iterations_used == 0
         fixed = gauge_fix(poly)
         assert np.max(np.abs(result.final.positions - fixed.positions)) < 1e-13
+
+    def test_near_flat_target_converges_in_few_iterations(self):
+        """The apex edges of ``capped_cube(1e-5)`` are within 1.4e-5 of pi.
+        With angles and their Jacobian accurate to a few eps there, a 1e-9
+        target is reached in Gauss-Newton's few steps; an angle error near
+        the 1e-11 residual tolerance would make the solve crawl."""
+        poly = capped_cube(1e-5)
+        base = dihedral_angles(poly)
+        target = base + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, base.size)
+        assert realize_angles(poly, target).iterations_used <= 3
 
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
     def test_small_perturbations_converge(self, name):

@@ -39,6 +39,7 @@ from stokerlab.rigidity import angle_jacobian, constraint_jacobian
 
 EPS = np.finfo(float).eps
 REFERENCE_TOL = 1e-13    # normals and angles against the mpmath route
+NEAR_PI_TOL = 4 * EPS    # angles near pi against the mpmath route
 FD_TOL = 1e-6            # same bound as the fixture oracles
 
 examples = settings(max_examples=20, deadline=None, derandomize=True)
@@ -91,6 +92,34 @@ def test_angles_match_minkowski_inner(poly):
     expected = np.array([mp_dihedral_angle(ref[fa], ref[fb])
                          for fa, fb in poly.combinatorics.edge_face_pairs.tolist()])
     assert np.max(np.abs(dihedral_angles(poly) - expected)) <= REFERENCE_TOL
+
+
+@pytest.mark.parametrize("height", [1e-3, 1e-5, 1e-7])
+def test_angles_near_pi_match_minkowski_inner(height):
+    """The apex edges of ``capped_cube`` are within about 1.4 height of pi.
+    The half-angle form keeps every angle within a few eps of the reference
+    there, while arccos of the inner product amplifies its rounding by
+    1 / sin(angle)."""
+    poly = capped_cube(height)
+    ref = reference_normals(poly)
+    expected = np.array([mp_dihedral_angle(ref[fa], ref[fb])
+                         for fa, fb in poly.combinatorics.edge_face_pairs.tolist()])
+    assert np.pi - expected.max() < 2 * height
+    assert np.max(np.abs(dihedral_angles(poly) - expected)) <= NEAR_PI_TOL
+
+
+def test_flat_edges_have_zero_angle_rows():
+    """With the apex of ``capped_cube`` on the top face, its four edges are
+    flat (n_f = n_g): each angle is pi and has no derivative there, and its
+    angle Jacobian rows are 0, with no division by zero."""
+    poly = capped_cube(1e-3)
+    pos = poly.positions.copy()
+    pos[8, 2] = pos[7, 2]
+    geom = FaceGeometry(poly.with_positions(pos))
+    flat = geom.angles == np.pi
+    assert np.count_nonzero(flat) == 4
+    jac = geom.angle_jacobian()
+    assert np.all(np.isfinite(jac)) and not np.any(jac[flat])
 
 
 FIXTURES = {**{name: build(0.3) for name, build in fixtures.STANDARD.items()},

@@ -12,6 +12,7 @@ from helpers import (
     coboundary,
     corner_tetrahedron,
     elliptic,
+    global_meridian,
     matrix_from_coords,
     random_polar_dual,
     random_polyhedra,
@@ -23,7 +24,7 @@ from helpers import (
 from stokerlab import fixtures, formats
 from stokerlab.config import DEFAULT
 from stokerlab.errors import ConvexityViolation, EigenFailure, InvalidCombinatorics
-from stokerlab.polyhedron import dihedral_angles
+from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron, dihedral_angles
 from stokerlab.repvar import (
     _cyclic_relation_residuals,
     _irreducibility,
@@ -279,11 +280,14 @@ class TestMeridianHolonomy:
             )
 
     def test_fixes_edge_endpoints(self):
+        """The meridian is based at the edge's lower end a, so it fixes the
+        endpoints moved by the translation T_a taking a to the origin."""
         poly = fixtures.cube(0.3)
         e = poly.combinatorics.edges[0]
         iso, _ = meridian_holonomy(poly, e)
+        move = lorentz.translation_to_origin(poly.positions[e[0]])
         for v in e:
-            lift = lorentz.klein_lift(poly.positions[v])
+            lift = move @ lorentz.klein_lift(poly.positions[v])
             assert np.max(np.abs(iso @ lift - lift)) < 1e-11
 
     def test_either_orientation_reads_the_edge_face_pairs(self):
@@ -293,6 +297,17 @@ class TestMeridianHolonomy:
             flipped_iso, flipped_lift = meridian_holonomy(poly, (b, a))
             assert np.array_equal(iso, flipped_iso)
             assert np.array_equal(lift, flipped_lift)
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.999999])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_equals_the_end_a_link_slot(self, name, scale):
+        poly = fixtures.STANDARD[name](scale)
+        comb = poly.combinatorics
+        hol = polyhedron_holonomy(poly)
+        for e, edge in enumerate(comb.edges):
+            iso, lift = meridian_holonomy(poly, edge)
+            assert np.array_equal(iso, hol.link_meridians_so31[comb.edge_slots[e, 0]])
+            assert np.array_equal(lift, hol.link_meridians[comb.edge_slots[e, 0]])
 
     @pytest.mark.parametrize("edge, message", [
         ((0, 6), "0->6"), ((6, 0), "0->6"), ((2, 2), "2->2"), ((1, 99), "1->99"), ((-1, 3), "-1->3"),
@@ -471,6 +486,8 @@ class TestSurfaceGroupFixture:
         _, relator_data = representation_report(fx.representation, fx.presentation)
         assert max(residual for _, residual in relator_data) < DEFAULT.relator
         angles = dihedral_angles(poly)
+        # the images are based at the vertex mean, moved to the origin
+        move = lorentz.translation_to_origin(poly.positions.mean(axis=0))
         for image, generator in zip(fx.representation.images, fx.generator_names):
             if generator[0] == "t":
                 edge = tuple(int(v) for v in generator[1:].split("_"))
@@ -478,7 +495,7 @@ class TestSurfaceGroupFixture:
                 angle = angles[poly.combinatorics.edge_index[edge]]
                 assert np.trace(twist) == pytest.approx(2.0 + 2.0 * np.cos(angle), abs=1e-12)
                 for v in edge:
-                    lift = lorentz.klein_lift(poly.positions[v])
+                    lift = move @ lorentz.klein_lift(poly.positions[v])
                     assert np.max(np.abs(twist @ lift - lift)) < 1e-12
 
     def test_flat_cross_edge_rejected(self):
@@ -490,6 +507,18 @@ class TestSurfaceGroupFixture:
         with pytest.raises(ConvexityViolation, match=r"edge \(\d, 8\) is flat"):
             surface_group_fixture(poly.with_positions(pos))
 
+    def test_disconnected_edge_graph_rejected(self):
+        """Two disjoint tetrahedra: the breadth-first tree spans only the
+        first one, so every edge of the second counts as a cross edge and the
+        presentation's Euler characteristic misses 2 - 2g."""
+        tetra = fixtures.tetrahedron(0.2)
+        faces = [list(f) for f in tetra.combinatorics.faces]
+        comb = CombinatorialType(8, faces + [[v + 4 for v in f] for f in faces])
+        pos = np.concatenate([tetra.positions - [0.4, 0, 0], tetra.positions + [0.4, 0, 0]])
+        with pytest.raises(InvalidCombinatorics,
+                           match=r"^presentation Euler characteristic -12 != -8$"):
+            surface_group_fixture(EmbeddedPolyhedron(comb, pos))
+
     @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
     def test_surface_dimension_and_meridian_rank(self, name):
         poly = SURFACE_CASES[name]()
@@ -497,6 +526,41 @@ class TestSurfaceGroupFixture:
         report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
         assert report.h1_dim == 12 * fx.genus - 12
         assert report.rank == 2 * poly.combinatorics.edge_count
+
+
+def boosted(poly, r):
+    """The polyhedron moved by the boost taking the origin to (r, 0, 0)."""
+    boost = lorentz.pure_boost(lorentz.klein_lift([r, 0.0, 0.0]))
+    return poly.with_positions(lorentz.apply_isometry(boost, poly.positions))
+
+
+class TestFarFromOrigin:
+    """The surface fixture and the edge meridians are isometry invariants up
+    to conjugation, so moving P toward the sphere changes none of their
+    frame-free values.  Both form their reflections in normals moved into
+    P, so their rounding stays small where the global-frame products lost
+    the lift or the relators."""
+
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_surface_group_fixture(self, name, r):
+        poly = boosted(fixtures.STANDARD[name](0.3), r)
+        fx = surface_group_fixture(poly)
+        _, relator_data = representation_report(fx.representation, fx.presentation)
+        assert max(residual for _, residual in relator_data) < 1e-10
+        report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
+        assert report.h1_dim == 12 * fx.genus - 12
+        assert report.rank == 2 * poly.combinatorics.edge_count
+
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_meridian_holonomy(self, name, r):
+        poly = boosted(fixtures.STANDARD[name](0.3), r)
+        angles = dihedral_angles(poly)
+        for k, edge in enumerate(poly.combinatorics.edges):
+            _, lift = meridian_holonomy(poly, edge)
+            assert abs(np.trace(lift)) == pytest.approx(2.0 * abs(np.cos(angles[k])), abs=1e-10)
+            assert np.max(np.abs(lift @ lift.conj().T - I2)) < 1e-11
 
 
 EPS = np.finfo(float).eps
@@ -724,7 +788,7 @@ class TestEdgeSlots:
         assert np.array_equal(owners[slots], np.array(comb.edges).reshape(-1, 2))
         hol = polyhedron_holonomy(poly)
         for e, (a, b) in enumerate(comb.edges):
-            iso, _ = meridian_holonomy(poly, (a, b))
+            iso = global_meridian(poly, (a, b))
             for end, v in enumerate((a, b)):
                 # T_v M_e T_v^-1 at end a, its inverse at end b; J L^T J inverts a Lorentz L
                 move = lorentz.translation_to_origin(poly.positions[v])
