@@ -25,8 +25,12 @@ full row rank: the iterate has left the regime where the angles
 parameterize the polyhedron, and the solver stops with ``NoConvergence``
 instead of cutting the rank.  The normal equations square cond(J) and lost
 2e-7 of the step on a 160-point dual.
+
+On small polyhedra an iterate's time is mostly NumPy call overhead, so the
+loop takes each sup norm once per array and the ball test one square root.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,16 +86,16 @@ def gauge_fix(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> EmbeddedPo
         lorentz.translation_to_origin(poly.positions[0], tol), poly.positions, tol
     )
     p1, p2 = pos[1], pos[2]
-    r1 = np.linalg.norm(p1)
+    r1 = math.sqrt(p1 @ p1)
     if r1 < tol.frame:
         raise DegenerateFrame("first two vertices coincide")
     e1 = p1 / r1
     w = p2 - (p2 @ e1) * e1
-    rho = np.linalg.norm(w)
+    rho = math.sqrt(w @ w)
     if rho < tol.frame:
         raise DegenerateFrame("first three vertices are collinear")
     e2 = w / rho
-    return poly.with_positions(pos @ np.array([e1, e2, np.cross(e1, e2)]).T)
+    return poly.with_positions(pos @ np.array([e1, e2, lorentz._cross(e1, e2)]).T)
 
 
 def _stacked_residual(geom: FaceGeometry, target):
@@ -104,7 +108,10 @@ def _gauss_newton_step(jac, rhs, tol: Tolerances):
     Consumes ``jac``: the factor overwrites a C-ordered J (whose transpose
     is Fortran-ordered), so pass a copy to keep J.  ``dtrtrs`` reads R in
     the tall factor; ``dtrcon`` gets a square copy of R, since its wrapper
-    strides by the column count and would misread the factor.
+    strides by the column count and would misread the factor.  The copy is
+    made afresh each step: one buffer held across a solve faulted about
+    three times as many pages over the benchmark's realize ladder, as a
+    long-lived block moves where the allocator trims the heap.
 
     Raises ``NoConvergence`` when J has lost its full row rank: more rows
     than columns, or R estimated no better conditioned than 1 /
@@ -153,11 +160,12 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
     current = poly
     geom = FaceGeometry(current, tol)   # one evaluation per iterate, shared
     residual = _stacked_residual(geom, target)
-    history = [float(np.max(np.abs(residual)))]
+    magnitude = abs(residual)
+    history = [float(magnitude.max())]
     if not np.isfinite(history[0]):
         raise ValueError(f"initial residual {history[0]} is not finite")
     n_planar = len(comb.planarity_pairs)
-    planar_history = [float(np.max(np.abs(residual[:n_planar]), initial=0.0))]
+    planar_history = [float(magnitude[:n_planar].max(initial=0.0))]
 
     iterations = 0
     while history[-1] > opts.residual_tol:
@@ -168,13 +176,15 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
         # Consumed by the step; held until the next J exists, as pages freed re-fault.
         jac = geom.jacobian()
         step = _gauss_newton_step(jac, -residual, tol)
+        largest = abs(step).max()
         damping = 1.0
-        while damping * np.max(np.abs(step)) > opts.trust_radius:
+        while damping * largest > opts.trust_radius:
             damping *= 0.5
             if damping < tol.damping_floor:
                 raise NoConvergence("trust-radius damping underflow")
         new_pos = current.positions + damping * step.reshape(-1, 3)
-        if np.max(np.linalg.norm(new_pos, axis=1)) >= 1.0 - tol.ball:
+        # the largest vertex radius, rooted once: sqrt is monotone
+        if math.sqrt((new_pos * new_pos).sum(axis=1).max()) >= 1.0 - tol.ball:
             raise BallExit("a vertex left the unit ball")
         candidate = current.with_positions(new_pos)
         geom = FaceGeometry(candidate, tol)
@@ -183,8 +193,9 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             raise ConvexityLost(f"convexity margin {margin:.3e} crossed zero")
         current = candidate
         residual = _stacked_residual(geom, target)
-        history.append(float(np.max(np.abs(residual))))
-        planar_history.append(float(np.max(np.abs(residual[:n_planar]), initial=0.0)))
+        magnitude = abs(residual)
+        history.append(float(magnitude.max()))
+        planar_history.append(float(magnitude[:n_planar].max(initial=0.0)))
         iterations += 1
 
     # Dihedral angles are isometry invariants, so the converged iterate's

@@ -38,6 +38,7 @@ from .errors import BallBoundary, DegenerateFace, LiftFailure
 
 # Minkowski bilinear form, (+,+,+,-).
 J = np.diag([1.0, 1.0, 1.0, -1.0])
+_SPATIAL_IDENTITY = np.diag([1.0, 1.0, 1.0, 0.0])
 
 def minkowski_inner(u, v):
     """Signature (+,+,+,-) inner product of two 4-vectors (a float), or of
@@ -59,26 +60,33 @@ def _row_dot(a, b):
 
 
 def _dot3(x, y):
-    """Row-wise dot product of two (..., 3) arrays, summed in a fixed order."""
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+    """Row-wise dot product of two broadcastable (..., 3) arrays: one array of
+    products, summed in the fixed order (x0 y0 + x1 y1) + x2 y2."""
+    prod = x * y
+    return prod[..., 0] + prod[..., 1] + prod[..., 2]
 
 
 def _cross(x, y):
-    """Row-wise cross product of broadcastable (..., 3) arrays: the products
-    and differences of ``np.cross``, without its per-call overhead."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    out[..., 0] = x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1]
-    out[..., 1] = x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2]
-    out[..., 2] = x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+    """Row-wise cross product of broadcastable (..., 3) arrays, bit-equal to
+    ``np.cross``: the same products and differences, without its per-call
+    overhead; the output shape is read off the first component."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    first = x1 * y2 - x2 * y1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = x2 * y0 - x0 * y2
+    out[..., 2] = x0 * y1 - x1 * y0
     return out
 
 
 def _require_in_ball(radii2, tol: Tolerances):
     """Raise ``BallBoundary`` unless every squared Klein radius is below
     (1 - tol.ball)^2.  A NaN radius fails."""
-    if not np.all(radii2 < (1.0 - tol.ball) ** 2):
+    largest = radii2.max(initial=0.0)
+    if not largest < (1.0 - tol.ball) ** 2:
         raise BallBoundary(
-            f"point with |p| = {np.sqrt(np.max(radii2)):.17g} is not strictly inside the ball"
+            f"point with |p| = {np.sqrt(largest):.17g} is not strictly inside the ball"
         )
 
 
@@ -116,20 +124,27 @@ def _unit_normals(anchors, cross, tol: Tolerances):
     to every (x, 1) on it and points to the side from which p1 -> p2 -> p3
     runs counterclockwise.  Raises ``BallBoundary`` for a point outside the
     ball and ``DegenerateFace`` when the triple's (p, 1) span less than
-    ``tol.rank_rel`` of their Hadamard bound or n is not spacelike.
+    ``tol.rank_rel`` of their Hadamard bound, the product of the three
+    1 + |p_i|^2 taken left to right, or n is not spacelike.  The normals are
+    divided by their norms straight into one (k, 4) array.
     """
     radii2 = _dot3(anchors, anchors)
     _require_in_ball(radii2, tol)
     b = _dot3(cross, anchors[:, 0])
     aa = _dot3(cross, cross)
-    span = aa + b * b            # squared volume spanned by the three (p_i, 1)
-    if np.any(span <= tol.rank_rel ** 2 * np.prod(1.0 + radii2, axis=1)):
+    bb = b * b
+    span = aa + bb               # squared volume spanned by the three (p_i, 1)
+    h = 1.0 + radii2
+    if (span <= tol.rank_rel ** 2 * ((h[:, 0] * h[:, 1]) * h[:, 2])).any():
         raise DegenerateFace("three points do not span a plane")
-    q = aa - b * b
-    if np.any(q <= tol.rank_rel * span):
+    q = aa - bb
+    if (q <= tol.rank_rel * span).any():
         raise DegenerateFace("normal direction is not spacelike")
     root = np.sqrt(q)
-    return np.column_stack([cross, b]) / root[:, None], root
+    out = np.empty((len(b), 4))
+    np.divide(cross, root[:, None], out=out[:, :3])
+    np.divide(b, root, out=out[:, 3])
+    return out, root
 
 
 def plane_through(p1, p2, p3, tol: Tolerances = DEFAULT):
@@ -183,24 +198,31 @@ def apply_isometry(mat, points, tol: Tolerances = DEFAULT):
 
 def pure_boost(v):
     """The unique symmetric Lorentz boost sending e4 to the unit timelike v,
-    or the stack (..., 4, 4) of them for a stack (..., 4) of vectors."""
+    or the stack (..., 4, 4) of them for a stack (..., 4) of vectors.
+
+    With v = (s, gamma) it is [[I + s s^T / (1 + gamma), s], [s^T, gamma]]:
+    the outer product v v^T over 1 + gamma plus diag(1, 1, 1, 0), with the
+    last row and column then overwritten by v.
+    """
     v = np.asarray(v, dtype=float)
-    spatial = v[..., :3]
-    gamma = v[..., 3]
-    out = np.empty(v.shape + (4,))
-    out[..., :3, :3] = np.eye(3) + (spatial[..., :, None] * spatial[..., None, :]
-                                    / (1.0 + gamma)[..., None, None])
-    out[..., :3, 3] = spatial
-    out[..., 3, :3] = spatial
-    out[..., 3, 3] = gamma
+    out = v[..., :, None] * v[..., None, :]
+    out /= (1.0 + v[..., 3:])[..., None]
+    out += _SPATIAL_IDENTITY
+    out[..., 3, :] = v
+    out[..., :3, 3] = v[..., :3]
     return out
 
 
 def translation_to_origin(p, tol: Tolerances = DEFAULT):
     """Hyperbolic translation (pure boost) carrying the Klein point p to 0,
-    or the stack of them for a stack (..., 3) of points."""
-    b = pure_boost(klein_lift(p, tol))
-    return J @ b @ J
+    or the stack of them for a stack (..., 3) of points.
+
+    It is the boost sending e4 to the lift of -p: J B J for the boost B to
+    the lift of p, bit for bit, without the two matrix products (J only
+    negates B's last row and column off the corner).  The point is negated
+    as 0 - p, so a zero coordinate gives +0 entries, as those products do.
+    """
+    return pure_boost(klein_lift(np.subtract(0.0, p), tol))
 
 
 def so31_basis():

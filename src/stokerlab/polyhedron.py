@@ -66,8 +66,8 @@ class CombinatorialType:
     end, which ``vertex_star`` slices and ``edge_slots`` indexes by edge),
     ``edge_graph`` (adjacency and breadth-first tree), and the index arrays
     of ``FaceGeometry``: ``face_anchors``, ``edge_face_pairs``,
-    ``planarity_pairs``, ``convexity_mask`` and the stacked Jacobian's
-    cells ``jacobian_cells``.
+    ``planarity_pairs`` with their ``planarity_quads``, ``convexity_mask``
+    and the stacked Jacobian's cells ``jacobian_cells``.
     Where an invalid type lacks one, it raises ``InvalidCombinatorics``
     with the issues of :func:`validate_combinatorics`.
     """
@@ -282,6 +282,13 @@ class CombinatorialType:
         return pairs
 
     @cached_property
+    def planarity_quads(self):
+        """(P, 4) vertex rows: the anchors of ``planarity_pairs`` row p's
+        face, then its vertex."""
+        planar = self.planarity_pairs
+        return np.column_stack([self.face_anchors[planar[:, 0]], planar[:, 1]])
+
+    @cached_property
     def convexity_mask(self):
         """(F, V) bool: True where the vertex is not on the face."""
         mask = np.ones((self.face_count, self.vertex_count), dtype=bool)
@@ -295,10 +302,10 @@ class CombinatorialType:
         ``planarity_pairs`` row p's face, then its vertex; row P + e the
         anchors of edge e's two faces; three columns per vertex, summed
         where a row repeats one.  An invalid type raises the joined issues."""
-        anchors, planar, n = self.face_anchors, self.planarity_pairs, self.vertex_count
+        planar, n = self.planarity_quads, self.vertex_count
         rows = np.arange(len(planar) + self.edge_count)[:, None] * n
-        planar_rows = np.column_stack([anchors[planar[:, 0]], planar[:, 1]]) + rows[:len(planar)]
-        edge_rows = anchors[self.edge_face_pairs].reshape(-1, 6) + rows[len(planar):]
+        planar_rows = planar + rows[:len(planar)]
+        edge_rows = self.face_anchors[self.edge_face_pairs].reshape(-1, 6) + rows[len(planar):]
         cells = 3 * np.concatenate([planar_rows.ravel(), edge_rows.ravel()])
         return (cells[:, None] + _ANCHOR_OFFSETS).ravel()
 
@@ -434,9 +441,11 @@ class FaceGeometry:
         self.cross = _cross(self.anchors[:, 1] - p1, self.anchors[:, 2] - p1)
 
     def planarity_residuals(self):
+        """(u x w) . x for every planarity pair; none, and no work, without pairs."""
         pairs = self.combinatorics.planarity_pairs
-        f, v = pairs[:, 0], pairs[:, 1]
-        return _dot3(self.cross[f], self.positions[v] - self.anchors[f, 0])
+        if not len(pairs):
+            return np.zeros(0)
+        return _dot3(self.cross[pairs[:, 0]], self._planarity_offsets[:, 2])
 
     def convexity_margins(self):
         """Margins of every (face, vertex off the face), face-major: the
@@ -513,14 +522,26 @@ class FaceGeometry:
         width = 3 * self.combinatorics.vertex_count
         return np.bincount(cells, blocks.ravel(), rows * width).reshape(rows, width)
 
+    @cached_property
+    def _planarity_offsets(self):
+        """(P, 3, 3) u, w, x of every planarity pair: the second and third
+        anchors of its face and its vertex, less the first anchor."""
+        points = self.positions[self.combinatorics.planarity_quads]
+        return points[:, 1:] - points[:, :1]
+
     def _constraint_blocks(self):
         """(P, 4, 3) gradients of det(u, w, x): d/du = w x x, d/dw = x x u,
-        d/dx = u x w, and the first anchor gets minus their sum."""
-        f, v = self.combinatorics.planarity_pairs.T
-        p = self.anchors[f]
-        u, w, x = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], self.positions[v] - p[:, 0]
-        gu, gw, gx = _cross(w, x), _cross(x, u), self.cross[f]
-        return np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
+        d/dx = u x w (one cross product over the turns of u, w, x), and the
+        first anchor gets minus their sum.  Without planarity pairs there
+        are no blocks and nothing is computed."""
+        if not len(self.combinatorics.planarity_pairs):
+            return np.zeros((0, 4, 3))
+        offsets = self._planarity_offsets
+        grads = _cross(offsets[:, _TURNS[0]], offsets[:, _TURNS[1]])
+        blocks = np.empty((len(grads), 4, 3))
+        blocks[:, 1:] = grads
+        blocks[:, 0] = -(grads[:, 0] + grads[:, 1] + grads[:, 2])
+        return blocks
 
     def _angle_blocks(self):
         """(E, 6, 3) gradients of every angle at the anchors of its two faces.
@@ -531,11 +552,14 @@ class FaceGeometry:
         dc = <dn_f, m_f> + <dn_g, m_g> for m_f = (N_g - c N_f) / sqrt(q_f).
         For a fixed m = (m_s, m_t), <n, m> = a . m_s - b m_t has gradient
         (p2 - p3) x m_s - m_t (p2 x p3) in p1, and cyclically in p2, p3;
-        those differences and cross products are taken once per face.
+        those differences and cross products are taken once per face.  c is
+        summed as ``lorentz.minkowski_inner`` sums it, from one array of the
+        four coordinate products.
         """
         faces = self.combinatorics.edge_face_pairs            # (E, 2)
         pairs, minus, plus = self._edge_normals
-        c = lorentz.minkowski_inner(pairs[:, 0], pairs[:, 1])[:, None, None]
+        prod = pairs[:, 0] * pairs[:, 1]
+        c = (prod[:, 0] + prod[:, 1] + prod[:, 2] - prod[:, 3])[:, None, None]
         scale = np.divide(2.0, minus * plus, out=np.zeros_like(minus), where=minus > 0)[:, None, None]
         m = (pairs[:, ::-1] - c * pairs) * (scale / self._normals[1][faces, None])
         after, later = self.anchors[:, _TURNS[0]], self.anchors[:, _TURNS[1]]

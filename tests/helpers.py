@@ -12,7 +12,13 @@ from scipy.spatial import ConvexHull
 
 from stokerlab import lorentz, repvar
 from stokerlab.config import DEFAULT
-from stokerlab.errors import DimensionMismatch, InvalidCombinatorics, NoConvergence
+from stokerlab.errors import (
+    BallBoundary,
+    DegenerateFace,
+    DimensionMismatch,
+    InvalidCombinatorics,
+    NoConvergence,
+)
 from stokerlab.formats import format_float
 from stokerlab.polyhedron import (
     CombinatorialType,
@@ -51,6 +57,81 @@ def elliptic(p, axis, angle):
     pure boost taking the origin to p."""
     move = lorentz.pure_boost(lorentz.klein_lift(p))
     return move @ rotation(axis, angle) @ lorentz.J @ move @ lorentz.J
+
+
+def same_bits(a, b):
+    """Whether two float arrays have the same shape and the same bytes,
+    signs of zeros included: a stricter test than ``np.array_equal``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pure_boost_reference(v):
+    """The boost of ``lorentz.pure_boost`` assembled block by block:
+    I + s s^T / (1 + gamma), s in the last column and row, gamma in the
+    corner, for v = (s, gamma) or a stack of them."""
+    v = np.asarray(v, dtype=float)
+    spatial, gamma = v[..., :3], v[..., 3]
+    out = np.empty(v.shape + (4,))
+    out[..., :3, :3] = np.eye(3) + (spatial[..., :, None] * spatial[..., None, :]
+                                    / (1.0 + gamma)[..., None, None])
+    out[..., :3, 3] = spatial
+    out[..., 3, :3] = spatial
+    out[..., 3, 3] = gamma
+    return out
+
+
+def translation_to_origin_reference(p):
+    """J B J for the boost B = ``pure_boost_reference`` to the lift of p:
+    the reference for ``lorentz.translation_to_origin``, two 4 x 4 matrix
+    products per point."""
+    return lorentz.J @ pure_boost_reference(lorentz.klein_lift(p)) @ lorentz.J
+
+
+def gauge_fix_reference(poly):
+    """Positions of ``deform.gauge_fix`` by the reference translation,
+    ``np.linalg.norm`` and ``np.cross``."""
+    pos = lorentz.apply_isometry(translation_to_origin_reference(poly.positions[0]),
+                                 poly.positions)
+    p1, p2 = pos[1], pos[2]
+    e1 = p1 / np.linalg.norm(p1)
+    w = p2 - (p2 @ e1) * e1
+    e2 = w / np.linalg.norm(w)
+    return pos @ np.array([e1, e2, np.cross(e1, e2)]).T
+
+
+def dot3_reference(x, y):
+    """Row-wise dot product of (..., 3) arrays, one coordinate product at a
+    time, summed (x0 y0 + x1 y1) + x2 y2: the reference for ``lorentz._dot3``."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def unit_normals_reference(anchors, cross, tol=DEFAULT):
+    """``lorentz._unit_normals`` through ``np.prod`` and ``np.column_stack``
+    and one division, with the same checks."""
+    radii2 = dot3_reference(anchors, anchors)
+    if not np.all(radii2 < (1.0 - tol.ball) ** 2):
+        raise BallBoundary("point outside the ball")
+    b = dot3_reference(cross, anchors[:, 0])
+    aa = dot3_reference(cross, cross)
+    span = aa + b * b
+    if np.any(span <= tol.rank_rel ** 2 * np.prod(1.0 + radii2, axis=1)):
+        raise DegenerateFace("three points do not span a plane")
+    q = aa - b * b
+    if np.any(q <= tol.rank_rel * span):
+        raise DegenerateFace("normal direction is not spacelike")
+    root = np.sqrt(q)
+    return np.column_stack([cross, b]) / root[:, None], root
+
+
+def constraint_blocks_reference(geom):
+    """(P, 4, 3) planarity gradients of a ``FaceGeometry`` from each pair's
+    gathered anchors, two cross products and the face's stored u x w."""
+    f, v = geom.combinatorics.planarity_pairs.T
+    p = geom.anchors[f]
+    u, w, x = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], geom.positions[v] - p[:, 0]
+    gu, gw, gx = np.cross(w, x), np.cross(x, u), geom.cross[f]
+    return np.stack([-(gu + gw + gx), gu, gw, gx], axis=1)
 
 
 def klein_project(v):

@@ -1,16 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  Tolerances are fixed here, not calibrated.
+complete.  Tolerances are fixed here, not calibrated.  Criteria 1, 2 and 6
+also run, with the same bounds, on ``RANDOM_CASES``: 60 seeded simplicial
+hulls and polar duals of 10 to 40 points from ``helpers``.
 """
 
 import time
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import coboundary, finite_difference_jacobian, matrix_from_coords, trace_differential
+from helpers import (
+    coboundary,
+    finite_difference_jacobian,
+    matrix_from_coords,
+    random_polar_dual,
+    random_simplicial_hull,
+    trace_differential,
+)
 from stokerlab import fixtures
 from stokerlab.deform import DeformOptions, gauge_fix, realize_angles
 from stokerlab.errors import SolverError
@@ -48,6 +58,30 @@ LINK_CASES = (
     ("cube vertex 0", fixtures.cube, 0, 3),
 )
 
+# (builder, seed, point count): hulls and duals alternating, seeds from default_rng(11)
+_case_rng = np.random.default_rng(11)
+RANDOM_CASES = [((random_polar_dual if k % 2 else random_simplicial_hull),
+                 int(_case_rng.integers(2 ** 32)), int(_case_rng.integers(10, 41)))
+                for k in range(60)]
+# Criterion 6 misses on five jittered duals, a FOUND in CHANGES.md.  On the
+# first four the central difference is off by its own truncation error (the
+# analytic Jacobian agrees with a Richardson-extrapolated difference to
+# 1.5e-8); on dual(3122421145, 24) the jitter leaves an edge's two face
+# planes without a common line, so its angle is NaN.
+CRITERION_6_MISSES = {(4206687153, 29), (1493560446, 34), (3538461467, 24),
+                      (17228570, 40), (3122421145, 24)}
+
+
+def _case_name(case):
+    build, seed, n = case
+    return f"{'dual' if build is random_polar_dual else 'hull'}({seed}, {n})"
+
+
+@cache
+def _random_polyhedron(case):
+    build, seed, n = case
+    return build(seed, n)
+
 
 def _conclude(number, name, failures, budget=None, elapsed=None):
     status = "PASS" if not failures else "FAIL"
@@ -63,58 +97,95 @@ def test_criterion_1_rigidity_certification():
     start = time.perf_counter()
     for name, edge_count in FIXTURE_EDGES.items():
         for scale in SCALES:
-            report = rigidity_report(fixtures.STANDARD[name](scale))
-            tag = f"{name}@{scale}"
-            if report.tangent_dim != edge_count + 6:
-                failures.append(f"{tag}: tangent_dim {report.tangent_dim}")
-            if report.angle_rank != edge_count:
-                failures.append(f"{tag}: angle_rank {report.angle_rank}")
-            if report.kernel_dim != 6:
-                failures.append(f"{tag}: kernel_dim {report.kernel_dim}")
-            if not report.isometry_containment_residual < 1e-6:
-                failures.append(f"{tag}: principal angle {report.isometry_containment_residual}")
-            lead = report.spectral_gap
-            if not lead > 1e-6:
-                failures.append(f"{tag}: sigma_E/sigma_1 = {lead}")
-            if not report.certified:
-                failures.append(f"{tag}: not certified: {report.notes}")
+            poly = fixtures.STANDARD[name](scale)
+            assert poly.combinatorics.edge_count == edge_count
+            failures += _certification_failures(f"{name}@{scale}", poly)
     elapsed = time.perf_counter() - start
     _conclude(1, "rigidity certification", failures, budget=5.0, elapsed=elapsed)
+
+
+def _certification_failures(tag, poly):
+    edge_count = poly.combinatorics.edge_count
+    report = rigidity_report(poly)
+    failures = []
+    if report.tangent_dim != edge_count + 6:
+        failures.append(f"{tag}: tangent_dim {report.tangent_dim}")
+    if report.angle_rank != edge_count:
+        failures.append(f"{tag}: angle_rank {report.angle_rank}")
+    if report.kernel_dim != 6:
+        failures.append(f"{tag}: kernel_dim {report.kernel_dim}")
+    if not report.isometry_containment_residual < 1e-6:
+        failures.append(f"{tag}: principal angle {report.isometry_containment_residual}")
+    lead = report.spectral_gap
+    if not lead > 1e-6:
+        failures.append(f"{tag}: sigma_E/sigma_1 = {lead}")
+    if not report.certified:
+        failures.append(f"{tag}: not certified: {report.notes}")
+    return failures
+
+
+def test_criterion_1_on_random_polyhedra():
+    failures = []
+    start = time.perf_counter()
+    for case in RANDOM_CASES:
+        failures += _certification_failures(_case_name(case), _random_polyhedron(case))
+    elapsed = time.perf_counter() - start
+    _conclude(1, "rigidity certification, random", failures, budget=5.0, elapsed=elapsed)
 
 
 def test_criterion_2_constructive_local_parameterization():
     failures = []
     start = time.perf_counter()
-    opts = DeformOptions(max_iterations=20)
     for name in FIXTURE_EDGES:
-        poly = fixtures.STANDARD[name](0.3)
-        base = dihedral_angles(poly)
-        reference = gauge_fix(poly)
-        rng = np.random.default_rng(2024)
-        good = 0
-        for _ in range(100):
-            target = base + rng.uniform(-1e-3, 1e-3, base.size)
-            try:
-                out = realize_angles(poly, target, opts)
-                if out.iterations_used > 20:
-                    continue
-                if np.max(np.abs(out.achieved_angles - target)) >= 1e-10:
-                    continue
-                planar = planarity_residuals(out.final)
-                if planar.size and np.max(np.abs(planar)) >= 1e-11:
-                    continue
-                if convexity_margins(out.final).min() <= 0:
-                    continue
-                back = realize_angles(out.final, base, opts)
-                if np.max(np.abs(back.final.positions - reference.positions)) >= 1e-8:
-                    continue
-                good += 1
-            except SolverError:
-                continue
+        good = _round_trips(fixtures.STANDARD[name](0.3), 100, 1e-3)
         if good < 99:
             failures.append(f"{name}: only {good}/100 runs met every bound")
     elapsed = time.perf_counter() - start
     _conclude(2, "constructive angle realization", failures, budget=60.0, elapsed=elapsed)
+
+
+def _round_trips(poly, runs, amplitude):
+    """How many of ``runs`` seeded uniform targets of ``amplitude`` are met
+    within every bound, forward and back to the gauge-fixed original."""
+    opts = DeformOptions(max_iterations=20)
+    base = dihedral_angles(poly)
+    reference = gauge_fix(poly)
+    rng = np.random.default_rng(2024)
+    good = 0
+    for _ in range(runs):
+        target = base + rng.uniform(-amplitude, amplitude, base.size)
+        try:
+            out = realize_angles(poly, target, opts)
+            if out.iterations_used > 20:
+                continue
+            if np.max(np.abs(out.achieved_angles - target)) >= 1e-10:
+                continue
+            planar = planarity_residuals(out.final)
+            if planar.size and np.max(np.abs(planar)) >= 1e-11:
+                continue
+            if convexity_margins(out.final).min() <= 0:
+                continue
+            back = realize_angles(out.final, base, opts)
+            if np.max(np.abs(back.final.positions - reference.positions)) >= 1e-8:
+                continue
+            good += 1
+        except SolverError:
+            continue
+    return good
+
+
+def test_criterion_2_on_random_polyhedra():
+    """Three uniform 1e-5 targets per polyhedron; as on the fixtures, at most
+    one run in a hundred may miss a bound."""
+    failures = []
+    start = time.perf_counter()
+    good = sum(_round_trips(_random_polyhedron(case), 3, 1e-5) for case in RANDOM_CASES)
+    runs = 3 * len(RANDOM_CASES)
+    if good < 0.99 * runs:
+        failures.append(f"only {good}/{runs} runs met every bound")
+    elapsed = time.perf_counter() - start
+    _conclude(2, "constructive angle realization, random", failures, budget=20.0,
+              elapsed=elapsed)
 
 
 def test_criterion_3_holonomy_identities():
@@ -193,26 +264,7 @@ def test_criterion_6_oracle_agreement():
     rng = np.random.default_rng(99)
     for i in range(50):
         poly = fixtures.STANDARD[builders[i % 4]](0.3)
-        jitter = rng.normal(0.0, 5e-3, poly.positions.shape)
-        probe = poly.with_positions(poly.positions + jitter)
-
-        def angle_map(flat, probe=probe):
-            return dihedral_angles(probe.with_positions(flat.reshape(-1, 3)))
-
-        def planarity_map(flat, probe=probe):
-            return planarity_residuals(probe.with_positions(flat.reshape(-1, 3)))
-
-        flat = probe.positions.ravel()
-        diff = np.max(np.abs(angle_jacobian(probe) -
-                             finite_difference_jacobian(angle_map, flat, step=1e-6)))
-        if not diff < 1e-6:
-            failures.append(f"instance {i}: angle jacobian off by {diff:.3e}")
-        analytic = constraint_jacobian(probe)
-        if analytic.shape[0]:
-            diff = np.max(np.abs(analytic -
-                                 finite_difference_jacobian(planarity_map, flat, step=1e-6)))
-            if not diff < 1e-6:
-                failures.append(f"instance {i}: constraint jacobian off by {diff:.3e}")
+        failures += _jacobian_oracle_failures(f"instance {i}", poly, rng)
 
     for i in range(50):
         n = 2 + i % 2
@@ -239,6 +291,46 @@ def test_criterion_6_oracle_agreement():
         if not diff < 1e-6:
             failures.append(f"trace instance {i}: trace row off by {diff:.3e}")
     _conclude(6, "analytic/finite-difference agreement", failures)
+
+
+def _jacobian_oracle_failures(tag, poly, rng):
+    """Both analytic Jacobians at a 5e-3 Gaussian jitter of ``poly`` against
+    central differences of step 1e-6."""
+    failures = []
+    jitter = rng.normal(0.0, 5e-3, poly.positions.shape)
+    probe = poly.with_positions(poly.positions + jitter)
+
+    def angle_map(flat):
+        return dihedral_angles(probe.with_positions(flat.reshape(-1, 3)))
+
+    def planarity_map(flat):
+        return planarity_residuals(probe.with_positions(flat.reshape(-1, 3)))
+
+    flat = probe.positions.ravel()
+    diff = np.max(np.abs(angle_jacobian(probe) -
+                         finite_difference_jacobian(angle_map, flat, step=1e-6)))
+    if not diff < 1e-6:
+        failures.append(f"{tag}: angle jacobian off by {diff:.3e}")
+    analytic = constraint_jacobian(probe)
+    if analytic.shape[0]:
+        diff = np.max(np.abs(analytic -
+                             finite_difference_jacobian(planarity_map, flat, step=1e-6)))
+        if not diff < 1e-6:
+            failures.append(f"{tag}: constraint jacobian off by {diff:.3e}")
+    return failures
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.xfail(strict=True, reason="criterion 6 miss (FOUND)"))
+    if case[1:] in CRITERION_6_MISSES else case
+    for case in RANDOM_CASES], ids=map(_case_name, RANDOM_CASES))
+def test_criterion_6_on_random_polyhedra(case):
+    start = time.perf_counter()
+    rng = np.random.default_rng(case[1])
+    failures = _jacobian_oracle_failures(_case_name(case), _random_polyhedron(case), rng)
+    elapsed = time.perf_counter() - start
+    _conclude(6, f"analytic/finite-difference agreement, {_case_name(case)}", failures,
+              budget=2.0, elapsed=elapsed)
 
 
 def test_criterion_7_class_function_property():

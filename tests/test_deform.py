@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     capped_cube,
+    gauge_fix_reference,
     min_norm_step,
     prism,
     random_isometry,
     random_polyhedra,
     reference_step,
+    same_bits,
 )
 from stokerlab import deform, fixtures, lorentz
 from stokerlab.config import DEFAULT, Tolerances
@@ -103,6 +105,24 @@ class TestGaugeFix:
         pos[2] = 0.5 * (pos[0] + pos[1])  # not a valid polyhedron, but gauge only looks at 0,1,2
         with pytest.raises(DegenerateFrame):
             gauge_fix(poly.with_positions(pos))
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_equals_the_matrix_product_route(self, name, scale):
+        """Bit-equal to ``apply_isometry`` of J B J, ``np.linalg.norm`` and
+        ``np.cross``, here and on the isometric images of the fixture."""
+        poly = fixtures.STANDARD[name](scale)
+        rng = np.random.default_rng(6)
+        moved = [poly.with_positions(lorentz.apply_isometry(random_isometry(rng, 0.4),
+                                                            poly.positions))
+                 for _ in range(3)]
+        for p in [poly, *moved]:
+            assert same_bits(gauge_fix(p).positions, gauge_fix_reference(p))
+
+    @examples
+    @given(random_polyhedra(40))
+    def test_equals_the_matrix_product_route_on_hulls_and_duals(self, poly):
+        assert same_bits(gauge_fix(poly).positions, gauge_fix_reference(poly))
 
 
 class TestRealizeAngles:

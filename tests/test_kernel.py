@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from helpers import (
     capped_cube,
     collapsed_corner_tetrahedron,
+    constraint_blocks_reference,
+    dot3_reference,
     finite_difference_jacobian,
     jacobian_reference,
     margin_table_reference,
@@ -23,6 +25,7 @@ from helpers import (
     mp_plane_normal,
     prism,
     random_polyhedra,
+    same_bits,
 )
 from stokerlab import fixtures, lorentz
 from stokerlab.errors import DegenerateFace
@@ -203,6 +206,30 @@ def test_stacked_jacobian_is_exact(name):
 @given(random_polyhedra(24))
 def test_stacked_jacobian_is_exact_on_hulls_and_duals(poly):
     assert_stacked_jacobian_exact(poly)
+
+
+def assert_planarity_kernel_exact(poly):
+    """The planarity residuals and their gradient blocks, read from one
+    gather of each pair's four points, equal the per-pair gathers, two
+    cross products and the stored u x w, bit for bit; a polyhedron without
+    planarity pairs gets empty (0,) and (0, 4, 3) arrays."""
+    geom = FaceGeometry(poly)
+    f, v = poly.combinatorics.planarity_pairs.T
+    residuals = dot3_reference(geom.cross[f], geom.positions[v] - geom.anchors[f, 0])
+    assert same_bits(geom.planarity_residuals(), residuals)
+    assert same_bits(geom._constraint_blocks(), constraint_blocks_reference(geom))
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_planarity_kernel_is_exact(name):
+    build, arg = STACKED[name]
+    assert_planarity_kernel_exact(build(arg))
+
+
+@examples
+@given(random_polyhedra(24))
+def test_planarity_kernel_is_exact_on_hulls_and_duals(poly):
+    assert_planarity_kernel_exact(poly)
 
 
 def test_only_the_normals_raise_on_a_degenerate_face():

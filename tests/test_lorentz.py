@@ -5,16 +5,24 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
+    collapsed_corner_tetrahedron,
+    dot3_reference,
     elliptic,
     klein_project,
+    pure_boost_reference,
     random_isometry,
+    random_polyhedra,
     rotation,
+    same_bits,
     segment_length,
     sl2c_to_so31,
+    translation_to_origin_reference,
+    unit_normals_reference,
 )
-from stokerlab import lorentz
+from stokerlab import fixtures, lorentz
 from stokerlab.config import DEFAULT, Tolerances
 from stokerlab.errors import BallBoundary, DegenerateFace, LiftFailure
+from stokerlab.polyhedron import FaceGeometry
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 E4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -406,3 +414,101 @@ class TestStackedPrimitives:
     def test_stack_boundary_rejected(self):
         with pytest.raises(BallBoundary):
             lorentz.klein_lift([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def signed_zero_sprinkled(rng, shape):
+    """Normal samples with about a quarter of the entries set to +0 or -0."""
+    x = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.25
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+class TestKernelPrimitives:
+    """The face kernel's primitives against the NumPy routines and block
+    constructions they replace, bit for bit, signs of zeros included."""
+
+    # every shape pair the library passes to _cross, and zero rows of each
+    CROSS_SHAPES = [((6, 3), (6, 3)), ((156, 3), (156, 3)), ((3,), (3,)),
+                    ((12, 2, 3, 3), (12, 2, 1, 3)), ((8, 3, 3), (8, 3, 3)),
+                    ((0, 3), (0, 3)), ((0, 2, 3, 3), (0, 2, 1, 3)), ((0, 3, 3), (0, 3, 3))]
+
+    @pytest.mark.parametrize("x_shape, y_shape", CROSS_SHAPES)
+    def test_cross_equals_numpy(self, x_shape, y_shape):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            x, y = signed_zero_sprinkled(rng, x_shape), signed_zero_sprinkled(rng, y_shape)
+            assert same_bits(lorentz._cross(x, y), np.cross(x, y))
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_cross_equals_numpy_on_the_kernel_inputs(self, name):
+        """The anchor edges of every face, and the (E, 2, 3, 3) x (E, 2, 1, 3)
+        broadcast of ``FaceGeometry._angle_blocks``."""
+        geom = FaceGeometry(fixtures.STANDARD[name](0.3))
+        a = geom.anchors
+        assert same_bits(lorentz._cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0]),
+                         np.cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0]))
+        turns = a[:, [1, 2, 0]] - a[:, [2, 0, 1]]
+        faces = geom.combinatorics.edge_face_pairs
+        m = geom._edge_normals[0][:, :, None, :3]
+        assert same_bits(lorentz._cross(turns[faces], m), np.cross(turns[faces], m))
+
+    @pytest.mark.parametrize("shape", [(6, 3, 3), (156, 3), (0, 3), (3,)])
+    def test_dot3_sums_in_the_fixed_order(self, shape):
+        rng = np.random.default_rng(31)
+        x, y = signed_zero_sprinkled(rng, shape), signed_zero_sprinkled(rng, shape)
+        assert same_bits(lorentz._dot3(x, y), dot3_reference(x, y))
+
+    def test_pure_boost_equals_the_block_construction(self):
+        rng = np.random.default_rng(32)
+        points = np.vstack([rng.uniform(-0.5, 0.5, (20, 3)), np.zeros((1, 3)),
+                            [[0.0, -0.0, 0.3], [0.9999, 0.0, 0.0], [-0.0, 0.2, -0.6]]])
+        lifts = lorentz.klein_lift(points)
+        assert same_bits(lorentz.pure_boost(lifts), pure_boost_reference(lifts))
+        for v in lifts:
+            assert same_bits(lorentz.pure_boost(v), pure_boost_reference(v))
+        stacked = lifts[:20].reshape(4, 5, 4)
+        assert same_bits(lorentz.pure_boost(stacked), pure_boost_reference(stacked))
+
+    def test_translation_to_origin_equals_j_b_j(self):
+        """One point, and its row of a stacked call, equal J B J for the boost
+        B to the point's lift, including the +0 entries the products with J
+        leave where a coordinate is +0 or -0."""
+        rng = np.random.default_rng(33)
+        points = np.vstack([signed_zero_sprinkled(rng, (40, 3)) * 0.3, np.zeros((1, 3)),
+                            [[-0.0, -0.0, -0.0], [0.9999, 0.0, 0.0], [0.0, -0.0, 0.5]]])
+        stacked = lorentz.translation_to_origin(points)
+        assert same_bits(stacked, translation_to_origin_reference(points))
+        for k, p in enumerate(points):
+            one = lorentz.translation_to_origin(p)
+            assert same_bits(one, translation_to_origin_reference(p))
+            assert same_bits(one, stacked[k])
+        assert same_bits(lorentz.translation_to_origin(list(points[0])), stacked[0])
+
+    def test_translation_to_origin_rejects_a_point_outside_the_ball(self):
+        with pytest.raises(BallBoundary, match=r"\|p\| = 1\.5 "):
+            lorentz.translation_to_origin([0.0, 1.5, 0.0])
+
+    def check_unit_normals(self, poly):
+        geom = FaceGeometry(poly)
+        normals, roots = lorentz._unit_normals(geom.anchors, geom.cross, DEFAULT)
+        ref_normals, ref_roots = unit_normals_reference(geom.anchors, geom.cross)
+        assert same_bits(normals, ref_normals)
+        assert same_bits(roots, ref_roots)
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_unit_normals_equal_the_reference(self, name, scale):
+        self.check_unit_normals(fixtures.STANDARD[name](scale))
+
+    @stacks
+    @given(random_polyhedra(30))
+    def test_unit_normals_equal_the_reference_on_hulls_and_duals(self, poly):
+        self.check_unit_normals(poly)
+
+    def test_unit_normals_degenerate_face_raises_as_the_reference(self):
+        geom = FaceGeometry(collapsed_corner_tetrahedron())
+        with pytest.raises(DegenerateFace, match="three points do not span a plane"):
+            unit_normals_reference(geom.anchors, geom.cross)
+        with pytest.raises(DegenerateFace, match="three points do not span a plane"):
+            lorentz._unit_normals(geom.anchors, geom.cross, DEFAULT)
