@@ -29,13 +29,7 @@ import numpy as np
 
 from . import deform, formats, polyhedron, repvar, rigidity
 from .config import DEFAULT, Tolerances
-from .errors import (
-    BallExit,
-    ConvexityLost,
-    NoConvergence,
-    ParseError,
-    StokerlabError,
-)
+from .errors import BallExit, ConvexityLost, NoConvergence, ParseError, SolverError, StokerlabError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,7 +154,7 @@ def cmd_deform(report, args, tol: Tolerances):
     report["results"]["target"] = [float(a) for a in target]
     try:
         results = deform.continuation_path(poly, target, args.steps, opts, tol)
-    except (NoConvergence, ConvexityLost, BallExit) as exc:
+    except SolverError as exc:
         report["results"]["error"] = type(exc).__name__
         report["results"]["failed_waypoint"] = exc.waypoint
         report["results"]["completed_waypoints"] = len(exc.results)

@@ -11,11 +11,11 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    ball: float = 1e-9            # margin keeping Klein points off the unit sphere
+    ball: float = 1e-9            # Klein radii stay below 1 - ball (lorentz.inside_ball)
     iso: float = 1e-10            # Lorentz-invariance defect allowed for isometries
     rank_rel: float = 1e-10       # relative span cutoff for plane construction
     planar: float = 1e-9          # absolute bound on planarity determinants
-    convex: float = 1e-10         # strict positivity margin for convexity determinants
+    convex: float = 1e-10         # margins at or below it are not positive (strictly_convex)
     rank_svd: float = 1e-9        # relative rank cutoff: sigma_k, pivoted-QR |r_kk|, step QR rcond (rank loss)
     principal_angle: float = 1e-6 # kernel vs isometry-direction subspace agreement
     relator: float = 1e-8         # group-relation residual (up to overall sign)
@@ -27,7 +27,6 @@ class Tolerances:
     frame: float = 1e-10          # collinearity threshold for gauge frames
     branch_tie: float = 1e-12     # |part| at or below which an SL(2,C) lift's sign test ties
     branch_entry: float = 1e-8    # modulus above which a lift entry can break a sign tie
-    damping_floor: float = 1e-12  # smallest trust-radius damping factor before giving up
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every threshold multiplied by ``factor``."""

@@ -12,22 +12,21 @@ the remaining gauge freedom is removed afterwards by a canonical frame
 upper half of the xy-plane).
 
 At a convex embedding the stacked Jacobian J has full row rank 3|V| - 6 (the
-angles locally parameterize the polyhedron), so each step solves an
-underdetermined system of full row rank.  The step factors J^T = QR once by
-Householder QR (LAPACK ``geqrf``), solves R^T y = rhs and returns Q [y; 0],
-applying the reflectors without forming Q.  That is the minimum-norm
-solution with an error bound of order cond(J) eps (Demmel & Higham, SIAM J.
-Matrix Anal. Appl. 14, 1993).  The step consumes J, factoring it in place;
-only the condition estimate gets a copy, of the square R.  When LAPACK's
-estimate of R's reciprocal condition number is at or below
-``Tolerances.rank_svd``, or J has more rows than columns, J has lost its
-full row rank: the iterate has left the regime where the angles
-parameterize the polyhedron, and the solver stops with ``NoConvergence``
-instead of cutting the rank.  The normal equations square cond(J) and lost
-2e-7 of the step on a 160-point dual.
+angles locally parameterize the polyhedron).  The step is then the
+minimum-norm solution Q [R^-T rhs; 0] of one Householder QR J^T = QR (LAPACK
+``geqrf``), with an error bound of order cond(J) eps (Demmel & Higham, SIAM
+J. Matrix Anal. Appl. 14, 1993); the normal equations square cond(J) and
+lost 2e-7 of the step on a 160-point dual.  Where J has lost that rank (see
+``_gauss_newton_step``), the iterate has left the regime where the angles
+parameterize the polyhedron: the solver stops with ``NoConvergence``
+instead of cutting the rank.
 
-On small polyhedra an iterate's time is mostly NumPy call overhead, so the
-loop takes each sup norm once per array and the ball test one square root.
+The loop stops once the residual's sup norm is at most ``residual_tol``,
+so a NaN residual runs on into a non-finite system (``ValueError``).  A
+step is scaled into ``trust_radius`` by the power of two that halving from 1
+reaches.  A trial point stops the solve with ``BallExit`` or
+``ConvexityLost`` unless it passes the embedding judge's own predicates,
+``lorentz.inside_ball`` and ``polyhedron.strictly_convex``.
 """
 
 import math
@@ -38,11 +37,12 @@ from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
-from .errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence
+from .errors import BallExit, ConvexityLost, DegenerateFrame, NoConvergence, SolverError
 from .polyhedron import (
     EmbeddedPolyhedron,
     FaceGeometry,
     dihedral_angles,
+    strictly_convex,
     validate_angle_vector,
 )
 
@@ -136,6 +136,14 @@ def _gauss_newton_step(jac, rhs, tol: Tolerances):
     return step[:, 0]
 
 
+def _trust_damping(largest, trust_radius):
+    """2^-k for the least k >= 0 with 2^-k largest <= trust_radius, from the exponents."""
+    if not math.isfinite(largest):
+        raise ValueError(f"Gauss-Newton step is not finite (sup norm {largest})")
+    (m, e), (m_trust, e_trust) = math.frexp(largest), math.frexp(trust_radius)
+    return 1.0 if largest <= trust_radius else math.ldexp(1.0, e_trust - e - (m > m_trust))
+
+
 def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = DeformOptions(),
                    tol: Tolerances = DEFAULT) -> DeformResult:
     """Deform an embedding until its dihedral angles match ``target``.
@@ -150,53 +158,39 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
 
     Returns a ``DeformResult`` whose ``final`` embedding is gauge-fixed and
     achieves the target within ``opts.residual_tol`` in sup norm.  Raises
-    ``NoConvergence``, ``ConvexityLost`` or ``BallExit``; the first suggests
-    more continuation steps or, when its message says so, that the Jacobian
-    lost rank, the second that the target leaves the convex cell.  Raises
-    ``ValueError`` when the starting residual is not finite.
+    ``NoConvergence`` (more continuation steps may help, or, as its message
+    says, the Jacobian lost rank), ``ConvexityLost`` (the target leaves the
+    convex cell) or ``BallExit`` by the stop rules of the module docstring,
+    and ``ValueError`` when a Gauss-Newton system or step is not finite.
     """
     comb = poly.combinatorics
     target = validate_angle_vector(target, comb.edge_count)
+    n_planar = len(comb.planarity_pairs)
     current = poly
     geom = FaceGeometry(current, tol)   # one evaluation per iterate, shared
-    residual = _stacked_residual(geom, target)
-    magnitude = abs(residual)
-    history = [float(magnitude.max())]
-    if not np.isfinite(history[0]):
-        raise ValueError(f"initial residual {history[0]} is not finite")
-    n_planar = len(comb.planarity_pairs)
-    planar_history = [float(magnitude[:n_planar].max(initial=0.0))]
-
-    iterations = 0
-    while history[-1] > opts.residual_tol:
-        if iterations >= opts.max_iterations:
-            raise NoConvergence(
-                f"residual {history[-1]:.3e} after {iterations} iterations"
-            )
-        # Consumed by the step; held until the next J exists, as pages freed re-fault.
-        jac = geom.jacobian()
-        step = _gauss_newton_step(jac, -residual, tol)
-        largest = abs(step).max()
-        damping = 1.0
-        while damping * largest > opts.trust_radius:
-            damping *= 0.5
-            if damping < tol.damping_floor:
-                raise NoConvergence("trust-radius damping underflow")
-        new_pos = current.positions + damping * step.reshape(-1, 3)
-        # the largest vertex radius, rooted once: sqrt is monotone
-        if math.sqrt((new_pos * new_pos).sum(axis=1).max()) >= 1.0 - tol.ball:
-            raise BallExit("a vertex left the unit ball")
-        candidate = current.with_positions(new_pos)
-        geom = FaceGeometry(candidate, tol)
-        margin = geom.min_convexity_margin()
-        if margin <= 0.0:
-            raise ConvexityLost(f"convexity margin {margin:.3e} crossed zero")
-        current = candidate
+    history, planar_history = [], []
+    while True:
         residual = _stacked_residual(geom, target)
         magnitude = abs(residual)
         history.append(float(magnitude.max()))
         planar_history.append(float(magnitude[:n_planar].max(initial=0.0)))
-        iterations += 1
+        iterations = len(history) - 1
+        if history[-1] <= opts.residual_tol:    # the passing condition, so NaN runs on
+            break
+        if iterations >= opts.max_iterations:
+            raise NoConvergence(f"residual {history[-1]:.3e} after {iterations} iterations")
+        # Consumed by the step; held until the next J exists, as pages freed re-fault.
+        jac = geom.jacobian()
+        step = _gauss_newton_step(jac, -residual, tol)
+        damping = _trust_damping(abs(step).max(), opts.trust_radius)
+        new_pos = current.positions + damping * step.reshape(-1, 3)
+        if not lorentz.inside_ball(lorentz._dot3(new_pos, new_pos).max(), tol):
+            raise BallExit("a vertex left the unit ball")
+        current = current.with_positions(new_pos)   # a stop below ends the solve
+        geom = FaceGeometry(current, tol)
+        margin = geom.min_convexity_margin()
+        if not strictly_convex(margin, tol):
+            raise ConvexityLost(f"convexity margin {margin:.3e} crossed zero")
 
     # Dihedral angles are isometry invariants, so the converged iterate's
     # angles are those of its gauge-fixed image up to rounding.
@@ -223,8 +217,7 @@ def continuation_path(poly: EmbeddedPolyhedron, target, n_steps=1,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    comb = poly.combinatorics
-    target = validate_angle_vector(target, comb.edge_count)
+    target = validate_angle_vector(target, poly.combinatorics.edge_count)
     start = dihedral_angles(poly, tol)
     results = []
     current = poly
@@ -232,7 +225,7 @@ def continuation_path(poly: EmbeddedPolyhedron, target, n_steps=1,
         waypoint = start + (k / n_steps) * (target - start)
         try:
             result = realize_angles(current, waypoint, opts, tol)
-        except (NoConvergence, ConvexityLost, BallExit) as exc:
+        except SolverError as exc:
             exc.waypoint = k - 1
             exc.results = results
             raise

@@ -10,7 +10,7 @@ class BallBoundary(StokerlabError):
 
 
 class DegenerateFace(StokerlabError):
-    """Three points fail to determine a hyperbolic plane."""
+    """Three points span no hyperbolic plane, or an edge's face planes are ultraparallel."""
 
 
 class LiftFailure(StokerlabError):
@@ -60,7 +60,7 @@ class NoConvergence(SolverError):
 
 
 class ConvexityLost(SolverError):
-    """A convexity margin crossed zero; the target leaves the convex regime."""
+    """A convexity margin fell to ``tol.convex``; the target leaves the convex regime."""
 
 
 class BallExit(SolverError):

@@ -80,11 +80,15 @@ def _cross(x, y):
     return out
 
 
+def inside_ball(radius2, tol: Tolerances):
+    """The one in-ball test, of a largest squared Klein radius; NaN fails."""
+    return radius2 < (1.0 - tol.ball) ** 2
+
+
 def _require_in_ball(radii2, tol: Tolerances):
-    """Raise ``BallBoundary`` unless every squared Klein radius is below
-    (1 - tol.ball)^2.  A NaN radius fails."""
+    """Raise ``BallBoundary`` unless every squared Klein radius is ``inside_ball``."""
     largest = radii2.max(initial=0.0)
-    if not largest < (1.0 - tol.ball) ** 2:
+    if not inside_ball(largest, tol):
         raise BallBoundary(
             f"point with |p| = {np.sqrt(largest):.17g} is not strictly inside the ball"
         )
@@ -94,7 +98,7 @@ def klein_lift(p, tol: Tolerances = DEFAULT):
     """Lift a Klein point (3,), or a stack (..., 3), to the unit future hyperboloid.
 
     Returns (p, 1)/sqrt(1 - |p|^2), which satisfies <v,v> = -1 and v4 > 0.
-    Raises ``BallBoundary`` unless every |p| < 1 - tol.ball.
+    Raises ``BallBoundary`` unless every point is ``inside_ball``.
     """
     p = np.asarray(p, dtype=float)
     n2 = _row_dot(p, p)

@@ -33,6 +33,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     BallBoundary,
     ConvexityViolation,
+    DegenerateFace,
     InvalidCombinatorics,
     PlanarityViolation,
 )
@@ -487,10 +488,19 @@ class FaceGeometry:
     @cached_property
     def _edge_normals(self):
         """The (E, 2, 4) normals n_f, n_g of every edge's faces and the half-chords
-        |n_f - n_g| = 2 sin(phi/2) and |n_f + n_g| = 2 cos(phi/2), phi = pi - theta."""
-        pairs = self.normals[self.combinatorics.edge_face_pairs]
+        |n_f - n_g| = 2 sin(phi/2) and |n_f + n_g| = 2 cos(phi/2), phi = pi - theta.
+        Ultraparallel planes (a negative square) raise ``DegenerateFace``."""
+        comb = self.combinatorics
+        pairs = self.normals[comb.edge_face_pairs]
         minus, plus = pairs[:, 0] - pairs[:, 1], pairs[:, 0] + pairs[:, 1]
-        return pairs, np.sqrt((minus * minus) @ _SIGNATURE), np.sqrt((plus * plus) @ _SIGNATURE)
+        minus2, plus2 = (minus * minus) @ _SIGNATURE, (plus * plus) @ _SIGNATURE
+        least = np.minimum(minus2, plus2)
+        if least.min(initial=0.0) < 0.0:
+            e = int(least.argmin())
+            (f, g), edge = comb.edge_face_pairs[e].tolist(), comb.edges[e]
+            raise DegenerateFace(f"faces {f} and {g} of edge {edge} lie in ultraparallel "
+                                 "planes: it has no dihedral angle")
+        return pairs, np.sqrt(minus2), np.sqrt(plus2)
 
     @cached_property
     def angles(self):
@@ -579,14 +589,9 @@ def planarity_residuals(poly: EmbeddedPolyhedron):
 
 
 def convexity_margins(poly: EmbeddedPolyhedron):
-    """Signed determinants separating each vertex from each non-incident face.
-
-    With faces stored counterclockwise from outside, the anchor cross product
-    points outward, so the determinant is oriented (anchors taken against the
-    stored traversal) to make vertices on the interior side positive.  All
-    entries positive means a strictly convex embedding; the minimum entry is
-    the convexity margin.
-    """
+    """Signed determinants separating each vertex from each non-incident face,
+    positive on the interior side (see the module docstring); the least is
+    the convexity margin, which ``strictly_convex`` judges."""
     return FaceGeometry(poly).convexity_margins()
 
 
@@ -634,6 +639,11 @@ class EmbeddingReport:
         return not self.issues
 
 
+def strictly_convex(margin, tol: Tolerances = DEFAULT):
+    """The one convexity test, of a least margin: above ``tol.convex``; NaN fails."""
+    return margin > tol.convex
+
+
 def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> EmbeddingReport:
     """Non-raising judge of the embedding invariants, the library's only one.
 
@@ -643,14 +653,13 @@ def validate_embedding(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> E
     """
     with np.errstate(invalid="ignore", over="ignore"):
         geom = FaceGeometry(poly, tol)
-        radii = np.linalg.norm(poly.positions, axis=1)
-        max_radius = float(radii.max()) if radii.size else 0.0
-        residuals = geom.planarity_residuals()
-        max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
+        largest2 = float(_dot3(poly.positions, poly.positions).max(initial=0.0))
+        max_radius = float(np.sqrt(largest2))
+        max_res = float(abs(geom.planarity_residuals()).max(initial=0.0))
         min_margin = geom.min_convexity_margin()
-    in_ball = max_radius < 1.0 - tol.ball
+    in_ball = lorentz.inside_ball(largest2, tol)
     planar = max_res <= tol.planar
-    convex = min_margin > tol.convex
+    convex = strictly_convex(min_margin, tol)
     issues = []
     if not in_ball:
         issues.append(f"vertex radius {max_radius:.17g} reaches the unit sphere")

@@ -447,6 +447,13 @@ def finite_difference_jacobian(func, x0, step=1e-6):
     return jac
 
 
+def richardson_jacobian(func, x0, step=1e-6):
+    """Richardson extrapolation (4 D(h/2) - D(h)) / 3 of the central
+    differences D at steps h and h/2: their h^2 truncation terms cancel."""
+    return (4.0 * finite_difference_jacobian(func, x0, step / 2)
+            - finite_difference_jacobian(func, x0, step)) / 3.0
+
+
 HULL_RADIUS = 0.5        # Klein radius of the outermost random-polytope vertex
 MIN_EXTERIOR = 3e-3      # least angle between adjacent hull facet normals
 

@@ -15,15 +15,15 @@ from scipy.linalg import expm
 
 from helpers import (
     coboundary,
-    finite_difference_jacobian,
     matrix_from_coords,
     random_polar_dual,
     random_simplicial_hull,
+    richardson_jacobian,
     trace_differential,
 )
 from stokerlab import fixtures
 from stokerlab.deform import DeformOptions, gauge_fix, realize_angles
-from stokerlab.errors import SolverError
+from stokerlab.errors import DegenerateFace, SolverError
 from stokerlab.polyhedron import (
     convexity_margins,
     dihedral_angles,
@@ -63,13 +63,10 @@ _case_rng = np.random.default_rng(11)
 RANDOM_CASES = [((random_polar_dual if k % 2 else random_simplicial_hull),
                  int(_case_rng.integers(2 ** 32)), int(_case_rng.integers(10, 41)))
                 for k in range(60)]
-# Criterion 6 misses on five jittered duals, a FOUND in CHANGES.md.  On the
-# first four the central difference is off by its own truncation error (the
-# analytic Jacobian agrees with a Richardson-extrapolated difference to
-# 1.5e-8); on dual(3122421145, 24) the jitter leaves an edge's two face
-# planes without a common line, so its angle is NaN.
-CRITERION_6_MISSES = {(4206687153, 29), (1493560446, 34), (3538461467, 24),
-                      (17228570, 40), (3122421145, 24)}
+# Criterion 6 misses on one jittered dual: on dual(3122421145, 24) the jitter
+# leaves an edge's two face planes ultraparallel, without a common line, so
+# the edge has no angle and the angles raise ``DegenerateFace``.
+CRITERION_6_MISSES = {(3122421145, 24)}
 
 
 def _case_name(case):
@@ -295,7 +292,9 @@ def test_criterion_6_oracle_agreement():
 
 def _jacobian_oracle_failures(tag, poly, rng):
     """Both analytic Jacobians at a 5e-3 Gaussian jitter of ``poly`` against
-    central differences of step 1e-6."""
+    Richardson-extrapolated central differences of steps 1e-6 and 5e-7: a
+    plain central difference is off by its own h^2 truncation error, up to
+    6.1e-5, on duals whose short edges give entries up to 424."""
     failures = []
     jitter = rng.normal(0.0, 5e-3, poly.positions.shape)
     probe = poly.with_positions(poly.positions + jitter)
@@ -308,20 +307,22 @@ def _jacobian_oracle_failures(tag, poly, rng):
 
     flat = probe.positions.ravel()
     diff = np.max(np.abs(angle_jacobian(probe) -
-                         finite_difference_jacobian(angle_map, flat, step=1e-6)))
+                         richardson_jacobian(angle_map, flat, step=1e-6)))
     if not diff < 1e-6:
         failures.append(f"{tag}: angle jacobian off by {diff:.3e}")
     analytic = constraint_jacobian(probe)
     if analytic.shape[0]:
         diff = np.max(np.abs(analytic -
-                             finite_difference_jacobian(planarity_map, flat, step=1e-6)))
+                             richardson_jacobian(planarity_map, flat, step=1e-6)))
         if not diff < 1e-6:
             failures.append(f"{tag}: constraint jacobian off by {diff:.3e}")
     return failures
 
 
 @pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(strict=True, reason="criterion 6 miss (FOUND)"))
+    pytest.param(case, marks=pytest.mark.xfail(
+        strict=True, raises=DegenerateFace,
+        reason="the jittered probe has ultraparallel face planes at edge (5, 14)"))
     if case[1:] in CRITERION_6_MISSES else case
     for case in RANDOM_CASES], ids=map(_case_name, RANDOM_CASES))
 def test_criterion_6_on_random_polyhedra(case):

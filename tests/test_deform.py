@@ -21,6 +21,7 @@ from stokerlab.deform import (
     DeformOptions,
     _gauss_newton_step,
     _stacked_residual,
+    _trust_damping,
     continuation_path,
     gauge_fix,
     realize_angles,
@@ -34,6 +35,7 @@ from stokerlab.polyhedron import (
     dihedral_angles,
     planarity_residuals,
     validate_angle_vector,
+    validate_embedding,
 )
 from stokerlab.rigidity import isometry_directions, rigidity_report
 
@@ -200,14 +202,35 @@ class TestRealizeAngles:
         with pytest.raises(NoConvergence):
             realize_angles(poly, target, DeformOptions(max_iterations=1))
 
-    def test_damping_floor_reads_the_tolerance(self):
+    def test_nan_residual_is_not_converged(self, monkeypatch):
+        """A NaN residual fails the stop test, so the next step meets the
+        non-finite system instead of the loop returning a solve."""
+        calls = []
+        residual = deform._stacked_residual
+
+        def nan_after_the_first(geom, target):
+            calls.append(None)
+            out = residual(geom, target)
+            return out if len(calls) == 1 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(deform, "_stacked_residual", nan_after_the_first)
         poly = fixtures.cube(0.3)
-        target = perturb_angles(poly, np.random.default_rng(19), amplitude=5e-3)
-        opts = DeformOptions(max_iterations=1, trust_radius=1e-6)
-        with pytest.raises(NoConvergence, match="after 1 iterations"):
-            realize_angles(poly, target, opts)
-        with pytest.raises(NoConvergence, match="damping underflow"):
-            realize_angles(poly, target, opts, Tolerances(damping_floor=1e-3))
+        target = perturb_angles(poly, np.random.default_rng(19))
+        with pytest.raises(ValueError, match="Gauss-Newton system is not finite"):
+            realize_angles(poly, target)
+
+    def test_convexity_stop_reads_the_tolerance(self):
+        """Under convex = 8e-6, cube(0.02) is a valid start, and its seed-0
+        target is reached with margin 4.8e-6, which the judge calls not
+        convex.  The solver's trial stop reads the same tolerance, so it
+        raises ``ConvexityLost`` instead of returning that polyhedron."""
+        tol = Tolerances(convex=8e-6)
+        poly = fixtures.cube(0.02)
+        target = perturb_angles(poly, np.random.default_rng(0))
+        assert validate_embedding(poly, tol).valid
+        assert not validate_embedding(realize_angles(poly, target).final, tol).convex
+        with pytest.raises(ConvexityLost):
+            realize_angles(poly, target, tol=tol)
 
     def test_rejects_out_of_range_target(self):
         poly = fixtures.cube(0.3)
@@ -240,7 +263,7 @@ class TestRealizeAngles:
         target = dihedral_angles(poly)
         pos = poly.positions.copy()
         pos[7, 0] = np.nan
-        with pytest.raises(ValueError, match="initial residual nan is not finite"):
+        with pytest.raises(ValueError, match="Gauss-Newton system is not finite"):
             realize_angles(poly.with_positions(pos), target)
 
 
@@ -444,6 +467,36 @@ class TestInPlaceStep:
         with pytest.raises(NoConvergence) as info:
             _gauss_newton_step(jac, rhs, DEFAULT)
         assert str(info.value) == str(expected.value)
+
+
+def halving_damping(largest, trust_radius):
+    """The trust-radius damping by repeated halving from 1."""
+    damping = 1.0
+    while damping * largest > trust_radius:
+        damping *= 0.5
+    return damping
+
+
+@examples
+@given(st.floats(1e-12, 1e12), st.floats(1e-6, 10.0))
+def test_trust_damping_is_the_halving_power_of_two(largest, trust_radius):
+    assert _trust_damping(largest, trust_radius) == halving_damping(largest, trust_radius)
+
+
+@pytest.mark.parametrize("largest, trust_radius", [
+    (0.1, 0.1), (np.nextafter(0.1, 1.0), 0.1), (0.2, 0.1), (0.4000000000000001, 0.1),
+    (0.75, 0.1), (1.0, 1.0), (3.0, 1.0), (4.0, 1.0), (0.0, 0.1), (1e300, 1e-6),
+])
+def test_trust_damping_at_powers_of_two(largest, trust_radius):
+    """Ties, one ulp past a tie, exact powers of two, a zero step and a
+    large one."""
+    assert _trust_damping(largest, trust_radius) == halving_damping(largest, trust_radius)
+
+
+@pytest.mark.parametrize("largest", [np.nan, np.inf])
+def test_non_finite_step_rejected(largest):
+    with pytest.raises(ValueError, match="Gauss-Newton step is not finite"):
+        _trust_damping(largest, 0.1)
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 2), (2, 3), (4, 6)])

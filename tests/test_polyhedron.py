@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from helpers import (
     corner_tetrahedron,
     intrinsic_dihedral_angle,
     random_isometry,
+    random_polar_dual,
     random_polyhedra,
 )
 from stokerlab import cli, fixtures, formats, lorentz
+from stokerlab.config import Tolerances
 from stokerlab.errors import (
     BallBoundary,
     ConvexityViolation,
+    DegenerateFace,
     InvalidCombinatorics,
     PlanarityViolation,
 )
@@ -24,6 +29,7 @@ from stokerlab.polyhedron import (
     convexity_margins,
     dihedral_angles,
     embed_euclidean,
+    face_planes,
     planarity_residuals,
     validate_combinatorics,
     validate_embedding,
@@ -390,6 +396,18 @@ class TestEmbeddingJudge:
         assert report["error"] == "ParseError"
         assert "invalid embedding: max planarity residual" in report["message"]
 
+    def test_ball_verdict_is_the_face_kernel_test(self):
+        """Under ball = 1e-8 this vertex's |p|^2 is one ulp below
+        (1 - ball)^2 while |p| rounds to 1 - ball itself.  Vertex 0 anchors
+        three faces, so the face kernel tests it too: the judge and the
+        kernel read one predicate and agree that it is inside."""
+        tol = Tolerances(ball=1e-8)
+        pos = fixtures.cube(0.3).positions.copy()
+        pos[0] = [0.9999999899999998, 7.462311557788945e-09, 0.0]
+        poly = EmbeddedPolyhedron(CombinatorialType(8, CYCLED_CUBE_FACES), pos)
+        face_planes(poly, tol)
+        assert validate_embedding(poly, tol).in_ball
+
     @pytest.mark.parametrize("vertex", [0, 7])
     def test_nan_fails_every_check(self, vertex):
         # vertex 0 anchors three faces, vertex 7 none
@@ -457,6 +475,20 @@ class TestDihedralAngles:
             moved = poly.with_positions(lorentz.apply_isometry(iso, poly.positions))
             assert np.max(np.linalg.norm(moved.positions, axis=1)) < 1.0
             assert np.max(np.abs(dihedral_angles(moved) - base)) < 1e-9
+
+    def test_ultraparallel_face_planes_name_their_edge(self):
+        """A 5e-3 jitter of ``random_polar_dual(3122421145, 24)`` (criterion
+        6's probe) leaves the face planes of edge (5, 14) ultraparallel:
+        the angles raise ``DegenerateFace`` naming the edge and its faces,
+        with no square root of a negative number on the way."""
+        poly = random_polar_dual(3122421145, 24)
+        jitter = np.random.default_rng(3122421145).normal(0.0, 5e-3, poly.positions.shape)
+        probe = poly.with_positions(poly.positions + jitter)
+        message = "faces 21 and 8 of edge (5, 14) lie in ultraparallel planes"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateFace, match=re.escape(message)):
+                dihedral_angles(probe)
 
     def test_relabeling_permutes_angles(self):
         poly = fixtures.tetrahedron(0.3)
