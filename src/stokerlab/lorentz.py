@@ -98,10 +98,12 @@ def klein_lift(p, tol: Tolerances = DEFAULT):
     """Lift a Klein point (3,), or a stack (..., 3), to the unit future hyperboloid.
 
     Returns (p, 1)/sqrt(1 - |p|^2), which satisfies <v,v> = -1 and v4 > 0.
-    Raises ``BallBoundary`` unless every point is ``inside_ball``.
+    Raises ``BallBoundary`` unless every point is ``inside_ball``; |p|^2 is
+    summed by ``_dot3``, as ``validate_embedding`` and the face kernel sum
+    it, so the lift refuses exactly the points they refuse.
     """
     p = np.asarray(p, dtype=float)
-    n2 = _row_dot(p, p)
+    n2 = _dot3(p, p)
     _require_in_ball(n2, tol)
     s = np.sqrt(1.0 - n2)[..., None]
     return np.concatenate([p / s, 1.0 / s], axis=-1)

@@ -15,11 +15,15 @@ assembled from the Fox derivatives of their words evaluated at rho (R. H. Fox,
 Free differential calculus I, Ann. Math. 1953): by twisted additivity
 u(word) = sum of sign * Ad(P) u(g) over the letters, with one conjugator P
 per letter (see ``_fox_calculus``), in one walk (see ``_fox_matrices``).
+Each Ad(P) B of a basis element B is taken in closed form from the entries
+of P, and the trace rank reads singular values from LAPACK ``gesdd`` alone.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
@@ -145,63 +149,102 @@ def _fox_calculus(rep: Representation, words):
     letter g^-1 has P = prefix g^-1 (the prefix through it) and sign -1.
     Also returns rho(word) for every word, the left-to-right product of its
     letters' images.  Bad letters raise ``IndexRange``.
+
+    The inverses come from one ``sl2_inverse`` of the stack, then one 2x2
+    ``@`` per letter, which rounds as the matrix alone does.
     """
-    images = rep.images
-    word_index, generators, signs, conjugators, values = [], [], [], [], []
-    for wi, word in enumerate(words):
+    images, inverses = list(rep.images), list(lorentz.sl2_inverse(rep.images))
+    n = len(images)
+    conjugators, values = [], []
+    for word in words:
         prefix = _I2
         for letter in word:
-            idx = abs(letter) - 1
-            if letter == 0 or idx >= len(images):
-                raise IndexRange(f"letter {letter} outside 1..{len(images)}")
+            if not 0 < abs(letter) <= n:
+                raise IndexRange(f"letter {letter} outside 1..{n}")
             if letter > 0:
                 conjugators.append(prefix)
-                prefix = prefix @ images[idx]
+                prefix = prefix @ images[letter - 1]
             else:
-                prefix = prefix @ lorentz.sl2_inverse(images[idx])
+                prefix = prefix @ inverses[-letter - 1]
                 conjugators.append(prefix)
-            word_index.append(wi)
-            generators.append(idx)
-            signs.append(1.0 if letter > 0 else -1.0)
         values.append(prefix)
-    return (np.array(word_index, dtype=int), np.array(generators, dtype=int),
-            np.array(signs), np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
+    lengths = [len(word) for word in words]
+    letters = np.fromiter(chain.from_iterable(words), dtype=int, count=sum(lengths))
+    return (np.repeat(np.arange(len(words)), lengths), np.abs(letters) - 1,
+            np.copysign(1.0, letters), np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
             np.array(values, dtype=complex).reshape(-1, 2, 2))
+
+
+# entry indices, with a, b, c, d = 0, 1, 2, 3, of ad, bc, ab, cd, ac, aa, cc, bd, bb, dd
+_PRODUCTS = np.array([[0, 1, 0, 2, 0, 0, 2, 1, 1, 3], [3, 2, 1, 3, 2, 0, 2, 3, 1, 3]])
+
+
+def _conjugation_table():
+    """Per algebra, the (10, 4 dim) table from the entry products of P
+    (``_PRODUCTS``) to cells 00, 01, 10, 11 of P B P^-1 for each basis
+    element B, by the closed forms of ``_fox_matrices``."""
+    ad, bc, ab, cd, ac, aa, cc, bd, bb, dd = np.eye(10, dtype=complex)
+    h = np.array([ad + bc, -2 * ab, 2 * cd, -(ad + bc)]).T
+    e = np.array([-ac, aa, -cc, ac]).T
+    f = np.array([bd, -bb, dd, -bd]).T
+    return {"sl2": np.stack([h, 1j * h, e, 1j * e, f, 1j * f], axis=1).reshape(10, -1),
+            "su2": np.stack([1j * (e + f), e - f, 1j * h], axis=1).reshape(10, -1)}
+
+
+_CONJUGATED = _conjugation_table()
 
 
 def _fox_matrices(rep: Representation, relators, loops, algebra):
     """The relator, trace and coboundary matrices, from one ``_fox_calculus``
-    walk over the relators and then the loops, and one batched product
-    P B_j P^-1 over the letters' conjugators and then the generator images.
+    walk over the relators and then the loops.
+
+    Each P B_j P^-1, over the letters' conjugators and then the generator
+    images, is taken in closed form from P = [[a, b], [c, d]] and
+    P^-1 = adj P (as ``lorentz.sl2_inverse``):
+
+        H |-> [[ad + bc, -2ab], [2cd, -(ad + bc)]],
+        E |-> [[-ac, a^2], [-c^2, ac]],
+        F |-> [[bd, -b^2], [d^2, -bd]],
+
+    their i-multiples for sl(2,C), and i(E + F), E - F, iH for su(2).  One
+    product of the ten entry products with ``_CONJUGATED`` gives every
+    cell, a sum of at most two products times 1, 2 or i; this rounds within
+    the tests' Fox bound (``FOX_C``), not as zgemm products would.
 
     Relator matrix: six sl(2,C) rows per relator, one column per generator
-    and basis element; each letter's 6 x dim block sign * Ad(P) is scattered
-    into its generator's columns.  Trace matrix (complex): one row per loop
-    w, entries summing sign * tr(P B_j P^-1 rho(w)) over the letters of w.
-    Coboundary matrix: the coboundaries of the basis elements as columns, in
-    algebra coordinates, the blocks I - Ad(rho(g)) stacked over the
-    generators.
+    and basis element, adding each letter's block sign * Ad(P) (the float
+    view of cells 00, 01, 10) into its generator's columns.  Trace matrix
+    (complex): one row per loop w, summing sign * tr(P B_j P^-1 rho(w)) over
+    its letters, one batched product with the cells of rho(w)^T.  Both are
+    scattered once on their flat cells, letters in order.  Coboundary
+    matrix: the coboundaries of the basis elements as columns, in algebra
+    coordinates, the blocks I - Ad(rho(g)) stacked over the generators.
     """
-    n, r = rep.generator_count, len(relators)
+    n, r, dim = rep.generator_count, len(relators), len(algebra_basis(algebra))
     word, gen, sign, conj, values = _fox_calculus(rep, list(relators) + list(loops))
-    p = np.concatenate([conj, rep.images])[:, None]
-    conjugated = p @ np.array(algebra_basis(algebra)) @ lorentz.sl2_inverse(p)
-    dim = conjugated.shape[1]
+    entries = np.concatenate([conj, rep.images]).reshape(-1, 4)
+    cells = (entries[:, _PRODUCTS[0]] * entries[:, _PRODUCTS[1]]) @ _CONJUGATED[algebra]
+    cells = cells.reshape(len(entries), dim, 4)
+    width = n * dim
     split = np.searchsorted(word, r)        # relator letters first, then loop letters
-    rel, loop = slice(None, split), slice(split, len(conj))
+    column = gen * dim
 
-    blocks = coords_from_matrix(conjugated[rel], "sl2")
-    relator = np.zeros((r, n, dim, 6))
-    np.add.at(relator, (word[rel], gen[rel]), sign[rel, None, None] * blocks)
+    # relator row 6 w + k, column g dim + j: coordinate k of sign Ad(P) B_j
+    blocks = sign[:split, None, None] * cells[:split, :, :3].view(float)
+    flat = (6 * width * word[:split] + column[:split])[:, None, None]
+    flat = flat + (np.arange(dim)[:, None] + width * np.arange(6))
+    relator = np.bincount(flat.ravel(), blocks.ravel(), 6 * r * width).reshape(6 * r, width)
 
-    traces = np.einsum("kjab,kba->kj", conjugated[loop], values[word[loop]])
-    trace = np.zeros((len(loops), n, dim), dtype=complex)
-    np.add.at(trace, (word[loop] - r, gen[loop]), sign[loop, None] * traces)
+    # loop row w - r, column g dim + j: (Re, Im) of sign tr(Ad(P) B_j rho(w))
+    transposed = values[r:].transpose(0, 2, 1).reshape(-1, 4)
+    pairing = sign[split:, None] * transposed[word[split:] - r]
+    traces = cells[split:len(conj)] @ pairing[..., None]
+    flat = (2 * (width * (word[split:] - r) + column[split:]))[:, None] + np.arange(2 * dim)
+    trace = np.bincount(flat.ravel(), traces.view(float).ravel(), 2 * len(loops) * width)
 
-    blocks = coords_from_matrix(conjugated[len(conj):], algebra)
+    blocks = coords_from_matrix(cells[len(conj):].reshape(n, dim, 2, 2), algebra)
     coboundary = (np.eye(dim) - blocks.transpose(0, 2, 1)).reshape(-1, dim)
-    return (relator.transpose(0, 3, 1, 2).reshape(6 * r, n * dim),
-            trace.reshape(len(loops), n * dim), coboundary)
+    return relator, trace.view(complex).reshape(len(loops), width), coboundary
 
 
 def cocycle_space(rep: Representation, pres: Presentation, algebra="sl2",
@@ -275,7 +318,8 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     vanish on coboundaries.  The rows on Z^1 then have the singular values
     of the map on H^1 plus b^1 zeros, up to rounding, for any orthonormal
     basis of Z^1; the first h^1 = z^1 - b^1 of them are kept, with b^1 the
-    rank of the coboundary matrix from its singular values.  This presumes
+    rank of the coboundary matrix from its singular values.  Both sets of
+    singular values come from ``_singular_values``.  This presumes
     B^1 inside Z^1, which holds when rho satisfies the relators (see
     ``representation_report``); off a representation the count means
     nothing and is floored at 0.
@@ -284,13 +328,14 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
         raise ValueError("need at least one loop")
     algebra = "su2" if restrict_to_unitary else "sl2"
     relator, traces, coboundary = _fox_matrices(rep, pres.relators, loops, algebra)
-    parts = (traces.real,) if restrict_to_unitary else (traces.real, traces.imag)
-    rows = np.stack(parts, axis=1).reshape(-1, traces.shape[1])
+    parts = 1 if restrict_to_unitary else 2     # the Re rows, or (Re, Im) row pairs
+    rows = traces.view(float).reshape(len(loops), -1, 2)[..., :parts].transpose(0, 2, 1)
+    rows = rows.reshape(-1, traces.shape[1])
     on_cocycles = _null_components(_pivoted_qr(relator, tol.rank_svd), rows.T)
     z1 = on_cocycles.shape[0]
-    b1 = numerical_rank(np.linalg.svd(coboundary, compute_uv=False), tol.rank_svd)
+    b1 = numerical_rank(_singular_values(coboundary), tol.rank_svd)
     h1 = max(z1 - b1, 0)
-    sing = np.linalg.svd(on_cocycles, compute_uv=False)[:h1]
+    sing = _singular_values(on_cocycles)[:h1]
     rank = numerical_rank(sing, tol.rank_svd)
     if 0 < rank < len(sing) and sing[rank] > 0:
         gap = float(sing[rank - 1] / sing[rank])
@@ -307,6 +352,20 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
         gap_ratio=gap,
         threshold=tol.rank_svd,
     )
+
+
+def _singular_values(matrix):
+    """Nonincreasing singular values from one LAPACK ``gesdd`` without
+    vectors, which may overwrite ``matrix``.  A non-finite matrix or no
+    convergence raises ``LinAlgError``, as ``np.linalg.svd`` does."""
+    if 0 in matrix.shape:
+        return np.zeros(0)
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("SVD of a non-finite matrix")
+    _, sing, _, info = lapack.dgesdd(matrix.T, compute_uv=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return sing
 
 
 # --- geometric holonomy ----------------------------------------------------

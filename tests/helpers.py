@@ -409,6 +409,29 @@ def cocycle_walk(values, rep, word):
     return acc
 
 
+def fox_walk_reference(rep, words):
+    """Conjugators and word values of the Fox walk, one ``np.matmul`` per
+    letter on a fresh copy of that letter's matrix: the image, or its
+    adjugate written out for an inverse letter.  Conjugators as in
+    ``repvar._fox_calculus``: the prefix before a letter g, the prefix
+    through a letter g^-1."""
+    conjugators, values = [], []
+    for word in words:
+        prefix = np.eye(2, dtype=complex)
+        for letter in word:
+            g = np.array(rep.images[abs(letter) - 1])
+            if letter > 0:
+                conjugators.append(prefix)
+                prefix = np.matmul(prefix, g)
+            else:
+                adjugate = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+                prefix = np.matmul(prefix, adjugate)
+                conjugators.append(prefix)
+        values.append(prefix)
+    return (np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
+            np.array(values, dtype=complex).reshape(-1, 2, 2))
+
+
 def trace_differential(rep, values, word):
     """Derivative of the trace of a word along a deformation direction,
     tr(u(word) rho(word)), with u(word) from ``cocycle_walk``."""

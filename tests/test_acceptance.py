@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-complete.  Tolerances are fixed here, not calibrated.  Criteria 1, 2 and 6
-also run, with the same bounds, on ``RANDOM_CASES``: 60 seeded simplicial
-hulls and polar duals of 10 to 40 points from ``helpers``.
+complete.  Tolerances are fixed here, not calibrated.  Criteria 1, 2, 4, 5
+and 6 also run, with the same bounds, on ``RANDOM_CASES``: 60 seeded
+simplicial hulls and polar duals of 10 to 40 points from ``helpers``
+(criterion 5 on those of at most 20 points).
 """
 
 import time
@@ -211,29 +212,61 @@ def test_criterion_4_trace_coordinate_ranks():
     failures = []
     for label, builder, vertex, valence in LINK_CASES:
         link = link_representation(builder(0.3), vertex)
-        rep = link.representation()
-        loops = [(k,) for k in range(1, valence + 1)]
-        unitary = trace_rank(rep, link.presentation, loops, restrict_to_unitary=True)
-        if unitary.h1_dim != 3 * valence - 6:
-            failures.append(f"{label}: unitary h1 {unitary.h1_dim} != {3 * valence - 6}")
-        if unitary.rank != valence:
-            failures.append(f"{label}: unitary rank {unitary.rank} != {valence}")
-        if not unitary.gap_ratio > 1e3:
-            failures.append(f"{label}: unitary gap {unitary.gap_ratio:.1e}")
-        full = trace_rank(rep, link.presentation, loops, restrict_to_unitary=False)
-        if full.h1_dim != 6 * valence - 12:
-            failures.append(f"{label}: full h1 {full.h1_dim} != {6 * valence - 12}")
-        if full.rank != 2 * valence:
-            failures.append(f"{label}: full rank {full.rank} != {2 * valence}")
-        if not full.gap_ratio > 1e3:
-            failures.append(f"{label}: full gap {full.gap_ratio:.1e}")
+        assert len(link.edges) == valence
+        failures += _link_trace_failures(label, link)
     _conclude(4, "trace-coordinate ranks", failures)
 
 
-def test_criterion_5_surface_group_dimension():
+def _link_trace_failures(label, link):
+    """Unitary and full trace ranks of a vertex link of valence d, with
+    their loops the d meridians: h^1 is 3d - 6 and 6d - 12, the rank d and
+    2d, and the gap across the cutoff above 1e3."""
+    valence = len(link.edges)
+    rep = link.representation()
+    loops = [(k,) for k in range(1, valence + 1)]
+    failures = []
+    unitary = trace_rank(rep, link.presentation, loops, restrict_to_unitary=True)
+    if unitary.h1_dim != 3 * valence - 6:
+        failures.append(f"{label}: unitary h1 {unitary.h1_dim} != {3 * valence - 6}")
+    if unitary.rank != valence:
+        failures.append(f"{label}: unitary rank {unitary.rank} != {valence}")
+    if not unitary.gap_ratio > 1e3:
+        failures.append(f"{label}: unitary gap {unitary.gap_ratio:.1e}")
+    full = trace_rank(rep, link.presentation, loops, restrict_to_unitary=False)
+    if full.h1_dim != 6 * valence - 12:
+        failures.append(f"{label}: full h1 {full.h1_dim} != {6 * valence - 12}")
+    if full.rank != 2 * valence:
+        failures.append(f"{label}: full rank {full.rank} != {2 * valence}")
+    if not full.gap_ratio > 1e3:
+        failures.append(f"{label}: full gap {full.gap_ratio:.1e}")
+    return failures
+
+
+def test_criterion_4_on_random_polyhedra():
+    """Every vertex link of every random case: 1959 links."""
     failures = []
     start = time.perf_counter()
-    poly = fixtures.tetrahedron(0.3)
+    for case in RANDOM_CASES:
+        poly = _random_polyhedron(case)
+        for v in range(poly.combinatorics.vertex_count):
+            failures += _link_trace_failures(f"{_case_name(case)} vertex {v}",
+                                             link_representation(poly, v))
+    elapsed = time.perf_counter() - start
+    _conclude(4, "trace-coordinate ranks, random", failures, budget=15.0, elapsed=elapsed)
+
+
+def test_criterion_5_surface_group_dimension():
+    start = time.perf_counter()
+    failures = _surface_failures("tetrahedron@0.3", fixtures.tetrahedron(0.3))
+    elapsed = time.perf_counter() - start
+    _conclude(5, "boundary-surface dimension", failures, budget=10.0, elapsed=elapsed)
+
+
+def _surface_failures(tag, poly):
+    """The boundary-surface group of a polyhedron: h^1 from the cocycle and
+    coboundary bases is 12g - 12 and the count 2(2|E| + sum(2d - 6)), the
+    trace rank reads the same h^1, and the meridian traces have rank 2|E|
+    with a gap across the cutoff above 1e3."""
     comb = poly.combinatorics
     fx = surface_group_fixture(poly)
     z = cocycle_space(fx.representation, fx.presentation)
@@ -242,17 +275,30 @@ def test_criterion_5_surface_group_dimension():
     genus = fx.genus
     valences = [comb.vertex_valence(v) for v in range(comb.vertex_count)]
     combinatorial = 2 * (2 * comb.edge_count + sum(2 * d - 6 for d in valences))
+    failures = []
     if h1 != 12 * genus - 12:
-        failures.append(f"h1 {h1} != 12g-12 = {12 * genus - 12}")
+        failures.append(f"{tag}: h1 {h1} != 12g-12 = {12 * genus - 12}")
     if h1 != combinatorial:
-        failures.append(f"h1 {h1} != 2(2|E| + sum(2d-6)) = {combinatorial}")
+        failures.append(f"{tag}: h1 {h1} != 2(2|E| + sum(2d-6)) = {combinatorial}")
     report = trace_rank(fx.representation, fx.presentation, fx.meridian_loops())
     if report.h1_dim != h1:
-        failures.append(f"trace-rank h1 {report.h1_dim} != {h1}")
-    if report.rank != 12:
-        failures.append(f"meridian trace rank {report.rank} != 12")
+        failures.append(f"{tag}: trace-rank h1 {report.h1_dim} != {h1}")
+    if report.rank != 2 * comb.edge_count:
+        failures.append(f"{tag}: meridian trace rank {report.rank} != 2|E| = {2 * comb.edge_count}")
+    if not report.gap_ratio > 1e3:
+        failures.append(f"{tag}: meridian trace gap {report.gap_ratio:.1e}")
+    return failures
+
+
+def test_criterion_5_on_random_polyhedra():
+    """The random cases of at most 20 points."""
+    failures = []
+    start = time.perf_counter()
+    for case in RANDOM_CASES:
+        if case[2] <= 20:
+            failures += _surface_failures(_case_name(case), _random_polyhedron(case))
     elapsed = time.perf_counter() - start
-    _conclude(5, "boundary-surface dimension", failures, budget=10.0, elapsed=elapsed)
+    _conclude(5, "boundary-surface dimension, random", failures, budget=5.0, elapsed=elapsed)
 
 
 def test_criterion_6_oracle_agreement():

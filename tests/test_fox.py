@@ -5,7 +5,8 @@ representations and random words with inverse and repeated letters.
 References, all in ``helpers``: ``cocycle_walk`` and ``trace_differential``
 applied to the unit cocycles of ``cocycle_from_vector``, and ``coboundary`` of
 each basis element.  ``repvar.cocycle_extend``, the one-word call of the Fox
-walk, is checked against ``cocycle_walk`` too.
+walk, is checked against ``cocycle_walk`` too.  The walk itself is checked bit
+for bit against ``fox_walk_reference``, one ``np.matmul`` per letter.
 
 Rounding bound, fixed from float64 eps: both routes form the prefixes of a
 word as products of its letters, so the product N_k of the letter norms
@@ -25,13 +26,16 @@ from helpers import (
     coboundary,
     cocycle_from_vector,
     cocycle_walk,
+    fox_walk_reference,
     matrix_from_coords,
+    same_bits,
     trace_differential,
 )
 from stokerlab.errors import IndexRange
 from stokerlab.repvar import (
     Presentation,
     Representation,
+    _fox_calculus,
     _fox_matrices,
     algebra_basis,
     cocycle_extend,
@@ -76,6 +80,22 @@ def entry_bound(rep, word):
     norms = [np.linalg.norm(rep.images[abs(l) - 1], 2) for l in word]
     prefix = np.concatenate([[1.0], np.cumprod(norms)])
     return FOX_C * EPS * len(word) * np.sum(prefix ** 2), prefix[-1]
+
+
+@examples
+@given(fox_cases())
+def test_walk_equals_per_letter_matmul(case):
+    """The walk takes every inverse from one stacked ``sl2_inverse`` and
+    multiplies rows of the stacks; its conjugators and word values have the
+    bits of one ``np.matmul`` per letter on that letter's own matrix, and
+    its letter tables list the words' letters in order."""
+    rep, words = case
+    word, gen, sign, conj, values = _fox_calculus(rep, words)
+    conj_reference, values_reference = fox_walk_reference(rep, words)
+    assert same_bits(conj.view(float), conj_reference.view(float))
+    assert same_bits(values.view(float), values_reference.view(float))
+    letters = [(w, abs(l) - 1, np.sign(l)) for w, ls in enumerate(words) for l in ls]
+    assert list(zip(word, gen, sign)) == letters
 
 
 @algebras

@@ -65,6 +65,26 @@ class TestKleinLift:
         with pytest.raises(BallBoundary):
             lorentz.klein_lift([0.9999999999, 0.0, 0.0])
 
+    @pytest.mark.parametrize("point, inside", [
+        ([-0.7642900595227368, 0.5070029811033613, -0.3985080677565213], True),
+        ([-0.8784069168686622, -0.08266045897022853, -0.47071067007252154], False),
+    ])
+    def test_lift_refuses_exactly_what_the_judge_refuses(self, point, inside):
+        """Two points an ulp from the default 1 - ball, where a BLAS dot and
+        ``_dot3`` round |p|^2 to opposite sides of (1 - ball)^2.  The judge's
+        verdict is ``inside_ball`` of the ``_dot3`` square; the lift, alone
+        and in a stack, raises exactly when the judge refuses."""
+        p = np.array(point)
+        assert lorentz.inside_ball(lorentz._dot3(p, p), DEFAULT) == inside
+        stack = np.array([[0.1, 0.2, 0.3], point])
+        if inside:
+            lift = lorentz.klein_lift(p)
+            assert np.array_equal(lorentz.klein_lift(stack)[1], lift)
+        else:
+            for points in (p, stack):
+                with pytest.raises(BallBoundary):
+                    lorentz.klein_lift(points)
+
     def test_nan_rejected(self):
         p = np.array([0.1, np.nan, 0.0])
         with pytest.raises(BallBoundary):
