@@ -7,7 +7,8 @@ verdict carries the tolerance it was judged against.
 
 ``main`` builds every report's skeleton and hands it to the command, which
 reads each file through ``_read`` and appends its verdicts, so ``inputs``
-names exactly the files read, in the order read.  Exit codes: 0 every
+names exactly the files read, in the order read, each with the SHA-256 of
+the bytes that were parsed.  Exit codes: 0 every
 verdict passed, 1 a verdict failed or the library failed on accepted
 input (numerical failures included), 2 unreadable or invalid input
 (non-finite numbers included), 3 no convergence, 4 convexity lost, 5 ball
@@ -22,6 +23,7 @@ tolerance (default 1); randomness enters only through the explicit
 
 import argparse
 import functools
+import hashlib
 import os
 import sys
 
@@ -40,7 +42,13 @@ EXIT_BALL_EXIT = 5
 
 
 def _tolerances():
-    raw = os.environ.get("STOKERLAB_TOL_SCALE", "1")
+    return _scaled_tolerances(os.environ.get("STOKERLAB_TOL_SCALE", "1"))
+
+
+@functools.cache
+def _scaled_tolerances(raw):
+    """The tolerances and scale factor of one ``STOKERLAB_TOL_SCALE`` text,
+    built once per text; a bad text raises on every call."""
     try:
         factor = formats.parse_float(raw)
         return DEFAULT.scaled(factor), factor
@@ -48,12 +56,14 @@ def _tolerances():
         raise ParseError(f"STOKERLAB_TOL_SCALE={raw!r} is not a finite positive number")
 
 
-def _read(report, load, path, *args):
-    """``load(path, *args)``, then the file's entry in ``report["inputs"]``:
-    a file is listed only once it has been read, and a file that cannot be
-    read is the loader's ``ParseError``."""
-    value = load(path, *args)
-    report["inputs"].append({"path": path, "sha256": formats.sha256_of_file(path)})
+def _read(report, parse, path, *args):
+    """``parse(raw, path, *args)`` of the bytes ``raw`` of the file at
+    ``path``, read once, then the file's entry in ``report["inputs"]`` with
+    the digest of those bytes: a file is listed only once it has been
+    parsed, and a file that cannot be read is a ``ParseError``."""
+    raw = formats.read_input(path)
+    value = parse(raw, path, *args)
+    report["inputs"].append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
     return value
 
 
@@ -64,7 +74,7 @@ def _verdict(report, name, passed, tolerance, value):
 
 
 def cmd_validate(report, args, tol: Tolerances):
-    poly = _read(report, formats.load_polyhedron, args.path)
+    poly = _read(report, formats.parse_polyhedron, args.path)
     comb_report = polyhedron.validate_combinatorics(poly.combinatorics)
     report["results"]["counts"] = {
         "vertices": comb_report.vertex_count,
@@ -87,10 +97,10 @@ def cmd_validate(report, args, tol: Tolerances):
         _verdict(report, "embedding_in_ball", emb.in_ball, tol.ball, emb.max_radius)
 
 
-def _load_valid_polyhedron(path, tol: Tolerances):
-    """Load a polyhedron and judge it before anything computes on it: a
+def _valid_polyhedron(raw, path, tol: Tolerances):
+    """Parse a polyhedron and judge it before anything computes on it: a
     combinatorics or embedding issue is a ``ParseError`` naming the first."""
-    poly = formats.load_polyhedron(path)
+    poly = formats.parse_polyhedron(raw, path)
     comb_report = polyhedron.validate_combinatorics(poly.combinatorics)
     if not comb_report.valid:
         raise ParseError(f"{path}: invalid combinatorics: " + "; ".join(comb_report.issues))
@@ -101,16 +111,16 @@ def _load_valid_polyhedron(path, tol: Tolerances):
 
 
 def cmd_angles(report, args, tol: Tolerances):
-    poly = _read(report, _load_valid_polyhedron, args.path, tol)
+    poly = _read(report, _valid_polyhedron, args.path, tol)
     angles = polyhedron.dihedral_angles(poly, tol)
     report["results"]["edges"] = [list(e) for e in poly.combinatorics.edges]
-    report["results"]["angles"] = [float(a) for a in angles]
+    report["results"]["angles"] = angles.tolist()
     _verdict(report, "angles_in_range", bool(np.all(angles > 0.0) and np.all(angles < np.pi)),
              0.0, float(angles.min()))
 
 
 def cmd_rigidity(report, args, tol: Tolerances):
-    poly = _read(report, _load_valid_polyhedron, args.path, tol)
+    poly = _read(report, _valid_polyhedron, args.path, tol)
     rep = rigidity.rigidity_report(poly, tol)
     report["results"]["rigidity"] = {
         "edge_count": rep.edge_count,
@@ -118,7 +128,7 @@ def cmd_rigidity(report, args, tol: Tolerances):
         "angle_rank": rep.angle_rank,
         "kernel_dim": rep.kernel_dim,
         "isometry_containment_residual": rep.isometry_containment_residual,
-        "singular_values": [float(s) for s in rep.singular_values],
+        "singular_values": rep.singular_values.tolist(),
         "spectral_gap_lead": rep.spectral_gap,
         "notes": rep.notes,
     }
@@ -137,10 +147,10 @@ def cmd_deform(report, args, tol: Tolerances):
         raise ParseError(f"n_steps must be at least 1, got {args.steps}")
     if args.seed < 0:
         raise ParseError(f"--seed must be nonnegative, got {args.seed}")
-    poly = _read(report, _load_valid_polyhedron, args.path, tol)
+    poly = _read(report, _valid_polyhedron, args.path, tol)
     comb = poly.combinatorics
     if args.target:
-        target = _read(report, formats.load_angles, args.target, comb.edge_count)
+        target = _read(report, formats.parse_angles, args.target, comb.edge_count)
     else:
         rng = np.random.default_rng(args.seed)
         target = (polyhedron.dihedral_angles(poly, tol)
@@ -189,7 +199,7 @@ def cmd_deform(report, args, tol: Tolerances):
 
 
 def cmd_holonomy(report, args, tol: Tolerances):
-    poly = _read(report, _load_valid_polyhedron, args.path, tol)
+    poly = _read(report, _valid_polyhedron, args.path, tol)
     comb = poly.combinatorics
     holonomy = repvar.polyhedron_holonomy(poly, tol)
     angles = holonomy.angles
@@ -198,26 +208,17 @@ def cmd_holonomy(report, args, tol: Tolerances):
     defects = np.abs(np.abs(traces.real) - 2.0 * np.abs(np.cos(angles)))
     worst_trace = float(np.max(defects, initial=0.0))
     edge_rows = [
-        {
-            "edge": list(e),
-            "angle": float(angles[k]),
-            "lift_trace_abs": float(trace_abs[k]),
-            "trace_identity_defect": float(defects[k]),
-        }
-        for k, e in enumerate(comb.edges)
+        {"edge": list(e), "angle": angle, "lift_trace_abs": trace, "trace_identity_defect": defect}
+        for e, angle, trace, defect in zip(comb.edges, angles.tolist(), trace_abs.tolist(),
+                                           defects.tolist())
     ]
     links = repvar.link_certificate(holonomy, tol)
     vertex_rows = [
-        {
-            "vertex": v,
-            "valence": int(valence),
-            "relation_residual": float(relation),
-            "irreducible": bool(irreducible),
-            "irreducibility_residual": float(residual),
-        }
+        {"vertex": v, "valence": valence, "relation_residual": relation,
+         "irreducible": irreducible, "irreducibility_residual": residual}
         for v, (valence, relation, irreducible, residual) in enumerate(zip(
-            np.diff(holonomy.link_offsets), links.relation_residuals, links.irreducible,
-            links.irreducibility_residuals))
+            np.diff(holonomy.link_offsets).tolist(), links.relation_residuals.tolist(),
+            links.irreducible.tolist(), links.irreducibility_residuals.tolist()))
     ]
     worst_relation = float(np.max(links.relation_residuals, initial=0.0))
     all_irreducible = bool(np.all(links.irreducible))
@@ -230,7 +231,7 @@ def cmd_holonomy(report, args, tol: Tolerances):
 
 
 def cmd_tracerank(report, args, tol: Tolerances):
-    pres, loops = _read(report, formats.load_presentation, args.presentation)
+    pres, loops = _read(report, formats.parse_presentation, args.presentation)
     expected = None
     if args.fixture_vertex:
         try:
@@ -238,7 +239,7 @@ def cmd_tracerank(report, args, tol: Tolerances):
             vertex = formats.parse_int(vertex_text)
         except ValueError:
             raise ParseError("--fixture-vertex expects POLYHEDRON.json:VERTEX")
-        poly = _read(report, _load_valid_polyhedron, poly_path, tol)
+        poly = _read(report, _valid_polyhedron, poly_path, tol)
         n = poly.combinatorics.vertex_count
         if not 0 <= vertex < n:
             raise ParseError(f"{poly_path}: vertex {vertex} outside 0..{n - 1}")
@@ -255,7 +256,7 @@ def cmd_tracerank(report, args, tol: Tolerances):
                 f"presentation has {pres.generator_count} generators, link has {d}"
             )
     else:
-        rep = _read(report, formats.load_matrices, args.matrices)
+        rep = _read(report, formats.parse_matrices, args.matrices)
         if rep.generator_count != pres.generator_count:
             raise ParseError(
                 f"presentation has {pres.generator_count} generators, "

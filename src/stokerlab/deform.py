@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
@@ -117,6 +116,7 @@ def _gauss_newton_step(jac, rhs, tol: Tolerances):
     than columns, or R estimated no better conditioned than 1 /
     ``tol.rank_svd``.  Raises ``ValueError`` on a non-finite system.
     """
+    from scipy.linalg import lapack
     if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
         raise ValueError("Gauss-Newton system is not finite")
     m, n = jac.shape

@@ -13,16 +13,24 @@ line-based text format: ``gens n``, one ``rel`` line per relator with
 signed 1-based indices, and optional ``loop`` lines marking trace loops;
 every number there is an ASCII decimal integer.
 
+Every loader reads its file once (``read_input``) and parses those bytes
+(``parse_*``), so a caller that hashes the bytes it parsed describes
+exactly the input it computed from; ``load_*`` is the two in one call.
+
 All floats are serialized with 17 significant digits, and integral ones
 with a decimal point, so emit -> parse -> emit is a fixed point and a JSON
 reader gets floats back; dictionaries keep insertion order, giving
 byte-identical reports for identical inputs.  ``to_json`` dispatches on
 the exact type of each value, so the built-in floats, ints, strings,
 dicts and lists of a report take one test each; numpy scalars, None and
-subclasses follow the ``isinstance`` rules after them.
+subclasses follow the ``isinstance`` rules after them.  A dict's scalar
+values, and lists of only floats or only ints, are written without a
+recursive call per value: a float list is one ``%`` format of the whole
+list, and only a list holding an integral or non-finite float is written
+value by value.
 """
 
-import hashlib
+import io
 import json
 import re
 
@@ -41,15 +49,22 @@ def format_float(x):
 
 
 def _float_text(x):
-    text = format_float(x)
-    return f'"{text}"' if "n" in text else text     # strict JSON has no nan or inf
+    """``format_float`` of a built-in float, quoted when it is not finite."""
+    text = format(x, ".17g")
+    if "." in text or "e" in text:
+        return text
+    return f'"{text}"' if "n" in text else text + ".0"     # strict JSON has no nan or inf
 
 
 _SCALARS = (bool, np.bool_, int, float, np.integer, np.floating)
 _NUMBER_TYPES = {int, float}       # JSON numbers; bool subclasses int and is excluded
 _INDEX_TYPES = {int}
+_FLOAT_TYPES = {float}
 _DECIMAL = re.compile(r"[+-]?[0-9]+")      # [0-9], not \d, which takes any Unicode digit
 _DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# exact type -> text of the scalars a report is made of
+_PLAIN = {float: _float_text, int: int.__repr__, str: json.dumps,
+          bool: {True: "true", False: "false"}.__getitem__}
 
 
 def to_json(obj, indent=0):
@@ -61,54 +76,79 @@ def to_json(obj, indent=0):
     return _emit(obj, "  " * indent)
 
 
+def _float_texts(values, sep):
+    """``sep.join`` of the ``_float_text`` of a list of built-in floats: one
+    ``%.17g`` format of them all (which is ``format(x, ".17g")`` value by
+    value) when every value shows a point.  A finite value shows none only
+    when it is integral (one significant digit times a negative power of
+    ten is dyadic only as 0.5), so any other list, or one with nan or inf,
+    is written value by value."""
+    text = sep.join(["%.17g"] * len(values)) % tuple(values)
+    if text.count(".") != len(values) or "n" in text:
+        return sep.join(map(_float_text, values))
+    return text
+
+
 def _emit(obj, pad):
     kind = type(obj)
-    if kind is float:
-        return _float_text(obj)
-    if kind is int:
-        return str(obj)
-    if kind is str:
-        return json.dumps(obj)
-    if kind is bool:
-        return "true" if obj else "false"
+    plain = _PLAIN.get(kind)
+    if plain is not None:
+        return plain(obj)
     if kind is dict or isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = [f'{inner}"{k}": {_emit(v, inner)}' for k, v in obj.items()]
+        items = []
+        for k, v in obj.items():
+            plain = _PLAIN.get(type(v))
+            items.append(f'{inner}"{k}": {_emit(v, inner) if plain is None else plain(v)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if len(obj) <= 16 and all(isinstance(v, _SCALARS) for v in obj):
-            return "[" + ", ".join([_emit(v, "") for v in obj]) + "]"
         inner = pad + "  "
-        return "[\n" + ",\n".join([inner + _emit(v, inner) for v in obj]) + "\n" + pad + "]"
+        short = len(obj) <= 16
+        sep = ", " if short else ",\n" + inner
+        if _FLOAT_TYPES.issuperset(map(type, obj)):
+            body = _float_texts(obj, sep)
+        elif _INDEX_TYPES.issuperset(map(type, obj)):
+            body = sep.join(map(int.__repr__, obj))
+        elif short and all(isinstance(v, _SCALARS) for v in obj):
+            return "[" + ", ".join([_emit(v, "") for v in obj]) + "]"
+        else:
+            return "[\n" + ",\n".join([inner + _emit(v, inner) for v in obj]) + "\n" + pad + "]"
+        return "[" + body + "]" if short else "[\n" + inner + body + "\n" + pad + "]"
     # numpy scalars, None and everything else
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float_text(obj)
+        return _float_text(float(obj))
     if obj is None:
         return "null"
     return json.dumps(str(obj))
 
 
-def sha256_of_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def _load_json(path):
+def read_input(path):
+    """The bytes of the file at ``path``, read once; a file that cannot be
+    read is a ``ParseError``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _text(raw):
+    """A text stream over the bytes ``raw`` that reads as ``open(path, encoding="utf-8")``
+    reads the file: strict UTF-8 with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
+def _parse_json(raw, path):
+    try:
+        return json.load(_text(raw))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
@@ -127,7 +167,12 @@ def _finite_array(rows, path, what):
 
 
 def load_polyhedron(path) -> EmbeddedPolyhedron:
-    data = _load_json(path)
+    return parse_polyhedron(read_input(path), path)
+
+
+def parse_polyhedron(raw, path) -> EmbeddedPolyhedron:
+    """The polyhedron of the JSON bytes ``raw`` read from ``path``."""
+    data = _parse_json(raw, path)
     if not (isinstance(data, dict) and "vertices" in data and isinstance(data.get("faces"), list)):
         raise ParseError(f"{path}: expected an object with 'vertices' and a 'faces' list")
     rows = data["vertices"]
@@ -162,7 +207,13 @@ def dump_polyhedron(poly: EmbeddedPolyhedron) -> str:
 
 
 def load_angles(path, edge_count=None):
-    data = _load_json(path)
+    return parse_angles(read_input(path), path, edge_count)
+
+
+def parse_angles(raw, path, edge_count=None):
+    """The angle vector of the JSON bytes ``raw`` read from ``path``; with
+    ``edge_count``, one angle per edge."""
+    data = _parse_json(raw, path)
     if isinstance(data, dict):
         data = data.get("angles")
     if type(data) is not list:
@@ -198,7 +249,12 @@ def parse_float(text):
 
 
 def load_presentation(path):
-    """Parse the presentation text format; returns (Presentation, loops).
+    return parse_presentation(read_input(path), path)
+
+
+def parse_presentation(raw, path):
+    """Parse the presentation text format of the bytes ``raw`` read from
+    ``path``; returns (Presentation, loops).
 
     Every number is an ASCII decimal integer (``parse_int``).  Any other
     token, a second ``gens`` line, one without exactly one count or with a
@@ -207,13 +263,8 @@ def load_presentation(path):
     """
     gens = None
     words = []              # (line number, directive, letters)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, text in enumerate(_text(raw).readlines(), start=1):
+        line = text.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
@@ -253,7 +304,12 @@ def dump_presentation(pres: Presentation, loops=()) -> str:
 
 
 def load_matrices(path) -> Representation:
-    data = _load_json(path)
+    return parse_matrices(read_input(path), path)
+
+
+def parse_matrices(raw, path) -> Representation:
+    """The generator images of the JSON bytes ``raw`` read from ``path``."""
+    data = _parse_json(raw, path)
     if not isinstance(data, dict) or "matrices" not in data:
         raise ParseError(f"{path}: expected an object with 'matrices'")
     mats = data["matrices"]

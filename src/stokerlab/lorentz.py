@@ -303,9 +303,10 @@ def sl2c_lift(mat, tol: Tolerances = DEFAULT):
     mat = np.asarray(mat, dtype=float)
     if not is_isometry(mat, tol):
         raise LiftFailure("matrix violates the Lorentz isometry invariants")
-    parts = np.einsum("...ab,abcijk->...cijk", mat, _SANDWICH)
-    best = np.argmax(np.sum(parts * parts, axis=(-3, -2, -1)), axis=-1)
-    m = np.take_along_axis(parts, best[..., None, None, None, None], axis=-4)[..., 0, :, :, :]
+    # the four M_c of every matrix, each flattened to 8 parts
+    parts = np.einsum("...ab,abcijk->...cijk", mat, _SANDWICH).reshape(-1, 4, 8)
+    best = np.argmax(np.sum(parts * parts, axis=-1), axis=-1)
+    m = parts[np.arange(len(parts)), best].reshape(mat.shape[:-2] + (2, 2, 2))
     m = m[..., 0] + 1j * m[..., 1]
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return _canonical_sign(m / np.sqrt(det)[..., None, None], tol)

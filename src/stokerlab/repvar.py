@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import ConvexityViolation, EigenFailure, IndexRange, InvalidCombinatorics
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
-from .rigidity import _null_components, _pivoted_qr, numerical_rank, nullspace
+from .rigidity import _null_components, _pivoted_qr, _singular_values, numerical_rank, nullspace
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -354,20 +353,6 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     )
 
 
-def _singular_values(matrix):
-    """Nonincreasing singular values from one LAPACK ``gesdd`` without
-    vectors, which may overwrite ``matrix``.  A non-finite matrix or no
-    convergence raises ``LinAlgError``, as ``np.linalg.svd`` does."""
-    if 0 in matrix.shape:
-        return np.zeros(0)
-    if not np.isfinite(matrix).all():
-        raise np.linalg.LinAlgError("SVD of a non-finite matrix")
-    _, sing, _, info = lapack.dgesdd(matrix.T, compute_uv=0, overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return sing
-
-
 # --- geometric holonomy ----------------------------------------------------
 
 
@@ -668,19 +653,26 @@ def _cyclic_relation_residuals(padded):
     return _central_residuals(product)[1]
 
 
+_UNRELIABLE = "unreliable eigenvector for a borderline generator"
+_SINGULAR = "generator image nearly singular"
+
+
 def _irreducibility(padded, tol: Tolerances):
     """Irreducibility of every group of an identity-padded (G, L, 2, 2)
     stack of generator images, in one pass.
 
     A group is reducible exactly when all its images share a projective
-    eigenvector.  The eigenvectors of each group's first non-central image
-    (one stacked ``eig``) are scanned: the residual of an eigenvector is its
-    worst normalized wedge against the group's images, and the group keeps
-    the smaller of the two.  A pad's wedge is exactly 0, so it never sets
-    the worst.  Returns per group the verdict, that residual and its
-    eigenvector; a central group, where every line is invariant, gets
-    residual 0 and witness (1, 0).  Raises ``EigenFailure`` when an
-    eigenvector is too inaccurate to trust near the threshold.
+    eigenvector.  Both eigenvectors of each group's first non-central image
+    (one stacked ``eig``) are scanned at once: the residual of an
+    eigenvector is its worst normalized wedge against the group's images,
+    and the group keeps the smaller of the two, the first on a tie.  A
+    pad's wedge is exactly 0, so it never sets the worst.  The 2x2 products
+    are taken entry by entry, which rounds as ``matmul`` of one vector does.
+    Returns per group the verdict, that residual and its eigenvector; a
+    central group, where every line is invariant, gets residual 0 and
+    witness (1, 0).  Raises ``EigenFailure`` when an eigenvector is too
+    inaccurate to trust near the threshold or an image nearly annihilates
+    one, judging the first eigenvector before the second.
     """
     noncentral = _central_residuals(padded)[1] > tol.central
     probed = noncentral.any(axis=1)
@@ -691,29 +683,31 @@ def _irreducibility(padded, tol: Tolerances):
         groups = padded[probed]
         probes = groups[np.arange(len(groups)), noncentral[probed].argmax(axis=1)]
         eigvals, eigvecs = np.linalg.eig(probes)
-        best = np.full(len(probes), np.inf)
-        best_vec = eigvecs[:, :, 0]
-        for i in range(2):
-            xi = eigvecs[:, :, i]
-            norm = _norms(xi)
-            error = _norms((probes @ xi[..., None])[..., 0] - eigvals[:, i, None] * xi)
-            if np.any((norm < tol.degenerate) | (error > tol.eigen_residual * norm)):
-                raise EigenFailure("unreliable eigenvector for a borderline generator")
-            xi = xi / norm[:, None]
-            mxi = (groups @ xi[:, None, :, None])[..., 0]
-            denom = _norms(mxi)
-            if np.any(denom < tol.degenerate):
-                raise EigenFailure("generator image nearly singular")
-            # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar
-            # complex products and modulus
-            p_re, p_im = _complex_product(mxi[..., 0], xi[:, None, 1])
-            q_re, q_im = _complex_product(mxi[..., 1], xi[:, None, 0])
-            worst = (np.hypot(p_re - q_re, p_im - q_im) / denom).max(axis=1)
-            better = worst < best
-            best = np.where(better, worst, best)
-            best_vec = np.where(better[:, None], xi, best_vec)
-        residual[probed] = best
-        witness[probed] = best_vec
+        vecs = np.swapaxes(eigvecs, 1, 2)           # (P, 2, 2): eigenvector i of probe p at [p, i]
+        norm = _norms(vecs)
+        image = probes[:, None, :, 0] * vecs[..., :1] + probes[:, None, :, 1] * vecs[..., 1:]
+        error = _norms(image - eigvals[..., None] * vecs)
+        unreliable = ((norm < tol.degenerate) | (error > tol.eigen_residual * norm)).any(axis=0)
+        if unreliable[0]:
+            raise EigenFailure(_UNRELIABLE)
+        scanned = 1 if unreliable[1] else 2         # an untrusted vector is never divided
+        unit = vecs[:, :scanned] / norm[:, :scanned, None]
+        # (P, L, scanned, 2): every image of a group times each eigenvector
+        mxi = (groups[:, :, None, :, 0] * unit[:, None, :, :1]
+               + groups[:, :, None, :, 1] * unit[:, None, :, 1:])
+        denom = _norms(mxi)
+        singular = (denom < tol.degenerate).any(axis=(0, 1))
+        if singular.any() or unreliable[1]:
+            raise EigenFailure(_UNRELIABLE if scanned == 1 and not singular[0] else _SINGULAR)
+        # |mxi_0 xi_1 - mxi_1 xi_0| / |mxi|, rounded like the scalar
+        # complex products and modulus
+        p_re, p_im = _complex_product(mxi[..., 0], unit[:, None, :, 1])
+        q_re, q_im = _complex_product(mxi[..., 1], unit[:, None, :, 0])
+        worst = (np.hypot(p_re - q_re, p_im - q_im) / denom).max(axis=1)
+        first = np.fmin(worst[:, 0], np.inf)        # a NaN residual never wins
+        second = worst[:, 1] < first
+        residual[probed] = np.where(second, worst[:, 1], first)
+        witness[probed] = np.where(second[:, None], unit[:, 1], unit[:, 0])
     return ~(residual < tol.irreducible), residual, witness
 
 

@@ -10,17 +10,25 @@ column-pivoted QR (see ``nullspace``); the restricted angle Jacobian's
 singular values are those of the R of its unpivoted QR, and its kernel is
 Q's trailing columns.  A failed certificate is a note in the report; input
 that is not a valid embedding raises the geometry's own error.
+
+Every factorization is a bare LAPACK call (``scipy.linalg.lapack``), with
+no ``np.linalg`` wrapper in between; ``_singular_values`` is the one route
+to singular values without vectors, and rounds as ``np.linalg.svd`` does.
+LAPACK is imported inside the functions that call it, so importing the
+library, and every CLI command that computes no rank, loads no scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import lorentz
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, RankDeficiency
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
+
+# The six isometry generators, transposed to act on row vectors.
+_SO31_ROWS = np.swapaxes(lorentz.so31_basis(), -1, -2)
 
 
 def numerical_rank(magnitudes, rel_threshold):
@@ -31,11 +39,32 @@ def numerical_rank(magnitudes, rel_threshold):
     return int(np.sum(magnitudes > rel_threshold * magnitudes[0]))
 
 
+def _singular_values(matrix):
+    """Nonincreasing singular values of a 2-d ``matrix``, bit for bit those
+    of ``np.linalg.svd(matrix, compute_uv=False)``: one LAPACK ``dgesdd``
+    without vectors on a Fortran-ordered copy, with the workspace that
+    ``dgesdd_lwork`` queries, as NumPy's own call does.  (The transpose,
+    or the wrapper's default workspace, can round differently.)  An empty
+    matrix has no values; a non-finite one, or no convergence, raises
+    ``LinAlgError``, as ``np.linalg.svd`` does."""
+    from scipy.linalg import lapack
+    if 0 in matrix.shape:
+        return np.zeros(0)
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("SVD of a non-finite matrix")
+    lwork = int(lapack.dgesdd_lwork(*matrix.shape, compute_uv=0)[0])
+    _, sing, _, info = lapack.dgesdd(matrix, compute_uv=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return sing
+
+
 def _pivoted_qr(matrix, rel_threshold):
     """(reflectors, tau, rank) of one column-pivoted Householder QR
     ``matrix.T P = Q R`` (LAPACK ``geqp3``; Businger and Golub, Numer. Math.
     7, 1965): the rank counts the |r_kk| above ``rel_threshold`` times
     |r_00|.  An empty matrix gives (None, None, 0)."""
+    from scipy.linalg import lapack
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if not np.isfinite(matrix).all():
         raise np.linalg.LinAlgError("nullspace of a non-finite matrix")
@@ -54,6 +83,7 @@ def _null_components(factor, block):
     of a matrix factored by ``_pivoted_qr``: Q's columns past the rank span
     it, so these are the rows of Q^T ``block`` past the rank, applied
     through the stored reflectors (``ormqr``) without forming Q."""
+    from scipy.linalg import lapack
     reflectors, tau, rank = factor
     block = np.asarray(block, dtype=float)
     if reflectors is None:
@@ -117,12 +147,11 @@ def isometry_directions(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     ``RankDeficiency`` if the columns do not have rank 6.
     """
     x = lorentz.klein_lift(poly.positions, tol)              # (V, 4)
-    ydot = x @ np.swapaxes(lorentz.so31_basis(), -1, -2)      # (6, V, 4): A_j x_i
+    ydot = x @ _SO31_ROWS                                     # (6, V, 4): A_j x_i
     w = x[:, 3:]
     velocity = ydot[..., :3] / w - (x[:, :3] / w) * (ydot[..., 3:] / w)
     cols = np.ascontiguousarray(np.moveaxis(velocity, 0, -1).reshape(-1, 6))
-    sing = np.linalg.svd(cols, compute_uv=False)
-    if numerical_rank(sing, tol.rank_svd) < 6:
+    if numerical_rank(_singular_values(cols), tol.rank_svd) < 6:
         raise RankDeficiency("isometry directions do not span six dimensions")
     return cols
 
@@ -181,14 +210,18 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
     except DimensionMismatch as exc:
         return RigidityReport(edge_count, -1, -1, -1, np.inf, np.array([]), False, [str(exc)])
 
+    from scipy.linalg import lapack
     block = np.concatenate([geometry.angle_jacobian(), isometry_directions(poly, tol).T]).T
     tangent = _null_components(factor, block)
-    tangent[:, edge_count:] = np.linalg.qr(tangent[:, edge_count:])[0]
+    # Q_Y: six columns are below LAPACK's blocking crossover, so the default
+    # workspaces give np.linalg.qr's Q bit for bit.
+    tangent[:, edge_count:] = lapack.dorgqr(*lapack.dgeqrf(tangent[:, edge_count:])[:2])[0]
     r = lapack.dgeqrf(tangent, overwrite_a=1)[0]
-    sing = np.linalg.svd(np.triu(r[:edge_count, :edge_count]), compute_uv=False)
+    sing = _singular_values(np.triu(r[:edge_count, :edge_count]))
     rank = numerical_rank(sing, tol.rank_svd)
     kernel_dim = r.shape[0] - rank
-    residual = float(np.arcsin(min(np.linalg.norm(r[:rank, edge_count:], 2), 1.0)))
+    largest = np.max(_singular_values(r[:rank, edge_count:]), initial=0.0)    # the 2-norm
+    residual = float(np.arcsin(min(largest, 1.0)))
 
     notes = []
     if rank != edge_count:

@@ -16,6 +16,7 @@ from stokerlab.errors import (
     BallBoundary,
     DegenerateFace,
     DimensionMismatch,
+    EigenFailure,
     InvalidCombinatorics,
     NoConvergence,
 )
@@ -430,6 +431,44 @@ def fox_walk_reference(rep, words):
         values.append(prefix)
     return (np.array(conjugators, dtype=complex).reshape(-1, 2, 2),
             np.array(values, dtype=complex).reshape(-1, 2, 2))
+
+
+def irreducibility_loop_reference(padded, tol=DEFAULT):
+    """The eigenvector scan of ``repvar._irreducibility`` as a loop over the
+    two eigenvectors, each applied by ``matmul``: the reference for the
+    batched scan.  Same outputs, same ``EigenFailure`` messages in the same
+    order (eigenvector 0's checks before eigenvector 1's)."""
+    noncentral = repvar._central_residuals(padded)[1] > tol.central
+    probed = noncentral.any(axis=1)
+    residual = np.zeros(len(padded))
+    witness = np.zeros((len(padded), 2), dtype=complex)
+    witness[:, 0] = 1.0
+    if probed.any():
+        groups = padded[probed]
+        probes = groups[np.arange(len(groups)), noncentral[probed].argmax(axis=1)]
+        eigvals, eigvecs = np.linalg.eig(probes)
+        best = np.full(len(probes), np.inf)
+        best_vec = eigvecs[:, :, 0]
+        for i in range(2):
+            xi = eigvecs[:, :, i]
+            norm = repvar._norms(xi)
+            error = repvar._norms((probes @ xi[..., None])[..., 0] - eigvals[:, i, None] * xi)
+            if np.any((norm < tol.degenerate) | (error > tol.eigen_residual * norm)):
+                raise EigenFailure("unreliable eigenvector for a borderline generator")
+            xi = xi / norm[:, None]
+            mxi = (groups @ xi[:, None, :, None])[..., 0]
+            denom = repvar._norms(mxi)
+            if np.any(denom < tol.degenerate):
+                raise EigenFailure("generator image nearly singular")
+            p_re, p_im = repvar._complex_product(mxi[..., 0], xi[:, None, 1])
+            q_re, q_im = repvar._complex_product(mxi[..., 1], xi[:, None, 0])
+            worst = (np.hypot(p_re - q_re, p_im - q_im) / denom).max(axis=1)
+            better = worst < best
+            best = np.where(better, worst, best)
+            best_vec = np.where(better[:, None], xi, best_vec)
+        residual[probed] = best
+        witness[probed] = best_vec
+    return ~(residual < tol.irreducible), residual, witness
 
 
 def trace_differential(rep, values, word):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from helpers import (
     capped_cube,
@@ -440,14 +441,14 @@ class TestInPlaceStep:
     def test_factor_shares_memory_with_jac(self, monkeypatch):
         """J is consumed: ``dgeqrf`` overwrites it with the factor."""
         factors = []
-        dgeqrf = deform.lapack.dgeqrf
+        dgeqrf = lapack.dgeqrf
 
         def spy(*args, **kwargs):
             out = dgeqrf(*args, **kwargs)
             factors.append(out[0])
             return out
 
-        monkeypatch.setattr(deform.lapack, "dgeqrf", spy)
+        monkeypatch.setattr(lapack, "dgeqrf", spy)
         jac, rhs = first_step_system(fixtures.cube(0.3))
         _gauss_newton_step(jac, rhs, DEFAULT)
         assert len(factors) == 1

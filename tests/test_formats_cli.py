@@ -1,5 +1,10 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corner_tetrahedron, to_json_reference
+import stokerlab
 from stokerlab import cli, fixtures, formats, lorentz
 from stokerlab.config import DEFAULT
 from stokerlab.errors import EigenFailure, ParseError
@@ -207,6 +213,7 @@ class TestFloatFormat:
 EDGE_FLOATS = [-0.0, 0.0, 1.0, float("nan"), float("inf"), -float("inf"), 1e16, 1e17,
                -1e16, 5e-324, 2.2250738585072014e-308 / 3, 0.1]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+INTEGRAL_FLOATS = st.integers(-2 ** 60, 2 ** 60).map(float)
 SCALARS = st.one_of(st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64),
                     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
                     st.booleans().map(np.bool_))
@@ -228,6 +235,20 @@ class TestSerializerOracle:
     @given(st.recursive(LEAVES, nested, max_leaves=40), st.integers(0, 3))
     def test_equals_reference(self, value, indent):
         assert formats.to_json(value, indent) == to_json_reference(value, indent)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.lists(st.one_of(FLOATS, INTEGRAL_FLOATS), min_size=16, max_size=17),
+                     st.lists(st.integers(), min_size=16, max_size=17),
+                     st.lists(st.one_of(FLOATS, INTEGRAL_FLOATS, FLOATS.map(np.float64),
+                                        st.booleans(), st.booleans().map(np.bool_)),
+                              min_size=16, max_size=17)),
+           st.integers(0, 3))
+    def test_flat_lists_equal_reference(self, values, indent):
+        """Lists of only floats or only ints, written without a call per
+        value, and lists that mix in numpy floats and booleans, which are:
+        as lists, tuples and dict values, beside scalar dict values."""
+        for value in (values, tuple(values), {"k": values, "first": values[0], "n": 3}):
+            assert formats.to_json(value, indent) == to_json_reference(value, indent)
 
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}],
@@ -961,6 +982,45 @@ class TestCliInputs:
             {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
             for path in read
         ]
+
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        """Each input is read once: a file rewritten right after it has been
+        read is listed with the digest of the bytes the report came from."""
+        first = formats.dump_polyhedron(fixtures.cube(0.3))
+        later = formats.dump_polyhedron(fixtures.cube(0.5))
+        path = write(tmp_path, "poly.json", first)
+
+        def rewriting_open(file, mode="r", *args, **kwargs):
+            with open(file, mode, *args, **kwargs) as fh:
+                content = fh.read()
+            Path(file).write_text(later)
+            return io.BytesIO(content) if "b" in mode else io.StringIO(content)
+
+        monkeypatch.setattr(formats, "open", rewriting_open, raising=False)
+        code, out = run_cli(capsys, ["angles", path])
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"] == [
+            {"path": path, "sha256": hashlib.sha256(first.encode()).hexdigest()}]
+        assert report["results"]["angles"] == dihedral_angles(fixtures.cube(0.3)).tolist()
+
+    def test_commands_without_a_rank_load_no_scipy(self, tmp_path):
+        """``validate``, ``angles`` and ``holonomy`` run without importing
+        scipy: LAPACK is imported where a rank or a solve needs it."""
+        path = write_poly(tmp_path, fixtures.cube(0.3))
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from stokerlab import cli
+            for command in ("validate", "angles", "holonomy"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([command, sys.argv[1]]) == 0, command
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = os.path.dirname(os.path.dirname(stokerlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", script, path], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -13,10 +13,12 @@ from helpers import (
     corner_tetrahedron,
     elliptic,
     global_meridian,
+    irreducibility_loop_reference,
     matrix_from_coords,
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    same_bits,
     sl2c_to_so31,
     trace_differential,
     trace_rank_reference,
@@ -817,6 +819,85 @@ def assert_group_results(images, offsets, reports):
         assert residual[g] == report.residual
         if report.witness is not None:
             assert np.array_equal(witness[g], report.witness)
+
+
+def scan_groups(rng, sizes, kinds):
+    """Groups of random SL(2,C) images, one per size: a "reducible" group
+    shares the eigenvector (1, 0) (upper triangular images), a "central"
+    group holds only +-I, and an "irreducible" one is left as drawn."""
+    groups = []
+    for size, kind in zip(sizes, kinds):
+        images = random_representation(rng, size).images
+        if kind == "reducible":
+            images = np.triu(images) / np.sqrt(images[:, :1, :1] * images[:, 1:, 1:])
+        elif kind == "central":
+            images = np.where(rng.random(size)[:, None, None] < 0.5, I2, -I2)
+        groups.append(images)
+    return groups
+
+
+class TestIrreducibilityScan:
+    """The batched scan of both eigenvectors against the loop over them,
+    ``helpers.irreducibility_loop_reference``: verdicts, residuals and
+    witnesses bit for bit."""
+
+    @staticmethod
+    def assert_same(padded):
+        ours, ref = _irreducibility(padded, DEFAULT), irreducibility_loop_reference(padded)
+        assert np.array_equal(ours[0], ref[0])
+        assert same_bits(ours[1], ref[1])
+        assert same_bits(ours[2].view(float), ref[2].view(float))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(1, 6),
+                              st.sampled_from(["irreducible", "reducible", "central"])),
+                    min_size=1, max_size=8))
+    def test_ragged_groups_equal_the_loop(self, seed, spec):
+        sizes, kinds = zip(*spec)
+        groups = scan_groups(np.random.default_rng(seed), sizes, kinds)
+        self.assert_same(_padded(np.concatenate(groups), np.cumsum((0,) + sizes)))
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    def test_vertex_links_equal_the_loop(self, name, scale):
+        hol = polyhedron_holonomy(fixtures.STANDARD[name](scale))
+        self.assert_same(_padded(hol.link_meridians, hol.link_offsets))
+
+    @pytest.mark.parametrize("corrupt", [None, 0, 1])
+    @pytest.mark.parametrize("kinds", [("good",), ("good", "singular"), ("singular", "good"),
+                                       ("good", "unreliable"), ("unreliable", "singular")])
+    def test_failures_raise_as_the_loop_does(self, monkeypatch, corrupt, kinds):
+        """The loop's first ``EigenFailure``, with eigenvector ``corrupt`` of
+        every probe swapped for a unit vector that is no eigenvector: an
+        image that annihilates eigenvector 0 is named before an untrusted
+        eigenvector 1."""
+        shear = np.array([[1.0, 1e6], [1e6, 1.0 + 1e12]], dtype=complex)
+        cases = {
+            "good": list(link_representation(fixtures.tetrahedron(0.3), 0).meridians),
+            "unreliable": [shear @ np.array([[2.0, 1.0], [0.0, 0.5]]) @ lorentz.sl2_inverse(shear),
+                           np.array([[0.0, 1j], [1j, 0.0]])],
+            "singular": [np.diag([2.0 + 0j, 0.5]), np.zeros((2, 2), dtype=complex)],
+        }
+        if corrupt is not None:
+            eig = np.linalg.eig
+
+            def corrupted(a):
+                w, v = eig(a)
+                v[..., corrupt] = [0.6, 0.8]
+                return w, v
+
+            monkeypatch.setattr(np.linalg, "eig", corrupted)
+        groups = [cases[kind] for kind in kinds]
+        padded = _padded(np.array(sum(groups, [])), np.cumsum([0] + [len(g) for g in groups]))
+        try:
+            irreducibility_loop_reference(padded)
+        except EigenFailure as exc:
+            with pytest.raises(EigenFailure, match=str(exc)):
+                _irreducibility(padded, DEFAULT)
+        else:
+            assert kinds == ("good",) and corrupt is None
+            self.assert_same(padded)
 
 
 class TestLinkCertificate:

@@ -14,6 +14,7 @@ from helpers import (
     random_polyhedra,
     random_simplicial_hull,
     rigidity_report_reference,
+    same_bits,
     svd_nullspace,
 )
 from stokerlab import fixtures, lorentz
@@ -21,6 +22,7 @@ from stokerlab.config import DEFAULT
 from stokerlab.errors import DegenerateFace, DimensionMismatch, RankDeficiency
 from stokerlab.polyhedron import EmbeddedPolyhedron, dihedral_angles, planarity_residuals
 from stokerlab.rigidity import (
+    _singular_values,
     angle_jacobian,
     constraint_jacobian,
     isometry_directions,
@@ -194,6 +196,51 @@ class TestNullspace:
     def test_tangent_width_matches_svd_reference(self, poly):
         width = svd_nullspace(constraint_jacobian(poly), REL).shape[1]
         assert tangent_space(poly).shape[1] == width == poly.combinatorics.edge_count + 6
+
+
+@st.composite
+def svd_matrices(draw):
+    """Tall, wide, one-row and rank-deficient matrices of normal entries, as
+    C-ordered, Fortran-ordered or strided (every other row) arrays."""
+    kind = draw(st.sampled_from(["tall", "wide", "row", "deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    short, long = sorted((draw(st.integers(1, 40)), draw(st.integers(1, 40))))
+    if kind == "tall":
+        matrix = rng.normal(size=(long, short))
+    elif kind == "wide":
+        matrix = rng.normal(size=(short, long))
+    elif kind == "row":
+        matrix = rng.normal(size=(1, long))
+    else:
+        rank = draw(st.integers(1, short))
+        matrix = rng.normal(size=(long, rank)) @ rng.normal(size=(rank, short))
+        if draw(st.booleans()):
+            matrix = matrix.T
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "strided":
+        return np.repeat(matrix, 2, axis=0)[::2]
+    return matrix
+
+
+class TestSingularValues:
+    """``_singular_values`` against ``np.linalg.svd(compute_uv=False)``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(svd_matrices())
+    def test_equals_numpy_bit_for_bit(self, matrix):
+        before = matrix.copy()
+        assert same_bits(_singular_values(matrix), np.linalg.svd(matrix, compute_uv=False))
+        assert same_bits(matrix, before)
+
+    def test_empty_matrix_has_no_values(self):
+        assert _singular_values(np.zeros((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        with pytest.raises(np.linalg.LinAlgError, match="SVD of a non-finite matrix"):
+            _singular_values(np.array([[1.0, 2.0], [bad, 3.0]]))
 
 
 class TestIsometryDirections:
