@@ -23,7 +23,7 @@ angles = dihedral_angles(poly)
 
 print("edge    dihedral    |tr lift|    2|cos(dihedral)|")
 for k, e in enumerate(comb.edges):
-    _, lift = meridian_holonomy(poly, e)
+    lift = meridian_holonomy(poly, e)
     print(f"{e}   {angles[k]:.6f}   {abs(np.trace(lift)):.10f}   "
           f"{2 * abs(np.cos(angles[k])):.10f}")
 

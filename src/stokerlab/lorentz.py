@@ -15,15 +15,12 @@ Conventions
   order: the normal points to the side from which p1 -> p2 -> p3 runs
   counterclockwise, so a face stored counterclockwise from outside gets a
   normal pointing away from the interior, which pairs negatively with it.
-* ``sl2c_lift`` reads a lift S of L off one identity.  With E_a the
-  Hermitian forms of e1..e4 and P_c running over I, s1, s2, s3 (Pauli
-  matrices), S E_b S* = sum_a L_ab E_a and sum_b E_b B E_b = 2 tr(B) I give
-  M_c = sum_ab L_ab E_a P_c E_b = 2 tr(S* P_c) S.  The one choice is c: the
-  M_c of largest Frobenius norm (the first on a tie), which is never zero
-  since max_c |tr(S* P_c)| >= |S|_F / sqrt(2); dividing it by a square root
-  of its determinant gives +-S.
-* ``sl2c_lift`` fixes its branch so the lifted trace has nonnegative real
-  part whenever possible; for an elliptic isometry with rotation angle
+* The mirror in the plane of a unit normal n acts on Hermitian forms as
+  X -> N adj(X) N, N the form of n (det N = -<n, n> = -1), so R_f R_g
+  lifts to N_f adj(N_g).  ``repvar`` forms its meridians so; ``reflect``,
+  ``is_isometry`` and ``sl2c_lift`` serve callers holding 4x4 matrices.
+* ``_canonical_sign`` fixes a lift's branch so its trace has nonnegative
+  real part whenever possible; for an elliptic isometry with rotation angle
   theta in [0, pi] this gives trace 2*cos(theta/2).  Callers comparing
   traces should use absolute values to absorb the double-cover sign.
 * All angles are in radians.
@@ -249,8 +246,7 @@ def so31_basis():
 # R^{3,1} is identified with 2x2 Hermitian matrices via
 #   (x1,x2,x3,x4)  ->  [[x4+x3, x1-i x2], [x1+i x2, x4-x3]],
 # on which S in SL(2,C) acts by X -> S X S*; the induced map on vectors is
-# the corresponding Lorentz transformation.  ``sl2c_lift`` inverts it by the
-# identity in the module docstring.
+# the corresponding Lorentz transformation.
 
 
 # The Hermitian forms of e1, e2, e3, e4.
@@ -293,10 +289,13 @@ def sl2c_lift(mat, tol: Tolerances = DEFAULT):
     """One branch of the SL(2,C) lift of a Lorentz isometry, or of every
     matrix in a stack (..., 4, 4); the result has shape (..., 2, 2).
 
-    For a lift S of L, M_c = sum_ab L_ab E_a P_c E_b equals 2 tr(S* P_c) S
-    (see the module docstring).  The M_c of largest Frobenius norm, never
-    zero, is divided by a square root of its determinant, and the sign is
-    then fixed by ``_canonical_sign``; the other branch is the negative.
+    With E_a the Hermitian forms of e1..e4 and P_c over I, s1, s2, s3
+    (Pauli matrices), S E_b S* = sum_a L_ab E_a and sum_b E_b B E_b =
+    2 tr(B) I give M_c = sum_ab L_ab E_a P_c E_b = 2 tr(S* P_c) S for a lift
+    S of L.  The M_c of largest Frobenius norm (first on a tie) is never
+    zero, since max_c |tr(S* P_c)| >= |S|_F / sqrt(2); it is divided by a
+    square root of its determinant, and the sign is then fixed by
+    ``_canonical_sign``; the other branch is the negative.
     Every matrix is lifted as it would be alone, and ``LiftFailure`` is
     raised if any one of them fails the isometry invariants.
     """

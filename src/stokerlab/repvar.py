@@ -1,10 +1,10 @@
 """Holonomy, cocycles and trace coordinates for polyhedron link groups.
 
-Meridians of polyhedron edges are realized as products of two face-plane
-reflections, which makes the cyclic relation around every vertex telescope
-exactly; their SL(2,C) lifts satisfy the relation up to the double-cover
-sign.  First-order deformations of a representation are generator-indexed
-traceless matrices obeying the twisted additivity rule
+Meridians of polyhedron edges are products of the mirrors in two face
+planes, taken straight in SL(2,C) as N_f adj(N_g) (``_meridian_lifts``), so
+the cyclic relation around every vertex telescopes exactly up to the
+double-cover sign.  First-order deformations of a representation are
+generator-indexed traceless matrices obeying the twisted additivity rule
 
     u(g h) = u(g) + Ad(rho(g)) u(h),
 
@@ -312,7 +312,7 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
     One ``_fox_matrices`` call walks the relators and loops once.  The
     relator matrix is factored once by the column-pivoted QR of
     ``rigidity.nullspace``; its rank gives z^1 = columns - rank, and the
-    trace rows are carried onto Z^1 through the stored reflectors, with no
+    trace rows are carried onto Z^1 through the stored QR factors, with no
     basis of Z^1 formed.  Traces are class functions, so the trace rows
     vanish on coboundaries.  The rows on Z^1 then have the singular values
     of the map on H^1 plus b^1 zeros, up to rounding, for any orthonormal
@@ -356,34 +356,35 @@ def trace_rank(rep: Representation, pres: Presentation, loops,
 # --- geometric holonomy ----------------------------------------------------
 
 
-def _reflection_products(pairs):
-    """Products R_a R_b of the reflections in the planes of (k, 2, 4) pairs
-    (a, b) of unit normals.  Since M R_n M^-1 = R_(M n) for a Lorentz M,
-    normals moved by M give the product conjugated by M.
-
-    The product of the reflections in two planes through a geodesic is the
-    rotation about it by twice the angle between them (Ratcliffe,
-    *Foundations of Hyperbolic Manifolds*, section 6.5).  For adjacent face
-    planes this is the edge meridian, rotating by twice the dihedral angle.
+def _meridian_lifts(pairs, tol: Tolerances):
+    """SL(2,C) meridians of (k, 2, 4) pairs (f, g) of unit normals.  With
+    N = sum_a n_a E_a the Hermitian form of a normal (``lorentz._HERMITIAN``),
+    det N = -<n, n> = -1 and, by Cayley-Hamilton, the mirror in the plane of
+    n acts as X |-> N adj(X) N, so R_f R_g acts as X |-> S X S* for
+    S = N_f adj(N_g).  S over a root of its determinant is branched by
+    ``lorentz._canonical_sign``.  Two planes through a geodesic give the
+    rotation about it by twice their angle (Ratcliffe, *Foundations of
+    Hyperbolic Manifolds*, 6.5): the edge meridian, with tr S = -2<f, g>.
     """
-    reflections = lorentz.reflect(pairs)
-    return reflections[:, 0] @ reflections[:, 1]
+    forms = (pairs @ lorentz._HERMITIAN.reshape(4, 4)).reshape(-1, 2, 2, 2)
+    s = forms[:, 0] @ lorentz.sl2_inverse(forms[:, 1])     # the adjugate, whatever det N_g is
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    return lorentz._canonical_sign(s / np.sqrt(det)[:, None, None], tol)
 
 
 @dataclass
 class LinkRepresentation:
     """Spherical holonomy of a vertex link, based at the vertex.
 
-    ``meridians`` (d, 2, 2) lift ``meridians_so31`` (d, 4, 4) to SL(2,C) in
-    star order: reflections in face normals moved so the vertex sits at the
-    hyperboloid basepoint (making them numerically unitary); the cyclic
-    product is the identity up to the double-cover sign.
+    ``meridians`` (d, 2, 2) are the SL(2,C) edge meridians in star order,
+    from face normals moved so the vertex sits at the hyperboloid basepoint
+    (making them numerically unitary); the cyclic product is the identity
+    up to the double-cover sign.
     """
 
     vertex: int
     edges: tuple
     meridians: np.ndarray
-    meridians_so31: np.ndarray
     cone_angles: np.ndarray
     presentation: Presentation = field(init=False)
 
@@ -398,45 +399,42 @@ class LinkRepresentation:
 class PolyhedronHolonomy:
     """Vertex links of a polyhedron, computed in one batch.
 
-    ``link_meridians_so31`` (S, 4, 4) and ``link_meridians`` (S, 2, 2) are
-    the edge meridians, from normals moved to the vertex, and their SL(2,C)
-    lifts at the star slots of all vertices (``CombinatorialType.star_slots``);
-    rows ``link_offsets[v]:link_offsets[v + 1]`` equal ``link_representation``
-    of v.  Edge e = (a, b) sits at rows ``edge_slots[e]``: its
+    ``link_meridians`` (S, 2, 2) are the SL(2,C) edge meridians, from normals
+    moved to the vertex, at the star slots of all vertices (``star_slots``
+    of the type); rows ``link_offsets[v]:link_offsets[v + 1]`` equal
+    ``link_representation`` of v.  Edge e = (a, b) sits at rows ``edge_slots[e]``: its
     ``meridian_holonomy`` at a, a conjugate of the inverse at b.  ``angles``
-    are the dihedral angles of the face kernel the reflections came from.
+    are the dihedral angles of the face kernel the normals came from.
     """
 
-    link_meridians_so31: np.ndarray
     link_meridians: np.ndarray
     link_offsets: np.ndarray
     angles: np.ndarray
 
 
 def _holonomy(poly: EmbeddedPolyhedron, first, last, tol: Tolerances):
-    """A ``PolyhedronHolonomy`` of vertices ``first:last``, lifted in one
-    ``sl2c_lift`` call; ``meridian_holonomy`` reads one of its slots.
+    """A ``PolyhedronHolonomy`` of vertices ``first:last``, from one
+    ``_meridian_lifts`` batch; ``meridian_holonomy`` reads one of its slots.
 
     The meridians of a vertex's star, in star order so their cyclic product
-    telescopes to the identity, are reflections in normals moved by one
-    translation taking the vertex to the origin, so their lifts lie in SU(2).
-    No global-frame product, whose rounding grows with the boost, is formed.
+    telescopes to the identity, pair face normals moved by one translation
+    taking the vertex to the origin, so they lie in SU(2).  No global-frame
+    meridian, whose rounding grows with the boost, is formed.
     """
     geom = FaceGeometry(poly, tol)
     offsets, owners, _, slot_pairs = poly.combinatorics.star_slots
     slots = slice(offsets[first], offsets[last])
     # a pure boost is symmetric, so the row normals n^T M are the moved M n
     move = lorentz.translation_to_origin(poly.positions[first:last], tol)
-    products = _reflection_products(geom.normals[slot_pairs[slots]] @ move[owners[slots] - first])
-    return PolyhedronHolonomy(products, lorentz.sl2c_lift(products, tol),
-                              offsets[first:last + 1] - slots.start, geom.angles)
+    lifts = _meridian_lifts(geom.normals[slot_pairs[slots]] @ move[owners[slots] - first], tol)
+    return PolyhedronHolonomy(lifts, offsets[first:last + 1] - slots.start, geom.angles)
 
 
 def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT):
-    """Meridian isometry of an edge and its SU(2) lift: the edge's slot in the
-    link of its lower end a: the global meridian conjugated by T_a (a -> 0).
+    """The SU(2) meridian of an edge: its slot in the link of its lower end
+    a, the global meridian conjugated by T_a (a -> 0).
 
-    The product of the reflections in the two adjacent face planes is an
+    The product of the mirrors in the two adjacent face planes is an
     elliptic isometry about the edge geodesic rotating by twice the dihedral
     angle, so the lift trace satisfies |tr| = 2|cos(angle)|.  Raises
     ``InvalidCombinatorics`` when the edge is not an edge of the polyhedron.
@@ -448,16 +446,16 @@ def meridian_holonomy(poly: EmbeddedPolyhedron, edge, tol: Tolerances = DEFAULT)
         raise InvalidCombinatorics(f"no face contains directed edge {a}->{b}")
     slot = comb.edge_slots[k, 0] - comb.star_slots[0][a]
     hol = _holonomy(poly, a, a + 1, tol)
-    return hol.link_meridians_so31[slot], hol.link_meridians[slot]
+    return hol.link_meridians[slot]
 
 
 def link_representation(poly: EmbeddedPolyhedron, vertex,
                         tol: Tolerances = DEFAULT) -> LinkRepresentation:
     """Meridian holonomy around every edge at a vertex, in star order.
 
-    Each meridian is the product of the reflections in the two face planes
-    adjacent to its edge, ordered along the star walk so the cyclic product
-    telescopes to the identity; the planes are first moved by the
+    Each meridian is the product of the mirrors in the two face planes
+    adjacent to its edge (``_meridian_lifts``), in star order so the cyclic
+    product telescopes to the identity; the planes are first moved by the
     translation taking the vertex to the origin, so the lifts live in
     SU(2).  The cone angles are twice the dihedral angles of the star edges.
     """
@@ -468,13 +466,13 @@ def link_representation(poly: EmbeddedPolyhedron, vertex,
     offsets, _, slot_edges, _ = comb.star_slots
     edges = slot_edges[offsets[vertex]:offsets[vertex + 1]]
     return LinkRepresentation(vertex, tuple(comb.edges[k] for k in edges), hol.link_meridians,
-                              hol.link_meridians_so31, 2.0 * hol.angles[edges])
+                              2.0 * hol.angles[edges])
 
 
 def polyhedron_holonomy(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> PolyhedronHolonomy:
-    """Every vertex link of a whole polyhedron: one batch of reflection
-    products and one ``sl2c_lift`` call.  An edge's meridian is read from
-    its link slots (``CombinatorialType.edge_slots``)."""
+    """Every vertex link of a whole polyhedron: one ``_meridian_lifts``
+    batch.  An edge's meridian is read from its link slots
+    (``CombinatorialType.edge_slots``)."""
     return _holonomy(poly, 0, poly.combinatorics.vertex_count, tol)
 
 
@@ -530,8 +528,8 @@ class SurfaceGroupFixture:
 def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> SurfaceGroupFixture:
     """Build the boundary-surface representation for an embedded polyhedron.
 
-    Each generator is a product of two reflections in face normals moved,
-    as in ``_holonomy``, by one translation taking the vertex mean (inside
+    Each generator is one ``_meridian_lifts`` product of two normals, moved
+    as in ``_holonomy`` by one translation taking the vertex mean (inside
     P) to the origin.  An edge's two slots pair its faces as (f, g) and
     (g, f), so its meridian copies are inverse by construction.  The
     presentation is checked by its Euler characteristic; a flat cross edge
@@ -573,7 +571,7 @@ def surface_group_fixture(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -
     # rows list the slot generators in order; the twist generators follow.
     pairs = np.concatenate([normals[slot_pairs[rows[letters > 0]]],
                             np.stack([normals[f], halfway], axis=1)])
-    images = lorentz.sl2c_lift(_reflection_products(pairs), tol)
+    images = _meridian_lifts(pairs, tol)
 
     slot_letters = np.empty_like(slot_edges)
     slot_letters[rows] = letters

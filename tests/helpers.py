@@ -266,6 +266,36 @@ def global_meridian(poly, edge):
     return f @ g
 
 
+def reflection_products(pairs):
+    """R_f R_g for (k, 2, 4) pairs (f, g) of unit normals, as (k, 4, 4)
+    Lorentz matrices: the product of the two reflection matrices."""
+    reflections = lorentz.reflect(pairs)
+    return reflections[:, 0] @ reflections[:, 1]
+
+
+def meridian_lift_reference(pairs):
+    """SL(2,C) lifts of ``reflection_products``, by the general lift
+    ``lorentz.sl2c_lift``: the 4x4 route that the closed form N_f adj(N_g)
+    of ``repvar._meridian_lifts`` replaces."""
+    return lorentz.sl2c_lift(reflection_products(pairs))
+
+
+def link_normal_pairs(poly):
+    """The (face before, face after) normals of every star slot, each moved
+    by M n for the translation M taking the slot's vertex to the origin:
+    the (S, 2, 4) pairs whose meridians are ``link_meridians``."""
+    _, owners, _, slot_pairs = poly.combinatorics.star_slots
+    move = lorentz.translation_to_origin(poly.positions)[owners]
+    return np.einsum("sab,skb->ska", move, FaceGeometry(poly).normals[slot_pairs])
+
+
+def sign_gap(a, b):
+    """Largest entry of |a - b| or of |a + b|, whichever is smaller, per
+    matrix of two (..., 2, 2) stacks: their distance up to the
+    double-cover sign."""
+    return np.minimum(np.abs(a - b).max(axis=(-2, -1)), np.abs(a + b).max(axis=(-2, -1)))
+
+
 def corner_tetrahedron(leg=0.4):
     """Tetrahedron with three mutually orthogonal edges at the origin; the
     three coordinate-plane faces meet pairwise at exactly pi/2."""

@@ -193,7 +193,7 @@ def test_criterion_3_holonomy_identities():
         comb = poly.combinatorics
         angles = dihedral_angles(poly)
         for k, e in enumerate(comb.edges):
-            _, lift = meridian_holonomy(poly, e)
+            lift = meridian_holonomy(poly, e)
             defect = abs(abs(np.trace(lift)) - 2.0 * abs(np.cos(angles[k])))
             if not defect < 1e-9:
                 failures.append(f"{name} edge {e}: trace defect {defect:.3e}")

@@ -750,25 +750,37 @@ class TestCliHolonomy:
 
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
     def test_near_sphere_fixtures_pass(self, name, tmp_path, capsys):
-        """Vertices at Klein radius 0.999999: every link meridian is still
-        an isometry to ``DEFAULT.iso``, so the lift succeeds."""
+        """Vertices at Klein radius 0.999999: every link meridian pairs face
+        normals moved to its vertex, so its rounding stays near eps."""
         path = write_poly(tmp_path, fixtures.STANDARD[name](0.999999))
         code, out = run_cli(capsys, ["holonomy", path])
         assert code == 0
         assert all(v["pass"] for v in json.loads(out)["verdicts"])
 
-    @pytest.mark.parametrize("radius", [0.99, 0.999, 0.9999])
-    @pytest.mark.parametrize("name", ["cube", "triangular_prism"])
-    def test_far_from_origin_passes(self, name, radius, tmp_path, capsys):
-        """The fixture moved by the boost taking 0 to (radius, 0, 0): edge
-        traces are read from the links, so no global-frame meridian, whose
-        rounding grows like eps |L|^2, reaches the lift."""
-        poly = fixtures.STANDARD[name](0.3)
+    @pytest.mark.parametrize("name, scale, radius", [
+        pytest.param(name, 0.3, radius, id=f"{name}-{radius}")
+        for name in ("cube", "triangular_prism") for radius in (0.99, 0.999, 0.9999)
+    ] + [
+        pytest.param(name, 0.9, radius, id=f"{name}@0.9-{radius}")
+        for name, radius in (("cube", 0.99999), ("tetrahedron", 0.999995),
+                             ("triangular_prism", 0.999995))
+    ])
+    def test_far_from_origin_passes(self, name, scale, radius, tmp_path, capsys):
+        """The fixture moved by the boost taking 0 to (radius, 0, 0), which
+        ``validate`` accepts: edge traces are read from the links, so no
+        global-frame meridian, whose rounding grows like eps |L|^2, is
+        formed.  At scale 0.9 the moved normals miss unit length by about
+        1e-10, which pushed 4x4 reflection products past ``DEFAULT.iso`` and
+        failed their lift; N_f adj(N_g) needs no isometry check."""
+        poly = fixtures.STANDARD[name](scale)
         boost = lorentz.pure_boost(lorentz.klein_lift([radius, 0.0, 0.0]))
         path = write_poly(tmp_path, poly.with_positions(lorentz.apply_isometry(boost, poly.positions)))
+        assert run_cli(capsys, ["validate", path])[0] == 0
         code, out = run_cli(capsys, ["holonomy", path])
         assert code == 0
-        assert all(v["pass"] for v in json.loads(out)["verdicts"])
+        verdicts = {v["name"]: v["pass"] for v in json.loads(out)["verdicts"]}
+        assert verdicts == {"trace_identities": True, "vertex_relations": True,
+                            "links_irreducible": True}
 
     def test_library_error_is_exit_1_report(self, tmp_path, capsys, monkeypatch):
         def fail(poly, tol):

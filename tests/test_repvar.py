@@ -14,16 +14,20 @@ from helpers import (
     elliptic,
     global_meridian,
     irreducibility_loop_reference,
+    link_normal_pairs,
     matrix_from_coords,
+    meridian_lift_reference,
     random_polar_dual,
     random_polyhedra,
     random_simplicial_hull,
+    reflection_products,
     same_bits,
+    sign_gap,
     sl2c_to_so31,
     trace_differential,
     trace_rank_reference,
 )
-from stokerlab import fixtures, formats
+from stokerlab import fixtures, formats, repvar
 from stokerlab.config import DEFAULT
 from stokerlab.errors import ConvexityViolation, EigenFailure, InvalidCombinatorics
 from stokerlab.polyhedron import CombinatorialType, EmbeddedPolyhedron, dihedral_angles
@@ -268,7 +272,7 @@ class TestTraceRank:
 class TestMeridianHolonomy:
     def test_right_angle_edge_has_traceless_lift(self):
         poly = corner_tetrahedron()
-        _, lift = meridian_holonomy(poly, (0, 1))
+        lift = meridian_holonomy(poly, (0, 1))
         assert abs(np.trace(lift)) < 1e-10
 
     def test_trace_identity_regular_tetrahedron(self):
@@ -276,7 +280,7 @@ class TestMeridianHolonomy:
         angles = dihedral_angles(poly)
         comb = poly.combinatorics
         for k, e in enumerate(comb.edges):
-            _, lift = meridian_holonomy(poly, e)
+            lift = meridian_holonomy(poly, e)
             assert abs(np.trace(lift)) == pytest.approx(
                 2.0 * abs(np.cos(angles[k])), abs=1e-10
             )
@@ -286,7 +290,9 @@ class TestMeridianHolonomy:
         endpoints moved by the translation T_a taking a to the origin."""
         poly = fixtures.cube(0.3)
         e = poly.combinatorics.edges[0]
-        iso, _ = meridian_holonomy(poly, e)
+        iso = sl2c_to_so31(meridian_holonomy(poly, e))
+        angle = dihedral_angles(poly)[0]       # a rotation by 2 angle about the edge
+        assert np.trace(iso) == pytest.approx(2.0 + 2.0 * np.cos(2.0 * angle), abs=1e-12)
         move = lorentz.translation_to_origin(poly.positions[e[0]])
         for v in e:
             lift = move @ lorentz.klein_lift(poly.positions[v])
@@ -295,10 +301,8 @@ class TestMeridianHolonomy:
     def test_either_orientation_reads_the_edge_face_pairs(self):
         poly = fixtures.cube(0.3)
         for a, b in poly.combinatorics.edges:
-            iso, lift = meridian_holonomy(poly, (a, b))
-            flipped_iso, flipped_lift = meridian_holonomy(poly, (b, a))
-            assert np.array_equal(iso, flipped_iso)
-            assert np.array_equal(lift, flipped_lift)
+            lift = meridian_holonomy(poly, (a, b))
+            assert np.array_equal(lift, meridian_holonomy(poly, (b, a)))
 
     @pytest.mark.parametrize("scale", [0.02, 0.3, 0.999999])
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
@@ -307,8 +311,7 @@ class TestMeridianHolonomy:
         comb = poly.combinatorics
         hol = polyhedron_holonomy(poly)
         for e, edge in enumerate(comb.edges):
-            iso, lift = meridian_holonomy(poly, edge)
-            assert np.array_equal(iso, hol.link_meridians_so31[comb.edge_slots[e, 0]])
+            lift = meridian_holonomy(poly, edge)
             assert np.array_equal(lift, hol.link_meridians[comb.edge_slots[e, 0]])
 
     @pytest.mark.parametrize("edge, message", [
@@ -536,17 +539,26 @@ def boosted(poly, r):
     return poly.with_positions(lorentz.apply_isometry(boost, poly.positions))
 
 
+# Scale-0.9 fixtures boosted so near the sphere that the moved normals'
+# unit defect (about 1e-10) pushed the 4x4 route's products past ``tol.iso``:
+# ``lorentz.sl2c_lift`` raised ``LiftFailure`` on each, though ``validate``
+# accepts them.
+NEAR_SPHERE_CASES = [("cube", 0.99999), ("tetrahedron", 0.999995), ("triangular_prism", 0.999995)]
+FAR_CASES = ([pytest.param(name, 0.3, r, id=f"{name}-{r}")
+              for r in (0.99, 0.999, 0.9999) for name in sorted(fixtures.STANDARD)]
+             + [pytest.param(name, 0.9, r, id=f"{name}@0.9-{r}") for name, r in NEAR_SPHERE_CASES])
+
+
 class TestFarFromOrigin:
     """The surface fixture and the edge meridians are isometry invariants up
     to conjugation, so moving P toward the sphere changes none of their
-    frame-free values.  Both form their reflections in normals moved into
-    P, so their rounding stays small where the global-frame products lost
-    the lift or the relators."""
+    frame-free values.  Both pair face normals moved into P, so their
+    rounding stays small where the global-frame products lost the lift or
+    the relators."""
 
-    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
-    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
-    def test_surface_group_fixture(self, name, r):
-        poly = boosted(fixtures.STANDARD[name](0.3), r)
+    @pytest.mark.parametrize("name, scale, r", FAR_CASES)
+    def test_surface_group_fixture(self, name, scale, r):
+        poly = boosted(fixtures.STANDARD[name](scale), r)
         fx = surface_group_fixture(poly)
         _, relator_data = representation_report(fx.representation, fx.presentation)
         assert max(residual for _, residual in relator_data) < 1e-10
@@ -560,9 +572,112 @@ class TestFarFromOrigin:
         poly = boosted(fixtures.STANDARD[name](0.3), r)
         angles = dihedral_angles(poly)
         for k, edge in enumerate(poly.combinatorics.edges):
-            _, lift = meridian_holonomy(poly, edge)
+            lift = meridian_holonomy(poly, edge)
             assert abs(np.trace(lift)) == pytest.approx(2.0 * abs(np.cos(angles[k])), abs=1e-10)
             assert np.max(np.abs(lift @ lift.conj().T - I2)) < 1e-11
+
+    @pytest.mark.parametrize("name, r", NEAR_SPHERE_CASES)
+    def test_near_sphere_link_trace_ranks(self, name, r):
+        poly = boosted(fixtures.STANDARD[name](0.9), r)
+        for v in range(poly.combinatorics.vertex_count):
+            link = link_representation(poly, v)
+            rep = link.representation()
+            _, [(_, residual)] = representation_report(rep, link.presentation)
+            assert residual < 1e-10
+            d = len(link.edges)
+            loops = [(k,) for k in range(1, d + 1)]
+            unitary = trace_rank(rep, link.presentation, loops, restrict_to_unitary=True)
+            assert (unitary.h1_dim, unitary.rank) == (3 * d - 6, d)
+            full = trace_rank(rep, link.presentation, loops)
+            assert (full.h1_dim, full.rank) == (6 * d - 12, 2 * d)
+
+
+# The closed form against the 4x4 route, bounds fixed before the first run.
+# Near the origin both round at a few eps.  Near the sphere the moved
+# normals miss unit length by up to about eps |L|^2 for the boost L, and
+# the two routes absorb that defect differently: sl2c_lift reads a product
+# that is not quite Lorentz, N_f adj(N_g) is divided by the root of its own
+# determinant.
+LIFT_GAP, COVER_GAP = 1e-14, 1e-13
+NEAR_SPHERE_LIFT_GAP, NEAR_SPHERE_COVER_GAP = 1e-11, 1e-10
+
+
+class TestMeridianLifts:
+    """``repvar._meridian_lifts`` against ``helpers.meridian_lift_reference``:
+    equal up to the double-cover sign, on the canonical branch, and covering
+    R_f R_g of the same normals."""
+
+    def check(self, lifts, pairs, lift_gap, cover_gap):
+        """``lift_gap`` None skips the reference lift, and ``cover_gap`` None
+        bounds the covering gap by the products' own isometry defect."""
+        assert lifts.shape == (len(pairs), 2, 2)
+        if lift_gap is not None:
+            gaps = sign_gap(lifts, meridian_lift_reference(pairs))
+            assert np.max(gaps, initial=0.0) <= lift_gap
+        assert same_bits(lorentz._canonical_sign(lifts).view(float), lifts.view(float))
+        products = reflection_products(pairs)
+        if cover_gap is None:
+            cover_gap = np.max(lorentz.isometry_defect(products))
+        covered = np.array([sl2c_to_so31(lift) for lift in lifts]).reshape(-1, 4, 4)
+        assert np.max(np.abs(covered - products), initial=0.0) <= cover_gap
+
+    def check_links(self, poly, lift_gap=LIFT_GAP, cover_gap=COVER_GAP):
+        """The link meridians of ``polyhedron_holonomy``, against pairs moved
+        by the oracle's own M n."""
+        lifts = polyhedron_holonomy(poly).link_meridians
+        self.check(lifts, link_normal_pairs(poly), lift_gap, cover_gap)
+
+    def check_surface(self, poly, monkeypatch, lift_gap=LIFT_GAP, cover_gap=COVER_GAP):
+        """The slot and twist generators of ``surface_group_fixture``: the
+        pairs it passes, normals at the vertex mean and halfway normals."""
+        calls = []
+        original = repvar._meridian_lifts
+
+        def spy(pairs, tol):
+            calls.append((pairs, original(pairs, tol)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(repvar, "_meridian_lifts", spy)
+        fx = surface_group_fixture(poly)
+        [(pairs, images)] = calls
+        assert np.array_equal(images, fx.representation.images)
+        self.check(images, pairs, lift_gap, cover_gap)
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures(self, name, scale, monkeypatch):
+        poly = fixtures.STANDARD[name](scale)
+        self.check_links(poly)
+        self.check_surface(poly, monkeypatch)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(random_polyhedra(20))
+    def test_random_hulls_and_duals(self, poly):
+        self.check_links(poly)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_surface(poly, monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_far_from_origin(self, name, monkeypatch):
+        poly = boosted(fixtures.STANDARD[name](0.3), 0.9999)
+        self.check_links(poly, NEAR_SPHERE_LIFT_GAP, NEAR_SPHERE_COVER_GAP)
+        self.check_surface(poly, monkeypatch, NEAR_SPHERE_LIFT_GAP, NEAR_SPHERE_COVER_GAP)
+
+    @pytest.mark.parametrize("name, r", NEAR_SPHERE_CASES)
+    def test_near_the_sphere_covers_the_products(self, name, r, monkeypatch):
+        """Here the products R_f R_g miss the Lorentz invariants by more
+        than ``tol.iso`` (up to 5.4e-10), which is why ``sl2c_lift`` refuses
+        them; the isometries the lifts cover lie within that defect of them."""
+        poly = boosted(fixtures.STANDARD[name](0.9), r)
+        self.check_links(poly, None, None)
+        self.check_surface(poly, monkeypatch, None, None)
+
+    def test_right_angles_and_empty(self):
+        """The corner tetrahedron's traceless lifts, where the branch is a
+        tie broken by the entries, and no pairs at all."""
+        self.check_links(corner_tetrahedron())
+        empty = repvar._meridian_lifts(np.zeros((0, 2, 4)), DEFAULT)
+        assert empty.shape == (0, 2, 2)
 
 
 EPS = np.finfo(float).eps
@@ -730,7 +845,6 @@ def assert_links_equal(hol, poly, v):
     ``link_representation(poly, v)`` bit for bit, on the star of v."""
     link = link_representation(poly, v)
     assert np.array_equal(hol.link_meridians[link_rows(hol, v)], link.meridians)
-    assert np.array_equal(hol.link_meridians_so31[link_rows(hol, v)], link.meridians_so31)
     comb = poly.combinatorics
     star_edges, _ = comb.vertex_star(v)
     assert (link.vertex, link.edges) == (v, star_edges)
@@ -746,7 +860,6 @@ class TestPolyhedronHolonomy:
         assert hol.link_offsets.shape == (comb.vertex_count + 1,)
         assert (hol.link_offsets[0], hol.link_offsets[-1]) == (0, slots)
         assert hol.link_meridians.shape == (slots, 2, 2)
-        assert hol.link_meridians_so31.shape == (slots, 4, 4)
         for v in range(comb.vertex_count):
             assert_links_equal(hol, poly, v)
         slot_edges = comb.star_slots[2]
@@ -769,16 +882,18 @@ class TestPolyhedronHolonomy:
     @pytest.mark.parametrize("scale", [0.3, 0.99, 0.9999, 0.999999])
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
     def test_link_meridians_near_the_sphere(self, name, scale):
-        """Link meridians are reflections in normals moved to the vertex, so
-        their rounding stays near eps for a vertex near the sphere.
-        Conjugating the global-frame product by the vertex's boost instead
-        scales it by the boost's entries: 9.3e-10 at scale 0.999999."""
+        """Link meridians pair normals moved to the vertex, so the isometries
+        they cover keep their rounding near eps for a vertex near the
+        sphere.  Conjugating the global-frame product by the vertex's boost
+        instead scales it by the boost's entries: 9.3e-10 at scale 0.999999."""
         hol = polyhedron_holonomy(fixtures.STANDARD[name](scale))
-        assert np.max(lorentz.isometry_defect(hol.link_meridians_so31)) <= 1e-12
+        covered = [sl2c_to_so31(lift) for lift in hol.link_meridians]
+        assert np.max(lorentz.isometry_defect(covered)) <= 1e-12
 
 
 class TestEdgeSlots:
-    """Each edge's two link slots against its global-frame meridian."""
+    """Each edge's two link slots, through the covering map, against its
+    global-frame meridian."""
 
     def check(self, poly):
         comb = poly.combinatorics
@@ -797,7 +912,8 @@ class TestEdgeSlots:
                 seen = move @ iso @ lorentz.J @ move.T @ lorentz.J
                 if end:
                     seen = lorentz.J @ seen.T @ lorentz.J
-                assert np.max(np.abs(hol.link_meridians_so31[slots[e, end]] - seen)) <= 1e-13
+                covered = sl2c_to_so31(hol.link_meridians[slots[e, end]])
+                assert np.max(np.abs(covered - seen)) <= 1e-13
 
     @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
     @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
