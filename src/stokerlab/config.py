@@ -16,7 +16,7 @@ class Tolerances:
     rank_rel: float = 1e-10       # relative span cutoff for plane construction
     planar: float = 1e-9          # absolute bound on planarity determinants
     convex: float = 1e-10         # margins at or below it are not positive (strictly_convex)
-    rank_svd: float = 1e-9        # relative rank cutoff: sigma_k, pivoted-QR |r_kk|, step QR rcond (rank loss)
+    rank_svd: float = 1e-9        # relative rank cutoff: sigma_k, pivoted-QR |r_kk|, step LU rcond (rank loss)
     principal_angle: float = 1e-6 # kernel vs isometry-direction subspace agreement
     relator: float = 1e-8         # group-relation residual (up to overall sign)
     trace_identity: float = 1e-9  # meridian trace vs dihedral angle agreement

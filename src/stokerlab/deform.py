@@ -5,18 +5,25 @@ The solver runs Gauss-Newton on the stacked residual
     [planarity determinants; dihedral angles - target]
 
 over all vertex coordinates, its Jacobian J scattered once per iterate
-(``FaceGeometry.jacobian``).  Each step is the minimum-norm least-squares
-solution, which never moves along the 6-dimensional isometry kernel of J;
-the remaining gauge freedom is removed afterwards by a canonical frame
-(vertex 0 at the origin, vertex 1 on the positive x-axis, vertex 2 in the
-upper half of the xy-plane).
+(``FaceGeometry.bordered_jacobian``).  Each step is the minimum-norm
+least-squares solution wherever the faces are planar, which never moves
+along the 6-dimensional isometry kernel of J; the remaining gauge freedom
+is removed afterwards by a canonical frame (vertex 0 at the origin, vertex
+1 on the positive x-axis, vertex 2 in the upper half of the xy-plane).
 
 At a convex embedding the stacked Jacobian J has full row rank 3|V| - 6 (the
-angles locally parameterize the polyhedron).  The step is then the
-minimum-norm solution Q [R^-T rhs; 0] of one Householder QR J^T = QR (LAPACK
-``geqrf``), with an error bound of order cond(J) eps (Demmel & Higham, SIAM
-J. Matrix Anal. Appl. 14, 1993); the normal equations square cond(J) and
-lost 2e-7 of the step on a 160-point dual.  Where J has lost that rank (see
+angles locally parameterize the polyhedron), and its kernel is spanned by
+the velocities K of the six infinitesimal isometries: the angles are
+isometry invariants, and so is the planarity of a face.  So the square
+system B x = [rhs; 0], B = [J; K^T], has one solution: J x = rhs with x
+orthogonal to the kernel, which is the minimum-norm step.  It is solved by
+one LU factorization with partial pivoting (LAPACK ``getrf``), backward
+stable in practice with an error bound of order cond(B) eps (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+ch. 9), at half the flops of a QR of J^T.  Off the planar set, J K is of the
+order of the planarity residuals, and x is the Newton step J x = rhs with
+no component along K.  The normal equations square cond(J) and lost 2e-7
+of the step on a 160-point dual.  Where B has lost its rank (see
 ``_gauss_newton_step``), the iterate has left the regime where the angles
 parameterize the polyhedron: the solver stops with ``NoConvergence``
 instead of cutting the rank.
@@ -101,38 +108,41 @@ def _stacked_residual(geom: FaceGeometry, target):
     return np.concatenate([geom.planarity_residuals(), geom.angles - target])
 
 
-def _gauss_newton_step(jac, rhs, tol: Tolerances):
-    """Minimum-norm solution Q R^-T rhs of ``jac @ step = rhs``, J^T = QR.
+def _gauss_newton_step(system, rhs, tol: Tolerances):
+    """The solution x of B x = [rhs; 0], B = [J; K^T] = ``system`` the
+    Jacobian bordered by the six isometry rows, by one LU factorization.
 
-    Consumes ``jac``: the factor overwrites a C-ordered J (whose transpose
-    is Fortran-ordered), so pass a copy to keep J.  ``dtrtrs`` reads R in
-    the tall factor; ``dtrcon`` gets a square copy of R, since its wrapper
-    strides by the column count and would misread the factor.  The copy is
-    made afresh each step: one buffer held across a solve faulted about
-    three times as many pages over the benchmark's realize ladder, as a
-    long-lived block moves where the allocator trims the heap.
+    Consumes ``system``: LAPACK ``dgetrf`` factors B^T = P L U in place, on
+    the Fortran-ordered transpose of a C-ordered B, so pass a copy to keep
+    B.  The 1-norm of B^T (``dlange``) is read before, for the condition
+    estimate (``dgecon``) after; ``dgetrs`` then solves (B^T)^T x = [rhs; 0]
+    through the same factor.  There is no copy of B and no |B| temporary.
+    Where the faces are planar, J annihilates K, so x is J's minimum-norm
+    solution (the module docstring); elsewhere it is the Newton step J x =
+    rhs with no component along K.
 
-    Raises ``NoConvergence`` when J has lost its full row rank: more rows
-    than columns, or R estimated no better conditioned than 1 /
-    ``tol.rank_svd``.  Raises ``ValueError`` on a non-finite system.
+    Raises ``NoConvergence`` when J has lost its full row rank: more than
+    3|V| - 6 rows, or B estimated no better conditioned than 1 /
+    ``tol.rank_svd``.  Raises ``ValueError`` on a non-finite system, or
+    one not bordered to a square.
     """
     from scipy.linalg import lapack
-    if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
         raise ValueError("Gauss-Newton system is not finite")
-    m, n = jac.shape
-    if m > n:
-        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed its {n} columns")
-    lwork = int(lapack.dgeqrf_lwork(n, m)[0])
-    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=lwork, overwrite_a=1)
-    rcond, _ = lapack.dtrcon(np.asfortranarray(qr[:m]))
+    m, n = len(rhs), system.shape[1]
+    if m > n - 6:
+        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed 3|V| - 6 = {n - 6}")
+    if system.shape != (n, n):
+        raise ValueError(f"Gauss-Newton system of shape {system.shape} is not square")
+    anorm = lapack.dlange("1", system.T)
+    lu, piv, _ = lapack.dgetrf(system.T, overwrite_a=1)
+    rcond, _ = lapack.dgecon(lu, anorm)
     if not rcond > tol.rank_svd:
         raise NoConvergence(f"Jacobian lost rank: reciprocal condition estimate "
                             f"{rcond:.1e} at or below the cut {tol.rank_svd:.1e}")
-    y, _ = lapack.dtrtrs(qr, rhs, trans=1)
     padded = np.zeros((n, 1))
-    padded[:m, 0] = y
-    # lwork 1: the unblocked sweep, cheaper than block reflectors for one column.
-    step, _, _ = lapack.dormqr("L", "N", qr, tau, padded, 1, overwrite_c=1)
+    padded[:m, 0] = rhs
+    step, _ = lapack.dgetrs(lu, piv, padded, trans=1, overwrite_b=1)
     return step[:, 0]
 
 
@@ -179,9 +189,9 @@ def realize_angles(poly: EmbeddedPolyhedron, target, opts: DeformOptions = Defor
             break
         if iterations >= opts.max_iterations:
             raise NoConvergence(f"residual {history[-1]:.3e} after {iterations} iterations")
-        # Consumed by the step; held until the next J exists, as pages freed re-fault.
-        jac = geom.jacobian()
-        step = _gauss_newton_step(jac, -residual, tol)
+        # B is consumed and freed by the step: held until the next B exists,
+        # it faulted its pages in anew on most iterates.
+        step = _gauss_newton_step(geom.bordered_jacobian(), -residual, tol)
         damping = _trust_damping(abs(step).max(), opts.trust_radius)
         new_pos = current.positions + damping * step.reshape(-1, 3)
         if not lorentz.inside_ball(lorentz._dot3(new_pos, new_pos).max(), tol):

@@ -241,6 +241,29 @@ def so31_basis():
     return gens
 
 
+# The rotation generators' 3 x 3 blocks, transposed to act on row vectors,
+# and the boost directions e_k, shaped for ``klein_velocities``.
+_ROTATION_ROWS = np.swapaxes(so31_basis()[:3, :3, :3], -1, -2)
+_BOOST_UNITS = np.eye(3)[:, None, :]
+
+
+def klein_velocities(points):
+    """(6, n, 3) velocities of the Klein ``points`` (n, 3) under the six
+    ``so31_basis`` generators, in closed form, with no lift.
+
+    For a generator A, the derivative at t = 0 of the Klein projection of
+    exp(t A) applied to the lift of p is the 3 x 3 block of A applied to p
+    for a rotation (w x p, for w = e3, -e2, e1 in basis order) and
+    e_k - p_k p for the boost along e_k.
+    """
+    p = np.asarray(points, dtype=float)
+    vel = np.empty((6,) + p.shape)
+    np.matmul(p, _ROTATION_ROWS, out=vel[:3])
+    np.multiply(p.T[:, :, None], p, out=vel[3:])
+    np.subtract(_BOOST_UNITS, vel[3:], out=vel[3:])
+    return vel
+
+
 # --- SL(2,C) double cover -------------------------------------------------
 #
 # R^{3,1} is identified with 2x2 Hermitian matrices via

@@ -429,8 +429,8 @@ class FaceGeometry:
     u, w the anchor edges; they read no normals, so they never raise.  The
     normals (from the same u x w), each edge's two normals and their two
     half-chords are cached on first use for ``angles`` and the angle Jacobian.
-    ``jacobian`` scatters all closed-form blocks at once; the other two
-    Jacobians are its row ranges.
+    ``bordered_jacobian`` scatters all closed-form blocks at once; the other
+    two Jacobians are its row ranges.
     """
 
     def __init__(self, poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
@@ -507,21 +507,28 @@ class FaceGeometry:
         """Interior dihedral angle pi - 2 atan2(|n_f - n_g|, |n_f + n_g|) of every edge."""
         return np.pi - 2.0 * np.arctan2(*self._edge_normals[1:])
 
-    def jacobian(self):
-        """(P + E) x 3V Jacobian of [planarity residuals; angles], one
-        ``np.bincount`` through ``CombinatorialType.jacobian_cells``.  It
-        reads the normals, so a degenerate face raises ``DegenerateFace``."""
+    def bordered_jacobian(self):
+        """(P + E + 6) x 3V matrix [J; K^T]: the Jacobian J of [planarity
+        residuals; angles], one ``np.bincount`` through
+        ``CombinatorialType.jacobian_cells`` into a buffer six rows longer,
+        whose last six rows are then the isometry velocities K^T of the
+        vertices (``lorentz.klein_velocities``).  It is square for a type of
+        Euler characteristic 2, where P + E = 3V - 6.  It reads the normals,
+        so a degenerate face raises ``DegenerateFace``."""
         parts = self._constraint_blocks(), self._angle_blocks()
         blocks = np.concatenate([part.ravel() for part in parts])
-        return self._scatter(self.combinatorics.jacobian_cells, blocks, sum(map(len, parts)))
+        rows = sum(map(len, parts))
+        system = self._scatter(self.combinatorics.jacobian_cells, blocks, rows + 6)
+        system[rows:] = lorentz.klein_velocities(self.positions).reshape(6, -1)
+        return system
 
     def constraint_jacobian(self):
-        """Rows 0..P of ``jacobian``; no normals are computed."""
+        """Rows 0..P of ``bordered_jacobian``; no normals are computed."""
         blocks = self._constraint_blocks()
         return self._scatter(self.combinatorics.jacobian_cells[:blocks.size], blocks, len(blocks))
 
     def angle_jacobian(self):
-        """Rows P.. of ``jacobian``."""
+        """Rows P..P + E of ``bordered_jacobian``."""
         comb = self.combinatorics
         blocks, cells = self._angle_blocks(), comb.jacobian_cells
         offset = len(comb.planarity_pairs) * 3 * comb.vertex_count

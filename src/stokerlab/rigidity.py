@@ -27,9 +27,6 @@ from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, RankDeficiency
 from .polyhedron import EmbeddedPolyhedron, FaceGeometry
 
-# The six isometry generators, transposed to act on row vectors.
-_SO31_ROWS = np.swapaxes(lorentz.so31_basis(), -1, -2)
-
 
 def numerical_rank(magnitudes, rel_threshold):
     """Count of the nonincreasing ``magnitudes`` (singular values, or the
@@ -142,15 +139,11 @@ def _constraint_factor(geometry: FaceGeometry, tol: Tolerances):
 def isometry_directions(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT):
     """Vertex velocities induced by the six ambient isometry generators.
 
-    Column j holds, for every vertex, the derivative at t = 0 of the Klein
-    projection of exp(t A_j) applied to the lifted vertex.  Raises
-    ``RankDeficiency`` if the columns do not have rank 6.
+    Column j holds ``lorentz.klein_velocities`` of every vertex under
+    generator j, the rows of the solver's bordered Jacobian transposed.
+    Raises ``RankDeficiency`` if the columns do not have rank 6.
     """
-    x = lorentz.klein_lift(poly.positions, tol)              # (V, 4)
-    ydot = x @ _SO31_ROWS                                     # (6, V, 4): A_j x_i
-    w = x[:, 3:]
-    velocity = ydot[..., :3] / w - (x[:, :3] / w) * (ydot[..., 3:] / w)
-    cols = np.ascontiguousarray(np.moveaxis(velocity, 0, -1).reshape(-1, 6))
+    cols = np.ascontiguousarray(lorentz.klein_velocities(poly.positions).reshape(6, -1).T)
     if numerical_rank(_singular_values(cols), tol.rank_svd) < 6:
         raise RankDeficiency("isometry directions do not span six dimensions")
     return cols
@@ -200,8 +193,8 @@ def rigidity_report(poly: EmbeddedPolyhedron, tol: Tolerances = DEFAULT) -> Rigi
     other than |E| + 6 (``DimensionMismatch``) is one, and ends the report
     there, before any face normal is read.  Invalid input geometry raises,
     as it does from ``dihedral_angles``: ``DegenerateFace`` and
-    ``BallBoundary`` from the face kernel and the lift, ``RankDeficiency``
-    from ``isometry_directions``.
+    ``BallBoundary`` from the face kernel, ``RankDeficiency`` from
+    ``isometry_directions``.
     """
     geometry = FaceGeometry(poly, tol)
     edge_count = poly.combinatorics.edge_count

@@ -333,23 +333,32 @@ def min_norm_step(jac, rhs, rcond):
     return np.linalg.pinv(jac, rcond) @ rhs
 
 
-def reference_step(jac, rhs, tol):
-    """The Gauss-Newton step computed out of place: J^T = QR factored from a
-    copy, so ``jac`` is left as it was, and the square R used both for the
-    condition estimate and for the solve R^T y = rhs.  The reference for
+def reference_step(system, rhs, tol):
+    """The Gauss-Newton step computed out of place: B^T = P L U factored from
+    a copy of the bordered Jacobian B = [J; K^T], so ``system`` is left as it
+    was, and B x = [rhs; 0] solved through the factor.  The reference for
     ``deform._gauss_newton_step``, with the same rank-loss messages."""
-    m, n = jac.shape
-    if m > n:
-        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed its {n} columns")
-    qr, tau, _, _ = lapack.dgeqrf(jac.T, lwork=int(lapack.dgeqrf_lwork(n, m)[0]))
-    r = qr[:m]
-    rcond, _ = lapack.dtrcon(r)
+    m, n = len(rhs), system.shape[1]
+    if m > n - 6:
+        raise NoConvergence(f"Jacobian lost rank: {m} rows exceed 3|V| - 6 = {n - 6}")
+    lu, piv, _ = lapack.dgetrf(system.T)
+    rcond, _ = lapack.dgecon(lu, lapack.dlange("1", system.T))
     if not rcond > tol.rank_svd:
         raise NoConvergence(f"Jacobian lost rank: reciprocal condition estimate "
                             f"{rcond:.1e} at or below the cut {tol.rank_svd:.1e}")
-    padded = np.zeros((n, 1))
-    padded[:m, 0] = lapack.dtrtrs(r, rhs, trans=1)[0]
-    return lapack.dormqr("L", "N", qr, tau, padded, 1)[0][:, 0]
+    return lapack.dgetrs(lu, piv, np.append(rhs, np.zeros(n - m))[:, None], trans=1)[0][:, 0]
+
+
+def isometry_directions_reference(poly, tol=DEFAULT):
+    """Vertex velocities of the six ``so31_basis`` generators by the lifted
+    route: each generator A applied to the hyperboloid lift x of every
+    vertex, and the derivative of the Klein projection x_s / x_4 formed from
+    A x.  The (3V, 6) reference for ``rigidity.isometry_directions``."""
+    x = lorentz.klein_lift(poly.positions, tol)                   # (V, 4)
+    ydot = x @ np.swapaxes(lorentz.so31_basis(), -1, -2)          # (6, V, 4): A_j x_i
+    w = x[:, 3:]
+    velocity = ydot[..., :3] / w - (x[:, :3] / w) * (ydot[..., 3:] / w)
+    return np.moveaxis(velocity, 0, -1).reshape(-1, 6)
 
 
 def margin_table_reference(geom):

@@ -322,12 +322,12 @@ class TestContinuationPath:
 
 
 def first_step_system(poly, seed=0, amplitude=1e-3):
-    """Stacked Jacobian and right-hand side of the first Gauss-Newton step
-    towards a seeded target around the current angles."""
+    """Bordered Jacobian [J; K^T] and right-hand side of the first
+    Gauss-Newton step towards a seeded target around the current angles."""
     geom = FaceGeometry(poly)
     rng = np.random.default_rng(seed)
     target = geom.angles + amplitude * rng.uniform(-1.0, 1.0, geom.angles.size)
-    return geom.jacobian(), -_stacked_residual(geom, target)
+    return geom.bordered_jacobian(), -_stacked_residual(geom, target)
 
 
 def relative_error(value, reference):
@@ -337,26 +337,38 @@ def relative_error(value, reference):
 def check_min_norm_step(poly):
     """The step equals the pseudoinverse step and has no component along the
     isometry directions, both within 100 eps cond(J), fixed before the solve."""
-    jac, rhs = first_step_system(poly)
+    system, rhs = first_step_system(poly)
+    jac = system[:len(rhs)].copy()
     bound = 100 * EPS * np.linalg.cond(jac)
-    step = _gauss_newton_step(jac.copy(), rhs, DEFAULT)
+    step = _gauss_newton_step(system, rhs, DEFAULT)
     assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
     iso, _ = np.linalg.qr(isometry_directions(poly))
     assert np.linalg.norm(iso.T @ step) / np.linalg.norm(step) < bound
 
 
-def with_smallest_singular_value(jac, ratio):
-    """``jac`` with its smallest singular value set to ``ratio`` sigma_max."""
-    u, sing, vt = np.linalg.svd(jac, full_matrices=False)
+def with_smallest_singular_value(system, rows, ratio):
+    """``system`` with the smallest singular value of its first ``rows``
+    rows, J, set to ``ratio`` sigma_max; the isometry rows are kept."""
+    u, sing, vt = np.linalg.svd(system[:rows], full_matrices=False)
     sing[-1] = ratio * sing[0]
-    return (u * sing) @ vt
+    out = system.copy()
+    out[:rows] = (u * sing) @ vt
+    return out
 
 
-def assert_rank_loss(jac, rhs):
+def with_duplicated_row(system, rhs):
+    """J's row 1 replaced by its row 0, with a consistent right-hand side:
+    one equation repeated, so the bordered system stays square."""
+    system, rhs = system.copy(), rhs.copy()
+    system[1], rhs[1] = system[0], rhs[0]
+    return system, rhs
+
+
+def assert_rank_loss(system, rhs):
     """The step stops with the rank-loss ``NoConvergence``, whose message
     gives a condition estimate at or below the cut, and the cut."""
     with pytest.raises(NoConvergence) as info:
-        _gauss_newton_step(jac, rhs, DEFAULT)
+        _gauss_newton_step(system, rhs, DEFAULT)
     message = re.fullmatch(r"Jacobian lost rank: reciprocal condition estimate (\S+) "
                            r"at or below the cut (\S+)", str(info.value))
     assert message is not None, str(info.value)
@@ -378,40 +390,119 @@ class TestGaussNewtonStep:
     def test_duplicated_row(self):
         """A repeated equation costs one rank, even with a consistent
         right-hand side: the step stops instead of cutting the rank."""
-        jac, rhs = first_step_system(fixtures.cube(0.3))
-        assert_rank_loss(np.vstack([jac, jac[:1]]), np.append(rhs, rhs[0]))
+        assert_rank_loss(*with_duplicated_row(*first_step_system(fixtures.cube(0.3))))
 
     def test_rank_cutoff_drops_a_tiny_singular_value(self):
         """A singular value of 1e-12 sigma_max lies under the rank_svd cutoff,
         so J has lost its full row rank and the step stops.  Without the
         stop, that direction is amplified 1e12-fold."""
-        jac, rhs = first_step_system(fixtures.cube(0.3))
-        assert_rank_loss(with_smallest_singular_value(jac, 1e-12), rhs)
+        system, rhs = first_step_system(fixtures.cube(0.3))
+        assert_rank_loss(with_smallest_singular_value(system, len(rhs), 1e-12), rhs)
 
     def test_more_rows_than_columns(self):
-        jac, rhs = first_step_system(fixtures.cube(0.3))
-        extra = jac.shape[1] - jac.shape[0] + 1
-        with pytest.raises(NoConvergence, match="lost rank: 25 rows exceed its 24 columns"):
-            _gauss_newton_step(np.vstack([jac, jac[:extra]]), np.append(rhs, rhs[:extra]), DEFAULT)
+        """More rows than 3|V| - 6 cannot have full row rank: seven of J's
+        rows appended under it, above the isometry rows."""
+        system, rhs = first_step_system(fixtures.cube(0.3))
+        m = len(rhs)
+        taller = np.vstack([system[:m], system[:7], system[m:]])
+        with pytest.raises(NoConvergence, match=r"lost rank: 25 rows exceed 3\|V\| - 6 = 18"):
+            _gauss_newton_step(taller, np.append(rhs, rhs[:7]), DEFAULT)
+
+    def test_unbordered_system_rejected(self):
+        """J alone, without its six isometry rows, is not a square system."""
+        system, rhs = first_step_system(fixtures.cube(0.3))
+        with pytest.raises(ValueError, match=r"shape \(18, 24\) is not square"):
+            _gauss_newton_step(system[:len(rhs)], rhs, DEFAULT)
 
     def test_ill_conditioned_full_rank_is_not_cut(self):
         """A singular value of 1e-7 sigma_max lies above the rank_svd cutoff:
         the step is the full pseudoinverse step within 100 eps cond(J)."""
-        jac, rhs = first_step_system(fixtures.cube(0.3))
-        ill = with_smallest_singular_value(jac, 1e-7)
-        bound = 100 * EPS * np.linalg.cond(ill)
-        step = _gauss_newton_step(ill.copy(), rhs, DEFAULT)
-        assert relative_error(step, min_norm_step(ill, rhs, DEFAULT.rank_svd)) < bound
+        system, rhs = first_step_system(fixtures.cube(0.3))
+        ill = with_smallest_singular_value(system, len(rhs), 1e-7)
+        jac = ill[:len(rhs)].copy()
+        bound = 100 * EPS * np.linalg.cond(jac)
+        step = _gauss_newton_step(ill, rhs, DEFAULT)
+        assert relative_error(step, min_norm_step(jac, rhs, DEFAULT.rank_svd)) < bound
 
-    @pytest.mark.parametrize("operand", ["jac", "rhs"])
+    @pytest.mark.parametrize("operand", ["jac", "iso", "rhs"])
     def test_non_finite_system_rejected(self, operand):
-        jac, rhs = first_step_system(fixtures.cube(0.3))
+        system, rhs = first_step_system(fixtures.cube(0.3))
         if operand == "jac":
-            jac[3, 5] = np.nan
+            system[3, 5] = np.nan
+        elif operand == "iso":
+            system[-1, 5] = np.inf
         else:
             rhs[5] = np.nan
         with pytest.raises(ValueError):
-            _gauss_newton_step(jac, rhs, DEFAULT)
+            _gauss_newton_step(system, rhs, DEFAULT)
+
+
+def check_isometries_annihilated(poly):
+    """Every row of J annihilates the isometry velocities K at a planar
+    embedding: ||J K|| <= 100 eps ||J|| ||K|| (2-norms), c = 100 fixed
+    before the run."""
+    system, rhs = first_step_system(poly)
+    jac, iso = system[:len(rhs)], system[len(rhs):].T
+    gap = np.linalg.norm(jac @ iso, 2)
+    assert gap <= 100 * EPS * np.linalg.norm(jac, 2) * np.linalg.norm(iso, 2)
+
+
+class TestBorderPremise:
+    """The premise of the bordered step: J K = 0 where the faces are planar
+    (angles are isometry invariants, and so is planarity), so B x = [rhs; 0]
+    gives the minimum-norm step there; elsewhere J x = rhs."""
+
+    @pytest.mark.parametrize("scale", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", sorted(fixtures.STANDARD))
+    def test_fixtures(self, name, scale):
+        check_isometries_annihilated(fixtures.STANDARD[name](scale))
+
+    @examples
+    @given(random_polyhedra(24))
+    def test_random_hulls_and_duals(self, poly):
+        check_isometries_annihilated(poly)
+
+    @examples
+    @given(st.integers(3, 16))
+    def test_prisms(self, n):
+        check_isometries_annihilated(prism(n))
+
+    def test_non_planar_iterate(self):
+        """The solver's first step on a cube leaves its faces non-planar.
+        There the step still solves J x = rhs and K^T x = 0 to 100 eps
+        ||B|| ||x||.  Its component along the kernel of J, x less the
+        minimum-norm step, is at most twice ||J K|| / (sigma_min(J)
+        sigma_min(K)) ||x||, plus 100 eps cond(J) ||x||; and ||J K|| is
+        bounded by the planarity residual r: the determinant of a quad
+        changes along the boost e_k at the rate -(sum of its four p_k) r,
+        and along a rotation not at all, so ||J K||_F <= 4 max_v |p_v| ||r||
+        plus 100 eps ||J|| ||K||.  Every constant was fixed before the run."""
+        poly = fixtures.cube(0.3)
+        system, rhs = first_step_system(poly)
+        step = _gauss_newton_step(system, rhs, DEFAULT)
+        damping = _trust_damping(abs(step).max(), DeformOptions().trust_radius)
+        iterate = poly.with_positions(poly.positions + damping * step.reshape(-1, 3))
+        residual = FaceGeometry(iterate).planarity_residuals()
+        assert np.abs(residual).max() > 1e-10           # far above rounding
+        system, rhs = first_step_system(iterate)
+        m = len(rhs)
+        jac, iso = system[:m].copy(), system[m:].T.copy()
+        bordered = system.copy()
+        step = _gauss_newton_step(system, rhs, DEFAULT)
+        scale = np.linalg.norm(step)
+        backward = 100 * EPS * np.linalg.norm(bordered, 2) * scale
+        assert np.linalg.norm(jac @ step - rhs) <= backward
+        assert np.linalg.norm(iso.T @ step) <= backward
+        norm_j, norm_k = np.linalg.norm(jac, 2), np.linalg.norm(iso, 2)
+        gap = np.linalg.norm(jac @ iso)
+        assert gap > 1e3 * EPS * norm_j * norm_k       # far from the planar case
+        radius = np.linalg.norm(iterate.positions, axis=1).max()
+        assert gap <= 4 * radius * np.linalg.norm(residual) + 100 * EPS * norm_j * norm_k
+        sigma_j = np.linalg.svd(jac, compute_uv=False)[-1]
+        sigma_k = np.linalg.svd(iso, compute_uv=False)[-1]
+        kernel_part = np.linalg.norm(step - min_norm_step(jac, rhs, DEFAULT.rank_svd))
+        assert kernel_part <= (2 * gap / (sigma_j * sigma_k)
+                               + 100 * EPS * np.linalg.cond(jac)) * scale
 
 
 STEP_CASES = {**{f"{name}@{scale}": (build, scale) for name, build in fixtures.STANDARD.items()
@@ -420,11 +511,11 @@ STEP_CASES = {**{f"{name}@{scale}": (build, scale) for name, build in fixtures.S
 
 
 def assert_step_matches_reference(poly):
-    """The step, which factors J in place, equals the out-of-place
-    reference bit for bit; the reference runs first, on the intact J."""
-    jac, rhs = first_step_system(poly)
-    expected = reference_step(jac, rhs, DEFAULT)
-    assert np.array_equal(_gauss_newton_step(jac, rhs, DEFAULT), expected)
+    """The step, which factors B in place, equals the out-of-place
+    reference bit for bit; the reference runs first, on the intact B."""
+    system, rhs = first_step_system(poly)
+    expected = reference_step(system, rhs, DEFAULT)
+    assert np.array_equal(_gauss_newton_step(system, rhs, DEFAULT), expected)
 
 
 class TestInPlaceStep:
@@ -438,35 +529,35 @@ class TestInPlaceStep:
     def test_random_steps_equal_reference(self, poly):
         assert_step_matches_reference(poly)
 
-    def test_factor_shares_memory_with_jac(self, monkeypatch):
-        """J is consumed: ``dgeqrf`` overwrites it with the factor."""
+    def test_factor_shares_memory_with_the_system(self, monkeypatch):
+        """B is consumed: ``dgetrf`` overwrites it with the factor."""
         factors = []
-        dgeqrf = lapack.dgeqrf
+        dgetrf = lapack.dgetrf
 
         def spy(*args, **kwargs):
-            out = dgeqrf(*args, **kwargs)
+            out = dgetrf(*args, **kwargs)
             factors.append(out[0])
             return out
 
-        monkeypatch.setattr(lapack, "dgeqrf", spy)
-        jac, rhs = first_step_system(fixtures.cube(0.3))
-        _gauss_newton_step(jac, rhs, DEFAULT)
+        monkeypatch.setattr(lapack, "dgetrf", spy)
+        system, rhs = first_step_system(fixtures.cube(0.3))
+        _gauss_newton_step(system, rhs, DEFAULT)
         assert len(factors) == 1
-        assert np.shares_memory(factors[0], jac)
+        assert np.shares_memory(factors[0], system)
 
     @pytest.mark.parametrize("case", ["duplicated_row", "tiny_singular_value"])
-    def test_rank_stop_reports_the_square_r_estimate(self, case):
-        """The rank-loss message gives ``dtrcon``'s estimate for the square R,
-        as the reference computes it, not one read from the tall factor."""
-        jac, rhs = first_step_system(fixtures.cube(0.3))
+    def test_rank_stop_reports_the_reference_estimate(self, case):
+        """The rank-loss message gives ``dgecon``'s estimate for B, as the
+        reference computes it out of place."""
+        system, rhs = first_step_system(fixtures.cube(0.3))
         if case == "duplicated_row":
-            jac, rhs = np.vstack([jac, jac[:1]]), np.append(rhs, rhs[0])
+            system, rhs = with_duplicated_row(system, rhs)
         else:
-            jac = with_smallest_singular_value(jac, 1e-12)
+            system = with_smallest_singular_value(system, len(rhs), 1e-12)
         with pytest.raises(NoConvergence) as expected:
-            reference_step(jac, rhs, DEFAULT)
+            reference_step(system, rhs, DEFAULT)
         with pytest.raises(NoConvergence) as info:
-            _gauss_newton_step(jac, rhs, DEFAULT)
+            _gauss_newton_step(system, rhs, DEFAULT)
         assert str(info.value) == str(expected.value)
 
 

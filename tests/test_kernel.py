@@ -183,12 +183,16 @@ def test_jacobians_match_finite_differences(poly):
 
 
 def assert_stacked_jacobian_exact(poly):
-    """``jacobian`` equals its two row ranges stacked, and the row-by-row
-    reference scatter of the same blocks, bit for bit."""
+    """``bordered_jacobian`` is square; its rows above the last six equal
+    the two row ranges stacked, and the row-by-row reference scatter of the
+    same blocks, and its last six are ``klein_velocities``, bit for bit."""
     geom = FaceGeometry(poly)
-    jac = geom.jacobian()
+    system = geom.bordered_jacobian()
+    jac = system[:-6]
+    assert system.shape == (3 * poly.combinatorics.vertex_count,) * 2
     assert np.array_equal(jac, np.vstack([geom.constraint_jacobian(), geom.angle_jacobian()]))
     assert np.array_equal(jac, jacobian_reference(geom))
+    assert np.array_equal(system[-6:], lorentz.klein_velocities(poly.positions).reshape(6, -1))
 
 
 STACKED = {**{f"{name}@{scale}": (build, scale) for name, build in fixtures.STANDARD.items()
@@ -240,7 +244,7 @@ def test_only_the_normals_raise_on_a_degenerate_face():
     assert geom.planarity_residuals().shape == (0,)
     assert geom.convexity_margins().shape == (4,)
     with pytest.raises(DegenerateFace):
-        geom.jacobian()
+        geom.bordered_jacobian()
 
 
 def assert_margins_exact(poly):

@@ -9,6 +9,8 @@ from scipy.linalg import expm, subspace_angles
 from helpers import (
     collapsed_corner_tetrahedron,
     finite_difference_jacobian,
+    isometry_directions_reference,
+    prism,
     random_isometry,
     random_polar_dual,
     random_polyhedra,
@@ -243,6 +245,27 @@ class TestSingularValues:
             _singular_values(np.array([[1.0, 2.0], [bad, 3.0]]))
 
 
+def check_closed_form_velocities(poly):
+    """The closed-form velocities equal the lifted route's within 1e-15
+    (about 4.5 eps; no entry exceeds 1 in size), fixed before the run."""
+    cols = isometry_directions(poly)
+    assert cols.shape == (3 * poly.combinatorics.vertex_count, 6)
+    assert np.max(np.abs(cols - isometry_directions_reference(poly))) <= 1e-15
+
+
+def boosted_cube():
+    """cube(0.3) boosted along x until its centre is at Klein radius 0.9999."""
+    poly = fixtures.cube(0.3)
+    boost = lorentz.pure_boost(lorentz.klein_lift([0.9999, 0.0, 0.0]))
+    return poly.with_positions(lorentz.apply_isometry(boost, poly.positions))
+
+
+VELOCITY_CASES = {**{f"{name}@{scale}": (lambda build=build, scale=scale: build(scale))
+                     for name, build in fixtures.STANDARD.items() for scale in (0.02, 0.3, 0.9)},
+                  **{f"prism{n}": (lambda n=n: prism(n)) for n in (3, 8, 32)},
+                  "cube@0.3-0.9999": boosted_cube}
+
+
 class TestIsometryDirections:
     def test_rank_six(self):
         cols = isometry_directions(fixtures.tetrahedron(0.3))
@@ -273,6 +296,15 @@ class TestIsometryDirections:
         for j, gen in enumerate(lorentz.so31_basis()):
             fd = (moved(gen, step) - moved(gen, -step)) / (2 * step)
             assert np.max(np.abs(cols[:, j] - fd)) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(VELOCITY_CASES))
+    def test_closed_form_matches_lifted_route(self, name):
+        check_closed_form_velocities(VELOCITY_CASES[name]())
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(random_polyhedra(40))
+    def test_closed_form_matches_lifted_route_on_hulls_and_duals(self, poly):
+        check_closed_form_velocities(poly)
 
     def test_collinear_vertices_are_rank_deficient(self):
         # every rotation about the common line fixes all four vertices
